@@ -96,23 +96,17 @@ def conv_stack(model: ModelGraph) -> list[tuple[ConvGeometry, tuple[int, int]]]:
     """The model's convolution geometries with their input spatial sizes."""
     _, h, w = model.input_shape
     stack = []
-
-    def visit_conv(geometry):
-        nonlocal h, w
-        stack.append((geometry, (h, w)))
-
     for layer in model.layers:
         if isinstance(layer, (ComplexConvLayer, BinaryConvLayer)):
-            geometry = layer.geometry
-            visit_conv(geometry)
-            h, w = geometry.out_hw(h, w)
+            stack.append((layer.geometry, (h, w)))
+            h, w = layer.geometry.out_hw(h, w)
         elif isinstance(layer, ResidualBlock1):
-            visit_conv(layer.conv1.geometry)
-            visit_conv(layer.conv2.geometry)
+            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, (h, w))]
         elif isinstance(layer, ResidualBlock2):
-            visit_conv(layer.conv1.geometry)
-            h, w = layer.conv1.geometry.out_hw(h, w)
-            visit_conv(layer.conv2.geometry)
+            mid = layer.conv1.geometry.out_hw(h, w)
+            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, mid),
+                      (layer.side_conv.geometry, (h, w))]
+            h, w = mid
         elif isinstance(layer, (AvgPool, MaxPool)):
             kh, kw = layer.window
             sh, sw = layer.stride or layer.window

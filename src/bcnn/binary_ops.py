@@ -3,14 +3,15 @@
 A {+1,-1} dot product over packed bitplanes reduces to
 ``n - 2 * popcount(xor(a, b))``: XOR marks positions where the signs
 differ and every mismatch loses 2 relative to the all-match total ``n``.
-A binary complex product splits into four such real dots,
+A binary complex product is two such real dots over the joint vector
+``[x_r | x_i]``, with ``~`` (bitwise NOT) negating a packed vector,
 
-    y_r = <x_r, w_r> - <x_i, w_i>
-    y_i = <x_r, w_i> + <x_i, w_r>
+    y_r = <x_r, w_r> - <x_i, w_i> = <[x_r | x_i], [w_r | ~w_i]>
+    y_i = <x_r, w_i> + <x_i, w_r> = <[x_r | x_i], [w_i | w_r]>
 
-and the 2D convolution accumulates these integer dots over the kernel
-window.  Spatial padding uses the value -1 on both planes (all-zero
-words), consistent with the {+1,-1} alphabet.
+and the 2D convolution accumulates them over kernel taps and joint words.
+Spatial padding uses the value -1 on both planes (all-zero words),
+consistent with the {+1,-1} alphabet.
 
 All results are integer-exact: the packed kernel must agree bit-for-bit
 with a dense reference convolution for any valid input.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidParallelism, LengthMismatch, ShapeMismatch
-from .tensors import BitplaneTensor, ComplexTensor, channel_mask, words_per_pixel
+from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
+                      words_per_pixel)
 
 
 def binarize_deterministic(x: np.ndarray) -> np.ndarray:
@@ -121,6 +123,16 @@ def binary_complex_dot(
     return rr - ii, ri + ir
 
 
+def _joint_words(re: np.ndarray, im: np.ndarray, c: int) -> np.ndarray:
+    """Per-pixel words of the 2c-bit vector ``[re | im]`` with pad bits
+    cleared; one shared word when ``2c <= 64``."""
+    mask = channel_mask(c)
+    re, im = re & mask, im & mask
+    if 2 * c <= WORD_BITS:
+        return re | (im << np.uint64(c))
+    return np.concatenate([re, im], axis=-1)
+
+
 def binary_complex_conv2d(
     x: BitplaneTensor,
     w: BitplaneTensor,
@@ -131,9 +143,10 @@ def binary_complex_conv2d(
 
     ``w`` packs the weight tensor with shape (out_c, in_c, kh, kw); its
     batch axis is the output channel.  ``parallelism = (p_out, p_in)``
-    selects how many output channels and how many input-channel words are
-    processed per inner step; the result is bit-identical for every valid
-    choice (integer accumulation is exact), defaulting to the widest.
+    selects how many output channels and joint re|im words (``p_in`` at
+    most the words per plane) are processed per inner step; the result is
+    bit-identical for every valid choice (int32 accumulation is exact while
+    ``2*c*kh*kw < 2**31``), defaulting to the widest.
     """
     n, c, h, wd = x.shape
     out_c, in_c, kh, kw = w.shape
@@ -156,41 +169,30 @@ def binary_complex_conv2d(
     sh, sw = geometry.stride
     ph, pw = geometry.padding
     # zero words encode pixels of all -1 channels, the declared pad value
-    spatial_pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
-    xp_re = np.pad(x.re_words, spatial_pad)
-    xp_im = np.pad(x.im_words, spatial_pad)
-    mask = channel_mask(c)
+    xp = np.pad(_joint_words(x.re_words, x.im_words, c),
+                ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    # rows[0] yields y_r from [w_r | ~w_i], rows[1] yields y_i from [w_i | w_r]
+    rows = np.stack([_joint_words(w.re_words, ~w.im_words, c),
+                     _joint_words(w.im_words, w.re_words, c)])
+    nwj = xp.shape[-1]
 
-    pops = {
-        key: np.zeros((n, out_c, h_out, w_out), dtype=np.int64)
-        for key in ("rr", "ii", "ri", "ir")
-    }
+    acc = np.zeros((2, out_c, n, h_out, w_out), dtype=np.int32)
+    buf = np.empty((2, p_out, n, h_out, w_out), dtype=np.uint64)
+    cnt = np.empty(buf.shape, dtype=np.uint8)
     for oc0 in range(0, out_c, p_out):
         ocs = slice(oc0, oc0 + p_out)
-        for w0 in range(0, nw, p_in):
-            ws = slice(w0, min(w0 + p_in, nw))
-            m = mask[ws]
-            for ky in range(kh):
-                for kx in range(kw):
-                    xv_r = xp_re[:, ky : ky + sh * h_out : sh,
-                                 kx : kx + sw * w_out : sw, ws]
-                    xv_i = xp_im[:, ky : ky + sh * h_out : sh,
-                                 kx : kx + sw * w_out : sw, ws]
-                    wv_r = w.re_words[ocs, ky, kx, ws]
-                    wv_i = w.im_words[ocs, ky, kx, ws]
-                    for key, xv, wv in (
-                        ("rr", xv_r, wv_r),
-                        ("ii", xv_i, wv_i),
-                        ("ri", xv_r, wv_i),
-                        ("ir", xv_i, wv_r),
-                    ):
-                        xor = (xv[:, None] ^ wv[None, :, None, None, :]) & m
-                        pops[key][:, ocs] += np.bitwise_count(xor).sum(
-                            axis=-1, dtype=np.int64
-                        )
+        for w0 in range(0, nwj, p_in):
+            for ky, kx in np.ndindex(kh, kw):
+                for j in range(w0, min(w0 + p_in, nwj)):
+                    # a contiguous tap window lets each row XOR one long run
+                    xv = xp[:, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw, j]
+                    tap = rows[:, ocs, ky, kx, j, None, None, None]
+                    np.bitwise_xor(np.ascontiguousarray(xv), tap, out=buf)
+                    np.bitwise_count(buf, out=cnt)
+                    acc[:, ocs] += cnt
 
-    total = in_c * kh * kw
-    dot = {key: total - 2 * p for key, p in pops.items()}
-    y_r = dot["rr"] - dot["ii"]
-    y_i = dot["ri"] + dot["ir"]
-    return ComplexTensor(y_r.astype(float), y_i.astype(float))
+    # each row is a real dot over 2*c*kh*kw bits: all matches minus 2 per mismatch
+    planes = np.moveaxis(acc, 2, 1).astype(float, order="C")
+    planes *= -2
+    planes += 2 * c * kh * kw
+    return ComplexTensor(planes[0], planes[1])

@@ -25,7 +25,6 @@ from .errors import NonBinaryEntry, ShapeMismatch
 
 WORD_BITS = 64
 
-_BIT_WEIGHTS = np.left_shift(np.uint64(1), np.arange(WORD_BITS, dtype=np.uint64))
 _BIT_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -125,10 +124,8 @@ def _pack_plane(plane: np.ndarray) -> np.ndarray:
     nw = words_per_pixel(c)
     bits = np.zeros((n, h, w, nw * WORD_BITS), dtype=bool)
     bits[..., :c] = np.moveaxis(plane > 0, 1, -1)
-    grouped = bits.reshape(n, h, w, nw, WORD_BITS)
-    return np.bitwise_or.reduce(
-        np.where(grouped, _BIT_WEIGHTS, np.uint64(0)), axis=-1
-    )
+    # LSB-first bytes read as little-endian words give bit j of word k = channel 64k+j
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
 def _unpack_plane(words: np.ndarray, channels: int) -> np.ndarray:

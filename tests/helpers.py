@@ -13,6 +13,17 @@ def random_pm1_tensor(rng, shape) -> ComplexTensor:
     )
 
 
+def reference_pack_plane(plane) -> np.ndarray:
+    """Pack one {+1,-1} NCHW plane bit by bit: bit j of word k is channel
+    64*k + j, set for +1.  Deliberately written as an explicit bit loop."""
+    n, c, h, w = plane.shape
+    words = np.zeros((n, h, w, -(-c // 64)), dtype=np.uint64)
+    for ch in range(c):
+        bit = np.uint64(1) << np.uint64(ch % 64)
+        words[..., ch // 64] |= np.where(plane[:, ch] > 0, bit, np.uint64(0))
+    return words
+
+
 def reference_complex_conv2d(x: ComplexTensor, w: ComplexTensor, stride, padding,
                              pad_value=-1.0):
     """Sliding-window complex convolution on dense planes.

@@ -21,7 +21,7 @@ from bcnn.accel import (
 )
 from bcnn.binary_ops import ConvGeometry
 from bcnn.errors import InvalidConfig
-from bcnn.models import build_nin_bcnn
+from bcnn.models import build_nin_bcnn, build_resnet18_bcnn, iter_binary_convs
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +63,23 @@ def test_nin_stack_calibrated_within_2x_of_measured_latency():
     latency = stack_latency_s(model, cfg)
     assert latency <= 2.0 * NIN_KERNEL_LATENCY_S
     assert latency >= NIN_KERNEL_LATENCY_S / 2.0
+
+
+def test_resnet18_stack_calibrated_within_2x_of_measured_latency():
+    model = build_resnet18_bcnn(seed=0)
+    cfg = KernelConfig(p_out=8, p_in=1, ii=1, clock_hz=300e6)
+    latency = stack_latency_s(model, cfg)
+    assert latency <= 2.0 * RESNET18_KERNEL_LATENCY_S
+    assert latency >= RESNET18_KERNEL_LATENCY_S / 2.0
+
+
+def test_resnet18_stack_includes_side_convs_at_block_input_size():
+    model = build_resnet18_bcnn(seed=0)
+    stack = conv_stack(model)
+    assert len(list(iter_binary_convs(model))) == 19
+    assert len(stack) == 20  # the full-precision stem plus every binary conv
+    sides = [hw for g, hw in stack if g.kernel == (1, 1) and g.stride == (2, 2)]
+    assert sides == [(32, 32), (16, 16), (8, 8)]
 
 
 def test_conv_stack_tracks_spatial_sizes():

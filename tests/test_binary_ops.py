@@ -11,7 +11,7 @@ from bcnn.binary_ops import (
     xnor_dot,
 )
 from bcnn.errors import InvalidParallelism, LengthMismatch, ShapeMismatch
-from bcnn.tensors import ComplexTensor, pack, pack_vector
+from bcnn.tensors import BitplaneTensor, ComplexTensor, channel_mask, pack, pack_vector
 from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2d
 
 
@@ -178,6 +178,53 @@ def test_conv_parallelism_neutral():
             y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
             np.testing.assert_array_equal(y.re, base.re)
             np.testing.assert_array_equal(y.im, base.im)
+
+
+@pytest.mark.parametrize("c", [31, 32, 33, 63, 64, 65, 127, 128, 129])
+def test_conv_matches_reference_at_word_boundaries(c):
+    # 2c <= 64 shares one joint word; beyond that every plane word boundary
+    rng = np.random.default_rng(c)
+    x = random_pm1_tensor(rng, (3, c, 7, 6))
+    for k in (1, 3, 5):
+        w = random_pm1_tensor(rng, (4, c, k, k))
+        g = ConvGeometry(c, 4, (k, k), (2, 2), (2, 2))
+        y = binary_complex_conv2d(pack(x), pack(w), g)
+        ref = reference_complex_conv2d(x, w, (2, 2), (2, 2))
+        np.testing.assert_array_equal(y.re, ref.re)
+        np.testing.assert_array_equal(y.im, ref.im)
+
+
+@pytest.mark.parametrize("c", [129, 200])
+def test_conv_parallelism_neutral_across_input_words(c):
+    # 200 channels give 8 joint words, so p_in = 3 ends on a partial block
+    rng = np.random.default_rng(c)
+    x = random_pm1_tensor(rng, (2, c, 5, 5))
+    w = random_pm1_tensor(rng, (6, c, 3, 3))
+    g = ConvGeometry(c, 6, (3, 3), (2, 2), (1, 1))
+    xb, wb = pack(x), pack(w)
+    ref = reference_complex_conv2d(x, w, (2, 2), (1, 1))
+    for p_out in (1, 2, 3, 6):
+        for p_in in range(1, xb.words_per_pixel + 1):
+            y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
+            np.testing.assert_array_equal(y.re, ref.re)
+            np.testing.assert_array_equal(y.im, ref.im)
+
+
+def _set_pad_bits(b: BitplaneTensor) -> BitplaneTensor:
+    pads = ~channel_mask(b.shape[1])
+    return BitplaneTensor(b.shape, b.re_words | pads, b.im_words | pads)
+
+
+@pytest.mark.parametrize("c", [5, 40, 70])
+def test_conv_ignores_pad_bits(c):
+    rng = np.random.default_rng(c)
+    xb = pack(random_pm1_tensor(rng, (2, c, 5, 5)))
+    wb = pack(random_pm1_tensor(rng, (3, c, 3, 3)))
+    g = ConvGeometry(c, 3, (3, 3), (1, 1), (1, 1))
+    clean = binary_complex_conv2d(xb, wb, g)
+    dirty = binary_complex_conv2d(_set_pad_bits(xb), _set_pad_bits(wb), g)
+    np.testing.assert_array_equal(dirty.re, clean.re)
+    np.testing.assert_array_equal(dirty.im, clean.im)
 
 
 def test_conv_invalid_parallelism():

@@ -20,6 +20,11 @@ def test_roundtrip_is_byte_identical():
     assert data == again
 
 
+def test_roundtrip_is_byte_identical_for_resnet18():
+    data = model_to_bytes(build_resnet18_bcnn(seed=13))
+    assert model_to_bytes(model_from_bytes(data)) == data
+
+
 def test_roundtrip_preserves_forward_logits():
     x = np.random.default_rng(0).random((2, 3, 32, 32))
     for build in (build_nin_bcnn, build_resnet18_bcnn):

@@ -14,7 +14,7 @@ from bcnn.tensors import (
     unpack_vector,
     words_per_pixel,
 )
-from helpers import random_pm1_tensor
+from helpers import random_pm1_tensor, reference_pack_plane
 
 
 def test_pack_single_value_encoding():
@@ -76,6 +76,14 @@ def test_pad_bits_are_zero():
     b = pack(t)
     assert b.re_words.shape[-1] == 2
     assert b.re_words[0, 0, 0, 1] == 1  # only bit 0 of the second word
+
+
+@pytest.mark.parametrize("c", [1, 63, 64, 65, 130])
+def test_pack_matches_per_bit_reference(c):
+    t = random_pm1_tensor(np.random.default_rng(c), (2, c, 3, 4))
+    b = pack(t)
+    assert b.re_words.tobytes() == reference_pack_plane(t.re).tobytes()
+    assert b.im_words.tobytes() == reference_pack_plane(t.im).tobytes()
 
 
 def test_pack_rejects_non_binary():
