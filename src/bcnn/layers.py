@@ -3,6 +3,8 @@
 Convolution, the three batch-normalization variants, the three pooling
 variants, activations, and the fully connected head.  Everything here
 operates on dense planes; the packed kernels live in ``binary_ops``.
+Convolutions are im2col followed by ``np.matmul``, so they run as BLAS
+GEMMs: two per complex convolution, one per real convolution.
 
 Layers are safe to share between readers in eval mode.  Training-mode
 batch-norm calls mutate the layer's running statistics and require a
@@ -62,7 +64,7 @@ def conv2d_real(
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
     cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
-    y = np.einsum("ok,nkl->nol", w.reshape(out_c, -1).astype(float), cols)
+    y = np.matmul(w.reshape(out_c, -1).astype(float), cols)
     return y.reshape(n, out_c, h_out, w_out)
 
 
@@ -91,6 +93,10 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
 
     y_r = conv(x_r, w_r) - conv(x_i, w_i) + b_r
     y_i = conv(x_r, w_i) + conv(x_i, w_r) + b_i
+
+    computed as two GEMMs, ``a = [w_r; w_i] @ cols(x_r)`` and
+    ``b = [w_i; w_r] @ cols(x_i)``, whose halves combine into
+    ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
     """
     g = layer.geometry
     out_c = layer.w_re.shape[0]
@@ -101,15 +107,15 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
     n = x.shape[0]
     cols_r, (h_out, w_out) = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
     cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
-    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
-    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
-    y_r = np.einsum("ok,nkl->nol", mat_r, cols_r) - np.einsum("ok,nkl->nol", mat_i, cols_i)
-    y_i = np.einsum("ok,nkl->nol", mat_i, cols_r) + np.einsum("ok,nkl->nol", mat_r, cols_i)
-    y_r = y_r.reshape(n, out_c, h_out, w_out)
-    y_i = y_i.reshape(n, out_c, h_out, w_out)
+    mat_r = layer.w_re.reshape(out_c, -1)
+    mat_i = layer.w_im.reshape(out_c, -1)
+    a = np.matmul(np.concatenate([mat_r, mat_i]).astype(float), cols_r)
+    b = np.matmul(np.concatenate([mat_i, mat_r]).astype(float), cols_i)
+    y_r = np.subtract(a[:, :out_c], b[:, :out_c]).reshape(n, out_c, h_out, w_out)
+    y_i = np.add(a[:, out_c:], b[:, out_c:]).reshape(n, out_c, h_out, w_out)
     if layer.bias_re is not None:
-        y_r = y_r + layer.bias_re.reshape(1, -1, 1, 1)
-        y_i = y_i + layer.bias_im.reshape(1, -1, 1, 1)
+        y_r += layer.bias_re.reshape(1, -1, 1, 1)
+        y_i += layer.bias_im.reshape(1, -1, 1, 1)
     return ComplexTensor(y_r, y_i)
 
 
@@ -186,8 +192,11 @@ def cgbn_normalize(
         var_i = np.asarray(layer.running_var_im, dtype=float)
     inv_r = 1.0 / np.sqrt(2.0 * var_r + layer.eps)
     inv_i = 1.0 / np.sqrt(2.0 * var_i + layer.eps)
-    xh_r = (x.re - mean_r.reshape(1, -1, 1, 1)) * inv_r.reshape(1, -1, 1, 1)
-    xh_i = (x.im - mean_i.reshape(1, -1, 1, 1)) * inv_i.reshape(1, -1, 1, 1)
+    # one fresh array per plane, scaled in place
+    xh_r = np.subtract(x.re, mean_r.reshape(1, -1, 1, 1))
+    xh_r *= inv_r.reshape(1, -1, 1, 1)
+    xh_i = np.subtract(x.im, mean_i.reshape(1, -1, 1, 1))
+    xh_i *= inv_i.reshape(1, -1, 1, 1)
     return xh_r, xh_i, inv_r, inv_i
 
 
@@ -201,8 +210,16 @@ def cgbn_forward(x: ComplexTensor, layer: CgbnLayer, training: bool = False) -> 
     xh_r, xh_i, _, _ = cgbn_normalize(x, layer, training)
     g_r = _per_channel(layer.gamma_re)
     g_i = _per_channel(layer.gamma_im)
-    y_r = g_r * xh_r - g_i * xh_i + _per_channel(layer.beta_re)
-    y_i = g_r * xh_i + g_i * xh_r + _per_channel(layer.beta_im)
+    # y_r = g_r*xh_r - g_i*xh_i + b_r and y_i = g_r*xh_i + g_i*xh_r + b_i,
+    # evaluated in that order with two new arrays; xh_i is overwritten
+    y_r = np.multiply(g_r, xh_r)
+    tmp = np.multiply(g_i, xh_i)
+    y_r -= tmp
+    y_r += _per_channel(layer.beta_re)
+    np.multiply(g_i, xh_r, out=tmp)
+    y_i = np.multiply(g_r, xh_i, out=xh_i)
+    y_i += tmp
+    y_i += _per_channel(layer.beta_im)
     return ComplexTensor(y_r, y_i)
 
 

@@ -19,7 +19,9 @@ packing.  Scalar hyperparameters (eps, momentum, pad value) are 64-bit
 reals.
 
 Payload lengths are derivable from the descriptor; a well-formed file has
-no trailing bytes.  Loading never returns a partial model.
+no trailing bytes.  Loading never returns a partial model: a residual
+block must hold binarized convolutions and CGBN layers in the encoded
+order, and the loaded graph must pass ``validate_graph``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import struct
 
 import numpy as np
 
-from .binary_ops import ConvGeometry, binarize_deterministic
-from .errors import BadMagic, CorruptModelFile, TruncatedFile, UnsupportedVersion
+from .binary_ops import ConvGeometry
+from .errors import (BadMagic, CorruptModelFile, ShapeMismatch, TruncatedFile,
+                     UnsupportedVersion)
 from .layers import CgbnLayer, ComplexConvLayer, RealBnLayer
 from .models import (
     AvgPool,
@@ -46,8 +49,9 @@ from .models import (
     ResidualBlock2,
     SpectralPool,
     active_output_channels,
+    validate_graph,
 )
-from .tensors import ComplexTensor, pack, words_per_pixel, _unpack_plane
+from .tensors import ComplexTensor, pack_signs, words_per_pixel, _unpack_plane
 
 MAGIC = b"BCN1"
 VERSION = 1
@@ -67,6 +71,12 @@ _TAG_FLATTEN = 12
 _TAG_DENSE = 13
 _TAG_BLOCK1 = 14
 _TAG_BLOCK2 = 15
+
+# block tag -> (node type, sub-layer types in encoding order)
+_BLOCK_PARTS = {
+    _TAG_BLOCK1: (ResidualBlock1, (BinaryConvLayer, CgbnLayer) * 2),
+    _TAG_BLOCK2: (ResidualBlock2, (BinaryConvLayer, CgbnLayer) * 3),
+}
 
 
 class _Cursor:
@@ -141,9 +151,7 @@ def _encode_layer(layer, desc: bytearray, payload: bytearray):
             payload += _f32_bytes(layer.bias_re) + _f32_bytes(layer.bias_im)
     elif isinstance(layer, BinaryConvLayer):
         desc += struct.pack("<B8I", _TAG_BINARY_CONV, *_geometry_fields(layer.geometry))
-        wb = pack(ComplexTensor(
-            binarize_deterministic(layer.w_re), binarize_deterministic(layer.w_im)
-        ))
+        wb = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
         # one byte per output channel: 0 marks a hard-pruned (all-zero) channel
         payload += active_output_channels(layer).astype(np.uint8).tobytes()
         payload += _words_bytes(wb.re_words) + _words_bytes(wb.im_words)
@@ -249,12 +257,16 @@ def _decode_layer(desc: _Cursor, payload: _Cursor):
         out_dim, in_dim = desc.unpack("<2I")
         return DenseLayer(_read_f32(payload, (out_dim, in_dim)),
                           _read_f32(payload, (out_dim,)))
-    if tag == _TAG_BLOCK1:
-        subs = [_decode_layer(desc, payload) for _ in range(4)]
-        return ResidualBlock1(*subs)
-    if tag == _TAG_BLOCK2:
-        subs = [_decode_layer(desc, payload) for _ in range(6)]
-        return ResidualBlock2(*subs)
+    if tag in _BLOCK_PARTS:
+        cls, kinds = _BLOCK_PARTS[tag]
+        subs = [_decode_layer(desc, payload) for _ in kinds]
+        for sub, kind in zip(subs, kinds):
+            if not isinstance(sub, kind):
+                raise CorruptModelFile(
+                    f"{cls.__name__} holds a {type(sub).__name__} "
+                    f"where a {kind.__name__} belongs"
+                )
+        return cls(*subs)
     raise CorruptModelFile(f"unknown layer tag {tag}")
 
 
@@ -284,7 +296,10 @@ def model_from_bytes(data: bytes) -> ModelGraph:
     if version != VERSION:
         raise UnsupportedVersion(f"file version {version}, reader supports {VERSION}")
     (name_len,) = cur.unpack("<H")
-    name = cur.take(name_len).decode("utf-8")
+    try:
+        name = cur.take(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptModelFile(f"model name is not valid UTF-8: {exc}") from None
     input_shape = cur.unpack("<3I")
     (num_classes,) = cur.unpack("<I")
     (desc_len,) = cur.unpack("<I")
@@ -297,7 +312,12 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         raise CorruptModelFile(
             f"{len(payload.buf) - payload.pos} trailing bytes after payloads"
         )
-    return ModelGraph(name, tuple(input_shape), num_classes, layers)
+    model = ModelGraph(name, tuple(input_shape), num_classes, layers)
+    try:
+        validate_graph(model)
+    except ShapeMismatch as exc:
+        raise CorruptModelFile(f"invalid model graph: {exc}") from exc
+    return model
 
 
 def save_model(model: ModelGraph, path: str):
@@ -308,7 +328,7 @@ def save_model(model: ModelGraph, path: str):
 
 
 def load_model(path: str) -> ModelGraph:
-    """Read a model; raises BadMagic/UnsupportedVersion/TruncatedFile."""
+    """Read a model; raises BadMagic/UnsupportedVersion/TruncatedFile/CorruptModelFile."""
     with open(path, "rb") as fh:
         data = fh.read()
     return model_from_bytes(data)

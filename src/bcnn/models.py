@@ -39,7 +39,7 @@ from .layers import (
     relu as _relu,
     spectral_pool,
 )
-from .tensors import ComplexTensor, pack
+from .tensors import ComplexTensor, pack, pack_signs
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -190,10 +190,13 @@ def _binary_conv_forward(
 ) -> ComplexTensor:
     if debug:
         _assert_binary(x)
-    wb = quadrant_binarize(ComplexTensor(layer.w_re, layer.w_im))
+    w = ComplexTensor(layer.w_re, layer.w_im)
     if packed:
-        y = binary_complex_conv2d(pack(x), pack(wb), layer.geometry)
+        # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
+        # weights are packed per call because training and pruning edit them in place
+        y = binary_complex_conv2d(pack(x), pack_signs(w), layer.geometry)
     else:
+        wb = quadrant_binarize(w)
         ref = ComplexConvLayer(wb.re, wb.im, layer.geometry, pad_value=-1.0)
         y = complex_conv2d_fp(x, ref)
     return mask_pruned_channels(y, active_output_channels(layer))
@@ -491,9 +494,12 @@ def validate_graph(model: ModelGraph):
                     "by a binarize step"
                 )
     first = next(
-        l for l in layers
-        if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer, DenseLayer))
+        (l for l in layers
+         if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer, DenseLayer))),
+        None,
     )
+    if first is None:
+        raise ShapeMismatch("model has no compute layer")
     last = next(
         l for l in reversed(layers)
         if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer,

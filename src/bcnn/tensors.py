@@ -116,16 +116,20 @@ class BitplaneTensor:
         return words_per_pixel(self.shape[1])
 
 
+def _pack_signs(plane: np.ndarray) -> np.ndarray:
+    n, c, h, w = plane.shape
+    nw = words_per_pixel(c)
+    bits = np.zeros((n, h, w, nw * WORD_BITS), dtype=bool)
+    bits[..., :c] = np.moveaxis(plane >= 0, 1, -1)
+    # LSB-first bytes read as little-endian words give bit j of word k = channel 64k+j
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
 def _pack_plane(plane: np.ndarray) -> np.ndarray:
     plane = np.asarray(plane)
     if not np.all(np.abs(plane) == 1):
         raise NonBinaryEntry("plane contains entries other than +1 and -1")
-    n, c, h, w = plane.shape
-    nw = words_per_pixel(c)
-    bits = np.zeros((n, h, w, nw * WORD_BITS), dtype=bool)
-    bits[..., :c] = np.moveaxis(plane > 0, 1, -1)
-    # LSB-first bytes read as little-endian words give bit j of word k = channel 64k+j
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return _pack_signs(plane)
 
 
 def _unpack_plane(words: np.ndarray, channels: int) -> np.ndarray:
@@ -142,6 +146,15 @@ def pack(t: ComplexTensor) -> BitplaneTensor:
     Packing is deterministic: equal tensors produce byte-identical buffers.
     """
     return BitplaneTensor(t.shape, _pack_plane(t.re), _pack_plane(t.im))
+
+
+def pack_signs(t: ComplexTensor) -> BitplaneTensor:
+    """Pack the signs of any real-valued complex tensor: bit 1 where x >= 0.
+
+    Byte-identical to ``pack(quadrant_binarize(t))`` (so -0.0 and all-zero
+    planes pack as +1) without building the {+1,-1} planes or checking them.
+    """
+    return BitplaneTensor(t.shape, _pack_signs(t.re), _pack_signs(t.im))
 
 
 def unpack(b: BitplaneTensor) -> ComplexTensor:

@@ -2,6 +2,7 @@
 the packed kernels they check."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bcnn.tensors import ComplexTensor
 
@@ -65,3 +66,48 @@ def random_conv_case(rng, max_channels=128):
     x = random_pm1_tensor(rng, (n, ic, h, h))
     w = random_pm1_tensor(rng, (oc, ic, k, k))
     return x, w, (k, k), (s, s), (p, p)
+
+
+def einsum_conv2d_real(x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0):
+    """Real 2D cross-correlation as one plain einsum over strided windows.
+
+    The pre-GEMM formula of the full-precision convs: einsum without
+    ``optimize`` never calls BLAS, so it sums in its own order.
+    """
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
+    win = sliding_window_view(xp, w.shape[2:], axis=(2, 3))[:, :, ::sh, ::sw]
+    return np.einsum("nchwij,ocij->nohw", win, np.asarray(w, dtype=float))
+
+
+def einsum_complex_conv2d(x: ComplexTensor, layer) -> ComplexTensor:
+    """Four-einsum complex convolution of a ComplexConvLayer, bias included."""
+    g = layer.geometry
+
+    def conv(plane, w):
+        return einsum_conv2d_real(plane, w, g.stride, g.padding, layer.pad_value)
+
+    y_r = conv(x.re, layer.w_re) - conv(x.im, layer.w_im)
+    y_i = conv(x.re, layer.w_im) + conv(x.im, layer.w_re)
+    if layer.bias_re is not None:
+        y_r = y_r + layer.bias_re.reshape(1, -1, 1, 1)
+        y_i = y_i + layer.bias_im.reshape(1, -1, 1, 1)
+    return ComplexTensor(y_r, y_i)
+
+
+def reference_cgbn_eval(x: ComplexTensor, layer) -> ComplexTensor:
+    """Eval-mode CGBN written as whole-array expressions, one temporary per
+    operation, in the order the layer documents."""
+    def per_channel(v):
+        return np.asarray(v, dtype=float).reshape(1, -1, 1, 1)
+
+    inv_r = 1.0 / np.sqrt(2.0 * per_channel(layer.running_var_re) + layer.eps)
+    inv_i = 1.0 / np.sqrt(2.0 * per_channel(layer.running_var_im) + layer.eps)
+    xh_r = (x.re - per_channel(layer.running_mean_re)) * inv_r
+    xh_i = (x.im - per_channel(layer.running_mean_im)) * inv_i
+    g_r = per_channel(layer.gamma_re)
+    g_i = per_channel(layer.gamma_im)
+    y_r = g_r * xh_r - g_i * xh_i + per_channel(layer.beta_re)
+    y_i = g_r * xh_i + g_i * xh_r + per_channel(layer.beta_im)
+    return ComplexTensor(y_r, y_i)

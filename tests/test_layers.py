@@ -11,6 +11,7 @@ from bcnn.layers import (
     avg_pool,
     cgbn_forward,
     complex_conv2d_fp,
+    conv2d_real,
     cov_complex_bn_forward,
     fully_connected,
     hardtanh,
@@ -20,7 +21,8 @@ from bcnn.layers import (
     spectral_pool,
 )
 from bcnn.tensors import ComplexTensor, pack
-from helpers import random_pm1_tensor
+from helpers import (einsum_complex_conv2d, einsum_conv2d_real, random_pm1_tensor,
+                     reference_cgbn_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,42 @@ def test_fp_conv_bias():
     y = complex_conv2d_fp(x, layer)
     np.testing.assert_allclose(y.re[0, :, 0, 0], [1.0, 2.0])
     np.testing.assert_allclose(y.im[0, :, 0, 0], [-1.0, 0.5])
+
+
+def _assert_close_relative(y, ref, rel=1e-12):
+    assert y.shape == ref.shape
+    assert np.abs(y - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [
+    ((3, 3), (2, 2), (1, 1)),
+    ((5, 5), (1, 1), (2, 2)),
+    ((3, 1), (2, 1), (0, 2)),
+])
+def test_fp_conv_matches_einsum_reference(kernel, stride, padding):
+    rng = np.random.default_rng(sum(kernel) + sum(stride))
+    x = ComplexTensor(rng.standard_normal((3, 7, 9, 10)), rng.standard_normal((3, 7, 9, 10)))
+    layer = ComplexConvLayer(
+        rng.standard_normal((6, 7, *kernel)).astype(np.float32),
+        rng.standard_normal((6, 7, *kernel)).astype(np.float32),
+        ConvGeometry(7, 6, kernel, stride, padding),
+        bias_re=rng.standard_normal(6).astype(np.float32),
+        bias_im=rng.standard_normal(6).astype(np.float32),
+        pad_value=0.25,
+    )
+    y = complex_conv2d_fp(x, layer)
+    ref = einsum_complex_conv2d(x, layer)
+    _assert_close_relative(y.re, ref.re)
+    _assert_close_relative(y.im, ref.im)
+
+
+@pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((2, 1), (0, 2))])
+def test_conv2d_real_matches_einsum_reference(stride, padding):
+    rng = np.random.default_rng(stride[1] + padding[1])
+    x = rng.standard_normal((2, 3, 8, 9))
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    y = conv2d_real(x, w, stride, padding, pad_value=-0.5)
+    _assert_close_relative(y, einsum_conv2d_real(x, w, stride, padding, pad_value=-0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +169,25 @@ def test_cgbn_eval_uses_running_stats():
     x = ComplexTensor(np.full((1, 1, 1, 1), 3.0), np.zeros((1, 1, 1, 1)))
     y = cgbn_forward(x, layer, training=False)
     np.testing.assert_allclose(y.re, 2.0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cgbn_eval_bit_identical_to_whole_array_expression(dtype):
+    rng = np.random.default_rng(9)
+    c = 5
+    layer = CgbnLayer.identity(c)
+    for name in ("gamma_re", "gamma_im", "beta_re", "beta_im",
+                 "running_mean_re", "running_mean_im"):
+        getattr(layer, name)[:] = rng.standard_normal(c)
+    layer.running_var_re[:] = rng.random(c) + 0.1
+    layer.running_var_im[:] = rng.random(c) + 0.1
+    assert np.all(layer.gamma_im != 0)
+    x = ComplexTensor(rng.standard_normal((2, c, 4, 3)).astype(dtype),
+                      rng.standard_normal((2, c, 4, 3)).astype(dtype))
+    y = cgbn_forward(x, layer, training=False)
+    ref = reference_cgbn_eval(x, layer)
+    assert y.re.tobytes() == ref.re.tobytes()
+    assert y.im.tobytes() == ref.im.tobytes()
 
 
 def test_cgbn_running_stat_update():

@@ -123,3 +123,47 @@ def test_roundtrip_covers_every_node_kind():
     loaded = model_from_bytes(blob)
     assert model_to_bytes(loaded) == blob
     assert [type(l).__name__ for l in loaded.layers] == [type(l).__name__ for l in layers]
+
+
+def _block_with_dense_sub_layer():
+    from bcnn.layers import CgbnLayer
+    from bcnn.models import DenseLayer, ResidualBlock1, _init_binary_conv
+
+    rng = np.random.default_rng(0)
+    dense = DenseLayer(np.ones((4, 4), np.float32), np.zeros(4, np.float32))
+    return ResidualBlock1(dense, CgbnLayer.identity(4),
+                          _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
+                          CgbnLayer.identity(4))
+
+
+@pytest.mark.parametrize("build", [build_toy_bcnn, build_resnet18_bcnn])
+def test_block_with_wrong_sub_layer_type_is_corrupt(build):
+    model = build(seed=0)
+    block_at = 3  # generator, complex conv, CGBN, then the first block (ResNet)
+    model.layers.insert(block_at, _block_with_dense_sub_layer())
+    with pytest.raises(CorruptModelFile, match="DenseLayer"):
+        model_from_bytes(model_to_bytes(model))
+
+
+def test_graph_failing_validation_is_corrupt():
+    from bcnn.models import Binarize
+
+    model = build_toy_bcnn(seed=0)
+    binarize_at = next(i for i, layer in enumerate(model.layers) if isinstance(layer, Binarize))
+    del model.layers[binarize_at]  # a binarized conv no longer follows a binarize step
+    with pytest.raises(CorruptModelFile, match="binarize"):
+        model_from_bytes(model_to_bytes(model))
+
+
+def test_graph_without_compute_layer_is_corrupt():
+    from bcnn.models import ModelGraph, Relu
+
+    with pytest.raises(CorruptModelFile):
+        model_from_bytes(model_to_bytes(ModelGraph("relu", (3, 8, 8), 2, [Relu()])))
+
+
+def test_model_name_not_utf8_is_corrupt():
+    data = bytearray(model_to_bytes(build_toy_bcnn(seed=0)))
+    data[10] = 0xFF  # first byte of the name (magic 4, version 4, length 2)
+    with pytest.raises(CorruptModelFile, match="UTF-8"):
+        model_from_bytes(bytes(data))

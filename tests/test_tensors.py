@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcnn.binary_ops import quadrant_binarize
 from bcnn.errors import NonBinaryEntry, ShapeMismatch
 from bcnn.tensors import (
     BitplaneTensor,
     ComplexTensor,
     channel_mask,
     pack,
+    pack_signs,
     pack_vector,
     unpack,
     unpack_vector,
@@ -84,6 +86,23 @@ def test_pack_matches_per_bit_reference(c):
     b = pack(t)
     assert b.re_words.tobytes() == reference_pack_plane(t.re).tobytes()
     assert b.im_words.tobytes() == reference_pack_plane(t.im).tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 63, 64, 65, 130])
+def test_pack_signs_matches_pack_of_binarized(c):
+    rng = np.random.default_rng(c)
+    shape = (5, c, 3, 3)  # laid out like conv weights: (out_c, in_c, kh, kw)
+    planes = rng.standard_normal((2, *shape)).astype(np.float32)
+    planes[rng.random(planes.shape) < 0.2] = 0.0
+    planes[rng.random(planes.shape) < 0.2] = -0.0
+    planes[:, 1] = 0.0  # a hard-pruned output channel
+    planes[0, 3] = -0.0
+    t = ComplexTensor(planes[0], planes[1])
+    b = pack_signs(t)
+    expected = pack(quadrant_binarize(t))
+    assert b.shape == expected.shape
+    assert b.re_words.tobytes() == expected.re_words.tobytes()
+    assert b.im_words.tobytes() == expected.im_words.tobytes()
 
 
 def test_pack_rejects_non_binary():
