@@ -88,35 +88,47 @@ class ComplexConvLayer:
     pad_value: float = 0.0
 
 
+def complex_im2col(x: ComplexTensor, layer: ComplexConvLayer):
+    """Column matrices of both planes: (cols_r, cols_i, (h_out, w_out))."""
+    g = layer.geometry
+    if x.shape[1] != g.in_channels or layer.w_re.shape[1] != g.in_channels:
+        raise ShapeMismatch(
+            f"input has {x.shape[1]} channels, layer expects {g.in_channels}"
+        )
+    cols_r, out_hw = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
+    cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
+    return cols_r, cols_i, out_hw
+
+
+def complex_conv_gemm(cols_r, cols_i, out_hw, layer: ComplexConvLayer) -> ComplexTensor:
+    """The two GEMMs of a complex convolution over ``complex_im2col`` columns.
+
+    ``a = [w_r; w_i] @ cols_r`` and ``b = [w_i; w_r] @ cols_i``; their halves
+    combine into ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
+    """
+    n = cols_r.shape[0]
+    out_c = layer.w_re.shape[0]
+    mat_r = layer.w_re.reshape(out_c, -1)
+    mat_i = layer.w_im.reshape(out_c, -1)
+    a = np.matmul(np.concatenate([mat_r, mat_i]).astype(float), cols_r)
+    b = np.matmul(np.concatenate([mat_i, mat_r]).astype(float), cols_i)
+    y_r = np.subtract(a[:, :out_c], b[:, :out_c]).reshape(n, out_c, *out_hw)
+    y_i = np.add(a[:, out_c:], b[:, out_c:]).reshape(n, out_c, *out_hw)
+    if layer.bias_re is not None:
+        y_r += layer.bias_re.reshape(1, -1, 1, 1)
+        y_i += layer.bias_im.reshape(1, -1, 1, 1)
+    return ComplexTensor(y_r, y_i)
+
+
 def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTensor:
     """Complex convolution: y = conv(x, w) with complex per-element products.
 
     y_r = conv(x_r, w_r) - conv(x_i, w_i) + b_r
     y_i = conv(x_r, w_i) + conv(x_i, w_r) + b_i
 
-    computed as two GEMMs, ``a = [w_r; w_i] @ cols(x_r)`` and
-    ``b = [w_i; w_r] @ cols(x_i)``, whose halves combine into
-    ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
+    computed as im2col of both planes followed by ``complex_conv_gemm``.
     """
-    g = layer.geometry
-    out_c = layer.w_re.shape[0]
-    if x.shape[1] != g.in_channels or layer.w_re.shape[1] != g.in_channels:
-        raise ShapeMismatch(
-            f"input has {x.shape[1]} channels, layer expects {g.in_channels}"
-        )
-    n = x.shape[0]
-    cols_r, (h_out, w_out) = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
-    cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
-    mat_r = layer.w_re.reshape(out_c, -1)
-    mat_i = layer.w_im.reshape(out_c, -1)
-    a = np.matmul(np.concatenate([mat_r, mat_i]).astype(float), cols_r)
-    b = np.matmul(np.concatenate([mat_i, mat_r]).astype(float), cols_i)
-    y_r = np.subtract(a[:, :out_c], b[:, :out_c]).reshape(n, out_c, h_out, w_out)
-    y_i = np.add(a[:, out_c:], b[:, out_c:]).reshape(n, out_c, h_out, w_out)
-    if layer.bias_re is not None:
-        y_r += layer.bias_re.reshape(1, -1, 1, 1)
-        y_i += layer.bias_im.reshape(1, -1, 1, 1)
-    return ComplexTensor(y_r, y_i)
+    return complex_conv_gemm(*complex_im2col(x, layer), layer)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ order, and the loaded graph must pass ``validate_graph``.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -104,7 +105,7 @@ def _f32_bytes(arr: np.ndarray) -> bytes:
 
 
 def _read_f32(cur: _Cursor, shape) -> np.ndarray:
-    n = int(np.prod(shape))
+    n = math.prod(shape)  # exact: np.prod wraps on corrupt huge shapes
     raw = cur.take(4 * n)
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 
@@ -114,7 +115,7 @@ def _words_bytes(words: np.ndarray) -> bytes:
 
 
 def _read_words(cur: _Cursor, shape) -> np.ndarray:
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     raw = cur.take(8 * n)
     return np.frombuffer(raw, dtype="<u8").reshape(shape).astype(np.uint64)
 

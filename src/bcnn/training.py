@@ -8,6 +8,10 @@ gradient with respect to a latent weight plane passes through unchanged
 where the plane's magnitude is below the clip threshold and is zeroed
 elsewhere, with the real and imaginary planes gated independently.
 Latent weights are never binarized in storage.
+
+Convolutions and their gradients are BLAS GEMMs (``np.matmul``); the
+forward conv is eval inference's own ``layers.complex_im2col`` plus
+``layers.complex_conv_gemm``, keeping the columns for the backward.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .binary_ops import binarize_deterministic, quadrant_binarize
 from .errors import (
     CorruptRecord,
     DataExhausted,
@@ -30,7 +35,11 @@ from .layers import (
     CgbnLayer,
     ComplexConvLayer,
     RealBnLayer,
+    _pool_patches,
+    avg_pool,
     cgbn_normalize,
+    complex_conv_gemm,
+    complex_im2col,
     im2col,
 )
 from .models import (
@@ -46,8 +55,10 @@ from .models import (
     Hardtanh,
     ResidualBlock1,
     ResidualBlock2,
+    active_output_channels,
     build_toy_bcnn,
     forward as model_forward,
+    mask_pruned_channels,
 )
 from .tensors import ComplexTensor
 
@@ -244,47 +255,45 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     return dpad[:, :, ph : ph + h, pw : pw + w]
 
 
+def _weight_grad_gemm(g, cols):
+    """Sum over the batch of ``g[i] @ cols[i]^T``, one GEMM per sample on a
+    transposed view: no copy of ``cols`` and no (n, rows, K) stack of
+    products, which would outgrow ``cols`` in deep layers."""
+    acc = g[0] @ cols[0].T
+    for i in range(1, len(g)):
+        acc += g[i] @ cols[i].T
+    return acc
+
+
 def _complex_conv_fwd(x: ComplexTensor, layer: ComplexConvLayer):
-    g = layer.geometry
-    if x.shape[1] != g.in_channels:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, layer expects {g.in_channels}")
-    n = x.shape[0]
-    out_c = layer.w_re.shape[0]
-    cols_r, (h_out, w_out) = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
-    cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
-    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
-    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
-    y_r = (np.einsum("ok,nkl->nol", mat_r, cols_r)
-           - np.einsum("ok,nkl->nol", mat_i, cols_i)).reshape(n, out_c, h_out, w_out)
-    y_i = (np.einsum("ok,nkl->nol", mat_i, cols_r)
-           + np.einsum("ok,nkl->nol", mat_r, cols_i)).reshape(n, out_c, h_out, w_out)
-    if layer.bias_re is not None:
-        y_r = y_r + layer.bias_re.reshape(1, -1, 1, 1)
-        y_i = y_i + layer.bias_im.reshape(1, -1, 1, 1)
-    cache = (cols_r, cols_i, x.shape, (h_out, w_out))
-    return ComplexTensor(y_r, y_i), cache
+    cols_r, cols_i, out_hw = complex_im2col(x, layer)
+    return complex_conv_gemm(cols_r, cols_i, out_hw, layer), (cols_r, cols_i, x.shape)
 
 
 def _complex_conv_bwd(g: ComplexTensor, cache, layer: ComplexConvLayer):
-    """Returns (dw_re, dw_im, db_re, db_im, dx)."""
-    cols_r, cols_i, x_shape, (h_out, w_out) = cache
+    """Returns (dw_re, dw_im, db_re, db_im, dx).
+
+    With ``G = [g_r; g_i]`` stacked along channels, the weight gradients are
+    the halves of ``G @ cols_r^T`` and ``G @ cols_i^T`` summed over the
+    batch, and ``dcols_r = [w_r; w_i]^T @ G``, ``dcols_i = [-w_i; w_r]^T @ G``.
+    """
+    cols_r, cols_i, x_shape = cache
     geo = layer.geometry
     n = x_shape[0]
-    out_c, in_c, kh, kw = layer.w_re.shape
-    gr = g.re.reshape(n, out_c, -1)
-    gi = g.im.reshape(n, out_c, -1)
-    dw_re = (np.einsum("nol,nkl->ok", gr, cols_r)
-             + np.einsum("nol,nkl->ok", gi, cols_i)).reshape(layer.w_re.shape)
-    dw_im = (np.einsum("nol,nkl->ok", gi, cols_r)
-             - np.einsum("nol,nkl->ok", gr, cols_i)).reshape(layer.w_im.shape)
+    out_c = layer.w_re.shape[0]
+    gs = np.concatenate([g.re.reshape(n, out_c, -1), g.im.reshape(n, out_c, -1)], axis=1)
+    a = _weight_grad_gemm(gs, cols_r)
+    b = _weight_grad_gemm(gs, cols_i)
+    dw_re = (a[:out_c] + b[out_c:]).reshape(layer.w_re.shape)
+    dw_im = (a[out_c:] - b[:out_c]).reshape(layer.w_im.shape)
     db_re = db_im = None
     if layer.bias_re is not None:
         db_re = g.re.sum(axis=(0, 2, 3))
         db_im = g.im.sum(axis=(0, 2, 3))
     mat_r = layer.w_re.reshape(out_c, -1).astype(float)
     mat_i = layer.w_im.reshape(out_c, -1).astype(float)
-    dcols_r = np.einsum("ok,nol->nkl", mat_r, gr) + np.einsum("ok,nol->nkl", mat_i, gi)
-    dcols_i = np.einsum("ok,nol->nkl", mat_r, gi) - np.einsum("ok,nol->nkl", mat_i, gr)
+    dcols_r = np.matmul(np.concatenate([mat_r, mat_i]).T, gs)
+    dcols_i = np.matmul(np.concatenate([-mat_i, mat_r]).T, gs)
     dx_r = _col2im(dcols_r, x_shape, geo.kernel, geo.stride, geo.padding)
     dx_i = _col2im(dcols_i, x_shape, geo.kernel, geo.stride, geo.padding)
     return dw_re, dw_im, db_re, db_im, ComplexTensor(dx_r, dx_i)
@@ -292,15 +301,15 @@ def _complex_conv_bwd(g: ComplexTensor, cache, layer: ComplexConvLayer):
 
 def _real_conv_fwd(x, w, padding):
     cols, (h_out, w_out) = im2col(x, w.shape[2:], (1, 1), padding, 0.0)
-    y = np.einsum("ok,nkl->nol", w.reshape(w.shape[0], -1).astype(float), cols)
+    y = np.matmul(w.reshape(w.shape[0], -1).astype(float), cols)
     return y.reshape(x.shape[0], w.shape[0], h_out, w_out), cols
 
 
 def _real_conv_bwd(g, cols, x_shape, w, padding):
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
-    dw = np.einsum("nol,nkl->ok", gm, cols).reshape(w.shape)
-    dcols = np.einsum("ok,nol->nkl", w.reshape(out_c, -1).astype(float), gm)
+    dw = _weight_grad_gemm(gm, cols).reshape(w.shape)
+    dcols = np.matmul(w.reshape(out_c, -1).astype(float).T, gm)
     dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
     return dw, dx
 
@@ -375,8 +384,6 @@ def _pool_geometry(layer, x_hw):
 
 
 def _fwd_avg_pool(layer: AvgPool, x: ComplexTensor):
-    from .layers import avg_pool
-
     stride, _ = _pool_geometry(layer, x.shape[2:])
     return avg_pool(x, layer.window, stride), (x.shape, stride)
 
@@ -399,8 +406,6 @@ def _bwd_avg_pool(layer: AvgPool, g: ComplexTensor, cache):
 
 
 def _fwd_max_pool(layer: MaxPool, x: ComplexTensor):
-    from .layers import _pool_patches
-
     stride, _ = _pool_geometry(layer, x.shape[2:])
     patches_r = _pool_patches(x.re, layer.window, stride)
     patches_i = _pool_patches(x.im, layer.window, stride)
@@ -427,9 +432,6 @@ def _bwd_max_pool(layer: MaxPool, g: ComplexTensor, cache):
 
 
 def _fwd_binary_conv(layer: BinaryConvLayer, x: ComplexTensor):
-    from .binary_ops import binarize_deterministic
-    from .models import active_output_channels, mask_pruned_channels
-
     wb = ComplexConvLayer(
         binarize_deterministic(layer.w_re),
         binarize_deterministic(layer.w_im),
@@ -455,8 +457,6 @@ def _bwd_binary_conv(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grad
 
 
 def _fwd_layer(layer, x, clip, update_stats):
-    from .binary_ops import quadrant_binarize
-
     if isinstance(layer, ComplexInputGenerator):
         z1, cols_x = _real_conv_fwd(x, layer.w1, (1, 1))
         z1 = z1 + layer.b1.reshape(1, -1, 1, 1)
@@ -640,7 +640,7 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     if extra_grads:
         grads.extend(extra_grads)
     for arr, grad in grads:
-        arr -= (lr * grad).astype(arr.dtype)
+        sgd_step(arr, grad, lr)
     correct = int((logits.argmax(axis=1) == yb).sum())
     return loss, correct
 

@@ -4,7 +4,16 @@ the packed kernels they check."""
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from bcnn.layers import im2col
 from bcnn.tensors import ComplexTensor
+from bcnn.training import _col2im
+
+
+def assert_close_relative(y, ref, rel=1e-12):
+    """Shapes equal and every entry within ``rel`` of the reference's largest
+    magnitude: the check for a reordered floating-point sum."""
+    assert y.shape == ref.shape
+    assert np.abs(y - ref).max() <= rel * np.abs(ref).max()
 
 
 def random_pm1_tensor(rng, shape) -> ComplexTensor:
@@ -111,3 +120,70 @@ def reference_cgbn_eval(x: ComplexTensor, layer) -> ComplexTensor:
     y_r = g_r * xh_r - g_i * xh_i + per_channel(layer.beta_re)
     y_i = g_r * xh_i + g_i * xh_r + per_channel(layer.beta_im)
     return ComplexTensor(y_r, y_i)
+
+
+# ---------------------------------------------------------------------------
+# training conv forward/backward: the pre-GEMM einsum formulas
+# ---------------------------------------------------------------------------
+
+def einsum_complex_conv_fwd(x: ComplexTensor, layer):
+    """Training-mode complex conv forward as four plain einsums over im2col
+    columns.  Returns (y, (cols_r, cols_i, x_shape))."""
+    g = layer.geometry
+    n = x.shape[0]
+    out_c = layer.w_re.shape[0]
+    cols_r, (h_out, w_out) = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
+    cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
+    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
+    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
+    y_r = (np.einsum("ok,nkl->nol", mat_r, cols_r)
+           - np.einsum("ok,nkl->nol", mat_i, cols_i)).reshape(n, out_c, h_out, w_out)
+    y_i = (np.einsum("ok,nkl->nol", mat_i, cols_r)
+           + np.einsum("ok,nkl->nol", mat_r, cols_i)).reshape(n, out_c, h_out, w_out)
+    if layer.bias_re is not None:
+        y_r = y_r + layer.bias_re.reshape(1, -1, 1, 1)
+        y_i = y_i + layer.bias_im.reshape(1, -1, 1, 1)
+    return ComplexTensor(y_r, y_i), (cols_r, cols_i, x.shape)
+
+
+def einsum_complex_conv_bwd(g: ComplexTensor, cache, layer):
+    """Einsum backward of ``einsum_complex_conv_fwd``:
+    (dw_re, dw_im, db_re, db_im, dx)."""
+    cols_r, cols_i, x_shape = cache
+    geo = layer.geometry
+    n = x_shape[0]
+    out_c = layer.w_re.shape[0]
+    gr = g.re.reshape(n, out_c, -1)
+    gi = g.im.reshape(n, out_c, -1)
+    dw_re = (np.einsum("nol,nkl->ok", gr, cols_r)
+             + np.einsum("nol,nkl->ok", gi, cols_i)).reshape(layer.w_re.shape)
+    dw_im = (np.einsum("nol,nkl->ok", gi, cols_r)
+             - np.einsum("nol,nkl->ok", gr, cols_i)).reshape(layer.w_im.shape)
+    db_re = db_im = None
+    if layer.bias_re is not None:
+        db_re = g.re.sum(axis=(0, 2, 3))
+        db_im = g.im.sum(axis=(0, 2, 3))
+    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
+    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
+    dcols_r = np.einsum("ok,nol->nkl", mat_r, gr) + np.einsum("ok,nol->nkl", mat_i, gi)
+    dcols_i = np.einsum("ok,nol->nkl", mat_r, gi) - np.einsum("ok,nol->nkl", mat_i, gr)
+    dx_r = _col2im(dcols_r, x_shape, geo.kernel, geo.stride, geo.padding)
+    dx_i = _col2im(dcols_i, x_shape, geo.kernel, geo.stride, geo.padding)
+    return dw_re, dw_im, db_re, db_im, ComplexTensor(dx_r, dx_i)
+
+
+def einsum_real_conv_fwd(x, w, padding):
+    """Stride-1 real conv forward as one plain einsum: (y, cols)."""
+    cols, (h_out, w_out) = im2col(x, w.shape[2:], (1, 1), padding, 0.0)
+    y = np.einsum("ok,nkl->nol", w.reshape(w.shape[0], -1).astype(float), cols)
+    return y.reshape(x.shape[0], w.shape[0], h_out, w_out), cols
+
+
+def einsum_real_conv_bwd(g, cols, x_shape, w, padding):
+    """Einsum backward of ``einsum_real_conv_fwd``: (dw, dx)."""
+    n, out_c = g.shape[:2]
+    gm = g.reshape(n, out_c, -1)
+    dw = np.einsum("nol,nkl->ok", gm, cols).reshape(w.shape)
+    dcols = np.einsum("ok,nol->nkl", w.reshape(out_c, -1).astype(float), gm)
+    dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
+    return dw, dx

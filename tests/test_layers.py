@@ -21,8 +21,8 @@ from bcnn.layers import (
     spectral_pool,
 )
 from bcnn.tensors import ComplexTensor, pack
-from helpers import (einsum_complex_conv2d, einsum_conv2d_real, random_pm1_tensor,
-                     reference_cgbn_eval)
+from helpers import (assert_close_relative, einsum_complex_conv2d, einsum_conv2d_real,
+                     random_pm1_tensor, reference_cgbn_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +77,6 @@ def test_fp_conv_bias():
     np.testing.assert_allclose(y.im[0, :, 0, 0], [-1.0, 0.5])
 
 
-def _assert_close_relative(y, ref, rel=1e-12):
-    assert y.shape == ref.shape
-    assert np.abs(y - ref).max() <= rel * np.abs(ref).max()
-
-
 @pytest.mark.parametrize("kernel,stride,padding", [
     ((3, 3), (2, 2), (1, 1)),
     ((5, 5), (1, 1), (2, 2)),
@@ -100,8 +95,8 @@ def test_fp_conv_matches_einsum_reference(kernel, stride, padding):
     )
     y = complex_conv2d_fp(x, layer)
     ref = einsum_complex_conv2d(x, layer)
-    _assert_close_relative(y.re, ref.re)
-    _assert_close_relative(y.im, ref.im)
+    assert_close_relative(y.re, ref.re)
+    assert_close_relative(y.im, ref.im)
 
 
 @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((2, 1), (0, 2))])
@@ -110,7 +105,7 @@ def test_conv2d_real_matches_einsum_reference(stride, padding):
     x = rng.standard_normal((2, 3, 8, 9))
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     y = conv2d_real(x, w, stride, padding, pad_value=-0.5)
-    _assert_close_relative(y, einsum_conv2d_real(x, w, stride, padding, pad_value=-0.5))
+    assert_close_relative(y, einsum_conv2d_real(x, w, stride, padding, pad_value=-0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from bcnn.binary_ops import binarize_deterministic
-from bcnn.errors import BadMagic, CorruptModelFile, TruncatedFile, UnsupportedVersion
+from bcnn.errors import (BadMagic, BcnnError, CorruptModelFile, TruncatedFile,
+                         UnsupportedVersion)
 from bcnn.model_io import load_model, model_from_bytes, model_to_bytes, save_model
 from bcnn.models import (
     build_nin_bcnn,
@@ -10,6 +13,7 @@ from bcnn.models import (
     build_toy_bcnn,
     forward,
     iter_binary_convs,
+    validate_graph,
 )
 
 
@@ -167,3 +171,48 @@ def test_model_name_not_utf8_is_corrupt():
     data[10] = 0xFF  # first byte of the name (magic 4, version 4, length 2)
     with pytest.raises(CorruptModelFile, match="UTF-8"):
         model_from_bytes(bytes(data))
+
+
+def _descriptor_bounds(data) -> tuple[int, int]:
+    """(start, end) of the topology descriptor in a BCN1 blob."""
+    (name_len,) = struct.unpack_from("<H", data, 8)
+    desc_len_at = 10 + name_len + 16  # after the name: input shape and classes
+    (desc_len,) = struct.unpack_from("<I", data, desc_len_at)
+    return desc_len_at + 4, desc_len_at + 4 + desc_len
+
+
+def test_layer_size_overflowing_int64_is_truncated():
+    data = bytearray(model_to_bytes(build_toy_bcnn(seed=0)))
+    start, _ = _descriptor_bounds(data)
+    # the generator comes first: its tag byte, then its u32 channel count c;
+    # 4*c*c*9 payload bytes overflow int64
+    struct.pack_into("<I", data, start + 1, 2**30 + 3)
+    with pytest.raises(TruncatedFile):
+        model_from_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("build,count,flip_structure_only", [
+    (build_toy_bcnn, 400, False),
+    (build_toy_bcnn, 400, True),
+    # a ResNet-18 load takes ~0.1 s, so its bit flips go where the topology
+    # is parsed; flips inside its weight payload only change weight values
+    (build_resnet18_bcnn, 40, True),
+])
+def test_corrupted_blob_raises_bcnn_error_or_loads_valid_graph(build, count,
+                                                               flip_structure_only):
+    data = model_to_bytes(build(seed=5))
+    flip_span = _descriptor_bounds(data)[1] if flip_structure_only else len(data)
+    rng = np.random.default_rng([count, flip_structure_only])
+    for trial in range(count):
+        if trial % 4 == 0:
+            blob = data[: int(rng.integers(0, len(data)))]
+        else:
+            buf = bytearray(data)
+            for _ in range(int(rng.integers(1, 4))):
+                buf[int(rng.integers(0, flip_span))] ^= 1 << int(rng.integers(0, 8))
+            blob = bytes(buf)
+        try:
+            model = model_from_bytes(blob)
+        except BcnnError:
+            continue
+        validate_graph(model)

@@ -4,7 +4,7 @@ import pytest
 from bcnn.errors import CorruptRecord, DataExhausted, DivergedLoss, MissingFile
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
-from bcnn.models import build_toy_bcnn
+from bcnn.models import ComplexInputGenerator, build_toy_bcnn
 from bcnn.tensors import ComplexTensor
 from bcnn.training import (
     CIFAR_RECORD_BYTES,
@@ -13,8 +13,12 @@ from bcnn.training import (
     _bwd_cgbn,
     _complex_conv_bwd,
     _complex_conv_fwd,
+    _bwd_layer,
     _forward_train,
     _fwd_cgbn,
+    _fwd_layer,
+    _real_conv_bwd,
+    _real_conv_fwd,
     evaluate,
     load_cifar10,
     make_separable_dataset,
@@ -24,6 +28,13 @@ from bcnn.training import (
     sgd_step,
     ste_backward,
     train,
+)
+from helpers import (
+    assert_close_relative,
+    einsum_complex_conv_bwd,
+    einsum_complex_conv_fwd,
+    einsum_real_conv_bwd,
+    einsum_real_conv_fwd,
 )
 
 
@@ -151,6 +162,138 @@ def test_complex_conv_backward_matches_finite_differences():
         xm = x.re.copy(); xm[idx] -= eps
         fd = (loss_at_x(xp) - loss_at_x(xm)) / (2 * eps)
         np.testing.assert_allclose(dx.re[idx], fd, rtol=1e-5, atol=1e-6)
+
+
+def _central_difference(loss, arr, idx, eps=1e-6):
+    """d loss / d arr[idx], perturbing ``arr`` in place and restoring it."""
+    orig = arr[idx]
+    arr[idx] = orig + eps
+    up = loss()
+    arr[idx] = orig - eps
+    down = loss()
+    arr[idx] = orig
+    return (up - down) / (2 * eps)
+
+
+def test_complex_conv_backward_stride2_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    g = ConvGeometry(2, 3, (3, 3), (2, 2), (0, 0))
+    layer = ComplexConvLayer(
+        rng.standard_normal((3, 2, 3, 3)), rng.standard_normal((3, 2, 3, 3)), g,
+        bias_re=rng.standard_normal(3), bias_im=rng.standard_normal(3),
+    )
+    x = ComplexTensor(rng.standard_normal((2, 2, 7, 7)), rng.standard_normal((2, 2, 7, 7)))
+    up = ComplexTensor(rng.standard_normal((2, 3, 3, 3)), rng.standard_normal((2, 3, 3, 3)))
+
+    def loss():
+        y, _ = _complex_conv_fwd(x, layer)
+        return (up.re * y.re).sum() + (up.im * y.im).sum()
+
+    _, cache = _complex_conv_fwd(x, layer)
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, cache, layer)
+    checks = [
+        (layer.w_re, dw_re, [(0, 0, 0, 0), (2, 1, 2, 1)]),
+        (layer.w_im, dw_im, [(0, 0, 0, 0), (1, 1, 2, 2), (2, 0, 1, 2)]),
+        (layer.bias_re, db_re, [(0,), (1,), (2,)]),
+        (layer.bias_im, db_im, [(0,), (1,), (2,)]),
+        (x.re, dx.re, [(0, 0, 0, 0), (1, 1, 3, 4)]),
+        # (0, 1, 6, 5) sits under a single window; (1, 0, 2, 2) under four
+        (x.im, dx.im, [(0, 0, 0, 0), (0, 1, 6, 5), (1, 0, 2, 2), (1, 1, 3, 4)]),
+    ]
+    for arr, grad, indices in checks:
+        for idx in indices:
+            np.testing.assert_allclose(grad[idx], _central_difference(loss, arr, idx),
+                                       rtol=1e-5, atol=1e-6)
+
+
+def test_generator_backward_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    gen = ComplexInputGenerator(
+        w1=0.3 * rng.standard_normal((2, 2, 3, 3)), b1=0.1 * rng.standard_normal(2),
+        w2=0.3 * rng.standard_normal((2, 2, 3, 3)), b2=0.1 * rng.standard_normal(2),
+    )
+    x = rng.standard_normal((2, 2, 5, 4))
+    up = ComplexTensor(rng.standard_normal(x.shape), rng.standard_normal(x.shape))
+
+    def loss():
+        y, _ = _fwd_layer(gen, x, clip=1.0, update_stats=False)
+        return (up.re * y.re).sum() + (up.im * y.im).sum()
+
+    _, cache = _fwd_layer(gen, x, clip=1.0, update_stats=False)
+    grads = []
+    dx = _bwd_layer(gen, up, cache, 1.0, grads)
+    by_param = {id(arr): grad for arr, grad in grads}
+    for arr, indices in [
+        (gen.w1, [(0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1)]),
+        (gen.b1, [(0,), (1,)]),
+        (gen.w2, [(0, 0, 0, 0), (1, 1, 2, 2), (1, 0, 1, 0)]),
+        (gen.b2, [(0,), (1,)]),
+        (x, [(0, 0, 0, 0), (1, 1, 2, 3), (0, 1, 4, 3)]),
+    ]:
+        grad = dx if arr is x else by_param[id(arr)]
+        assert grad.shape == arr.shape
+        for idx in indices:
+            np.testing.assert_allclose(grad[idx], _central_difference(loss, arr, idx),
+                                       rtol=1e-5, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# GEMM conv gradients against the einsum formulas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("pad_value", [0.0, -1.0])
+@pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_complex_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_value,
+                                                    bias, batch):
+    rng = np.random.default_rng([kernel, stride, padding, int(bias), batch])
+    g = ConvGeometry(3, 4, (kernel, kernel), (stride, stride), (padding, padding))
+    layer = ComplexConvLayer(
+        rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32),
+        rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32),
+        g,
+        bias_re=rng.standard_normal(4) if bias else None,
+        bias_im=rng.standard_normal(4) if bias else None,
+        pad_value=pad_value,
+    )
+    x = ComplexTensor(rng.standard_normal((batch, 3, 7, 6)),
+                      rng.standard_normal((batch, 3, 7, 6)))
+    y, cache = _complex_conv_fwd(x, layer)
+    ref_y, ref_cache = einsum_complex_conv_fwd(x, layer)
+    assert_close_relative(y.re, ref_y.re)
+    assert_close_relative(y.im, ref_y.im)
+
+    up = ComplexTensor(rng.standard_normal(y.shape), rng.standard_normal(y.shape))
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, cache, layer)
+    ref = einsum_complex_conv_bwd(up, ref_cache, layer)
+    for got, want in zip((dw_re, dw_im, dx.re, dx.im), (ref[0], ref[1], ref[4].re, ref[4].im)):
+        assert_close_relative(got, want)
+    if bias:
+        assert_close_relative(db_re, ref[2])
+        assert_close_relative(db_im, ref[3])
+    else:
+        assert db_re is None and db_im is None
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_real_conv_gemm_matches_einsum_reference(kernel, padding, batch):
+    rng = np.random.default_rng([kernel, padding, batch])
+    w = rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32)
+    x = rng.standard_normal((batch, 3, 7, 6))
+    y, cols = _real_conv_fwd(x, w, (padding, padding))
+    ref_y, ref_cols = einsum_real_conv_fwd(x, w, (padding, padding))
+    assert_close_relative(y, ref_y)
+
+    up = rng.standard_normal(y.shape)
+    dw, dx = _real_conv_bwd(up, cols, x.shape, w, (padding, padding))
+    ref_dw, ref_dx = einsum_real_conv_bwd(up, ref_cols, x.shape, w, (padding, padding))
+    assert_close_relative(dw, ref_dw)
+    assert_close_relative(dx, ref_dx)
 
 
 def test_cgbn_backward_matches_finite_differences():
