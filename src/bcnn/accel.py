@@ -24,8 +24,7 @@ from .models import (
     ComplexConvLayer,
     MaxPool,
     ModelGraph,
-    ResidualBlock1,
-    ResidualBlock2,
+    ResidualBlock,
     SpectralPool,
 )
 from .tensors import words_per_pixel
@@ -100,12 +99,11 @@ def conv_stack(model: ModelGraph) -> list[tuple[ConvGeometry, tuple[int, int]]]:
         if isinstance(layer, (ComplexConvLayer, BinaryConvLayer)):
             stack.append((layer.geometry, (h, w)))
             h, w = layer.geometry.out_hw(h, w)
-        elif isinstance(layer, ResidualBlock1):
-            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, (h, w))]
-        elif isinstance(layer, ResidualBlock2):
+        elif isinstance(layer, ResidualBlock):
             mid = layer.conv1.geometry.out_hw(h, w)
-            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, mid),
-                      (layer.side_conv.geometry, (h, w))]
+            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, mid)]
+            if layer.side_conv is not None:
+                stack.append((layer.side_conv.geometry, (h, w)))
             h, w = mid
         elif isinstance(layer, (AvgPool, MaxPool)):
             kh, kw = layer.window

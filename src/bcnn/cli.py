@@ -218,7 +218,7 @@ def _describe(layer) -> str:
         return f"{layer.weight.shape[1]}->{layer.weight.shape[0]}"
     if isinstance(layer, models.ComplexInputGenerator):
         return f"{layer.w1.shape[0]} channels"
-    if isinstance(layer, (models.ResidualBlock1, models.ResidualBlock2)):
+    if isinstance(layer, models.ResidualBlock):
         g1 = layer.conv1.geometry
         return f"{g1.in_channels}->{layer.conv2.geometry.out_channels} stride {g1.stride}"
     return ""

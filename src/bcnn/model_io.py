@@ -46,8 +46,7 @@ from .models import (
     MaxPool,
     ModelGraph,
     Relu,
-    ResidualBlock1,
-    ResidualBlock2,
+    ResidualBlock,
     SpectralPool,
     active_output_channels,
     validate_graph,
@@ -73,10 +72,11 @@ _TAG_DENSE = 13
 _TAG_BLOCK1 = 14
 _TAG_BLOCK2 = 15
 
-# block tag -> (node type, sub-layer types in encoding order)
+# block tag -> sub-layer types in encoding order: the main path's convs and
+# CGBNs, then the side path's (tag 15 only)
 _BLOCK_PARTS = {
-    _TAG_BLOCK1: (ResidualBlock1, (BinaryConvLayer, CgbnLayer) * 2),
-    _TAG_BLOCK2: (ResidualBlock2, (BinaryConvLayer, CgbnLayer) * 3),
+    _TAG_BLOCK1: (BinaryConvLayer, CgbnLayer) * 2,
+    _TAG_BLOCK2: (BinaryConvLayer, CgbnLayer) * 3,
 }
 
 
@@ -185,15 +185,11 @@ def _encode_layer(layer, desc: bytearray, payload: bytearray):
     elif isinstance(layer, DenseLayer):
         desc += struct.pack("<B2I", _TAG_DENSE, *layer.weight.shape)
         payload += _f32_bytes(layer.weight) + _f32_bytes(layer.bias)
-    elif isinstance(layer, ResidualBlock1):
-        desc += struct.pack("<B", _TAG_BLOCK1)
-        for sub in (layer.conv1, layer.bn1, layer.conv2, layer.bn2):
-            _encode_layer(sub, desc, payload)
-    elif isinstance(layer, ResidualBlock2):
-        desc += struct.pack("<B", _TAG_BLOCK2)
-        for sub in (layer.conv1, layer.bn1, layer.conv2, layer.bn2,
-                    layer.side_conv, layer.side_bn):
-            _encode_layer(sub, desc, payload)
+    elif isinstance(layer, ResidualBlock):
+        desc += struct.pack("<B", _TAG_BLOCK2 if layer.side else _TAG_BLOCK1)
+        for sub in layer.main + layer.side:
+            if not isinstance(sub, Binarize):  # the block binarizes implicitly
+                _encode_layer(sub, desc, payload)
     else:
         raise TypeError(f"cannot serialize layer {type(layer).__name__}")
 
@@ -259,15 +255,15 @@ def _decode_layer(desc: _Cursor, payload: _Cursor):
         return DenseLayer(_read_f32(payload, (out_dim, in_dim)),
                           _read_f32(payload, (out_dim,)))
     if tag in _BLOCK_PARTS:
-        cls, kinds = _BLOCK_PARTS[tag]
+        kinds = _BLOCK_PARTS[tag]
         subs = [_decode_layer(desc, payload) for _ in kinds]
         for sub, kind in zip(subs, kinds):
             if not isinstance(sub, kind):
                 raise CorruptModelFile(
-                    f"{cls.__name__} holds a {type(sub).__name__} "
+                    f"residual block holds a {type(sub).__name__} "
                     f"where a {kind.__name__} belongs"
                 )
-        return cls(*subs)
+        return ResidualBlock(*subs)
     raise CorruptModelFile(f"unknown layer tag {tag}")
 
 

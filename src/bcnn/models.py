@@ -128,29 +128,30 @@ class DenseLayer:
 
 
 @dataclass
-class ResidualBlock1:
-    """Identity-skip block: two binarized complex convolutions plus the input.
+class ResidualBlock:
+    """Residual block: two binarized complex convolutions plus a skip path.
 
-    The skip is added to the second CGBN output in the real domain, before
-    the next block's binarization.
+    The block binarizes its input once.  The ``main`` path is conv1, bn1,
+    binarize, conv2, bn2.  The skip is the untouched input (identity block)
+    or, in a downsampling block, the ``side`` path of a convolution and a
+    CGBN on the binarized input.  The two are added in the real domain,
+    before the next block's binarization.
     """
 
     conv1: BinaryConvLayer
     bn1: CgbnLayer
     conv2: BinaryConvLayer
     bn2: CgbnLayer
+    side_conv: BinaryConvLayer | None = None
+    side_bn: CgbnLayer | None = None
 
+    @property
+    def main(self) -> tuple:
+        return (self.conv1, self.bn1, Binarize(), self.conv2, self.bn2)
 
-@dataclass
-class ResidualBlock2:
-    """Downsampling block: a two-convolution path plus a one-convolution path."""
-
-    conv1: BinaryConvLayer
-    bn1: CgbnLayer
-    conv2: BinaryConvLayer
-    bn2: CgbnLayer
-    side_conv: BinaryConvLayer
-    side_bn: CgbnLayer
+    @property
+    def side(self) -> tuple:
+        return () if self.side_conv is None else (self.side_conv, self.side_bn)
 
 
 @dataclass
@@ -236,22 +237,18 @@ def _layer_forward(layer, x, packed: bool, debug: bool):
         return planes.reshape(planes.shape[0], -1)
     if isinstance(layer, DenseLayer):
         return fully_connected(x, layer.weight, layer.bias)
-    if isinstance(layer, ResidualBlock1):
+    if isinstance(layer, ResidualBlock):
         b = quadrant_binarize(x)
-        y = cgbn_forward(_binary_conv_forward(layer.conv1, b, packed, debug), layer.bn1)
-        b2 = quadrant_binarize(y)
-        y2 = cgbn_forward(_binary_conv_forward(layer.conv2, b2, packed, debug), layer.bn2)
-        return ComplexTensor(y2.re + x.re, y2.im + x.im)
-    if isinstance(layer, ResidualBlock2):
-        b = quadrant_binarize(x)
-        y = cgbn_forward(_binary_conv_forward(layer.conv1, b, packed, debug), layer.bn1)
-        b2 = quadrant_binarize(y)
-        main = cgbn_forward(_binary_conv_forward(layer.conv2, b2, packed, debug), layer.bn2)
-        side = cgbn_forward(
-            _binary_conv_forward(layer.side_conv, b, packed, debug), layer.side_bn
-        )
-        return ComplexTensor(main.re + side.re, main.im + side.im)
+        y = _forward_nodes(layer.main, b, packed, debug)
+        skip = _forward_nodes(layer.side, b, packed, debug) if layer.side else x
+        return ComplexTensor(y.re + skip.re, y.im + skip.im)
     raise TypeError(f"unknown layer node {type(layer).__name__}")
+
+
+def _forward_nodes(nodes, x, packed: bool, debug: bool):
+    for node in nodes:
+        x = _layer_forward(node, x, packed, debug)
+    return x
 
 
 def forward(
@@ -271,9 +268,7 @@ def forward(
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match model input {model.input_shape}"
         )
-    for layer in model.layers:
-        x = _layer_forward(layer, x, packed, debug)
-    return x
+    return _forward_nodes(model.layers, x, packed, debug)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +365,7 @@ def build_nin_bcnn(num_classes: int = 10, seed: int = 0) -> ModelGraph:
 
 
 def _block1(rng, channels):
-    return ResidualBlock1(
+    return ResidualBlock(
         conv1=_init_binary_conv(rng, channels, channels, (3, 3), padding=(1, 1)),
         bn1=CgbnLayer.identity(channels),
         conv2=_init_binary_conv(rng, channels, channels, (3, 3), padding=(1, 1)),
@@ -379,7 +374,7 @@ def _block1(rng, channels):
 
 
 def _block2(rng, in_c, out_c):
-    return ResidualBlock2(
+    return ResidualBlock(
         conv1=_init_binary_conv(rng, in_c, out_c, (3, 3), stride=(2, 2), padding=(1, 1)),
         bn1=CgbnLayer.identity(out_c),
         conv2=_init_binary_conv(rng, out_c, out_c, (3, 3), padding=(1, 1)),
@@ -453,15 +448,8 @@ def build_toy_bcnn(
 def iter_binary_convs(model: ModelGraph):
     """Yield every binarized convolution, including those inside blocks."""
     for layer in model.layers:
-        if isinstance(layer, BinaryConvLayer):
-            yield layer
-        elif isinstance(layer, ResidualBlock1):
-            yield layer.conv1
-            yield layer.conv2
-        elif isinstance(layer, ResidualBlock2):
-            yield layer.conv1
-            yield layer.conv2
-            yield layer.side_conv
+        nodes = layer.main + layer.side if isinstance(layer, ResidualBlock) else (layer,)
+        yield from (node for node in nodes if isinstance(node, BinaryConvLayer))
 
 
 def count_weight_layers(model: ModelGraph) -> int:
@@ -471,7 +459,7 @@ def count_weight_layers(model: ModelGraph) -> int:
     for layer in model.layers:
         if isinstance(layer, (ComplexConvLayer, DenseLayer, BinaryConvLayer)):
             count += 1
-        elif isinstance(layer, (ResidualBlock1, ResidualBlock2)):
+        elif isinstance(layer, ResidualBlock):
             count += 2
     return count
 
@@ -503,7 +491,7 @@ def validate_graph(model: ModelGraph):
     last = next(
         l for l in reversed(layers)
         if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer,
-                          DenseLayer, ResidualBlock1, ResidualBlock2))
+                          DenseLayer, ResidualBlock))
     )
     if isinstance(first, BinaryConvLayer) or isinstance(last, BinaryConvLayer):
         raise ShapeMismatch("first and last compute layers must be full precision")

@@ -335,7 +335,7 @@ class ModelPruningProblem:
     def loss(self, batch) -> float:
         xb = self.dataset.images[batch]
         yb = self.dataset.labels[batch]
-        return batch_loss(self.model, xb, yb, self.clip)
+        return batch_loss(self.model, xb, yb)
 
     def condition_batch(self):
         return self._batches[0]

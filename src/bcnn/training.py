@@ -36,7 +36,6 @@ from .layers import (
     ComplexConvLayer,
     RealBnLayer,
     _pool_patches,
-    avg_pool,
     cgbn_normalize,
     complex_conv_gemm,
     complex_im2col,
@@ -53,8 +52,9 @@ from .models import (
     ModelGraph,
     Relu,
     Hardtanh,
-    ResidualBlock1,
-    ResidualBlock2,
+    ResidualBlock,
+    SpectralPool,
+    _layer_forward,
     active_output_channels,
     build_toy_bcnn,
     forward as model_forward,
@@ -373,62 +373,39 @@ def _bwd_real_bn(layer: RealBnLayer, g, cache, grads):
     return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - xh * mean_ghx)
 
 
-def _pool_geometry(layer, x_hw):
+def _bwd_pool(layer, g: ComplexTensor, x: ComplexTensor) -> ComplexTensor:
+    """Avg- and max-pool backward: per-tap gradients scattered by ``_col2im``.
+
+    Avg pooling spreads ``g / (kh*kw)`` over every tap; max pooling routes
+    ``g`` to the argmax of each window, recomputed from the cached input in
+    the forward's tap order.
+    """
+    taps = layer.window[0] * layer.window[1]
     stride = layer.stride or layer.window
-    h, w = x_hw
-    kh, kw = layer.window
-    sh, sw = stride
-    if (h - kh) % sh or (w - kw) % sw:
-        raise ShapeMismatch(f"pooling window {layer.window} does not tile {x_hw}")
-    return stride, ((h - kh) // sh + 1, (w - kw) // sw + 1)
+
+    def plane(gp, xp):
+        if isinstance(layer, AvgPool):
+            per_tap = np.broadcast_to((gp / taps)[..., None], gp.shape + (taps,))
+        else:
+            idx = _pool_patches(xp, layer.window, stride).argmax(axis=-1)
+            per_tap = gp[..., None] * (idx[..., None] == np.arange(taps))
+        return _col2im(np.moveaxis(per_tap, -1, 2), xp.shape, layer.window, stride, (0, 0))
+
+    return ComplexTensor(plane(g.re, x.re), plane(g.im, x.im))
 
 
-def _fwd_avg_pool(layer: AvgPool, x: ComplexTensor):
-    stride, _ = _pool_geometry(layer, x.shape[2:])
-    return avg_pool(x, layer.window, stride), (x.shape, stride)
-
-
-def _bwd_avg_pool(layer: AvgPool, g: ComplexTensor, cache):
-    x_shape, stride = cache
-    kh, kw = layer.window
-    sh, sw = stride
-
-    def plane(gp):
-        n, c, ho, wo = gp.shape
-        dx = np.zeros((n, c) + x_shape[2:])
-        gk = gp / (kh * kw)
-        for ky in range(kh):
-            for kx in range(kw):
-                dx[:, :, ky : ky + sh * ho : sh, kx : kx + sw * wo : sw] += gk
-        return dx
-
-    return ComplexTensor(plane(g.re), plane(g.im))
-
-
-def _fwd_max_pool(layer: MaxPool, x: ComplexTensor):
-    stride, _ = _pool_geometry(layer, x.shape[2:])
-    patches_r = _pool_patches(x.re, layer.window, stride)
-    patches_i = _pool_patches(x.im, layer.window, stride)
-    idx_r = patches_r.argmax(axis=-1)
-    idx_i = patches_i.argmax(axis=-1)
-    y = ComplexTensor(patches_r.max(axis=-1), patches_i.max(axis=-1))
-    return y, (x.shape, stride, idx_r, idx_i)
-
-
-def _bwd_max_pool(layer: MaxPool, g: ComplexTensor, cache):
-    x_shape, stride, idx_r, idx_i = cache
-    kh, kw = layer.window
-    sh, sw = stride
-
-    def plane(gp, idx):
-        n, c, ho, wo = gp.shape
-        dx = np.zeros((n, c) + x_shape[2:])
-        for j in range(kh * kw):
-            ky, kx = divmod(j, kw)
-            dx[:, :, ky : ky + sh * ho : sh, kx : kx + sw * wo : sw] += gp * (idx == j)
-        return dx
-
-    return ComplexTensor(plane(g.re, idx_r), plane(g.im, idx_i))
+def _bwd_spectral_pool(g: ComplexTensor, x_shape) -> ComplexTensor:
+    """Adjoint of ``layers.spectral_pool``: FFT, centre, zero-pad the cropped
+    block back to the input size, uncentre, inverse FFT.  The forward's
+    (h'*w')/(h*w) rescale cancels the two transforms' normalizations."""
+    h, w = x_shape[2:]
+    h2, w2 = g.shape[2:]
+    spec = np.fft.fftshift(np.fft.fft2(g.re + 1j * g.im, axes=(2, 3)), axes=(2, 3))
+    full = np.zeros(x_shape, dtype=complex)
+    y0, x0 = h // 2 - h2 // 2, w // 2 - w2 // 2
+    full[:, :, y0 : y0 + h2, x0 : x0 + w2] = spec
+    dz = np.fft.ifft2(np.fft.ifftshift(full, axes=(2, 3)), axes=(2, 3))
+    return ComplexTensor(dz.real, dz.imag)
 
 
 def _fwd_binary_conv(layer: BinaryConvLayer, x: ComplexTensor):
@@ -456,7 +433,14 @@ def _bwd_binary_conv(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grad
     return dx
 
 
-def _fwd_layer(layer, x, clip, update_stats):
+def _fwd_layer(layer, x, update_stats):
+    """Training forward of one node; returns (output, cache).
+
+    Only nodes that keep training state have their own step: the convs
+    cache their columns, the batch norms use batch statistics, and a block
+    runs its paths through ``_forward_train``.  Every other node runs the
+    inference op and caches its input.
+    """
     if isinstance(layer, ComplexInputGenerator):
         z1, cols_x = _real_conv_fwd(x, layer.w1, (1, 1))
         z1 = z1 + layer.b1.reshape(1, -1, 1, 1)
@@ -473,46 +457,12 @@ def _fwd_layer(layer, x, clip, update_stats):
         return _fwd_cgbn(layer, x, update_stats)
     if isinstance(layer, RealBnLayer):
         return _fwd_real_bn(layer, x)
-    if isinstance(layer, AvgPool):
-        return _fwd_avg_pool(layer, x)
-    if isinstance(layer, MaxPool):
-        return _fwd_max_pool(layer, x)
-    if isinstance(layer, Relu):
-        if isinstance(x, ComplexTensor):
-            return ComplexTensor(np.maximum(x.re, 0), np.maximum(x.im, 0)), x
-        return np.maximum(x, 0.0), x
-    if isinstance(layer, Hardtanh):
-        if isinstance(x, ComplexTensor):
-            return ComplexTensor(np.clip(x.re, -1, 1), np.clip(x.im, -1, 1)), x
-        return np.clip(x, -1.0, 1.0), x
-    if isinstance(layer, Binarize):
-        return quadrant_binarize(x), x
-    if isinstance(layer, Flatten):
-        planes = x.to_planes()
-        return planes.reshape(planes.shape[0], -1), x.shape
-    if isinstance(layer, DenseLayer):
-        return x @ layer.weight.T.astype(float) + layer.bias, x
-    if isinstance(layer, ResidualBlock1):
-        b, cb = quadrant_binarize(x), x
-        y1, c1 = _fwd_binary_conv(layer.conv1, b)
-        n1, cn1 = _fwd_cgbn(layer.bn1, y1, update_stats)
-        b2, cb2 = quadrant_binarize(n1), n1
-        y2, c2 = _fwd_binary_conv(layer.conv2, b2)
-        n2, cn2 = _fwd_cgbn(layer.bn2, y2, update_stats)
-        out = ComplexTensor(n2.re + x.re, n2.im + x.im)
-        return out, (cb, c1, cn1, cb2, c2, cn2)
-    if isinstance(layer, ResidualBlock2):
-        b, cb = quadrant_binarize(x), x
-        y1, c1 = _fwd_binary_conv(layer.conv1, b)
-        n1, cn1 = _fwd_cgbn(layer.bn1, y1, update_stats)
-        b2, cb2 = quadrant_binarize(n1), n1
-        y2, c2 = _fwd_binary_conv(layer.conv2, b2)
-        n2, cn2 = _fwd_cgbn(layer.bn2, y2, update_stats)
-        ys, cs = _fwd_binary_conv(layer.side_conv, b)
-        ns, cns = _fwd_cgbn(layer.side_bn, ys, update_stats)
-        out = ComplexTensor(n2.re + ns.re, n2.im + ns.im)
-        return out, (cb, c1, cn1, cb2, c2, cn2, cs, cns)
-    raise TypeError(f"cannot train through layer {type(layer).__name__}")
+    if isinstance(layer, ResidualBlock):
+        b = quadrant_binarize(x)
+        y, main = _forward_train(layer.main, b, update_stats)
+        skip, side = _forward_train(layer.side, b, update_stats) if layer.side else (x, [])
+        return ComplexTensor(y.re + skip.re, y.im + skip.im), (x, main, side)
+    return _layer_forward(layer, x, packed=False, debug=False), x
 
 
 def _binarize_bwd(g: ComplexTensor, x: ComplexTensor) -> ComplexTensor:
@@ -547,10 +497,10 @@ def _bwd_layer(layer, g, cache, clip, grads):
         return _bwd_cgbn(layer, g, cache, grads)
     if isinstance(layer, RealBnLayer):
         return _bwd_real_bn(layer, g, cache, grads)
-    if isinstance(layer, AvgPool):
-        return _bwd_avg_pool(layer, g, cache)
-    if isinstance(layer, MaxPool):
-        return _bwd_max_pool(layer, g, cache)
+    if isinstance(layer, (AvgPool, MaxPool)):
+        return _bwd_pool(layer, g, cache)
+    if isinstance(layer, SpectralPool):
+        return _bwd_spectral_pool(g, cache.shape)
     if isinstance(layer, Relu):
         x = cache
         if isinstance(x, ComplexTensor):
@@ -566,51 +516,35 @@ def _bwd_layer(layer, g, cache, clip, grads):
     if isinstance(layer, Binarize):
         return _binarize_bwd(g, cache)
     if isinstance(layer, Flatten):
-        x_shape = cache
-        n, c = x_shape[0], x_shape[1]
-        planes = g.reshape(n, 2 * c, *x_shape[2:])
-        return ComplexTensor.from_planes(planes)
+        n, c, h, w = cache.shape
+        return ComplexTensor.from_planes(g.reshape(n, 2 * c, h, w))
     if isinstance(layer, DenseLayer):
         x = cache
         grads.append((layer.weight, g.T @ x))
         grads.append((layer.bias, g.sum(axis=0)))
         return g @ layer.weight.astype(float)
-    if isinstance(layer, ResidualBlock1):
-        cb, c1, cn1, cb2, c2, cn2 = cache
-        gy2 = _bwd_cgbn(layer.bn2, g, cn2, grads)
-        gb2 = _bwd_binary_conv(layer.conv2, gy2, c2, clip, grads)
-        gn1 = _binarize_bwd(gb2, cb2)
-        gy1 = _bwd_cgbn(layer.bn1, gn1, cn1, grads)
-        gb = _bwd_binary_conv(layer.conv1, gy1, c1, clip, grads)
-        dx = _binarize_bwd(gb, cb)
+    if isinstance(layer, ResidualBlock):
+        x, main, side = cache
+        gb = _backward_train(layer.main, main, g, clip, grads)
+        if layer.side:
+            gs = _backward_train(layer.side, side, g, clip, grads)
+            return _binarize_bwd(ComplexTensor(gb.re + gs.re, gb.im + gs.im), x)
+        dx = _binarize_bwd(gb, x)
         return ComplexTensor(dx.re + g.re, dx.im + g.im)
-    if isinstance(layer, ResidualBlock2):
-        cb, c1, cn1, cb2, c2, cn2, cs, cns = cache
-        gy2 = _bwd_cgbn(layer.bn2, g, cn2, grads)
-        gb2 = _bwd_binary_conv(layer.conv2, gy2, c2, clip, grads)
-        gn1 = _binarize_bwd(gb2, cb2)
-        gy1 = _bwd_cgbn(layer.bn1, gn1, cn1, grads)
-        gb_main = _bwd_binary_conv(layer.conv1, gy1, c1, clip, grads)
-        gys = _bwd_cgbn(layer.side_bn, g, cns, grads)
-        gb_side = _bwd_binary_conv(layer.side_conv, gys, cs, clip, grads)
-        gb = ComplexTensor(gb_main.re + gb_side.re, gb_main.im + gb_side.im)
-        return _binarize_bwd(gb, cb)
     raise TypeError(f"cannot backprop through layer {type(layer).__name__}")
 
 
-def _forward_train(model: ModelGraph, x: np.ndarray, clip: float,
-                   update_stats: bool = True):
+def _forward_train(layers, x, update_stats: bool = True):
+    """Training forward over a node sequence (a model's or a block path's)."""
     caches = []
-    out = np.asarray(x, dtype=float)
-    for layer in model.layers:
-        out, cache = _fwd_layer(layer, out, clip, update_stats)
+    for layer in layers:
+        x, cache = _fwd_layer(layer, x, update_stats)
         caches.append(cache)
-    return out, caches
+    return x, caches
 
 
-def _backward_train(model: ModelGraph, caches, dlogits, clip: float, grads):
-    g = dlogits
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+def _backward_train(layers, caches, g, clip: float, grads):
+    for layer, cache in zip(reversed(layers), reversed(caches)):
         g = _bwd_layer(layer, g, cache, clip, grads)
     return g
 
@@ -619,9 +553,9 @@ def _backward_train(model: ModelGraph, caches, dlogits, clip: float, grads):
 # training loop
 # ---------------------------------------------------------------------------
 
-def batch_loss(model: ModelGraph, xb, yb, clip: float = 1.0) -> float:
+def batch_loss(model: ModelGraph, xb, yb) -> float:
     """Training-mode loss on one batch without touching running statistics."""
-    logits, _ = _forward_train(model, xb, clip, update_stats=False)
+    logits, _ = _forward_train(model.layers, np.asarray(xb, dtype=float), update_stats=False)
     loss, _ = softmax_cross_entropy(logits, yb)
     return loss
 
@@ -633,10 +567,10 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
     """
-    logits, caches = _forward_train(model, xb, clip)
+    logits, caches = _forward_train(model.layers, np.asarray(xb, dtype=float))
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []
-    _backward_train(model, caches, dlogits, clip, grads)
+    _backward_train(model.layers, caches, dlogits, clip, grads)
     if extra_grads:
         grads.extend(extra_grads)
     for arr, grad in grads:

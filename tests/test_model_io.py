@@ -129,15 +129,29 @@ def test_roundtrip_covers_every_node_kind():
     assert [type(l).__name__ for l in loaded.layers] == [type(l).__name__ for l in layers]
 
 
+def test_resnet18_block_tags_mark_side_paths():
+    # tag 14 is an identity-skip block, tag 15 a block with a side path
+    from bcnn.model_io import _encode_layer
+    from bcnn.models import ResidualBlock
+
+    tags = []
+    for layer in build_resnet18_bcnn(seed=0).layers:
+        if isinstance(layer, ResidualBlock):
+            desc = bytearray()
+            _encode_layer(layer, desc, bytearray())
+            tags.append(desc[0])
+    assert tags == [14, 14, 15, 14, 15, 14, 15, 14]
+
+
 def _block_with_dense_sub_layer():
     from bcnn.layers import CgbnLayer
-    from bcnn.models import DenseLayer, ResidualBlock1, _init_binary_conv
+    from bcnn.models import DenseLayer, ResidualBlock, _init_binary_conv
 
     rng = np.random.default_rng(0)
     dense = DenseLayer(np.ones((4, 4), np.float32), np.zeros(4, np.float32))
-    return ResidualBlock1(dense, CgbnLayer.identity(4),
-                          _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
-                          CgbnLayer.identity(4))
+    return ResidualBlock(dense, CgbnLayer.identity(4),
+                         _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
+                         CgbnLayer.identity(4))
 
 
 @pytest.mark.parametrize("build", [build_toy_bcnn, build_resnet18_bcnn])

@@ -10,8 +10,7 @@ from bcnn.models import (
     BinaryConvLayer,
     Flatten,
     ModelGraph,
-    ResidualBlock1,
-    ResidualBlock2,
+    ResidualBlock,
     build_complex_input_generator,
     build_nin_bcnn,
     build_resnet18_bcnn,
@@ -23,6 +22,7 @@ from bcnn.models import (
     _generator_forward,
     _layer_forward,
 )
+from bcnn.tensors import ComplexTensor
 from helpers import random_pm1_tensor
 
 
@@ -90,9 +90,9 @@ def test_resnet18_weight_layer_count():
 
 def test_resnet18_stage_structure():
     model = build_resnet18_bcnn(seed=0)
-    blocks = [l for l in model.layers if isinstance(l, (ResidualBlock1, ResidualBlock2))]
+    blocks = [l for l in model.layers if isinstance(l, ResidualBlock)]
     assert len(blocks) == 8
-    downsampling = [b for b in blocks if isinstance(b, ResidualBlock2)]
+    downsampling = [b for b in blocks if b.side_conv is not None]
     assert len(downsampling) == 3
     widths = [b.conv2.geometry.out_channels for b in blocks]
     assert widths == [32, 32, 64, 64, 128, 128, 256, 256]
@@ -123,8 +123,8 @@ def test_block1_adds_skip_to_cgbn_output():
             rng.standard_normal((4, 4, 3, 3)).astype(np.float32), g,
         )
 
-    block = ResidualBlock1(conv(), CgbnLayer.identity(4),
-                           conv(), CgbnLayer.identity(4))
+    block = ResidualBlock(conv(), CgbnLayer.identity(4),
+                          conv(), CgbnLayer.identity(4))
     x = random_pm1_tensor(rng, (1, 4, 8, 8))
     out = _layer_forward(block, x, packed=True, debug=False)
     b = quadrant_binarize(x)
@@ -135,6 +135,36 @@ def test_block1_adds_skip_to_cgbn_output():
     np.testing.assert_array_equal(out.im, path.im + x.im)
 
 
+def test_block_with_side_path_adds_side_cgbn_output():
+    # a downsampling block adds the side CGBN output, computed from the same
+    # binarized input as the main path, in place of the untouched input
+    from bcnn.binary_ops import quadrant_binarize
+    from bcnn.layers import cgbn_forward
+    from bcnn.models import _binary_conv_forward
+
+    rng = np.random.default_rng(4)
+
+    def conv(in_c, out_c, kernel, stride, padding):
+        return BinaryConvLayer(
+            rng.standard_normal((out_c, in_c) + kernel).astype(np.float32),
+            rng.standard_normal((out_c, in_c) + kernel).astype(np.float32),
+            ConvGeometry(in_c, out_c, kernel, stride, padding),
+        )
+
+    block = ResidualBlock(conv(4, 8, (3, 3), (2, 2), (1, 1)), CgbnLayer.identity(8),
+                          conv(8, 8, (3, 3), (1, 1), (1, 1)), CgbnLayer.identity(8),
+                          conv(4, 8, (1, 1), (2, 2), (0, 0)), CgbnLayer.identity(8))
+    x = ComplexTensor(rng.standard_normal((1, 4, 8, 8)), rng.standard_normal((1, 4, 8, 8)))
+    out = _layer_forward(block, x, packed=True, debug=False)
+    b = quadrant_binarize(x)
+    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True, False), block.bn1)
+    path = quadrant_binarize(path)
+    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True, False), block.bn2)
+    side = cgbn_forward(_binary_conv_forward(block.side_conv, b, True, False), block.side_bn)
+    np.testing.assert_array_equal(out.re, path.re + side.re)
+    np.testing.assert_array_equal(out.im, path.im + side.im)
+
+
 def test_block_output_is_input_when_path_is_zero():
     # with gamma=0 the CGBN output is exactly beta=0, so block(x) == x
     def conv(c):
@@ -143,7 +173,7 @@ def test_block_output_is_input_when_path_is_zero():
             ConvGeometry(c, c, (3, 3), (1, 1), (1, 1)),
         )
 
-    block = ResidualBlock1(conv(4), CgbnLayer.identity(4), conv(4), CgbnLayer.identity(4))
+    block = ResidualBlock(conv(4), CgbnLayer.identity(4), conv(4), CgbnLayer.identity(4))
     block.bn2.gamma_re[:] = 0.0
     x = random_pm1_tensor(np.random.default_rng(5), (1, 4, 6, 6))
     out = _layer_forward(block, x, packed=True, debug=False)

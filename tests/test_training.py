@@ -4,7 +4,7 @@ import pytest
 from bcnn.errors import CorruptRecord, DataExhausted, DivergedLoss, MissingFile
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
-from bcnn.models import ComplexInputGenerator, build_toy_bcnn
+from bcnn.models import AvgPool, ComplexInputGenerator, MaxPool, SpectralPool, build_toy_bcnn
 from bcnn.tensors import ComplexTensor
 from bcnn.training import (
     CIFAR_RECORD_BYTES,
@@ -216,10 +216,10 @@ def test_generator_backward_matches_finite_differences():
     up = ComplexTensor(rng.standard_normal(x.shape), rng.standard_normal(x.shape))
 
     def loss():
-        y, _ = _fwd_layer(gen, x, clip=1.0, update_stats=False)
+        y, _ = _fwd_layer(gen, x, update_stats=False)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = _fwd_layer(gen, x, clip=1.0, update_stats=False)
+    _, cache = _fwd_layer(gen, x, update_stats=False)
     grads = []
     dx = _bwd_layer(gen, up, cache, 1.0, grads)
     by_param = {id(arr): grad for arr, grad in grads}
@@ -235,6 +235,49 @@ def test_generator_backward_matches_finite_differences():
         for idx in indices:
             np.testing.assert_allclose(grad[idx], _central_difference(loss, arr, idx),
                                        rtol=1e-5, atol=1e-6)
+
+
+def _check_node_input_gradient(node, x, out_shape, seed):
+    """Every entry of ``node``'s input gradient on both planes against central
+    differences of <up, node(x)>."""
+    rng = np.random.default_rng(seed)
+    up = ComplexTensor(rng.standard_normal(out_shape), rng.standard_normal(out_shape))
+
+    def loss():
+        y, _ = _fwd_layer(node, x, update_stats=False)
+        return (up.re * y.re).sum() + (up.im * y.im).sum()
+
+    y, cache = _fwd_layer(node, x, update_stats=False)
+    assert y.shape == out_shape
+    dx = _bwd_layer(node, up, cache, 1.0, [])
+    for arr, grad in ((x.re, dx.re), (x.im, dx.im)):
+        assert grad.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            np.testing.assert_allclose(grad[idx], _central_difference(loss, arr, idx),
+                                       rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("in_hw, out_hw", [((8, 8), (4, 4)), ((7, 6), (3, 4)),
+                                           ((6, 5), (5, 2))])
+def test_spectral_pool_backward_matches_finite_differences(in_hw, out_hw):
+    rng = np.random.default_rng(5)
+    x = ComplexTensor(rng.standard_normal((2, 2) + in_hw),
+                      rng.standard_normal((2, 2) + in_hw))
+    _check_node_input_gradient(SpectralPool(out_hw), x, (2, 2) + out_hw, seed=6)
+
+
+@pytest.mark.parametrize("pool", [AvgPool, MaxPool])
+@pytest.mark.parametrize("window, stride, in_hw, out_hw", [
+    ((2, 2), None, (6, 4), (3, 2)),
+    ((3, 3), (2, 2), (7, 5), (3, 2)),  # overlapping windows
+])
+def test_pool_backward_matches_finite_differences(pool, window, stride, in_hw, out_hw):
+    rng = np.random.default_rng(7)
+    shape = (2, 2) + in_hw
+    # distinct values, so no max-pool window holds a tie
+    x = ComplexTensor(rng.permutation(np.prod(shape)).reshape(shape) / 7.0,
+                      rng.standard_normal(shape))
+    _check_node_input_gradient(pool(window, stride), x, (2, 2) + out_hw, seed=8)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +397,7 @@ def test_latent_weights_stay_full_precision():
     model = build_toy_bcnn(seed=3)
     conv = [l for l in model.layers if type(l).__name__ == "BinaryConvLayer"][0]
     before = conv.w_re.copy()
-    logits, _ = _forward_train(model, data.images[:8], clip=1.0)
+    logits, _ = _forward_train(model.layers, data.images[:8])
     np.testing.assert_array_equal(conv.w_re, before)  # forward never binarizes storage
     assert not np.all(np.abs(conv.w_re) == 1.0)
 
@@ -481,7 +524,7 @@ def test_residual_block_model_learns():
 def _trainable_arrays(model):
     from bcnn.layers import CgbnLayer as Cgbn, ComplexConvLayer as Conv, RealBnLayer
     from bcnn.models import (BinaryConvLayer as BinConv, ComplexInputGenerator,
-                             DenseLayer, ResidualBlock1, ResidualBlock2)
+                             DenseLayer, ResidualBlock)
 
     def layer_arrays(layer):
         if isinstance(layer, ComplexInputGenerator):
@@ -499,10 +542,7 @@ def _trainable_arrays(model):
             return [layer.gamma, layer.beta]
         if isinstance(layer, DenseLayer):
             return [layer.weight, layer.bias]
-        if isinstance(layer, ResidualBlock1):
-            return sum((layer_arrays(s) for s in
-                        (layer.conv1, layer.bn1, layer.conv2, layer.bn2)), [])
-        if isinstance(layer, ResidualBlock2):
+        if isinstance(layer, ResidualBlock):
             return sum((layer_arrays(s) for s in
                         (layer.conv1, layer.bn1, layer.conv2, layer.bn2,
                          layer.side_conv, layer.side_bn)), [])
@@ -516,10 +556,10 @@ def test_backward_covers_every_trainable_parameter():
 
     model = _toy_residual_model(seed=1)
     data = make_separable_dataset(samples_per_class=8, seed=1)
-    logits, caches = _forward_train(model, data.images[:8], clip=1.0)
+    logits, caches = _forward_train(model.layers, data.images[:8])
     _, dlogits = softmax_cross_entropy(logits, data.labels[:8])
     grads = []
-    _backward_train(model, caches, dlogits, 1.0, grads)
+    _backward_train(model.layers, caches, dlogits, 1.0, grads)
     got = {id(arr) for arr, _ in grads}
     expected = _trainable_arrays(model)
     missing = [i for i, arr in enumerate(expected) if id(arr) not in got]
@@ -541,6 +581,70 @@ def test_train_step_on_nin_and_resnet():
         loss, _ = train_step(model, xb, yb, lr=0.01, clip=1.0)
         assert np.isfinite(loss)
         assert not np.array_equal(before, model.layers[-1].weight)
+
+
+def _every_node_kind_model(seed=0):
+    """One graph holding every node kind BCN1 stores, in a trainable order."""
+    from bcnn.layers import RealBnLayer
+    from bcnn.models import (Binarize, Flatten, Hardtanh, ModelGraph, Relu,
+                             build_complex_input_generator, validate_graph,
+                             _block1, _block2, _init_binary_conv, _init_complex_conv,
+                             _init_dense)
+
+    rng = np.random.default_rng(seed)
+    layers = [
+        RealBnLayer.identity(3),
+        build_complex_input_generator(3, seed=seed),
+        _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
+        CgbnLayer.identity(4),
+        Relu(),
+        Hardtanh(),
+        SpectralPool((8, 8)),  # 16 -> 8
+        MaxPool((2, 2)),  # 8 -> 4
+        Binarize(),
+        _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
+        CgbnLayer.identity(4),
+        _block1(rng, 4),
+        _block2(rng, 4, 8),  # 4 -> 2
+        AvgPool((2, 2)),  # 2 -> 1
+        CgbnLayer.identity(8),
+        Flatten(),
+        _init_dense(rng, 2 * 8, 2),
+    ]
+    model = ModelGraph("every-kind", (3, 16, 16), 2, layers)
+    validate_graph(model)
+    return model
+
+
+def test_every_node_kind_trains_infers_and_round_trips():
+    from bcnn.model_io import _encode_layer, model_from_bytes, model_to_bytes
+    from bcnn.models import forward
+    from bcnn.training import _backward_train, train_step
+
+    model = _every_node_kind_model(seed=2)
+    tags = set()
+    for layer in model.layers:
+        desc = bytearray()
+        _encode_layer(layer, desc, bytearray())
+        tags.add(desc[0])
+    assert tags == set(range(1, 16))  # every BCN1 layer tag
+    data = make_separable_dataset(samples_per_class=4, shape=(3, 16, 16), seed=2)
+    logits, caches = _forward_train(model.layers, data.images)
+    _, dlogits = softmax_cross_entropy(logits, data.labels)
+    grads = []
+    _backward_train(model.layers, caches, dlogits, 1.0, grads)
+    by_param = {id(arr): np.asarray(grad) for arr, grad in grads}
+    for arr in _trainable_arrays(model):
+        assert id(arr) in by_param
+        assert by_param[id(arr)].shape == arr.shape
+
+    loss, _ = train_step(model, data.images, data.labels, lr=0.05, clip=1.0)
+    assert np.isfinite(loss)
+    x = data.images[:3]
+    np.testing.assert_array_equal(forward(model, x, packed=True),
+                                  forward(model, x, packed=False))
+    blob = model_to_bytes(model)
+    assert model_to_bytes(model_from_bytes(blob)) == blob
 
 
 def test_cgbn_backward_imaginary_plane_finite_differences():
