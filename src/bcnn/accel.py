@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 from .binary_ops import ConvGeometry
 from .errors import InvalidConfig
-from .models import (
-    AvgPool,
-    BinaryConvLayer,
-    ComplexConvLayer,
-    MaxPool,
-    ModelGraph,
-    ResidualBlock,
-    SpectralPool,
-)
+from .models import BinaryConvLayer, ComplexConvLayer, ModelGraph, graph_nodes
 from .tensors import words_per_pixel
 
 
@@ -92,27 +84,10 @@ def conv_cycles(geometry: ConvGeometry, input_hw: tuple[int, int],
 
 
 def conv_stack(model: ModelGraph) -> list[tuple[ConvGeometry, tuple[int, int]]]:
-    """The model's convolution geometries with their input spatial sizes."""
-    _, h, w = model.input_shape
-    stack = []
-    for layer in model.layers:
-        if isinstance(layer, (ComplexConvLayer, BinaryConvLayer)):
-            stack.append((layer.geometry, (h, w)))
-            h, w = layer.geometry.out_hw(h, w)
-        elif isinstance(layer, ResidualBlock):
-            mid = layer.conv1.geometry.out_hw(h, w)
-            stack += [(layer.conv1.geometry, (h, w)), (layer.conv2.geometry, mid)]
-            if layer.side_conv is not None:
-                stack.append((layer.side_conv.geometry, (h, w)))
-            h, w = mid
-        elif isinstance(layer, (AvgPool, MaxPool)):
-            kh, kw = layer.window
-            sh, sw = layer.stride or layer.window
-            h = (h - kh) // sh + 1
-            w = (w - kw) // sw + 1
-        elif isinstance(layer, SpectralPool):
-            h, w = layer.out_hw
-    return stack
+    """The model's convolution geometries with their input spatial sizes,
+    block paths included (main path first)."""
+    return [(node.geometry, act.dims[1:]) for node, act in graph_nodes(model)
+            if isinstance(node, (ComplexConvLayer, BinaryConvLayer))]
 
 
 def stack_cycles(model: ModelGraph, cfg: KernelConfig) -> int:

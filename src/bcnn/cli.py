@@ -191,37 +191,8 @@ def _cmd_export(args) -> int:
           f"{model.num_classes} classes")
     print(f"{'#':>3} {'layer':<24} {'details'}")
     for idx, layer in enumerate(model.layers):
-        print(f"{idx:>3} {type(layer).__name__:<24} {_describe(layer)}")
+        print(f"{idx:>3} {type(layer).__name__:<24} {models.kind_of(layer).describe(layer)}")
     return 0
-
-
-def _describe(layer) -> str:
-    from .layers import CgbnLayer, ComplexConvLayer, RealBnLayer
-
-    if isinstance(layer, ComplexConvLayer):
-        g = layer.geometry
-        return (f"{g.in_channels}->{g.out_channels} kernel {g.kernel} "
-                f"stride {g.stride} pad {g.padding} (full precision)")
-    if isinstance(layer, models.BinaryConvLayer):
-        g = layer.geometry
-        return (f"{g.in_channels}->{g.out_channels} kernel {g.kernel} "
-                f"stride {g.stride} pad {g.padding} (binarized)")
-    if isinstance(layer, CgbnLayer):
-        return f"{layer.channels} complex channels"
-    if isinstance(layer, RealBnLayer):
-        return f"{layer.gamma.shape[0]} channels"
-    if isinstance(layer, (models.AvgPool, models.MaxPool)):
-        return f"window {layer.window} stride {layer.stride or layer.window}"
-    if isinstance(layer, models.SpectralPool):
-        return f"crop to {layer.out_hw}"
-    if isinstance(layer, models.DenseLayer):
-        return f"{layer.weight.shape[1]}->{layer.weight.shape[0]}"
-    if isinstance(layer, models.ComplexInputGenerator):
-        return f"{layer.w1.shape[0]} channels"
-    if isinstance(layer, models.ResidualBlock):
-        g1 = layer.conv1.geometry
-        return f"{g1.in_channels}->{layer.conv2.geometry.out_channels} stride {g1.stride}"
-    return ""
 
 
 _HANDLERS = {

@@ -1,10 +1,14 @@
-"""Full-precision complex layers.
+"""Full-precision complex layers and their gradients.
 
 Convolution, the three batch-normalization variants, the three pooling
 variants, activations, and the fully connected head.  Everything here
 operates on dense planes; the packed kernels live in ``binary_ops``.
 Convolutions are im2col followed by ``np.matmul``, so they run as BLAS
 GEMMs: two per complex convolution, one per real convolution.
+
+Each trainable op's backward sits beside its forward, including the
+straight-through estimators of binarized weights and activations.  A
+training forward returns ``(y, cache)`` and its backward consumes it.
 
 Layers are safe to share between readers in eval mode.  Training-mode
 batch-norm calls mutate the layer's running statistics and require a
@@ -51,6 +55,31 @@ def im2col(
     return cols.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out)
 
 
+def _col2im(dcols, x_shape, kernel, stride, padding):
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    h_out = (h + 2 * ph - kh) // sh + 1
+    w_out = (w + 2 * pw - kw) // sw + 1
+    dpad = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    d6 = dcols.reshape(n, c, kh, kw, h_out, w_out)
+    for ky in range(kh):
+        for kx in range(kw):
+            dpad[:, :, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw] += d6[:, :, ky, kx]
+    return dpad[:, :, ph : ph + h, pw : pw + w]
+
+
+def _weight_grad_gemm(g, cols):
+    """Sum over the batch of ``g[i] @ cols[i]^T``, one GEMM per sample on a
+    transposed view: no copy of ``cols`` and no (n, rows, K) stack of
+    products, which would outgrow ``cols`` in deep layers."""
+    acc = g[0] @ cols[0].T
+    for i in range(1, len(g)):
+        acc += g[i] @ cols[i].T
+    return acc
+
+
 def conv2d_real(
     x: np.ndarray,
     w: np.ndarray,
@@ -59,13 +88,25 @@ def conv2d_real(
     pad_value: float = 0.0,
 ) -> np.ndarray:
     """Plain real 2D convolution (cross-correlation), NCHW in, NCHW out."""
-    n = x.shape[0]
-    out_c = w.shape[0]
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
+    return _real_conv_fwd(x, w, padding, stride, pad_value)[0]
+
+
+def _real_conv_fwd(x, w, padding, stride=(1, 1), pad_value=0.0):
+    """``conv2d_real`` that also returns the im2col columns for the backward."""
     cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
-    y = np.matmul(w.reshape(out_c, -1).astype(float), cols)
-    return y.reshape(n, out_c, h_out, w_out)
+    y = np.matmul(w.reshape(w.shape[0], -1).astype(float), cols)
+    return y.reshape(x.shape[0], w.shape[0], h_out, w_out), cols
+
+
+def _real_conv_bwd(g, cols, x_shape, w, padding):
+    n, out_c = g.shape[:2]
+    gm = g.reshape(n, out_c, -1)
+    dw = _weight_grad_gemm(gm, cols).reshape(w.shape)
+    dcols = np.matmul(w.reshape(out_c, -1).astype(float).T, gm)
+    dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
+    return dw, dx
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +170,61 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
     computed as im2col of both planes followed by ``complex_conv_gemm``.
     """
     return complex_conv_gemm(*complex_im2col(x, layer), layer)
+
+
+def _complex_conv_fwd(x: ComplexTensor, layer: ComplexConvLayer):
+    cols_r, cols_i, out_hw = complex_im2col(x, layer)
+    return complex_conv_gemm(cols_r, cols_i, out_hw, layer), (cols_r, cols_i, x.shape)
+
+
+def _complex_conv_bwd(g: ComplexTensor, cache, layer: ComplexConvLayer):
+    """Returns (dw_re, dw_im, db_re, db_im, dx).
+
+    With ``G = [g_r; g_i]`` stacked along channels, the weight gradients are
+    the halves of ``G @ cols_r^T`` and ``G @ cols_i^T`` summed over the
+    batch, and ``dcols_r = [w_r; w_i]^T @ G``, ``dcols_i = [-w_i; w_r]^T @ G``.
+    """
+    cols_r, cols_i, x_shape = cache
+    geo = layer.geometry
+    n = x_shape[0]
+    out_c = layer.w_re.shape[0]
+    gs = np.concatenate([g.re.reshape(n, out_c, -1), g.im.reshape(n, out_c, -1)], axis=1)
+    a = _weight_grad_gemm(gs, cols_r)
+    b = _weight_grad_gemm(gs, cols_i)
+    dw_re = (a[:out_c] + b[out_c:]).reshape(layer.w_re.shape)
+    dw_im = (a[out_c:] - b[:out_c]).reshape(layer.w_im.shape)
+    db_re = db_im = None
+    if layer.bias_re is not None:
+        db_re = g.re.sum(axis=(0, 2, 3))
+        db_im = g.im.sum(axis=(0, 2, 3))
+    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
+    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
+    dcols_r = np.matmul(np.concatenate([mat_r, mat_i]).T, gs)
+    dcols_i = np.matmul(np.concatenate([-mat_i, mat_r]).T, gs)
+    dx_r = _col2im(dcols_r, x_shape, geo.kernel, geo.stride, geo.padding)
+    dx_i = _col2im(dcols_i, x_shape, geo.kernel, geo.stride, geo.padding)
+    return dw_re, dw_im, db_re, db_im, ComplexTensor(dx_r, dx_i)
+
+
+def ste_backward(
+    grad_out_re: np.ndarray,
+    grad_out_im: np.ndarray,
+    w_re: np.ndarray,
+    w_im: np.ndarray,
+    clip: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Straight-through gradient for quadrant-binarized weights.
+
+    Each plane passes its upstream gradient where the latent magnitude is
+    below ``clip`` and blocks it elsewhere; the two planes are gated
+    independently.
+    """
+    if grad_out_re.shape != w_re.shape or grad_out_im.shape != w_im.shape:
+        raise ShapeMismatch("gradient and weight shapes differ")
+    return (
+        grad_out_re * (np.abs(w_re) < clip),
+        grad_out_im * (np.abs(w_im) < clip),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +316,52 @@ def cgbn_forward(x: ComplexTensor, layer: CgbnLayer, training: bool = False) -> 
     running statistics.
     """
     xh_r, xh_i, _, _ = cgbn_normalize(x, layer, training)
+    return _cgbn_affine(xh_r, xh_i, layer, out_i=xh_i)
+
+
+def _cgbn_affine(xh_r, xh_i, layer: CgbnLayer, out_i=None) -> ComplexTensor:
+    """y_r = g_r*xh_r - g_i*xh_i + b_r and y_i = g_r*xh_i + g_i*xh_r + b_i,
+    in that order; ``y_i`` is written to ``out_i`` when given."""
     g_r = _per_channel(layer.gamma_re)
     g_i = _per_channel(layer.gamma_im)
-    # y_r = g_r*xh_r - g_i*xh_i + b_r and y_i = g_r*xh_i + g_i*xh_r + b_i,
-    # evaluated in that order with two new arrays; xh_i is overwritten
     y_r = np.multiply(g_r, xh_r)
     tmp = np.multiply(g_i, xh_i)
     y_r -= tmp
     y_r += _per_channel(layer.beta_re)
     np.multiply(g_i, xh_r, out=tmp)
-    y_i = np.multiply(g_r, xh_i, out=xh_i)
+    y_i = np.multiply(g_r, xh_i, out=out_i)
     y_i += tmp
     y_i += _per_channel(layer.beta_im)
     return ComplexTensor(y_r, y_i)
+
+
+def _fwd_cgbn(layer: CgbnLayer, x: ComplexTensor, update_stats: bool):
+    xh_r, xh_i, inv_r, inv_i = cgbn_normalize(x, layer, training=True,
+                                              update_running=update_stats)
+    return _cgbn_affine(xh_r, xh_i, layer), (xh_r, xh_i, inv_r, inv_i)
+
+
+def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
+    xh_r, xh_i, inv_r, inv_i = cache
+    gam_r = layer.gamma_re.reshape(1, -1, 1, 1).astype(float)
+    gam_i = layer.gamma_im.reshape(1, -1, 1, 1).astype(float)
+    d_gamma_re = (g.re * xh_r + g.im * xh_i).sum(axis=(0, 2, 3))
+    d_gamma_im = (-g.re * xh_i + g.im * xh_r).sum(axis=(0, 2, 3))
+    grads.append((layer.gamma_re, d_gamma_re))
+    grads.append((layer.gamma_im, d_gamma_im))
+    grads.append((layer.beta_re, g.re.sum(axis=(0, 2, 3))))
+    grads.append((layer.beta_im, g.im.sum(axis=(0, 2, 3))))
+    gh_r = g.re * gam_r + g.im * gam_i
+    gh_i = -g.re * gam_i + g.im * gam_r
+
+    def plane_bwd(gh, xh, inv):
+        # x_hat = (x - mu) / sqrt(2 var + eps); the factor 2 doubles the
+        # usual variance-path term.
+        mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
+        mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
+        return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - 2.0 * xh * mean_ghx)
+
+    return ComplexTensor(plane_bwd(gh_r, xh_r, inv_r), plane_bwd(gh_i, xh_i, inv_i))
 
 
 @dataclass
@@ -366,6 +495,28 @@ def real_bn_forward(x: np.ndarray, layer: RealBnLayer, training: bool = False) -
     return _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
 
 
+def _fwd_real_bn(layer: RealBnLayer, x):
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    m = layer.momentum
+    layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
+    layer.running_var[:] = (1 - m) * layer.running_var + m * var
+    inv = 1.0 / np.sqrt(var + layer.eps)
+    xh = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
+    y = layer.gamma.reshape(1, -1, 1, 1) * xh + layer.beta.reshape(1, -1, 1, 1)
+    return y, (xh, inv)
+
+
+def _bwd_real_bn(layer: RealBnLayer, g, cache, grads):
+    xh, inv = cache
+    grads.append((layer.gamma, (g * xh).sum(axis=(0, 2, 3))))
+    grads.append((layer.beta, g.sum(axis=(0, 2, 3))))
+    gh = g * layer.gamma.reshape(1, -1, 1, 1).astype(float)
+    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
+    mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
+    return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - xh * mean_ghx)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -391,23 +542,33 @@ def _pool_patches(x: np.ndarray, window, stride) -> np.ndarray:
 def avg_pool(x, window: tuple[int, int], stride: tuple[int, int] | None = None):
     """Window-mean pooling; complex inputs are pooled per plane."""
     stride = stride or window
-    if isinstance(x, ComplexTensor):
-        return ComplexTensor(
-            _pool_patches(x.re, window, stride).mean(axis=-1),
-            _pool_patches(x.im, window, stride).mean(axis=-1),
-        )
-    return _pool_patches(x, window, stride).mean(axis=-1)
+    return _planewise(lambda p: _pool_patches(p, window, stride).mean(axis=-1), x)
 
 
 def max_pool(x, window: tuple[int, int], stride: tuple[int, int] | None = None):
     """Window-max pooling; complex inputs are pooled independently per plane."""
     stride = stride or window
-    if isinstance(x, ComplexTensor):
-        return ComplexTensor(
-            _pool_patches(x.re, window, stride).max(axis=-1),
-            _pool_patches(x.im, window, stride).max(axis=-1),
-        )
-    return _pool_patches(x, window, stride).max(axis=-1)
+    return _planewise(lambda p: _pool_patches(p, window, stride).max(axis=-1), x)
+
+
+def _bwd_pool(g: ComplexTensor, x: ComplexTensor, window, stride, average: bool) -> ComplexTensor:
+    """Avg- and max-pool backward: per-tap gradients scattered by ``_col2im``.
+
+    Avg pooling spreads ``g / (kh*kw)`` over every tap; max pooling routes
+    ``g`` to the argmax of each window, recomputed from the cached input in
+    the forward's tap order.
+    """
+    taps = window[0] * window[1]
+
+    def plane(gp, xp):
+        if average:
+            per_tap = np.broadcast_to((gp / taps)[..., None], gp.shape + (taps,))
+        else:
+            idx = _pool_patches(xp, window, stride).argmax(axis=-1)
+            per_tap = gp[..., None] * (idx[..., None] == np.arange(taps))
+        return _col2im(np.moveaxis(per_tap, -1, 2), xp.shape, window, stride, (0, 0))
+
+    return _planewise(plane, g, x)
 
 
 def spectral_pool(x: ComplexTensor, out_hw: tuple[int, int]) -> ComplexTensor:
@@ -432,20 +593,47 @@ def spectral_pool(x: ComplexTensor, out_hw: tuple[int, int]) -> ComplexTensor:
     return ComplexTensor(y.real, y.imag)
 
 
+def _bwd_spectral_pool(g: ComplexTensor, x_shape) -> ComplexTensor:
+    """Adjoint of ``spectral_pool``: FFT, centre, zero-pad the cropped block
+    back to the input size, uncentre, inverse FFT.  The forward's
+    (h'*w')/(h*w) rescale cancels the two transforms' normalizations."""
+    h, w = x_shape[2:]
+    h2, w2 = g.shape[2:]
+    spec = np.fft.fftshift(np.fft.fft2(g.re + 1j * g.im, axes=(2, 3)), axes=(2, 3))
+    full = np.zeros(x_shape, dtype=complex)
+    y0, x0 = h // 2 - h2 // 2, w // 2 - w2 // 2
+    full[:, :, y0 : y0 + h2, x0 : x0 + w2] = spec
+    dz = np.fft.ifft2(np.fft.ifftshift(full, axes=(2, 3)), axes=(2, 3))
+    return ComplexTensor(dz.real, dz.imag)
+
+
 # ---------------------------------------------------------------------------
 # activations and fully connected
 # ---------------------------------------------------------------------------
 
-def relu(x):
+def _planewise(f, x, *more):
+    """``f`` on real arrays, or plane by plane on complex tensors."""
     if isinstance(x, ComplexTensor):
-        return ComplexTensor(np.maximum(x.re, 0.0), np.maximum(x.im, 0.0))
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
+        return ComplexTensor(f(x.re, *(m.re for m in more)), f(x.im, *(m.im for m in more)))
+    return f(x, *more)
+
+
+def relu(x):
+    return _planewise(lambda p: np.maximum(np.asarray(p, dtype=float), 0.0), x)
+
+
+def relu_backward(g, x):
+    return _planewise(lambda gp, xp: gp * (xp > 0), g, x)
 
 
 def hardtanh(x):
-    if isinstance(x, ComplexTensor):
-        return ComplexTensor(np.clip(x.re, -1.0, 1.0), np.clip(x.im, -1.0, 1.0))
-    return np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    return _planewise(lambda p: np.clip(np.asarray(p, dtype=float), -1.0, 1.0), x)
+
+
+def hardtanh_backward(g, x):
+    """Also the straight-through gradient of binarized activations: the
+    gradient passes where |x| < 1."""
+    return _planewise(lambda gp, xp: gp * (np.abs(xp) < 1), g, x)
 
 
 def fully_connected(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ layers stay full precision; every binarized convolution consumes {+1,-1}
 activations produced by a preceding binarize step (explicit in plain
 sequences, internal to residual blocks).
 
+A node kind is one ``NODE_KINDS`` entry: its inference and training forward,
+backward, output shape, BCN1 tag and codec, and ``bcnn export`` text.  Every
+per-node loop dispatches through that table, block paths included.
+
 The per-stage channel widths are the real-valued NIN / ResNet-18 baselines
 with every width halved, so the complex model matches the baseline's
 parameter count.  They are collected in module-level constants so the
@@ -18,28 +22,24 @@ many images concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import struct
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binary_ops import ConvGeometry, binary_complex_conv2d, quadrant_binarize
-from .errors import NonBinaryEntry, ShapeMismatch
-from .layers import (
-    CgbnLayer,
-    ComplexConvLayer,
-    RealBnLayer,
-    avg_pool,
-    cgbn_forward,
-    complex_conv2d_fp,
-    conv2d_real,
-    fully_connected,
-    hardtanh as _hardtanh,
-    max_pool,
-    real_bn_forward,
-    relu as _relu,
-    spectral_pool,
-)
-from .tensors import ComplexTensor, pack, pack_signs
+from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d,
+                         quadrant_binarize)
+from .errors import CorruptModelFile, NonBinaryEntry, ShapeMismatch
+from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_pool,
+                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd,
+                     _complex_conv_fwd, _fwd_cgbn, _fwd_real_bn, _real_conv_bwd,
+                     _real_conv_fwd, avg_pool, cgbn_forward, complex_conv2d_fp, conv2d_real,
+                     fully_connected, hardtanh as _hardtanh, hardtanh_backward, max_pool,
+                     real_bn_forward, relu as _relu, relu_backward, spectral_pool,
+                     ste_backward)
+from .tensors import ComplexTensor, _unpack_plane, pack, pack_signs, words_per_pixel
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -85,15 +85,21 @@ class BinaryConvLayer:
 
 
 @dataclass
-class AvgPool:
+class _Pool:
     window: tuple[int, int]
-    stride: tuple[int, int] | None = None
+    stride: tuple[int, int] | None = None  # stored as the window when omitted
+
+    def __post_init__(self):
+        if self.stride is None:
+            self.stride = self.window
 
 
-@dataclass
-class MaxPool:
-    window: tuple[int, int]
-    stride: tuple[int, int] | None = None
+class AvgPool(_Pool):
+    """Window-mean pooling."""
+
+
+class MaxPool(_Pool):
+    """Window-max pooling."""
 
 
 @dataclass
@@ -163,8 +169,32 @@ class ModelGraph:
 
 
 # ---------------------------------------------------------------------------
-# forward execution
+# per-kind operations
 # ---------------------------------------------------------------------------
+
+class Activation(NamedTuple):
+    """One image's activation as the shape walk sees it."""
+
+    dims: tuple  # (channels, height, width), or (features,) once flattened
+    domain: str = "real"  # "real", "complex", or "binarized": straight from a binarize step
+
+
+def _image(act: Activation, channels: int | None = None, domains=("complex", "binarized")):
+    """(c, h, w) of an image input in one of ``domains`` (None: any domain)."""
+    if len(act.dims) != 3:
+        raise ShapeMismatch(f"expects an image input, got flat features {act.dims}")
+    if domains is not None and act.domain not in domains:
+        raise ShapeMismatch(f"expects a {' or '.join(domains)} input, got a {act.domain} one")
+    if channels is not None and act.dims[0] != channels:
+        raise ShapeMismatch(f"input has {act.dims[0]} channels, layer expects {channels}")
+    return act.dims
+
+
+def _keep(act: Activation, dims=None) -> Activation:
+    """The output of an op that changes values: real stays real, else complex."""
+    return Activation(act.dims if dims is None else dims,
+                      "real" if act.domain == "real" else "complex")
+
 
 def _assert_binary(x: ComplexTensor):
     if not (np.all(np.abs(x.re) == 1) and np.all(np.abs(x.im) == 1)):
@@ -186,21 +216,31 @@ def mask_pruned_channels(y: ComplexTensor, mask: np.ndarray) -> ComplexTensor:
     return ComplexTensor(y.re * m, y.im * m)
 
 
-def _binary_conv_forward(
-    layer: BinaryConvLayer, x: ComplexTensor, packed: bool, debug: bool
-) -> ComplexTensor:
-    if debug:
-        _assert_binary(x)
-    w = ComplexTensor(layer.w_re, layer.w_im)
-    if packed:
-        # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
-        # weights are packed per call because training and pruning edit them in place
-        y = binary_complex_conv2d(pack(x), pack_signs(w), layer.geometry)
-    else:
-        wb = quadrant_binarize(w)
-        ref = ComplexConvLayer(wb.re, wb.im, layer.geometry, pad_value=-1.0)
-        y = complex_conv2d_fp(x, ref)
-    return mask_pruned_channels(y, active_output_channels(layer))
+def _describe_conv(g: ConvGeometry, precision: str) -> str:
+    return (f"{g.in_channels}->{g.out_channels} kernel {g.kernel} "
+            f"stride {g.stride} pad {g.padding} ({precision})")
+
+
+# BCN1 payload arrays: full-precision planes as little-endian f32, packed
+# sign words as little-endian u64; ``cur`` is a cursor with take(n)/unpack(fmt)
+
+def _f32(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+
+
+def _read_array(cur, shape, dtype=np.float32) -> np.ndarray:
+    stored = np.dtype(dtype).newbyteorder("<")
+    n = math.prod(shape)  # exact: np.prod wraps on corrupt huge shapes
+    return np.frombuffer(cur.take(stored.itemsize * n), dtype=stored).reshape(shape).astype(dtype)
+
+
+def _geometry_bytes(g: ConvGeometry) -> bytes:
+    return struct.pack("<8I", g.out_channels, g.in_channels, *g.kernel, *g.stride, *g.padding)
+
+
+def _read_geometry(cur) -> ConvGeometry:
+    oc, ic, kh, kw, sh, sw, ph, pw = cur.unpack("<8I")
+    return ConvGeometry(ic, oc, (kh, kw), (sh, sw), (ph, pw))
 
 
 def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray) -> ComplexTensor:
@@ -209,46 +249,454 @@ def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray) -> ComplexTens
     return ComplexTensor(x.astype(float), im)
 
 
-def _layer_forward(layer, x, packed: bool, debug: bool):
-    if isinstance(layer, ComplexInputGenerator):
-        return _generator_forward(layer, x)
-    if isinstance(layer, ComplexConvLayer):
-        return complex_conv2d_fp(x, layer)
-    if isinstance(layer, BinaryConvLayer):
-        return _binary_conv_forward(layer, x, packed, debug)
-    if isinstance(layer, CgbnLayer):
-        return cgbn_forward(x, layer, training=False)
-    if isinstance(layer, RealBnLayer):
-        return real_bn_forward(x, layer, training=False)
-    if isinstance(layer, AvgPool):
-        return avg_pool(x, layer.window, layer.stride)
-    if isinstance(layer, MaxPool):
-        return max_pool(x, layer.window, layer.stride)
-    if isinstance(layer, SpectralPool):
-        return spectral_pool(x, layer.out_hw)
-    if isinstance(layer, Relu):
-        return _relu(x)
-    if isinstance(layer, Hardtanh):
-        return _hardtanh(x)
-    if isinstance(layer, Binarize):
-        return quadrant_binarize(x)
-    if isinstance(layer, Flatten):
-        planes = x.to_planes() if isinstance(x, ComplexTensor) else x
-        return planes.reshape(planes.shape[0], -1)
-    if isinstance(layer, DenseLayer):
-        return fully_connected(x, layer.weight, layer.bias)
-    if isinstance(layer, ResidualBlock):
-        b = quadrant_binarize(x)
-        y = _forward_nodes(layer.main, b, packed, debug)
-        skip = _forward_nodes(layer.side, b, packed, debug) if layer.side else x
-        return ComplexTensor(y.re + skip.re, y.im + skip.im)
-    raise TypeError(f"unknown layer node {type(layer).__name__}")
+def _generator_train(gen: ComplexInputGenerator, x, update_stats):
+    z1, cols_x = _real_conv_fwd(x, gen.w1, (1, 1))
+    z1 = z1 + gen.b1.reshape(1, -1, 1, 1)
+    h1 = np.maximum(z1, 0.0)
+    s = h1 + x
+    im, cols_s = _real_conv_fwd(s, gen.w2, (1, 1))
+    im = im + gen.b2.reshape(1, -1, 1, 1)
+    return ComplexTensor(x.astype(float), im), (x, z1, s, cols_x, cols_s)
 
 
-def _forward_nodes(nodes, x, packed: bool, debug: bool):
+def _generator_backward(gen: ComplexInputGenerator, g, cache, clip, grads):
+    x, z1, s, cols_x, cols_s = cache
+    grads.append((gen.b2, g.im.sum(axis=(0, 2, 3))))
+    dw2, ds = _real_conv_bwd(g.im, cols_s, s.shape, gen.w2, (1, 1))
+    grads.append((gen.w2, dw2))
+    dz1 = ds * (z1 > 0)
+    grads.append((gen.b1, dz1.sum(axis=(0, 2, 3))))
+    dw1, dx1 = _real_conv_bwd(dz1, cols_x, x.shape, gen.w1, (1, 1))
+    grads.append((gen.w1, dw1))
+    return g.re + ds + dx1
+
+
+def _encode_generator(gen: ComplexInputGenerator, desc: bytearray, payload: bytearray):
+    desc += struct.pack("<I", gen.w1.shape[0])
+    payload += _f32(gen.w1, gen.b1, gen.w2, gen.b2)
+
+
+def _decode_generator(desc, payload, variant) -> ComplexInputGenerator:
+    (c,) = desc.unpack("<I")
+    return ComplexInputGenerator(_read_array(payload, (c, c, 3, 3)), _read_array(payload, (c,)),
+                                 _read_array(payload, (c, c, 3, 3)), _read_array(payload, (c,)))
+
+
+def _conv_backward(layer: ComplexConvLayer, g, cache, clip, grads):
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(g, cache, layer)
+    grads.append((layer.w_re, dw_re))
+    grads.append((layer.w_im, dw_im))
+    if db_re is not None:
+        grads.append((layer.bias_re, db_re))
+        grads.append((layer.bias_im, db_im))
+    return dx
+
+
+def _conv_shape(layer, act: Activation, domains=("complex", "binarized")) -> Activation:
+    g = layer.geometry
+    _, h, w = _image(act, g.in_channels, domains)
+    return Activation((g.out_channels, *g.out_hw(h, w)), "complex")
+
+
+def _encode_conv(layer: ComplexConvLayer, desc: bytearray, payload: bytearray):
+    has_bias = layer.bias_re is not None
+    desc += _geometry_bytes(layer.geometry) + struct.pack("<Bd", has_bias, layer.pad_value)
+    payload += _f32(layer.w_re, layer.w_im)
+    if has_bias:
+        payload += _f32(layer.bias_re, layer.bias_im)
+
+
+def _decode_conv(desc, payload, variant) -> ComplexConvLayer:
+    g = _read_geometry(desc)
+    has_bias, pad_value = desc.unpack("<Bd")
+    shape = (g.out_channels, g.in_channels, *g.kernel)
+    layer = ComplexConvLayer(_read_array(payload, shape), _read_array(payload, shape), g,
+                             pad_value=pad_value)
+    if has_bias:
+        layer.bias_re = _read_array(payload, (g.out_channels,))
+        layer.bias_im = _read_array(payload, (g.out_channels,))
+    return layer
+
+
+def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
+    """The quadrant-binarized weights as a dense conv with the kernel's -1 padding."""
+    return ComplexConvLayer(binarize_deterministic(layer.w_re),
+                            binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
+
+
+def _binary_conv_forward(
+    layer: BinaryConvLayer, x: ComplexTensor, packed: bool, debug: bool
+) -> ComplexTensor:
+    if debug:
+        _assert_binary(x)
+    if packed:
+        # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
+        # weights are packed per call because training and pruning edit them in place
+        w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
+        y = binary_complex_conv2d(pack(x), w, layer.geometry)
+    else:
+        y = complex_conv2d_fp(x, _sign_weights(layer))
+    return mask_pruned_channels(y, active_output_channels(layer))
+
+
+def _binary_conv_train(layer: BinaryConvLayer, x: ComplexTensor, update_stats):
+    wb = _sign_weights(layer)
+    y, conv_cache = _complex_conv_fwd(x, wb)
+    mask = active_output_channels(layer)
+    return mask_pruned_channels(y, mask), (wb, conv_cache, mask)
+
+
+def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grads):
+    wb, conv_cache, mask = cache
+    g = mask_pruned_channels(g, mask)  # pruned channels emit a forced zero: no gradient
+    dwb_re, dwb_im, _, _, dx = _complex_conv_bwd(g, conv_cache, wb)
+    dw_re, dw_im = ste_backward(dwb_re, dwb_im, layer.w_re, layer.w_im, clip)
+    grads.append((layer.w_re, dw_re))
+    grads.append((layer.w_im, dw_im))
+    return dx
+
+
+def _encode_binary_conv(layer: BinaryConvLayer, desc: bytearray, payload: bytearray):
+    desc += _geometry_bytes(layer.geometry)
+    wb = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
+    # one byte per output channel: 0 marks a hard-pruned (all-zero) channel
+    payload += active_output_channels(layer).astype(np.uint8).tobytes()
+    for words in (wb.re_words, wb.im_words):
+        payload += np.ascontiguousarray(words, dtype="<u8").tobytes()
+
+
+def _decode_binary_conv(desc, payload, variant) -> BinaryConvLayer:
+    g = _read_geometry(desc)
+    mask = np.frombuffer(payload.take(g.out_channels), dtype=np.uint8)
+    wshape = (g.out_channels, *g.kernel, words_per_pixel(g.in_channels))
+    re_words = _read_array(payload, wshape, np.uint64)
+    im_words = _read_array(payload, wshape, np.uint64)
+    # packed layout is (oc, kh, kw, words); planes come back (oc, ic, kh, kw)
+    scale = mask.astype(np.float32).reshape(-1, 1, 1, 1)
+    w_re = _unpack_plane(re_words, g.in_channels).astype(np.float32) * scale
+    w_im = _unpack_plane(im_words, g.in_channels).astype(np.float32) * scale
+    return BinaryConvLayer(w_re, w_im, g)
+
+
+# batch norms: every dataclass field but eps and momentum is a per-channel array
+
+def _encode_bn(layer, desc: bytearray, payload: bytearray):
+    arrays = [getattr(layer, f.name) for f in fields(layer)[:-2]]
+    desc += struct.pack("<Idd", len(arrays[0]), layer.eps, layer.momentum)
+    payload += _f32(*arrays)
+
+
+def _decode_bn(cls, arrays: int, desc, payload):
+    c, eps, momentum = desc.unpack("<Idd")
+    return cls(*(_read_array(payload, (c,)) for _ in range(arrays)), eps=eps, momentum=momentum)
+
+
+def _pool_shape(pool: _Pool, act: Activation, visit) -> Activation:
+    c, h, w = _image(act, domains=None)
+    (kh, kw), (sh, sw) = pool.window, pool.stride
+    if min(kh, kw, sh, sw) < 1:
+        raise ShapeMismatch(f"window {pool.window} and stride {pool.stride} must be >= 1")
+    if h < kh or w < kw or (h - kh) % sh or (w - kw) % sw:
+        raise ShapeMismatch(f"{h}x{w} input is not covered exactly by {pool.window} "
+                            f"windows at stride {pool.stride}")
+    return _keep(act, (c, (h - kh) // sh + 1, (w - kw) // sw + 1))
+
+
+def _encode_pool(pool: _Pool, desc: bytearray, payload: bytearray):
+    desc += struct.pack("<4I", *pool.window, *pool.stride)
+
+
+def _decode_pool(cls, desc):
+    kh, kw, sh, sw = desc.unpack("<4I")
+    return cls((kh, kw), (sh, sw))
+
+
+def _spectral_pool_shape(pool: SpectralPool, act: Activation, visit) -> Activation:
+    c, h, w = _image(act)
+    h2, w2 = pool.out_hw
+    if not (1 <= h2 <= h and 1 <= w2 <= w):
+        raise ShapeMismatch(f"cannot crop {h}x{w} spectrum to {h2}x{w2}")
+    return Activation((c, h2, w2), "complex")
+
+
+def _flatten_forward(x):
+    planes = x.to_planes() if isinstance(x, ComplexTensor) else x
+    return planes.reshape(planes.shape[0], -1)
+
+
+def _dense_backward(layer: DenseLayer, g, x, clip, grads):
+    grads.append((layer.weight, g.T @ x))
+    grads.append((layer.bias, g.sum(axis=0)))
+    return g @ layer.weight.astype(float)
+
+
+def _dense_shape(layer: DenseLayer, act: Activation, visit) -> Activation:
+    out_dim, in_dim = layer.weight.shape
+    if act.dims != (in_dim,):
+        raise ShapeMismatch(f"expects {in_dim} flat features, got {act.dims}")
+    return Activation((out_dim,))
+
+
+def _encode_dense(layer: DenseLayer, desc: bytearray, payload: bytearray):
+    desc += struct.pack("<2I", *layer.weight.shape)
+    payload += _f32(layer.weight, layer.bias)
+
+
+def _decode_dense(desc, payload, variant) -> DenseLayer:
+    out_dim, in_dim = desc.unpack("<2I")
+    return DenseLayer(_read_array(payload, (out_dim, in_dim)), _read_array(payload, (out_dim,)))
+
+
+# residual block: both paths run through the table on the binarized input
+
+def _block_forward(block: ResidualBlock, x: ComplexTensor, packed: bool, debug: bool):
+    b = quadrant_binarize(x)
+    y = run_nodes(block.main, b, packed, debug)
+    skip = run_nodes(block.side, b, packed, debug) if block.side else x
+    return ComplexTensor(y.re + skip.re, y.im + skip.im)
+
+
+def _block_train(block: ResidualBlock, x: ComplexTensor, update_stats):
+    b = quadrant_binarize(x)
+    y, main = train_nodes(block.main, b, update_stats)
+    skip, side = train_nodes(block.side, b, update_stats) if block.side else (x, [])
+    return ComplexTensor(y.re + skip.re, y.im + skip.im), (x, main, side)
+
+
+def _block_backward(block: ResidualBlock, g: ComplexTensor, cache, clip, grads):
+    x, main, side = cache
+    gb = backprop_nodes(block.main, main, g, clip, grads)
+    if block.side:
+        gs = backprop_nodes(block.side, side, g, clip, grads)
+        return hardtanh_backward(ComplexTensor(gb.re + gs.re, gb.im + gs.im), x)
+    dx = hardtanh_backward(gb, x)
+    return ComplexTensor(dx.re + g.re, dx.im + g.im)
+
+
+def _block_shape(block: ResidualBlock, act: Activation, visit) -> Activation:
+    b = Activation(_image(act), "binarized")
+    y = walk_shapes(block.main, b, visit)
+    skip = walk_shapes(block.side, b, visit) if block.side else act
+    if y.dims != skip.dims:
+        raise ShapeMismatch(f"main path gives {y.dims}, skip path {skip.dims}")
+    return Activation(y.dims, "complex")
+
+
+def _encode_block(block: ResidualBlock, desc: bytearray, payload: bytearray):
+    # the block's binarize step is implicit: only convs and CGBNs are stored
+    for sub in (block.conv1, block.bn1, block.conv2, block.bn2) + block.side:
+        encode_node(sub, desc, payload)
+
+
+def _decode_block(desc, payload, variant) -> ResidualBlock:
+    kinds = (BinaryConvLayer, CgbnLayer) * (2 + variant)  # variant 1 has a side path
+    subs = [decode_node(desc, payload) for _ in kinds]
+    for sub, kind in zip(subs, kinds):
+        if not isinstance(sub, kind):
+            raise CorruptModelFile(
+                f"residual block holds a {type(sub).__name__} "
+                f"where a {kind.__name__} belongs"
+            )
+    return ResidualBlock(*subs)
+
+
+# ---------------------------------------------------------------------------
+# the node table
+# ---------------------------------------------------------------------------
+
+@dataclass
+class NodeKind:
+    """Everything the engine knows about one node class."""
+
+    tags: tuple[int, ...]  # BCN1 tags; a node is stored under tags[variant(node)]
+    decode: Callable  # (desc, payload, variant) -> node, reading what encode wrote
+    forward: Callable  # (node, x, packed, debug) -> y: inference
+    backward: Callable  # (node, g, cache, clip, grads) -> dx; appends (param, grad) pairs
+    out_shape: Callable = lambda node, act, visit: _keep(act)  # checks input, gives output
+    encode: Callable = lambda node, desc, payload: None  # appends fields and arrays
+    train: Callable | None = None  # (node, x, update_stats) -> (y, cache)
+    describe: Callable = lambda node: ""  # the `bcnn export` details
+    variant: Callable = lambda node: 0
+    weight_layers: int = 0  # main-path convolutions and fully connected layers
+
+    def __post_init__(self):
+        if self.train is None:  # the dense inference op, caching its input
+            forward = self.forward
+            self.train = lambda node, x, update_stats: (forward(node, x, False, False), x)
+
+    def tag(self, node) -> int:
+        return self.tags[self.variant(node)]
+
+
+NODE_KINDS = {
+    ComplexInputGenerator: NodeKind(
+        tags=(1,), encode=_encode_generator, decode=_decode_generator,
+        forward=lambda n, x, packed, debug: _generator_forward(n, x),
+        train=_generator_train, backward=_generator_backward,
+        out_shape=lambda n, act, visit: Activation(_image(act, n.w1.shape[0], ("real",)),
+                                                   "complex"),
+        describe=lambda n: f"{n.w1.shape[0]} channels",
+    ),
+    ComplexConvLayer: NodeKind(
+        tags=(2,), encode=_encode_conv, decode=_decode_conv,
+        forward=lambda n, x, packed, debug: complex_conv2d_fp(x, n),
+        train=lambda n, x, update_stats: _complex_conv_fwd(x, n), backward=_conv_backward,
+        out_shape=lambda n, act, visit: _conv_shape(n, act),
+        describe=lambda n: _describe_conv(n.geometry, "full precision"),
+        weight_layers=1,
+    ),
+    BinaryConvLayer: NodeKind(
+        tags=(3,), encode=_encode_binary_conv, decode=_decode_binary_conv,
+        forward=_binary_conv_forward, train=_binary_conv_train, backward=_binary_conv_backward,
+        out_shape=lambda n, act, visit: _conv_shape(n, act, ("binarized",)),
+        describe=lambda n: _describe_conv(n.geometry, "binarized"),
+        weight_layers=1,
+    ),
+    CgbnLayer: NodeKind(
+        tags=(4,), encode=_encode_bn,
+        decode=lambda desc, payload, variant: _decode_bn(CgbnLayer, 8, desc, payload),
+        forward=lambda n, x, packed, debug: cgbn_forward(x, n, training=False),
+        train=_fwd_cgbn, backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
+        out_shape=lambda n, act, visit: Activation(_image(act, n.channels), "complex"),
+        describe=lambda n: f"{n.channels} complex channels",
+    ),
+    RealBnLayer: NodeKind(
+        tags=(5,), encode=_encode_bn,
+        decode=lambda desc, payload, variant: _decode_bn(RealBnLayer, 4, desc, payload),
+        forward=lambda n, x, packed, debug: real_bn_forward(x, n, training=False),
+        # the training forward always updates the running statistics
+        train=lambda n, x, update_stats: _fwd_real_bn(n, x),
+        backward=lambda n, g, cache, clip, grads: _bwd_real_bn(n, g, cache, grads),
+        out_shape=lambda n, act, visit: _keep(act, _image(act, n.gamma.shape[0], None)),
+        describe=lambda n: f"{n.gamma.shape[0]} channels",
+    ),
+    AvgPool: NodeKind(
+        tags=(6,), encode=_encode_pool,
+        decode=lambda desc, payload, variant: _decode_pool(AvgPool, desc),
+        forward=lambda n, x, packed, debug: avg_pool(x, n.window, n.stride),
+        backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=True),
+        out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
+    ),
+    MaxPool: NodeKind(
+        tags=(7,), encode=_encode_pool,
+        decode=lambda desc, payload, variant: _decode_pool(MaxPool, desc),
+        forward=lambda n, x, packed, debug: max_pool(x, n.window, n.stride),
+        backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=False),
+        out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
+    ),
+    SpectralPool: NodeKind(
+        tags=(8,), encode=lambda n, desc, payload: desc.extend(struct.pack("<2I", *n.out_hw)),
+        decode=lambda desc, payload, variant: SpectralPool(desc.unpack("<2I")),
+        forward=lambda n, x, packed, debug: spectral_pool(x, n.out_hw),
+        backward=lambda n, g, x, clip, grads: _bwd_spectral_pool(g, x.shape),
+        out_shape=_spectral_pool_shape, describe=lambda n: f"crop to {n.out_hw}",
+    ),
+    Relu: NodeKind(
+        tags=(9,), decode=lambda desc, payload, variant: Relu(),
+        forward=lambda n, x, packed, debug: _relu(x),
+        backward=lambda n, g, x, clip, grads: relu_backward(g, x),
+    ),
+    Hardtanh: NodeKind(
+        tags=(10,), decode=lambda desc, payload, variant: Hardtanh(),
+        forward=lambda n, x, packed, debug: _hardtanh(x),
+        backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
+    ),
+    Binarize: NodeKind(
+        tags=(11,), decode=lambda desc, payload, variant: Binarize(),
+        forward=lambda n, x, packed, debug: quadrant_binarize(x),
+        backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
+        out_shape=lambda n, act, visit: Activation(_image(act), "binarized"),
+    ),
+    Flatten: NodeKind(
+        tags=(12,), decode=lambda desc, payload, variant: Flatten(),
+        forward=lambda n, x, packed, debug: _flatten_forward(x),
+        backward=lambda n, g, x, clip, grads: ComplexTensor.from_planes(
+            g.reshape(len(g), 2 * x.shape[1], *x.shape[2:])),
+        out_shape=lambda n, act, visit: Activation(
+            (math.prod(act.dims) * (1 if act.domain == "real" else 2),)),
+    ),
+    DenseLayer: NodeKind(
+        tags=(13,), encode=_encode_dense, decode=_decode_dense,
+        forward=lambda n, x, packed, debug: fully_connected(x, n.weight, n.bias),
+        backward=_dense_backward, out_shape=_dense_shape,
+        describe=lambda n: f"{n.weight.shape[1]}->{n.weight.shape[0]}", weight_layers=1,
+    ),
+    ResidualBlock: NodeKind(
+        tags=(14, 15), variant=lambda n: int(bool(n.side)),
+        encode=_encode_block, decode=_decode_block,
+        forward=_block_forward, train=_block_train, backward=_block_backward,
+        out_shape=_block_shape,
+        describe=lambda n: (f"{n.conv1.geometry.in_channels}->{n.conv2.geometry.out_channels}"
+                            f" stride {n.conv1.geometry.stride}"),
+        weight_layers=2,
+    ),
+}
+
+# tag -> (node kind, variant): a kind's i-th tag is its variant i
+_KIND_BY_TAG = {tag: (kind, variant) for kind in NODE_KINDS.values()
+                for variant, tag in enumerate(kind.tags)}
+
+
+# ---------------------------------------------------------------------------
+# dispatch: every loop goes through the table
+# ---------------------------------------------------------------------------
+
+def kind_of(node) -> NodeKind:
+    if type(node) not in NODE_KINDS:
+        raise TypeError(f"unknown layer node {type(node).__name__}")
+    return NODE_KINDS[type(node)]
+
+
+def encode_node(node, desc: bytearray, payload: bytearray):
+    """Append a node's BCN1 tag and fields to ``desc``, its arrays to ``payload``."""
+    kind = kind_of(node)
+    desc += struct.pack("<B", kind.tag(node))
+    kind.encode(node, desc, payload)
+
+
+def decode_node(desc, payload):
+    """Read one node back from the descriptor and payload cursors."""
+    (tag,) = desc.unpack("<B")
+    if tag not in _KIND_BY_TAG:
+        raise CorruptModelFile(f"unknown layer tag {tag}")
+    kind, variant = _KIND_BY_TAG[tag]
+    return kind.decode(desc, payload, variant)
+
+
+def run_nodes(nodes, x, packed: bool, debug: bool):
+    """Inference over a node sequence (a model's or a block path's)."""
     for node in nodes:
-        x = _layer_forward(node, x, packed, debug)
+        x = kind_of(node).forward(node, x, packed, debug)
     return x
+
+
+def train_nodes(nodes, x, update_stats: bool = True):
+    """Training forward over a node sequence; returns (output, caches)."""
+    caches = []
+    for node in nodes:
+        x, cache = kind_of(node).train(node, x, update_stats)
+        caches.append(cache)
+    return x, caches
+
+
+def backprop_nodes(nodes, caches, g, clip: float, grads):
+    """Backward through a node sequence; returns the input gradient."""
+    for node, cache in zip(reversed(nodes), reversed(caches)):
+        g = kind_of(node).backward(node, g, cache, clip, grads)
+    return g
+
+
+def walk_shapes(nodes, act: Activation, visit=lambda node, act: None) -> Activation:
+    """Output activation of a node sequence, checking every node's input;
+    ``visit(node, act)`` sees each node and its input, block paths included
+    (main path first).  A ShapeMismatch names the node it came from."""
+    for idx, node in enumerate(nodes):
+        visit(node, act)
+        try:
+            act = kind_of(node).out_shape(node, act, visit)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"layer {idx} ({type(node).__name__}): {exc}") from None
+    return act
 
 
 def forward(
@@ -268,7 +716,7 @@ def forward(
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match model input {model.input_shape}"
         )
-    return _forward_nodes(model.layers, x, packed, debug)
+    return run_nodes(model.layers, x, packed, debug)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +739,8 @@ def _init_complex_conv(rng, in_c, out_c, kernel, stride=(1, 1), padding=(0, 0), 
 
 
 def _init_binary_conv(rng, in_c, out_c, kernel, stride=(1, 1), padding=(0, 0)):
-    kh, kw = kernel
-    std = 1.0 / np.sqrt(2.0 * in_c * kh * kw)
-    return BinaryConvLayer(
-        w_re=(rng.standard_normal((out_c, in_c, kh, kw)) * std).astype(np.float32),
-        w_im=(rng.standard_normal((out_c, in_c, kh, kw)) * std).astype(np.float32),
-        geometry=ConvGeometry(in_c, out_c, kernel, stride, padding),
-    )
+    conv = _init_complex_conv(rng, in_c, out_c, kernel, stride, padding, bias=False)
+    return BinaryConvLayer(conv.w_re, conv.w_im, conv.geometry)
 
 
 def _init_dense(rng, in_dim, out_dim):
@@ -445,53 +888,42 @@ def build_toy_bcnn(
 # structural checks
 # ---------------------------------------------------------------------------
 
+def graph_nodes(model: ModelGraph) -> list:
+    """Every node of the graph with its input ``Activation``, block paths
+    included (main path first).  Raises ShapeMismatch on a misshaped graph."""
+    seen = []
+    walk_shapes(model.layers, Activation(tuple(model.input_shape)),
+                lambda node, act: seen.append((node, act)))
+    return seen
+
+
 def iter_binary_convs(model: ModelGraph):
     """Yield every binarized convolution, including those inside blocks."""
-    for layer in model.layers:
-        nodes = layer.main + layer.side if isinstance(layer, ResidualBlock) else (layer,)
-        yield from (node for node in nodes if isinstance(node, BinaryConvLayer))
+    yield from (node for node, _ in graph_nodes(model) if isinstance(node, BinaryConvLayer))
 
 
 def count_weight_layers(model: ModelGraph) -> int:
     """Weight-layer count by the usual convention: convolutions on the main
     path plus fully connected layers; projection shortcuts are not counted."""
-    count = 0
-    for layer in model.layers:
-        if isinstance(layer, (ComplexConvLayer, DenseLayer, BinaryConvLayer)):
-            count += 1
-        elif isinstance(layer, ResidualBlock):
-            count += 2
-    return count
+    return sum(kind_of(layer).weight_layers for layer in model.layers)
 
 
 def validate_graph(model: ModelGraph):
     """Check the structural invariants of a BCNN graph.
 
-    Every top-level binarized convolution must directly follow a Binarize
-    node (blocks binarize internally); the first and last compute layers
-    must be full precision.
+    Every node's input, from ``input_shape`` to ``num_classes`` logits, must
+    have the channels, size and domain it expects: a binarized convolution
+    needs a binarize step right before it (blocks binarize internally), and
+    a block's paths must agree.  The last compute layer is full precision;
+    the first is the generator, the only node making the real image complex.
     """
-    layers = model.layers
-    if not layers:
-        raise ShapeMismatch("model has no layers")
-    for idx, layer in enumerate(layers):
-        if isinstance(layer, BinaryConvLayer):
-            if idx == 0 or not isinstance(layers[idx - 1], Binarize):
-                raise ShapeMismatch(
-                    f"binarized convolution at position {idx} is not preceded "
-                    "by a binarize step"
-                )
-    first = next(
-        (l for l in layers
-         if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer, DenseLayer))),
-        None,
-    )
-    if first is None:
+    weighted = [layer for layer in model.layers if kind_of(layer).weight_layers]
+    if not weighted:
         raise ShapeMismatch("model has no compute layer")
-    last = next(
-        l for l in reversed(layers)
-        if isinstance(l, (ComplexInputGenerator, ComplexConvLayer, BinaryConvLayer,
-                          DenseLayer, ResidualBlock))
-    )
-    if isinstance(first, BinaryConvLayer) or isinstance(last, BinaryConvLayer):
-        raise ShapeMismatch("first and last compute layers must be full precision")
+    if isinstance(weighted[-1], BinaryConvLayer):
+        raise ShapeMismatch("the last compute layer must be full precision")
+    if min(model.input_shape) < 1:
+        raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")
+    out = walk_shapes(model.layers, Activation(tuple(model.input_shape)))
+    if out.dims != (model.num_classes,):
+        raise ShapeMismatch(f"graph outputs {out.dims}, not {model.num_classes} logits")

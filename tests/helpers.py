@@ -4,9 +4,8 @@ the packed kernels they check."""
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from bcnn.layers import im2col
+from bcnn.layers import _col2im, im2col
 from bcnn.tensors import ComplexTensor
-from bcnn.training import _col2im
 
 
 def assert_close_relative(y, ref, rel=1e-12):
@@ -187,3 +186,36 @@ def einsum_real_conv_bwd(g, cols, x_shape, w, padding):
     dcols = np.einsum("ok,nol->nkl", w.reshape(out_c, -1).astype(float), gm)
     dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
     return dw, dx
+
+
+def every_node_kind_model(seed=0):
+    """One graph holding every node kind BCN1 stores, in a trainable order."""
+    from bcnn.layers import CgbnLayer, RealBnLayer
+    from bcnn.models import (AvgPool, Binarize, Flatten, Hardtanh, MaxPool, ModelGraph,
+                             Relu, SpectralPool, build_complex_input_generator, validate_graph,
+                             _block1, _block2, _init_binary_conv, _init_complex_conv,
+                             _init_dense)
+
+    rng = np.random.default_rng(seed)
+    layers = [
+        RealBnLayer.identity(3),
+        build_complex_input_generator(3, seed=seed),
+        _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
+        CgbnLayer.identity(4),
+        Relu(),
+        Hardtanh(),
+        SpectralPool((8, 8)),  # 16 -> 8
+        MaxPool((2, 2)),  # 8 -> 4
+        Binarize(),
+        _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
+        CgbnLayer.identity(4),
+        _block1(rng, 4),
+        _block2(rng, 4, 8),  # 4 -> 2
+        AvgPool((2, 2)),  # 2 -> 1
+        CgbnLayer.identity(8),
+        Flatten(),
+        _init_dense(rng, 2 * 8, 2),
+    ]
+    model = ModelGraph("every-kind", (3, 16, 16), 2, layers)
+    validate_graph(model)
+    return model

@@ -82,6 +82,53 @@ def test_resnet18_stack_includes_side_convs_at_block_input_size():
     assert sides == [(32, 32), (16, 16), (8, 8)]
 
 
+# (in_c, out_c, kernel, stride, padding, input hw) of every conv, captured
+# before conv_stack derived from the node table's output shapes
+CONV_STACK_GOLDEN = {
+    "every-kind": [
+        (3, 4, (3, 3), (1, 1), (1, 1), (16, 16)),
+        (4, 4, (3, 3), (1, 1), (1, 1), (4, 4)),
+        (4, 4, (3, 3), (1, 1), (1, 1), (4, 4)),
+        (4, 4, (3, 3), (1, 1), (1, 1), (4, 4)),
+        (4, 8, (3, 3), (2, 2), (1, 1), (4, 4)),
+        (8, 8, (3, 3), (1, 1), (1, 1), (2, 2)),
+        (4, 8, (1, 1), (2, 2), (0, 0), (4, 4)),
+    ],
+    "resnet18": [
+        (3, 32, (3, 3), (1, 1), (1, 1), (32, 32)),
+        (32, 32, (3, 3), (1, 1), (1, 1), (32, 32)),
+        (32, 32, (3, 3), (1, 1), (1, 1), (32, 32)),
+        (32, 32, (3, 3), (1, 1), (1, 1), (32, 32)),
+        (32, 32, (3, 3), (1, 1), (1, 1), (32, 32)),
+        (32, 64, (3, 3), (2, 2), (1, 1), (32, 32)),
+        (64, 64, (3, 3), (1, 1), (1, 1), (16, 16)),
+        (32, 64, (1, 1), (2, 2), (0, 0), (32, 32)),
+        (64, 64, (3, 3), (1, 1), (1, 1), (16, 16)),
+        (64, 64, (3, 3), (1, 1), (1, 1), (16, 16)),
+        (64, 128, (3, 3), (2, 2), (1, 1), (16, 16)),
+        (128, 128, (3, 3), (1, 1), (1, 1), (8, 8)),
+        (64, 128, (1, 1), (2, 2), (0, 0), (16, 16)),
+        (128, 128, (3, 3), (1, 1), (1, 1), (8, 8)),
+        (128, 128, (3, 3), (1, 1), (1, 1), (8, 8)),
+        (128, 256, (3, 3), (2, 2), (1, 1), (8, 8)),
+        (256, 256, (3, 3), (1, 1), (1, 1), (4, 4)),
+        (128, 256, (1, 1), (2, 2), (0, 0), (8, 8)),
+        (256, 256, (3, 3), (1, 1), (1, 1), (4, 4)),
+        (256, 256, (3, 3), (1, 1), (1, 1), (4, 4)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONV_STACK_GOLDEN))
+def test_conv_stack_matches_golden(name):
+    from helpers import every_node_kind_model
+
+    model = {"every-kind": every_node_kind_model, "resnet18": build_resnet18_bcnn}[name](seed=0)
+    stack = [(g.in_channels, g.out_channels, g.kernel, g.stride, g.padding, hw)
+             for g, hw in conv_stack(model)]
+    assert stack == CONV_STACK_GOLDEN[name]
+
+
 def test_conv_stack_tracks_spatial_sizes():
     model = build_nin_bcnn(seed=0)
     stack = conv_stack(model)

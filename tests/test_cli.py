@@ -114,6 +114,63 @@ def test_export_text(tmp_path, capsys):
     assert "BinaryConvLayer" in out and "DenseLayer" in out
 
 
+# `bcnn export` text captured before node descriptions moved into the node
+# table; the empty details keep their column padding
+EXPORT_GOLDEN = {
+    "every-kind": [
+        'model every-kind: input (3, 16, 16), 2 classes',
+        '  # layer                    details',
+        '  0 RealBnLayer              3 channels',
+        '  1 ComplexInputGenerator    3 channels',
+        '  2 ComplexConvLayer         3->4 kernel (3, 3) stride (1, 1) pad (1, 1) (full precision)',
+        '  3 CgbnLayer                4 complex channels',
+        '  4 Relu                     ',
+        '  5 Hardtanh                 ',
+        '  6 SpectralPool             crop to (8, 8)',
+        '  7 MaxPool                  window (2, 2) stride (2, 2)',
+        '  8 Binarize                 ',
+        '  9 BinaryConvLayer          4->4 kernel (3, 3) stride (1, 1) pad (1, 1) (binarized)',
+        ' 10 CgbnLayer                4 complex channels',
+        ' 11 ResidualBlock            4->4 stride (1, 1)',
+        ' 12 ResidualBlock            4->8 stride (2, 2)',
+        ' 13 AvgPool                  window (2, 2) stride (2, 2)',
+        ' 14 CgbnLayer                8 complex channels',
+        ' 15 Flatten                  ',
+        ' 16 DenseLayer               16->2',
+    ],
+    "resnet18": [
+        'model resnet18-bcnn: input (3, 32, 32), 10 classes',
+        '  # layer                    details',
+        '  0 ComplexInputGenerator    3 channels',
+        '  1 ComplexConvLayer         3->32 kernel (3, 3) stride (1, 1) pad (1, 1) (full precision)',
+        '  2 CgbnLayer                32 complex channels',
+        '  3 ResidualBlock            32->32 stride (1, 1)',
+        '  4 ResidualBlock            32->32 stride (1, 1)',
+        '  5 ResidualBlock            32->64 stride (2, 2)',
+        '  6 ResidualBlock            64->64 stride (1, 1)',
+        '  7 ResidualBlock            64->128 stride (2, 2)',
+        '  8 ResidualBlock            128->128 stride (1, 1)',
+        '  9 ResidualBlock            128->256 stride (2, 2)',
+        ' 10 ResidualBlock            256->256 stride (1, 1)',
+        ' 11 AvgPool                  window (4, 4) stride (4, 4)',
+        ' 12 Flatten                  ',
+        ' 13 DenseLayer               512->10',
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
+def test_export_text_matches_golden(name, tmp_path, capsys):
+    from bcnn.models import build_resnet18_bcnn
+    from helpers import every_node_kind_model
+
+    model = {"every-kind": every_node_kind_model, "resnet18": build_resnet18_bcnn}[name](seed=0)
+    path = tmp_path / "m.bcn"
+    save_model(model, str(path))
+    assert run(["export", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "\n".join(EXPORT_GOLDEN[name]) + "\n"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--kernels", "9", "--latency-ms", "1.5", "--bogus", "1"])

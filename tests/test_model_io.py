@@ -85,6 +85,16 @@ def test_trailing_bytes_rejected():
         model_from_bytes(data)
 
 
+@pytest.mark.parametrize("pool", ["avg", "max"])
+def test_decoded_pool_equals_built_pool(pool):
+    # the stride is stored at construction, so a pool built without one and
+    # its decoded copy (which always carries one) are the same node
+    model = build_toy_bcnn(pool=pool, seed=0)
+    built = model.layers[5]
+    assert built.stride == built.window
+    assert model_from_bytes(model_to_bytes(model)).layers[5] == built
+
+
 def test_loaded_model_metadata():
     model = build_toy_bcnn(seed=5)
     loaded = model_from_bytes(model_to_bytes(model))
@@ -131,14 +141,13 @@ def test_roundtrip_covers_every_node_kind():
 
 def test_resnet18_block_tags_mark_side_paths():
     # tag 14 is an identity-skip block, tag 15 a block with a side path
-    from bcnn.model_io import _encode_layer
-    from bcnn.models import ResidualBlock
+    from bcnn.models import ResidualBlock, encode_node
 
     tags = []
     for layer in build_resnet18_bcnn(seed=0).layers:
         if isinstance(layer, ResidualBlock):
             desc = bytearray()
-            _encode_layer(layer, desc, bytearray())
+            encode_node(layer, desc, bytearray())
             tags.append(desc[0])
     assert tags == [14, 14, 15, 14, 15, 14, 15, 14]
 
@@ -230,3 +239,5 @@ def test_corrupted_blob_raises_bcnn_error_or_loads_valid_graph(build, count,
         except BcnnError:
             continue
         validate_graph(model)
+        logits = forward(model, np.zeros((1, *model.input_shape)))
+        assert logits.shape == (1, model.num_classes)

@@ -20,7 +20,7 @@ from bcnn.models import (
     iter_binary_convs,
     validate_graph,
     _generator_forward,
-    _layer_forward,
+    kind_of,
 )
 from bcnn.tensors import ComplexTensor
 from helpers import random_pm1_tensor
@@ -126,7 +126,7 @@ def test_block1_adds_skip_to_cgbn_output():
     block = ResidualBlock(conv(), CgbnLayer.identity(4),
                           conv(), CgbnLayer.identity(4))
     x = random_pm1_tensor(rng, (1, 4, 8, 8))
-    out = _layer_forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True, debug=False)
     b = quadrant_binarize(x)
     path = cgbn_forward(_binary_conv_forward(block.conv1, b, True, False), block.bn1)
     path = quadrant_binarize(path)
@@ -155,7 +155,7 @@ def test_block_with_side_path_adds_side_cgbn_output():
                           conv(8, 8, (3, 3), (1, 1), (1, 1)), CgbnLayer.identity(8),
                           conv(4, 8, (1, 1), (2, 2), (0, 0)), CgbnLayer.identity(8))
     x = ComplexTensor(rng.standard_normal((1, 4, 8, 8)), rng.standard_normal((1, 4, 8, 8)))
-    out = _layer_forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True, debug=False)
     b = quadrant_binarize(x)
     path = cgbn_forward(_binary_conv_forward(block.conv1, b, True, False), block.bn1)
     path = quadrant_binarize(path)
@@ -176,7 +176,7 @@ def test_block_output_is_input_when_path_is_zero():
     block = ResidualBlock(conv(4), CgbnLayer.identity(4), conv(4), CgbnLayer.identity(4))
     block.bn2.gamma_re[:] = 0.0
     x = random_pm1_tensor(np.random.default_rng(5), (1, 4, 6, 6))
-    out = _layer_forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True, debug=False)
     np.testing.assert_allclose(out.re, x.re, atol=1e-12)
     np.testing.assert_allclose(out.im, x.im, atol=1e-12)
 
@@ -240,6 +240,61 @@ def test_validate_graph_requires_binarize_before_binary_conv():
         validate_graph(bad)
 
 
+def _toy_with(index, node, insert=False):
+    """The toy BCNN (3x8x8, channels (4, 4)) with ``node`` replacing, or
+    inserted before, the layer at ``index``."""
+    model = build_toy_bcnn(seed=0)
+    if insert:
+        model.layers.insert(index, node)
+    else:
+        model.layers[index] = node
+    return model
+
+
+def _identity_block_graph(input_hw, out_c, stride, dense_in):
+    """Generator, 3->4 conv, CGBN, an identity block whose main path goes
+    4 -> ``out_c`` channels at ``stride``, Flatten, Dense."""
+    from bcnn.models import (_init_binary_conv, _init_complex_conv, _init_dense,
+                             build_complex_input_generator as generator)
+
+    rng = np.random.default_rng(0)
+    block = ResidualBlock(
+        _init_binary_conv(rng, 4, out_c, (3, 3), (stride, stride), (1, 1)),
+        CgbnLayer.identity(out_c),
+        _init_binary_conv(rng, out_c, out_c, (3, 3), padding=(1, 1)),
+        CgbnLayer.identity(out_c),
+    )
+    layers = [generator(3, seed=0), _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
+              CgbnLayer.identity(4), block, Flatten(), _init_dense(rng, dense_in, 2)]
+    return ModelGraph("block", (3, *input_hw), 2, layers)
+
+
+# Each graph is framed correctly and loaded before the shape walk existed:
+# it failed late (a bare numpy or ZeroDivisionError) or returned logits.
+MISSHAPED_GRAPHS = {
+    "pool-stride-0": (lambda: _toy_with(5, AvgPool((2, 2), (0, 0))), "stride"),
+    "pool-window-0": (lambda: _toy_with(5, AvgPool((0, 0), (2, 2))), "window"),
+    "cgbn-channels": (lambda: _toy_with(2, CgbnLayer.identity(5)), "channels"),
+    "block-main-changes-channels": (
+        lambda: _identity_block_graph((4, 4), 8, 1, 2 * 8 * 4 * 4), "skip"),
+    # the 1x1 main-path output would broadcast over the 2x2 skip
+    "block-main-stride-2": (lambda: _identity_block_graph((2, 2), 4, 2, 2 * 4 * 2 * 2), "skip"),
+    "pool-after-flatten": (lambda: _toy_with(8, AvgPool((2, 2)), insert=True), "image"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPED_GRAPHS))
+def test_misshaped_graph_is_rejected_by_validation_and_loading(case):
+    from bcnn.errors import CorruptModelFile
+    from bcnn.model_io import model_from_bytes, model_to_bytes
+
+    build, reason = MISSHAPED_GRAPHS[case]
+    with pytest.raises(ShapeMismatch, match=reason):
+        validate_graph(build())
+    with pytest.raises(CorruptModelFile, match=reason):
+        model_from_bytes(model_to_bytes(build()))
+
+
 def test_builders_order_pool_between_conv_and_bn():
     # hardware-path ordering: conv -> pool -> CGBN -> binarize
     model = build_nin_bcnn(seed=0)
@@ -264,7 +319,7 @@ def test_spectral_pool_node_in_graph():
     node = SpectralPool((4, 4))
     x = ComplexTensor(np.random.default_rng(0).standard_normal((1, 2, 8, 8)),
                       np.zeros((1, 2, 8, 8)))
-    out = _layer_forward(node, x, packed=True, debug=False)
+    out = kind_of(node).forward(node, x, packed=True, debug=False)
     assert out.shape == (1, 2, 4, 4)
 
 

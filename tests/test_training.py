@@ -6,19 +6,19 @@ from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
 from bcnn.models import AvgPool, ComplexInputGenerator, MaxPool, SpectralPool, build_toy_bcnn
 from bcnn.tensors import ComplexTensor
+from bcnn.layers import (
+    _bwd_cgbn,
+    _complex_conv_bwd,
+    _complex_conv_fwd,
+    _fwd_cgbn,
+    _real_conv_bwd,
+    _real_conv_fwd,
+)
+from bcnn.models import kind_of, train_nodes
 from bcnn.training import (
     CIFAR_RECORD_BYTES,
     Dataset,
     TrainConfig,
-    _bwd_cgbn,
-    _complex_conv_bwd,
-    _complex_conv_fwd,
-    _bwd_layer,
-    _forward_train,
-    _fwd_cgbn,
-    _fwd_layer,
-    _real_conv_bwd,
-    _real_conv_fwd,
     evaluate,
     load_cifar10,
     make_separable_dataset,
@@ -31,6 +31,7 @@ from bcnn.training import (
 )
 from helpers import (
     assert_close_relative,
+    every_node_kind_model,
     einsum_complex_conv_bwd,
     einsum_complex_conv_fwd,
     einsum_real_conv_bwd,
@@ -216,12 +217,12 @@ def test_generator_backward_matches_finite_differences():
     up = ComplexTensor(rng.standard_normal(x.shape), rng.standard_normal(x.shape))
 
     def loss():
-        y, _ = _fwd_layer(gen, x, update_stats=False)
+        y, _ = kind_of(gen).train(gen, x, update_stats=False)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = _fwd_layer(gen, x, update_stats=False)
+    _, cache = kind_of(gen).train(gen, x, update_stats=False)
     grads = []
-    dx = _bwd_layer(gen, up, cache, 1.0, grads)
+    dx = kind_of(gen).backward(gen, up, cache, 1.0, grads)
     by_param = {id(arr): grad for arr, grad in grads}
     for arr, indices in [
         (gen.w1, [(0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1)]),
@@ -244,12 +245,12 @@ def _check_node_input_gradient(node, x, out_shape, seed):
     up = ComplexTensor(rng.standard_normal(out_shape), rng.standard_normal(out_shape))
 
     def loss():
-        y, _ = _fwd_layer(node, x, update_stats=False)
+        y, _ = kind_of(node).train(node, x, update_stats=False)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    y, cache = _fwd_layer(node, x, update_stats=False)
+    y, cache = kind_of(node).train(node, x, update_stats=False)
     assert y.shape == out_shape
-    dx = _bwd_layer(node, up, cache, 1.0, [])
+    dx = kind_of(node).backward(node, up, cache, 1.0, [])
     for arr, grad in ((x.re, dx.re), (x.im, dx.im)):
         assert grad.shape == arr.shape
         for idx in np.ndindex(arr.shape):
@@ -397,7 +398,7 @@ def test_latent_weights_stay_full_precision():
     model = build_toy_bcnn(seed=3)
     conv = [l for l in model.layers if type(l).__name__ == "BinaryConvLayer"][0]
     before = conv.w_re.copy()
-    logits, _ = _forward_train(model.layers, data.images[:8])
+    logits, _ = train_nodes(model.layers, data.images[:8])
     np.testing.assert_array_equal(conv.w_re, before)  # forward never binarizes storage
     assert not np.all(np.abs(conv.w_re) == 1.0)
 
@@ -552,14 +553,14 @@ def _trainable_arrays(model):
 
 
 def test_backward_covers_every_trainable_parameter():
-    from bcnn.training import _backward_train, _forward_train
+    from bcnn.models import backprop_nodes
 
     model = _toy_residual_model(seed=1)
     data = make_separable_dataset(samples_per_class=8, seed=1)
-    logits, caches = _forward_train(model.layers, data.images[:8])
+    logits, caches = train_nodes(model.layers, data.images[:8])
     _, dlogits = softmax_cross_entropy(logits, data.labels[:8])
     grads = []
-    _backward_train(model.layers, caches, dlogits, 1.0, grads)
+    backprop_nodes(model.layers, caches, dlogits, 1.0, grads)
     got = {id(arr) for arr, _ in grads}
     expected = _trainable_arrays(model)
     missing = [i for i, arr in enumerate(expected) if id(arr) not in got]
@@ -583,56 +584,19 @@ def test_train_step_on_nin_and_resnet():
         assert not np.array_equal(before, model.layers[-1].weight)
 
 
-def _every_node_kind_model(seed=0):
-    """One graph holding every node kind BCN1 stores, in a trainable order."""
-    from bcnn.layers import RealBnLayer
-    from bcnn.models import (Binarize, Flatten, Hardtanh, ModelGraph, Relu,
-                             build_complex_input_generator, validate_graph,
-                             _block1, _block2, _init_binary_conv, _init_complex_conv,
-                             _init_dense)
-
-    rng = np.random.default_rng(seed)
-    layers = [
-        RealBnLayer.identity(3),
-        build_complex_input_generator(3, seed=seed),
-        _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
-        CgbnLayer.identity(4),
-        Relu(),
-        Hardtanh(),
-        SpectralPool((8, 8)),  # 16 -> 8
-        MaxPool((2, 2)),  # 8 -> 4
-        Binarize(),
-        _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),
-        CgbnLayer.identity(4),
-        _block1(rng, 4),
-        _block2(rng, 4, 8),  # 4 -> 2
-        AvgPool((2, 2)),  # 2 -> 1
-        CgbnLayer.identity(8),
-        Flatten(),
-        _init_dense(rng, 2 * 8, 2),
-    ]
-    model = ModelGraph("every-kind", (3, 16, 16), 2, layers)
-    validate_graph(model)
-    return model
-
-
 def test_every_node_kind_trains_infers_and_round_trips():
-    from bcnn.model_io import _encode_layer, model_from_bytes, model_to_bytes
-    from bcnn.models import forward
-    from bcnn.training import _backward_train, train_step
+    from bcnn.model_io import model_from_bytes, model_to_bytes
+    from bcnn.models import backprop_nodes, forward
+    from bcnn.training import train_step
 
-    model = _every_node_kind_model(seed=2)
-    tags = set()
-    for layer in model.layers:
-        desc = bytearray()
-        _encode_layer(layer, desc, bytearray())
-        tags.add(desc[0])
+    model = every_node_kind_model(seed=2)
+    tags = {kind_of(layer).tag(layer) for layer in model.layers}
     assert tags == set(range(1, 16))  # every BCN1 layer tag
     data = make_separable_dataset(samples_per_class=4, shape=(3, 16, 16), seed=2)
-    logits, caches = _forward_train(model.layers, data.images)
+    logits, caches = train_nodes(model.layers, data.images)
     _, dlogits = softmax_cross_entropy(logits, data.labels)
     grads = []
-    _backward_train(model.layers, caches, dlogits, 1.0, grads)
+    backprop_nodes(model.layers, caches, dlogits, 1.0, grads)
     by_param = {id(arr): np.asarray(grad) for arr, grad in grads}
     for arr in _trainable_arrays(model):
         assert id(arr) in by_param
@@ -671,7 +635,7 @@ def test_cgbn_backward_imaginary_plane_finite_differences():
 
 def test_real_bn_backward_finite_differences():
     from bcnn.layers import RealBnLayer
-    from bcnn.training import _bwd_real_bn, _fwd_real_bn
+    from bcnn.layers import _bwd_real_bn, _fwd_real_bn
 
     rng = np.random.default_rng(7)
     layer = RealBnLayer.identity(2, eps=1e-5)
