@@ -50,6 +50,11 @@ def quadrant_binarize(x: ComplexTensor) -> ComplexTensor:
     return ComplexTensor(binarize_deterministic(x.re), binarize_deterministic(x.im))
 
 
+def out_size(size: int, kernel: int, stride: int, pad: int) -> int:
+    """Window positions along one axis: the output size of a conv or pool."""
+    return (size + 2 * pad - kernel) // stride + 1
+
+
 @dataclass(frozen=True)
 class ConvGeometry:
     """Kernel/stride/padding and channel counts of a complex convolution.
@@ -74,11 +79,8 @@ class ConvGeometry:
             raise InvalidConfig("channel counts must be >= 1")
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        h_out = (h + 2 * ph - kh) // sh + 1
-        w_out = (w + 2 * pw - kw) // sw + 1
+        h_out = out_size(h, self.kernel[0], self.stride[0], self.padding[0])
+        w_out = out_size(w, self.kernel[1], self.stride[1], self.padding[1])
         if h_out < 1 or w_out < 1:
             raise ShapeMismatch(
                 f"kernel {self.kernel} with stride {self.stride}, padding "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_ops import ConvGeometry
+from .binary_ops import ConvGeometry, out_size
 from .errors import NonPsdCovariance, ShapeMismatch
 from .tensors import ComplexTensor
 
@@ -42,8 +42,7 @@ def im2col(
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    h_out = (h + 2 * ph - kh) // sh + 1
-    w_out = (w + 2 * pw - kw) // sw + 1
+    h_out, w_out = out_size(h, kh, sh, ph), out_size(w, kw, sw, pw)
     if h_out < 1 or w_out < 1:
         raise ShapeMismatch(f"kernel {kernel} does not fit a {h}x{w} input")
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
@@ -60,8 +59,7 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    h_out = (h + 2 * ph - kh) // sh + 1
-    w_out = (w + 2 * pw - kw) // sw + 1
+    h_out, w_out = out_size(h, kh, sh, ph), out_size(w, kw, sw, pw)
     dpad = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
     d6 = dcols.reshape(n, c, kh, kw, h_out, w_out)
     for ky in range(kh):
@@ -495,12 +493,13 @@ def real_bn_forward(x: np.ndarray, layer: RealBnLayer, training: bool = False) -
     return _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
 
 
-def _fwd_real_bn(layer: RealBnLayer, x):
+def _fwd_real_bn(layer: RealBnLayer, x, update_stats: bool = True):
     mean = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
-    m = layer.momentum
-    layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
-    layer.running_var[:] = (1 - m) * layer.running_var + m * var
+    if update_stats:
+        m = layer.momentum
+        layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
+        layer.running_var[:] = (1 - m) * layer.running_var + m * var
     inv = 1.0 / np.sqrt(var + layer.eps)
     xh = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
     y = layer.gamma.reshape(1, -1, 1, 1) * xh + layer.beta.reshape(1, -1, 1, 1)
@@ -529,8 +528,7 @@ def _pool_patches(x: np.ndarray, window, stride) -> np.ndarray:
         raise ShapeMismatch(
             f"{h}x{w} input is not covered exactly by {window} windows at stride {stride}"
         )
-    h_out = (h - kh) // sh + 1
-    w_out = (w - kw) // sw + 1
+    h_out, w_out = out_size(h, kh, sh, 0), out_size(w, kw, sw, 0)
     patches = np.empty((n, c, h_out, w_out, kh * kw), dtype=float)
     for ky in range(kh):
         for kx in range(kw):

@@ -1,11 +1,15 @@
 """Model graphs: complex-input generator, binarized NIN, binarized ResNet-18.
 
-A model is an ordered list of layer nodes executed front to back.  The
-hardware-path convention is: convolution, then pooling (where scheduled),
-then batch normalization, then binarization.  The first and last compute
-layers stay full precision; every binarized convolution consumes {+1,-1}
-activations produced by a preceding binarize step (explicit in plain
-sequences, internal to residual blocks).
+A model is an ordered list of layer nodes executed front to back, forming
+one pipeline: a real prefix of RealBn, activations and pools on the image,
+then the generator making it complex, then the complex and binarized body,
+then Flatten and the Dense head.  The hardware-path convention is:
+convolution, then pooling (where scheduled), then batch normalization, then
+binarization.  The first and last compute layers stay full precision; every
+binarized convolution consumes {+1,-1} activations produced by a preceding
+binarize step (explicit in plain sequences, internal to residual blocks).
+``validate_graph`` enforces all of this with one shape walk, and every
+graph it accepts infers, trains and round-trips BCN1.
 
 A node kind is one ``NODE_KINDS`` entry: its inference and training forward,
 backward, output shape, BCN1 tag and codec, and ``bcnn export`` text.  Every
@@ -29,9 +33,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d,
+from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d, out_size,
                          quadrant_binarize)
-from .errors import CorruptModelFile, NonBinaryEntry, ShapeMismatch
+from .errors import CorruptModelFile, ShapeMismatch
 from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_pool,
                      _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd,
                      _complex_conv_fwd, _fwd_cgbn, _fwd_real_bn, _real_conv_bwd,
@@ -196,11 +200,6 @@ def _keep(act: Activation, dims=None) -> Activation:
                       "real" if act.domain == "real" else "complex")
 
 
-def _assert_binary(x: ComplexTensor):
-    if not (np.all(np.abs(x.re) == 1) and np.all(np.abs(x.im) == 1)):
-        raise NonBinaryEntry("binarized convolution received non {+1,-1} activations")
-
-
 def active_output_channels(layer: BinaryConvLayer) -> np.ndarray:
     """Boolean mask of output channels that are not hard-pruned to zero."""
     out_c = layer.w_re.shape[0]
@@ -324,11 +323,7 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
                             binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
 
 
-def _binary_conv_forward(
-    layer: BinaryConvLayer, x: ComplexTensor, packed: bool, debug: bool
-) -> ComplexTensor:
-    if debug:
-        _assert_binary(x)
+def _binary_conv_forward(layer: BinaryConvLayer, x: ComplexTensor, packed: bool) -> ComplexTensor:
     if packed:
         # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
         # weights are packed per call because training and pruning edit them in place
@@ -399,7 +394,7 @@ def _pool_shape(pool: _Pool, act: Activation, visit) -> Activation:
     if h < kh or w < kw or (h - kh) % sh or (w - kw) % sw:
         raise ShapeMismatch(f"{h}x{w} input is not covered exactly by {pool.window} "
                             f"windows at stride {pool.stride}")
-    return _keep(act, (c, (h - kh) // sh + 1, (w - kw) // sw + 1))
+    return _keep(act, (c, out_size(h, kh, sh, 0), out_size(w, kw, sw, 0)))
 
 
 def _encode_pool(pool: _Pool, desc: bytearray, payload: bytearray):
@@ -417,11 +412,6 @@ def _spectral_pool_shape(pool: SpectralPool, act: Activation, visit) -> Activati
     if not (1 <= h2 <= h and 1 <= w2 <= w):
         raise ShapeMismatch(f"cannot crop {h}x{w} spectrum to {h2}x{w2}")
     return Activation((c, h2, w2), "complex")
-
-
-def _flatten_forward(x):
-    planes = x.to_planes() if isinstance(x, ComplexTensor) else x
-    return planes.reshape(planes.shape[0], -1)
 
 
 def _dense_backward(layer: DenseLayer, g, x, clip, grads):
@@ -449,10 +439,10 @@ def _decode_dense(desc, payload, variant) -> DenseLayer:
 
 # residual block: both paths run through the table on the binarized input
 
-def _block_forward(block: ResidualBlock, x: ComplexTensor, packed: bool, debug: bool):
+def _block_forward(block: ResidualBlock, x: ComplexTensor, packed: bool):
     b = quadrant_binarize(x)
-    y = run_nodes(block.main, b, packed, debug)
-    skip = run_nodes(block.side, b, packed, debug) if block.side else x
+    y = run_nodes(block.main, b, packed)
+    skip = run_nodes(block.side, b, packed) if block.side else x
     return ComplexTensor(y.re + skip.re, y.im + skip.im)
 
 
@@ -510,7 +500,7 @@ class NodeKind:
 
     tags: tuple[int, ...]  # BCN1 tags; a node is stored under tags[variant(node)]
     decode: Callable  # (desc, payload, variant) -> node, reading what encode wrote
-    forward: Callable  # (node, x, packed, debug) -> y: inference
+    forward: Callable  # (node, x, packed) -> y: inference
     backward: Callable  # (node, g, cache, clip, grads) -> dx; appends (param, grad) pairs
     out_shape: Callable = lambda node, act, visit: _keep(act)  # checks input, gives output
     encode: Callable = lambda node, desc, payload: None  # appends fields and arrays
@@ -522,7 +512,7 @@ class NodeKind:
     def __post_init__(self):
         if self.train is None:  # the dense inference op, caching its input
             forward = self.forward
-            self.train = lambda node, x, update_stats: (forward(node, x, False, False), x)
+            self.train = lambda node, x, update_stats: (forward(node, x, False), x)
 
     def tag(self, node) -> int:
         return self.tags[self.variant(node)]
@@ -531,7 +521,7 @@ class NodeKind:
 NODE_KINDS = {
     ComplexInputGenerator: NodeKind(
         tags=(1,), encode=_encode_generator, decode=_decode_generator,
-        forward=lambda n, x, packed, debug: _generator_forward(n, x),
+        forward=lambda n, x, packed: _generator_forward(n, x),
         train=_generator_train, backward=_generator_backward,
         out_shape=lambda n, act, visit: Activation(_image(act, n.w1.shape[0], ("real",)),
                                                    "complex"),
@@ -539,7 +529,7 @@ NODE_KINDS = {
     ),
     ComplexConvLayer: NodeKind(
         tags=(2,), encode=_encode_conv, decode=_decode_conv,
-        forward=lambda n, x, packed, debug: complex_conv2d_fp(x, n),
+        forward=lambda n, x, packed: complex_conv2d_fp(x, n),
         train=lambda n, x, update_stats: _complex_conv_fwd(x, n), backward=_conv_backward,
         out_shape=lambda n, act, visit: _conv_shape(n, act),
         describe=lambda n: _describe_conv(n.geometry, "full precision"),
@@ -555,7 +545,7 @@ NODE_KINDS = {
     CgbnLayer: NodeKind(
         tags=(4,), encode=_encode_bn,
         decode=lambda desc, payload, variant: _decode_bn(CgbnLayer, 8, desc, payload),
-        forward=lambda n, x, packed, debug: cgbn_forward(x, n, training=False),
+        forward=lambda n, x, packed: cgbn_forward(x, n, training=False),
         train=_fwd_cgbn, backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
         out_shape=lambda n, act, visit: Activation(_image(act, n.channels), "complex"),
         describe=lambda n: f"{n.channels} complex channels",
@@ -563,61 +553,59 @@ NODE_KINDS = {
     RealBnLayer: NodeKind(
         tags=(5,), encode=_encode_bn,
         decode=lambda desc, payload, variant: _decode_bn(RealBnLayer, 4, desc, payload),
-        forward=lambda n, x, packed, debug: real_bn_forward(x, n, training=False),
-        # the training forward always updates the running statistics
-        train=lambda n, x, update_stats: _fwd_real_bn(n, x),
+        forward=lambda n, x, packed: real_bn_forward(x, n, training=False),
+        train=_fwd_real_bn,
         backward=lambda n, g, cache, clip, grads: _bwd_real_bn(n, g, cache, grads),
-        out_shape=lambda n, act, visit: _keep(act, _image(act, n.gamma.shape[0], None)),
+        out_shape=lambda n, act, visit: Activation(_image(act, n.gamma.shape[0], ("real",))),
         describe=lambda n: f"{n.gamma.shape[0]} channels",
     ),
     AvgPool: NodeKind(
         tags=(6,), encode=_encode_pool,
         decode=lambda desc, payload, variant: _decode_pool(AvgPool, desc),
-        forward=lambda n, x, packed, debug: avg_pool(x, n.window, n.stride),
+        forward=lambda n, x, packed: avg_pool(x, n.window, n.stride),
         backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=True),
         out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
     ),
     MaxPool: NodeKind(
         tags=(7,), encode=_encode_pool,
         decode=lambda desc, payload, variant: _decode_pool(MaxPool, desc),
-        forward=lambda n, x, packed, debug: max_pool(x, n.window, n.stride),
+        forward=lambda n, x, packed: max_pool(x, n.window, n.stride),
         backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=False),
         out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
     ),
     SpectralPool: NodeKind(
         tags=(8,), encode=lambda n, desc, payload: desc.extend(struct.pack("<2I", *n.out_hw)),
         decode=lambda desc, payload, variant: SpectralPool(desc.unpack("<2I")),
-        forward=lambda n, x, packed, debug: spectral_pool(x, n.out_hw),
+        forward=lambda n, x, packed: spectral_pool(x, n.out_hw),
         backward=lambda n, g, x, clip, grads: _bwd_spectral_pool(g, x.shape),
         out_shape=_spectral_pool_shape, describe=lambda n: f"crop to {n.out_hw}",
     ),
     Relu: NodeKind(
         tags=(9,), decode=lambda desc, payload, variant: Relu(),
-        forward=lambda n, x, packed, debug: _relu(x),
+        forward=lambda n, x, packed: _relu(x),
         backward=lambda n, g, x, clip, grads: relu_backward(g, x),
     ),
     Hardtanh: NodeKind(
         tags=(10,), decode=lambda desc, payload, variant: Hardtanh(),
-        forward=lambda n, x, packed, debug: _hardtanh(x),
+        forward=lambda n, x, packed: _hardtanh(x),
         backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
     ),
     Binarize: NodeKind(
         tags=(11,), decode=lambda desc, payload, variant: Binarize(),
-        forward=lambda n, x, packed, debug: quadrant_binarize(x),
+        forward=lambda n, x, packed: quadrant_binarize(x),
         backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
         out_shape=lambda n, act, visit: Activation(_image(act), "binarized"),
     ),
     Flatten: NodeKind(
         tags=(12,), decode=lambda desc, payload, variant: Flatten(),
-        forward=lambda n, x, packed, debug: _flatten_forward(x),
+        forward=lambda n, x, packed: x.to_planes().reshape(x.shape[0], -1),
         backward=lambda n, g, x, clip, grads: ComplexTensor.from_planes(
             g.reshape(len(g), 2 * x.shape[1], *x.shape[2:])),
-        out_shape=lambda n, act, visit: Activation(
-            (math.prod(act.dims) * (1 if act.domain == "real" else 2),)),
+        out_shape=lambda n, act, visit: Activation((2 * math.prod(_image(act)),)),
     ),
     DenseLayer: NodeKind(
         tags=(13,), encode=_encode_dense, decode=_decode_dense,
-        forward=lambda n, x, packed, debug: fully_connected(x, n.weight, n.bias),
+        forward=lambda n, x, packed: fully_connected(x, n.weight, n.bias),
         backward=_dense_backward, out_shape=_dense_shape,
         describe=lambda n: f"{n.weight.shape[1]}->{n.weight.shape[0]}", weight_layers=1,
     ),
@@ -663,10 +651,10 @@ def decode_node(desc, payload):
     return kind.decode(desc, payload, variant)
 
 
-def run_nodes(nodes, x, packed: bool, debug: bool):
+def run_nodes(nodes, x, packed: bool):
     """Inference over a node sequence (a model's or a block path's)."""
     for node in nodes:
-        x = kind_of(node).forward(node, x, packed, debug)
+        x = kind_of(node).forward(node, x, packed)
     return x
 
 
@@ -699,9 +687,7 @@ def walk_shapes(nodes, act: Activation, visit=lambda node, act: None) -> Activat
     return act
 
 
-def forward(
-    model: ModelGraph, batch: np.ndarray, packed: bool = True, debug: bool = False
-) -> np.ndarray:
+def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.ndarray:
     """Run inference; returns (n, num_classes) logits.
 
     ``packed=True`` routes binarized segments through the bit-packed
@@ -716,7 +702,7 @@ def forward(
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match model input {model.input_shape}"
         )
-    return run_nodes(model.layers, x, packed, debug)
+    return run_nodes(model.layers, x, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -909,13 +895,16 @@ def count_weight_layers(model: ModelGraph) -> int:
 
 
 def validate_graph(model: ModelGraph):
-    """Check the structural invariants of a BCNN graph.
+    """Check that a graph is one BCNN pipeline, by a shape walk.
 
-    Every node's input, from ``input_shape`` to ``num_classes`` logits, must
-    have the channels, size and domain it expects: a binarized convolution
-    needs a binarize step right before it (blocks binarize internally), and
-    a block's paths must agree.  The last compute layer is full precision;
-    the first is the generator, the only node making the real image complex.
+    The pipeline is a real prefix of RealBn, activations and pools, then the
+    generator (the only node making the real image complex), then the
+    complex and binarized body, then Flatten and the Dense head.  Every
+    node's input, from ``input_shape`` to ``num_classes`` logits, must have
+    the channels, size and domain it expects: a binarized convolution needs
+    a binarize step right before it (blocks binarize internally), and a
+    block's paths must agree.  The last compute layer is full precision.
+    Every graph this accepts infers, trains and round-trips BCN1.
     """
     weighted = [layer for layer in model.layers if kind_of(layer).weight_layers]
     if not weighted:

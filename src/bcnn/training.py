@@ -38,6 +38,7 @@ from .models import (
 )
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*32*32 image bytes
+EVAL_BATCH = 64  # images per packed forward in ``evaluate``
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,6 @@ class TrainConfig:
     batch_size: int = 32
     clip: float = 1.0
     seed: int = 0
-    loss: str = "cross_entropy"
 
     def __post_init__(self):
         # lr == 0 is allowed so a vacuous run leaves the model untouched
@@ -59,8 +59,6 @@ class TrainConfig:
             raise InvalidConfig("lr must be >= 0")
         if self.clip <= 0:
             raise InvalidConfig("clip must be > 0")
-        if self.loss != "cross_entropy":
-            raise InvalidConfig(f"unsupported loss {self.loss!r}")
 
 
 @dataclass
@@ -167,14 +165,10 @@ def make_separable_dataset(
 # SGD, loss
 # ---------------------------------------------------------------------------
 
-def sgd_step(weights, grads, lr: float):
-    """In-place w <- w - lr*g on one array or a list of arrays."""
-    if isinstance(weights, np.ndarray):
-        weights -= (lr * np.asarray(grads)).astype(weights.dtype)
-        return weights
-    for w, g in zip(weights, grads):
-        w -= (lr * np.asarray(g)).astype(w.dtype)
-    return weights
+def sgd_step(weight: np.ndarray, grad, lr: float) -> np.ndarray:
+    """In-place w <- w - lr*g."""
+    weight -= (lr * np.asarray(grad)).astype(weight.dtype)
+    return weight
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -250,18 +244,17 @@ def train(model: ModelGraph, dataset: Dataset, cfg: TrainConfig):
     return model, history
 
 
-def evaluate(model: ModelGraph, dataset: Dataset, batch_size: int = 64,
-             packed: bool = True) -> tuple[float, float]:
-    """Eval-mode loss and accuracy over a dataset."""
+def evaluate(model: ModelGraph, dataset: Dataset) -> tuple[float, float]:
+    """Eval-mode loss and accuracy over a dataset, through the packed kernel."""
     n = len(dataset)
     if n == 0:
         raise DataExhausted("dataset has no samples")
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        xb = dataset.images[start : start + batch_size]
-        yb = dataset.labels[start : start + batch_size]
-        logits = model_forward(model, xb, packed=packed)
+    for start in range(0, n, EVAL_BATCH):
+        xb = dataset.images[start : start + EVAL_BATCH]
+        yb = dataset.labels[start : start + EVAL_BATCH]
+        logits = model_forward(model, xb)
         loss, _ = softmax_cross_entropy(logits, yb)
         total_loss += loss * len(yb)
         correct += int((logits.argmax(axis=1) == yb).sum())

@@ -1,0 +1,170 @@
+"""The shape walk is the graph contract.
+
+Seeded random graphs drawn from every node kind: each graph that
+``validate_graph`` accepts must infer (packed == dense, exactly), train,
+keep its running statistics under ``batch_loss`` and round-trip BCN1
+byte-identically; each graph it rejects must also be refused by loading.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+
+from bcnn.errors import CorruptModelFile, ShapeMismatch
+from bcnn.layers import CgbnLayer, RealBnLayer
+from bcnn.model_io import model_from_bytes, model_to_bytes
+from bcnn.models import (NODE_KINDS, AvgPool, Binarize, ComplexInputGenerator, Flatten,
+                         Hardtanh, MaxPool, ModelGraph, Relu, SpectralPool, backprop_nodes,
+                         build_complex_input_generator, forward, graph_nodes, kind_of,
+                         train_nodes, validate_graph, _block1, _block2, _init_binary_conv,
+                         _init_complex_conv, _init_dense)
+from bcnn.training import batch_loss, softmax_cross_entropy, train_step
+
+GRAPHS = 300
+BATCH = 3
+NUM_CLASSES = 2
+
+REAL_PREFIX = ("realbn", "relu", "hardtanh", "avg", "max", "conv", "binarize", "cgbn")
+REAL_PREFIX_P = (0.25, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05, 0.05)
+BODY = ("conv", "bin+binconv", "binconv", "binarize", "cgbn", "realbn", "avg", "max",
+        "spectral", "relu", "hardtanh", "block1", "block2", "gen")
+BODY_P = (0.14, 0.16, 0.03, 0.05, 0.1, 0.04, 0.07, 0.07, 0.06, 0.05, 0.05, 0.08, 0.08, 0.02)
+
+
+class _Draft:
+    """A graph under construction and the (c, h, w) it should have reached."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.c = int(rng.integers(1, 4))
+        self.h, self.w = (int(v) for v in rng.integers(1, 9, size=2))
+        self.input_shape = (self.c, self.h, self.w)
+        self.complex = False  # a generator has run: Flatten doubles the features
+        self.layers = []
+
+    def _channels(self) -> int:
+        return int(self.rng.integers(1, 5))
+
+    def _conv_geometry(self):
+        k = int(self.rng.choice([1, 3]))
+        s = int(self.rng.choice([1, 2]))
+        p = int(self.rng.choice([0, 1]))
+        self.h = max(1, (self.h + 2 * p - k) // s + 1)
+        self.w = max(1, (self.w + 2 * p - k) // s + 1)
+        return (k, k), (s, s), (p, p)
+
+    def add(self, what: str):
+        rng, c = self.rng, self.c
+        if what == "gen":
+            self.layers.append(build_complex_input_generator(c, seed=int(rng.integers(99))))
+            self.complex = True
+        elif what in ("conv", "binconv", "bin+binconv"):
+            out_c = self._channels()
+            if what == "bin+binconv":
+                self.layers.append(Binarize())
+            init = _init_complex_conv if what == "conv" else _init_binary_conv
+            self.layers.append(init(rng, c, out_c, *self._conv_geometry()))
+            self.c = out_c
+        elif what in ("avg", "max"):
+            k, s = (int(v) for v in rng.integers(1, 4, size=2))
+            self.layers.append({"avg": AvgPool, "max": MaxPool}[what]((k, k), (s, s)))
+            self.h = max(1, (self.h - k) // s + 1)
+            self.w = max(1, (self.w - k) // s + 1)
+        elif what == "spectral":
+            self.h, self.w = int(rng.integers(1, self.h + 1)), int(rng.integers(1, self.w + 1))
+            self.layers.append(SpectralPool((self.h, self.w)))
+        elif what == "block1":
+            self.layers.append(_block1(rng, c))
+        elif what == "block2":
+            self.c = self._channels()
+            self.layers.append(_block2(rng, c, self.c))
+            self.h, self.w = (self.h - 1) // 2 + 1, (self.w - 1) // 2 + 1
+        else:
+            self.layers.append({"realbn": lambda: RealBnLayer.identity(c),
+                                "cgbn": lambda: CgbnLayer.identity(c),
+                                "binarize": Binarize, "relu": Relu,
+                                "hardtanh": Hardtanh}[what]())
+
+    def head(self):
+        flatten = self.rng.random() > 0.03
+        if flatten:
+            self.layers.append(Flatten())
+        features = self.c * self.h * self.w * (2 if self.complex and flatten else 1)
+        if self.rng.random() < 0.2:
+            self.layers += [_init_dense(self.rng, features, 3), Relu()]
+            features = 3
+        self.layers.append(_init_dense(self.rng, features, NUM_CLASSES))
+
+
+def random_graph(rng) -> ModelGraph:
+    """Mostly well-shaped graphs: a real prefix, usually the generator, a
+    complex body and a Flatten + Dense head, with occasional misplacements."""
+    d = _Draft(rng)
+    for _ in range(rng.integers(0, 3)):
+        d.add(rng.choice(REAL_PREFIX, p=REAL_PREFIX_P))
+    if rng.random() < 0.85:
+        d.add("gen")
+    for _ in range(rng.integers(0, 5)):
+        d.add(rng.choice(BODY, p=BODY_P))
+    d.head()
+    return ModelGraph("random", d.input_shape, NUM_CLASSES, d.layers)
+
+
+def _arrays(node, running: bool):
+    """A node's running statistics, or its trainable arrays."""
+    return [getattr(node, f.name) for f in fields(node)
+            if isinstance(getattr(node, f.name), np.ndarray)
+            and f.name.startswith("running_") == running]
+
+
+def _check_accepted(model: ModelGraph, rng):
+    x = rng.random((BATCH, *model.input_shape))
+    y = rng.integers(0, NUM_CLASSES, BATCH)
+    np.testing.assert_array_equal(forward(model, x, packed=True), forward(model, x, packed=False))
+
+    nodes = [node for node, _ in graph_nodes(model)]
+    stats = [a.copy() for node in nodes for a in _arrays(node, running=True)]
+    assert np.isfinite(batch_loss(model, x, y))
+    for before, after in zip(stats, (a for node in nodes for a in _arrays(node, running=True))):
+        np.testing.assert_array_equal(before, after)
+
+    blob = model_to_bytes(model)
+    assert model_to_bytes(model_from_bytes(blob)) == blob
+
+    logits, caches = train_nodes(model.layers, x, update_stats=False)
+    _, dlogits = softmax_cross_entropy(logits, y)
+    grads = []
+    backprop_nodes(model.layers, caches, dlogits, 1.0, grads)
+    for arr, grad in grads:
+        assert np.shape(grad) == arr.shape
+    with_grad = {id(arr) for arr, _ in grads}
+    assert all(id(a) in with_grad for node in nodes for a in _arrays(node, running=False))
+
+    loss, _ = train_step(model, x, y, lr=0.05, clip=1.0)
+    assert np.isfinite(loss)
+    return {kind_of(node).tag(node) for node in nodes}
+
+
+def test_every_accepted_graph_runs_and_every_rejected_graph_fails_to_load():
+    rng = np.random.default_rng(2024)
+    accepted, rejected = 0, 0
+    tags_run = set()
+    real_prefix_run = False
+    for _ in range(GRAPHS):
+        model = random_graph(rng)
+        try:
+            validate_graph(model)
+        except ShapeMismatch:
+            rejected += 1
+            try:
+                model_from_bytes(model_to_bytes(model))
+            except CorruptModelFile:
+                continue
+            raise AssertionError(f"a graph validate_graph rejects loads: {model.layers}")
+        accepted += 1
+        tags_run |= _check_accepted(model, rng)
+        real_prefix_run |= not isinstance(model.layers[0], ComplexInputGenerator)
+    print(f"{accepted} graphs accepted, {rejected} rejected")
+    assert accepted and rejected
+    assert tags_run == {tag for kind in NODE_KINDS.values() for tag in kind.tags}
+    assert real_prefix_run

@@ -114,10 +114,10 @@ def test_roundtrip_covers_every_node_kind():
     rng = np.random.default_rng(0)
     g = ConvGeometry(3, 4, (3, 3), (1, 1), (1, 1))
     layers = [
+        RealBnLayer.identity(3),
         build_complex_input_generator(3, seed=0),
         ComplexConvLayer(rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
                          rng.standard_normal((4, 3, 3, 3)).astype(np.float32), g),
-        RealBnLayer.identity(4),
         CgbnLayer.identity(4),
         Relu(),
         Hardtanh(),
@@ -180,6 +180,36 @@ def test_graph_failing_validation_is_corrupt():
     del model.layers[binarize_at]  # a binarized conv no longer follows a binarize step
     with pytest.raises(CorruptModelFile, match="binarize"):
         model_from_bytes(model_to_bytes(model))
+
+
+def _rejected_by_validation_and_loading(model, match):
+    from bcnn.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch, match=match):
+        validate_graph(model)
+    with pytest.raises(CorruptModelFile, match=match):
+        model_from_bytes(model_to_bytes(model))
+
+
+def test_real_bn_after_the_generator_is_rejected():
+    from bcnn.layers import RealBnLayer
+
+    model = build_toy_bcnn(seed=0)  # generator, complex conv (4 channels), ...
+    model.layers.insert(2, RealBnLayer.identity(4))
+    _rejected_by_validation_and_loading(model, "expects a real input, got a complex one")
+
+
+@pytest.mark.parametrize("prefix", [[], ["bn", "pool"]])
+def test_flatten_on_the_real_image_is_rejected(prefix):
+    from bcnn.layers import RealBnLayer
+    from bcnn.models import AvgPool, DenseLayer, Flatten, ModelGraph
+
+    make = {"bn": lambda: RealBnLayer.identity(3), "pool": lambda: AvgPool((2, 2))}
+    features = 3 * 4 * 4 if prefix else 3 * 8 * 8
+    dense = DenseLayer(np.ones((2, features), np.float32), np.zeros(2, np.float32))
+    model = ModelGraph("no-generator", (3, 8, 8), 2,
+                       [make[name]() for name in prefix] + [Flatten(), dense])
+    _rejected_by_validation_and_loading(model, "expects a complex or binarized input")
 
 
 def test_graph_without_compute_layer_is_corrupt():

@@ -126,11 +126,11 @@ def test_block1_adds_skip_to_cgbn_output():
     block = ResidualBlock(conv(), CgbnLayer.identity(4),
                           conv(), CgbnLayer.identity(4))
     x = random_pm1_tensor(rng, (1, 4, 8, 8))
-    out = kind_of(block).forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True)
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True, False), block.bn1)
+    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True), block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True, False), block.bn2)
+    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True), block.bn2)
     np.testing.assert_array_equal(out.re, path.re + x.re)
     np.testing.assert_array_equal(out.im, path.im + x.im)
 
@@ -155,12 +155,12 @@ def test_block_with_side_path_adds_side_cgbn_output():
                           conv(8, 8, (3, 3), (1, 1), (1, 1)), CgbnLayer.identity(8),
                           conv(4, 8, (1, 1), (2, 2), (0, 0)), CgbnLayer.identity(8))
     x = ComplexTensor(rng.standard_normal((1, 4, 8, 8)), rng.standard_normal((1, 4, 8, 8)))
-    out = kind_of(block).forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True)
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True, False), block.bn1)
+    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True), block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True, False), block.bn2)
-    side = cgbn_forward(_binary_conv_forward(block.side_conv, b, True, False), block.side_bn)
+    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True), block.bn2)
+    side = cgbn_forward(_binary_conv_forward(block.side_conv, b, True), block.side_bn)
     np.testing.assert_array_equal(out.re, path.re + side.re)
     np.testing.assert_array_equal(out.im, path.im + side.im)
 
@@ -176,7 +176,7 @@ def test_block_output_is_input_when_path_is_zero():
     block = ResidualBlock(conv(4), CgbnLayer.identity(4), conv(4), CgbnLayer.identity(4))
     block.bn2.gamma_re[:] = 0.0
     x = random_pm1_tensor(np.random.default_rng(5), (1, 4, 6, 6))
-    out = kind_of(block).forward(block, x, packed=True, debug=False)
+    out = kind_of(block).forward(block, x, packed=True)
     np.testing.assert_allclose(out.re, x.re, atol=1e-12)
     np.testing.assert_allclose(out.im, x.im, atol=1e-12)
 
@@ -212,7 +212,7 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(forward(model, x), forward(model, x))
 
 
-def test_debug_mode_rejects_non_binary_activations():
+def test_packed_binary_conv_rejects_non_binary_activations():
     layer = BinaryConvLayer(
         np.ones((1, 1, 1, 1), np.float32), np.ones((1, 1, 1, 1), np.float32),
         ConvGeometry(1, 1, (1, 1)),
@@ -222,7 +222,7 @@ def test_debug_mode_rejects_non_binary_activations():
 
     bad = ComplexTensor(np.full((1, 1, 2, 2), 0.5), np.ones((1, 1, 2, 2)))
     with pytest.raises(NonBinaryEntry):
-        _binary_conv_forward(layer, bad, packed=True, debug=True)
+        _binary_conv_forward(layer, bad, packed=True)
 
 
 def test_validate_graph_requires_binarize_before_binary_conv():
@@ -319,14 +319,8 @@ def test_spectral_pool_node_in_graph():
     node = SpectralPool((4, 4))
     x = ComplexTensor(np.random.default_rng(0).standard_normal((1, 2, 8, 8)),
                       np.zeros((1, 2, 8, 8)))
-    out = kind_of(node).forward(node, x, packed=True, debug=False)
+    out = kind_of(node).forward(node, x, packed=True)
     assert out.shape == (1, 2, 4, 4)
-
-
-def test_forward_debug_mode_passes_on_valid_graph():
-    model = build_toy_bcnn(seed=9)
-    x = np.random.default_rng(9).random((1, 3, 8, 8))
-    np.testing.assert_array_equal(forward(model, x, debug=True), forward(model, x))
 
 
 def test_pruned_channels_are_skipped_at_binarization():
@@ -344,7 +338,7 @@ def test_pruned_channels_are_skipped_at_binarization():
     np.testing.assert_array_equal(active_output_channels(layer), [True, False, True, True])
     x = ComplexTensor(np.ones((1, 2, 3, 3)), -np.ones((1, 2, 3, 3)))
     for packed in (True, False):
-        y = _binary_conv_forward(layer, x, packed=packed, debug=True)
+        y = _binary_conv_forward(layer, x, packed=packed)
         np.testing.assert_array_equal(y.re[:, 1], 0.0)
         np.testing.assert_array_equal(y.im[:, 1], 0.0)
         assert np.any(y.re[:, 0] != 0.0) or np.any(y.im[:, 0] != 0.0)

@@ -584,6 +584,21 @@ def test_train_step_on_nin_and_resnet():
         assert not np.array_equal(before, model.layers[-1].weight)
 
 
+def test_batch_loss_leaves_every_running_statistic_unchanged():
+    from bcnn.models import graph_nodes
+    from bcnn.training import batch_loss
+
+    model = every_node_kind_model(seed=2)
+    stats = [arr for node, _ in graph_nodes(model)
+             for name, arr in vars(node).items() if name.startswith("running_")]
+    assert len(stats) == 2 * 1 + 4 * 8  # one RealBn, eight CGBNs (five inside the blocks)
+    before = [arr.copy() for arr in stats]
+    data = make_separable_dataset(samples_per_class=4, shape=(3, 16, 16), seed=2)
+    batch_loss(model, data.images, data.labels)
+    for old, new in zip(before, stats):
+        np.testing.assert_array_equal(old, new)
+
+
 def test_every_node_kind_trains_infers_and_round_trips():
     from bcnn.model_io import model_from_bytes, model_to_bytes
     from bcnn.models import backprop_nodes, forward
