@@ -11,7 +11,10 @@ A binary complex product is two such real dots over the joint vector
 
 and the 2D convolution accumulates them over kernel taps and joint words.
 Spatial padding uses the value -1 on both planes (all-zero words),
-consistent with the {+1,-1} alphabet.
+consistent with the {+1,-1} alphabet.  The convolution's optional
+``active`` mask names the output channels to compute: a hard-pruned
+channel's weight rows never enter the XOR/popcount loop, and its output
+is exactly +0.0.
 
 All results are integer-exact: the packed kernel must agree bit-for-bit
 with a dense reference convolution for any valid input.
@@ -140,14 +143,18 @@ def binary_complex_conv2d(
     w: BitplaneTensor,
     geometry: ConvGeometry,
     parallelism: tuple[int, int] | None = None,
+    active: np.ndarray | None = None,
 ) -> ComplexTensor:
     """Exact bias-free binary complex 2D convolution on packed operands.
 
     ``w`` packs the weight tensor with shape (out_c, in_c, kh, kw); its
-    batch axis is the output channel.  ``parallelism = (p_out, p_in)``
-    selects how many output channels and joint re|im words (``p_in`` at
-    most the words per plane) are processed per inner step; the result is
-    bit-identical for every valid choice (int32 accumulation is exact while
+    batch axis is the output channel.  ``active`` is an optional boolean
+    mask of the output channels to compute (default all); every other
+    output channel is exactly +0.0.  ``parallelism = (p_out, p_in)``
+    selects how many computed output channels and joint re|im words
+    (``p_in`` at most the words per plane) are processed per inner step,
+    with ``p_out`` dividing out_c; the result is bit-identical for every
+    valid choice and every mask (int32 accumulation is exact while
     ``2*c*kh*kw < 2**31``), defaulting to the widest.
     """
     n, c, h, wd = x.shape
@@ -167,34 +174,45 @@ def binary_complex_conv2d(
         raise InvalidParallelism(f"p_out={p_out} must divide out_channels={out_c}")
     if p_in < 1 or p_in > nw:
         raise InvalidParallelism(f"p_in={p_in} must be in [1, {nw}]")
+    active = np.ones(out_c, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    if active.shape != (out_c,):
+        raise ShapeMismatch(f"active mask has shape {active.shape}, expected ({out_c},)")
+    live = np.flatnonzero(active)
 
     sh, sw = geometry.stride
     ph, pw = geometry.padding
     # zero words encode pixels of all -1 channels, the declared pad value
     xp = np.pad(_joint_words(x.re_words, x.im_words, c),
                 ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # rows[0] yields y_r from [w_r | ~w_i], rows[1] yields y_i from [w_i | w_r]
-    rows = np.stack([_joint_words(w.re_words, ~w.im_words, c),
-                     _joint_words(w.im_words, w.re_words, c)])
+    # rows[0] yields y_r from [w_r | ~w_i], rows[1] yields y_i from [w_i | w_r];
+    # only the computed output channels' rows are built
+    w_re, w_im = w.re_words[live], w.im_words[live]
+    rows = np.stack([_joint_words(w_re, ~w_im, c), _joint_words(w_im, w_re, c)])
     nwj = xp.shape[-1]
 
-    acc = np.zeros((2, out_c, n, h_out, w_out), dtype=np.int32)
-    buf = np.empty((2, p_out, n, h_out, w_out), dtype=np.uint64)
+    acc = np.zeros((2, live.size, n, h_out, w_out), dtype=np.int32)
+    buf = np.empty((2, min(p_out, live.size), n, h_out, w_out), dtype=np.uint64)
     cnt = np.empty(buf.shape, dtype=np.uint8)
-    for oc0 in range(0, out_c, p_out):
+    for oc0 in range(0, live.size, p_out):
         ocs = slice(oc0, oc0 + p_out)
+        rows_out = min(p_out, live.size - oc0)  # skipped rows can leave a short last block
+        xor, ones = buf[:, :rows_out], cnt[:, :rows_out]
         for w0 in range(0, nwj, p_in):
             for ky, kx in np.ndindex(kh, kw):
                 for j in range(w0, min(w0 + p_in, nwj)):
                     # a contiguous tap window lets each row XOR one long run
                     xv = xp[:, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw, j]
                     tap = rows[:, ocs, ky, kx, j, None, None, None]
-                    np.bitwise_xor(np.ascontiguousarray(xv), tap, out=buf)
-                    np.bitwise_count(buf, out=cnt)
-                    acc[:, ocs] += cnt
+                    np.bitwise_xor(np.ascontiguousarray(xv), tap, out=xor)
+                    np.bitwise_count(xor, out=ones)
+                    acc[:, ocs] += ones
 
     # each row is a real dot over 2*c*kh*kw bits: all matches minus 2 per mismatch
-    planes = np.moveaxis(acc, 2, 1).astype(float, order="C")
-    planes *= -2
-    planes += 2 * c * kh * kw
-    return ComplexTensor(planes[0], planes[1])
+    dots = np.moveaxis(acc, 2, 1).astype(float, order="C")
+    dots *= -2
+    dots += 2 * c * kh * kw
+    if live.size < out_c:
+        planes = np.zeros((2, n, out_c, h_out, w_out))
+        planes[:, :, live] = dots
+        dots = planes
+    return ComplexTensor(dots[0], dots[1])

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import accel, model_io, models, slr, training
-from .errors import BcnnError, MissingFile
+from .errors import BcnnError, DataExhausted, MissingFile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--image", help=".npy image or raw 3072-byte pixels")
     group.add_argument("--data", help="dataset directory; reports test accuracy")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads, each running one batch of --data at a time")
 
     p = sub.add_parser("bench", help="throughput arithmetic for replicated kernels")
     p.add_argument("--kernels", type=int, required=True)
@@ -164,12 +165,15 @@ def _cmd_infer(args) -> int:
         print(f"class {int(np.argmax(logits))}")
         print("logits " + " ".join(f"{v:.4f}" for v in logits))
         return 0
-    split = training.load_cifar10(args.data)
-    dataset = split.test
-    images = [dataset.images[i : i + 1] for i in range(len(dataset))]
+    dataset = training.load_cifar10(args.data).test
+    if len(dataset) == 0:
+        raise DataExhausted(f"{args.data}: the test split has no images")
+    step = training.EVAL_BATCH
+    chunks = [dataset.images[i : i + step] for i in range(0, len(dataset), step)]
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        preds = list(pool.map(lambda xb: int(models.forward(model, xb).argmax()), images))
-    accuracy = float(np.mean(np.asarray(preds) == dataset.labels))
+        preds = np.concatenate(list(pool.map(
+            lambda xb: models.forward(model, xb).argmax(axis=1), chunks)))
+    accuracy = float(np.mean(preds == dataset.labels))
     print(f"accuracy {accuracy:.4f} over {len(dataset)} images")
     return 0
 

@@ -43,7 +43,8 @@ from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_p
                      fully_connected, hardtanh as _hardtanh, hardtanh_backward, max_pool,
                      real_bn_forward, relu as _relu, relu_backward, spectral_pool,
                      ste_backward)
-from .tensors import ComplexTensor, _unpack_plane, pack, pack_signs, words_per_pixel
+from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack, pack_signs, unpack,
+                      words_per_pixel)
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -78,9 +79,9 @@ class BinaryConvLayer:
     """Binarized complex convolution holding latent full-precision weights.
 
     An output channel whose latent planes are all exactly zero is a pruned
-    channel: it is skipped at binarization time, its output stays zero, and
-    it receives no gradient, so hard-pruned channels survive both further
-    training and the packed file format.
+    channel: the packed kernel skips its rows, the dense path masks its
+    output to zero, and it receives no gradient, so hard-pruned channels
+    survive both further training and the packed file format.
     """
 
     w_re: np.ndarray
@@ -123,7 +124,8 @@ class Hardtanh:
 
 @dataclass
 class Binarize:
-    """Quadrant binarization of the activations."""
+    """Quadrant binarization of the activations; in packed inference it
+    emits the sign-packed words directly."""
 
 
 @dataclass
@@ -323,15 +325,17 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
                             binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
 
 
-def _binary_conv_forward(layer: BinaryConvLayer, x: ComplexTensor, packed: bool) -> ComplexTensor:
+def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
+    """``x`` is a binarize step's packed words, or +-1 planes (packed by the
+    checked ``pack`` in packed mode)."""
+    active = active_output_channels(layer)
     if packed:
         # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
         # weights are packed per call because training and pruning edit them in place
         w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
-        y = binary_complex_conv2d(pack(x), w, layer.geometry)
-    else:
-        y = complex_conv2d_fp(x, _sign_weights(layer))
-    return mask_pruned_channels(y, active_output_channels(layer))
+        x = x if isinstance(x, BitplaneTensor) else pack(x)
+        return binary_complex_conv2d(x, w, layer.geometry, active=active)
+    return mask_pruned_channels(complex_conv2d_fp(x, _sign_weights(layer)), active)
 
 
 def _binary_conv_train(layer: BinaryConvLayer, x: ComplexTensor, update_stats):
@@ -437,10 +441,15 @@ def _decode_dense(desc, payload, variant) -> DenseLayer:
     return DenseLayer(_read_array(payload, (out_dim, in_dim)), _read_array(payload, (out_dim,)))
 
 
+def _binarize_forward(x: ComplexTensor, packed: bool):
+    """Quadrant binarization; packed, the signs go straight to words."""
+    return pack_signs(x) if packed else quadrant_binarize(x)
+
+
 # residual block: both paths run through the table on the binarized input
 
 def _block_forward(block: ResidualBlock, x: ComplexTensor, packed: bool):
-    b = quadrant_binarize(x)
+    b = _binarize_forward(x, packed)  # packed once, read by both paths
     y = run_nodes(block.main, b, packed)
     skip = run_nodes(block.side, b, packed) if block.side else x
     return ComplexTensor(y.re + skip.re, y.im + skip.im)
@@ -508,6 +517,7 @@ class NodeKind:
     describe: Callable = lambda node: ""  # the `bcnn export` details
     variant: Callable = lambda node: 0
     weight_layers: int = 0  # main-path convolutions and fully connected layers
+    takes_packed: bool = False  # in packed inference, reads a binarize step's words
 
     def __post_init__(self):
         if self.train is None:  # the dense inference op, caching its input
@@ -540,7 +550,7 @@ NODE_KINDS = {
         forward=_binary_conv_forward, train=_binary_conv_train, backward=_binary_conv_backward,
         out_shape=lambda n, act, visit: _conv_shape(n, act, ("binarized",)),
         describe=lambda n: _describe_conv(n.geometry, "binarized"),
-        weight_layers=1,
+        weight_layers=1, takes_packed=True,
     ),
     CgbnLayer: NodeKind(
         tags=(4,), encode=_encode_bn,
@@ -592,7 +602,7 @@ NODE_KINDS = {
     ),
     Binarize: NodeKind(
         tags=(11,), decode=lambda desc, payload, variant: Binarize(),
-        forward=lambda n, x, packed: quadrant_binarize(x),
+        forward=lambda n, x, packed: _binarize_forward(x, packed),
         backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
         out_shape=lambda n, act, visit: Activation(_image(act), "binarized"),
     ),
@@ -652,9 +662,16 @@ def decode_node(desc, payload):
 
 
 def run_nodes(nodes, x, packed: bool):
-    """Inference over a node sequence (a model's or a block path's)."""
+    """Inference over a node sequence (a model's or a block path's).
+
+    In packed mode a binarize step emits a BitplaneTensor; a node kind that
+    does not take packed input sees it unpacked to the same +-1 planes.
+    """
     for node in nodes:
-        x = kind_of(node).forward(node, x, packed)
+        kind = kind_of(node)
+        if isinstance(x, BitplaneTensor) and not kind.takes_packed:
+            x = unpack(x)
+        x = kind.forward(node, x, packed)
     return x
 
 
@@ -691,9 +708,11 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     """Run inference; returns (n, num_classes) logits.
 
     ``packed=True`` routes binarized segments through the bit-packed
-    XOR/popcount kernel, ``packed=False`` through the dense reference path;
-    the two are integer-exact equals.  Batch-norm layers use running
-    statistics, so per-image outputs do not depend on batch composition.
+    XOR/popcount kernel (each binarize step sign-packs its input once, and
+    pruned output channels are skipped), ``packed=False`` through the dense
+    reference path; the two are integer-exact equals.  Batch-norm layers
+    use running statistics, so per-image outputs do not depend on batch
+    composition.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:
@@ -909,7 +928,7 @@ def validate_graph(model: ModelGraph):
     weighted = [layer for layer in model.layers if kind_of(layer).weight_layers]
     if not weighted:
         raise ShapeMismatch("model has no compute layer")
-    if isinstance(weighted[-1], BinaryConvLayer):
+    if isinstance(weighted[-1], (BinaryConvLayer, ResidualBlock)):
         raise ShapeMismatch("the last compute layer must be full precision")
     if min(model.input_shape) < 1:
         raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")

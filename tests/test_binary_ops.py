@@ -247,6 +247,46 @@ def test_conv_shape_mismatch():
         binary_complex_conv2d(pack(x), pack(w), g)
 
 
+_ACTIVE_MASKS = {
+    "none_pruned": [True] * 6,
+    "first_pruned": [False] + [True] * 5,
+    "last_pruned": [True] * 5 + [False],
+    "alternate_pruned": [True, False] * 3,
+    "all_pruned": [False] * 6,
+}
+
+
+@pytest.mark.parametrize("c", [1, 33, 65])
+@pytest.mark.parametrize("mask", list(_ACTIVE_MASKS))
+def test_conv_active_mask_skips_pruned_rows(c, mask):
+    # stride 2 and padding 1; 65 channels span two words per plane
+    active = np.array(_ACTIVE_MASKS[mask])
+    rng = np.random.default_rng(c)
+    xb = pack(random_pm1_tensor(rng, (2, c, 7, 6)))
+    wb = pack(random_pm1_tensor(rng, (6, c, 3, 3)))
+    g = ConvGeometry(c, 6, (3, 3), (2, 2), (1, 1))
+    full = binary_complex_conv2d(xb, wb, g)
+    keep = active.reshape(1, -1, 1, 1)
+    for p_out in (1, 2, 3, 6):
+        for p_in in range(1, xb.words_per_pixel + 1):
+            y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in), active=active)
+            for plane, ref in ((y.re, full.re), (y.im, full.im)):
+                np.testing.assert_array_equal(plane, np.where(keep, ref, 0.0))
+                assert not np.signbit(plane[:, ~active]).any()  # pruned rows are +0.0
+
+
+def test_conv_active_mask_shape_checked():
+    rng = np.random.default_rng(6)
+    xb = pack(random_pm1_tensor(rng, (1, 4, 3, 3)))
+    wb = pack(random_pm1_tensor(rng, (6, 4, 1, 1)))
+    g = ConvGeometry(4, 6, (1, 1))
+    np.testing.assert_array_equal(
+        binary_complex_conv2d(xb, wb, g, active=np.ones(6, bool)).re,
+        binary_complex_conv2d(xb, wb, g).re)
+    with pytest.raises(ShapeMismatch):
+        binary_complex_conv2d(xb, wb, g, active=np.ones(5, bool))
+
+
 def test_conv_parity_and_magnitude_bounds():
     rng = np.random.default_rng(55)
     for _ in range(10):

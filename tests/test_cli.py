@@ -62,6 +62,8 @@ def test_infer_on_npy_image(tmp_path, capsys):
 
 
 def test_infer_jobs_over_dataset(tmp_path, capsys):
+    from bcnn.training import EVAL_BATCH, load_cifar10
+
     model = build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10,
                            channels=(8, 8), seed=1)
     model_path = tmp_path / "m.bcn"
@@ -73,6 +75,35 @@ def test_infer_jobs_over_dataset(tmp_path, capsys):
     assert run(["infer", "--in", str(model_path), "--data", str(tmp_path),
                 "--jobs", "2"]) == 0
     assert "over 3 images" in capsys.readouterr().out
+
+    # distinct images over two chunks, labelled so that a third of the
+    # per-image predictions are wrong: batching must not move an argmax
+    n = EVAL_BATCH + 9
+    rng = np.random.default_rng(1)
+    images = rng.integers(0, 256, (n, 3072), dtype=np.uint8)
+    records = np.concatenate([np.zeros((n, 1), np.uint8), images], axis=1)
+    (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
+    loaded = load_model(str(model_path))
+    preds = np.array([int(forward(loaded, x[None]).argmax())
+                      for x in load_cifar10(str(tmp_path)).test.images])
+    labels = np.where(np.arange(n) % 3 == 0, (preds + 1) % 10, preds)
+    records[:, 0] = labels
+    (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
+    for jobs in ("1", "2"):
+        assert run(["infer", "--in", str(model_path), "--data", str(tmp_path),
+                    "--jobs", jobs]) == 0
+        expected = np.mean(labels == preds)
+        assert f"accuracy {expected:.4f} over {n} images" in capsys.readouterr().out
+
+
+def test_infer_on_an_empty_test_split_is_an_error(tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, seed=1), str(model_path))
+    for i in range(1, 6):
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(bytes(3073))
+    (tmp_path / "test_batch.bin").write_bytes(b"")
+    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path)]) == 1
+    assert "no images" in capsys.readouterr().err
 
 
 def test_quantize_roundtrip(tmp_path, capsys):

@@ -212,6 +212,17 @@ def test_flatten_on_the_real_image_is_rejected(prefix):
     _rejected_by_validation_and_loading(model, "expects a complex or binarized input")
 
 
+def test_residual_block_as_last_compute_layer_is_rejected():
+    from bcnn.models import (Flatten, ModelGraph, _block1, _init_complex_conv,
+                             build_complex_input_generator)
+
+    rng = np.random.default_rng(0)
+    model = ModelGraph("block-last", (2, 1, 1), 4,
+                       [build_complex_input_generator(2, seed=0),
+                        _init_complex_conv(rng, 2, 2, (1, 1)), _block1(rng, 2), Flatten()])
+    _rejected_by_validation_and_loading(model, "last compute layer must be full precision")
+
+
 def test_graph_without_compute_layer_is_corrupt():
     from bcnn.models import ModelGraph, Relu
 

@@ -9,8 +9,10 @@ from bcnn.models import (
     Binarize,
     BinaryConvLayer,
     Flatten,
+    MaxPool,
     ModelGraph,
     ResidualBlock,
+    SpectralPool,
     build_complex_input_generator,
     build_nin_bcnn,
     build_resnet18_bcnn,
@@ -19,7 +21,12 @@ from bcnn.models import (
     forward,
     iter_binary_convs,
     validate_graph,
+    _block1,
+    _block2,
     _generator_forward,
+    _init_binary_conv,
+    _init_complex_conv,
+    _init_dense,
     kind_of,
 )
 from bcnn.tensors import ComplexTensor
@@ -355,3 +362,103 @@ def test_forward_is_thread_safe_on_shared_model():
         threaded = list(pool.map(lambda img: forward(model, img), images))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# packed activations: each binarize step sign-packs once
+# ---------------------------------------------------------------------------
+
+def _half_pruned(model):
+    for layer in iter_binary_convs(model):
+        layer.w_re[::2] = 0.0
+        layer.w_im[::2] = 0.0
+    return model
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the packed forward built or checked +-1 planes")
+
+
+@pytest.mark.parametrize("build", [build_nin_bcnn,
+                                   lambda seed: _half_pruned(build_resnet18_bcnn(seed=seed))])
+def test_packed_forward_never_builds_pm1_planes(build, monkeypatch):
+    import bcnn.models as models
+
+    model = build(seed=12)
+    x = np.random.default_rng(12).random((2, 3, 32, 32))
+    dense = forward(model, x, packed=False)
+    monkeypatch.setattr(models, "pack", _raise)
+    monkeypatch.setattr(models, "quadrant_binarize", _raise)
+    np.testing.assert_array_equal(forward(model, x), dense)
+
+
+def test_downsampling_block_sign_packs_its_input_once(monkeypatch):
+    import bcnn.models as models
+
+    rng = np.random.default_rng(13)
+    model = ModelGraph("down", (3, 8, 8), 2, [
+        build_complex_input_generator(3, seed=13),
+        _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)), CgbnLayer.identity(4),
+        _block2(rng, 4, 8), AvgPool((4, 4)), Flatten(), _init_dense(rng, 2 * 8, 2)])
+    validate_graph(model)
+    batch = 5  # no weight tensor has 5 output channels
+    packed_shapes = []
+
+    def recording(fn):
+        def record(t):
+            packed_shapes.append(t.shape)
+            return fn(t)
+        return record
+
+    monkeypatch.setattr(models, "pack", recording(models.pack))
+    monkeypatch.setattr(models, "pack_signs", recording(models.pack_signs))
+    forward(model, np.random.default_rng(13).random((batch, 3, 8, 8)))
+    # the block input (read by the main and the side conv), then the inner binarize
+    assert [s for s in packed_shapes if s[0] == batch] == [(batch, 4, 8, 8), (batch, 8, 4, 4)]
+
+
+def _binarize_feeds(*tail):
+    """Generator, 3->4 conv, a CGBN with moved statistics, Binarize, then
+    ``tail``, Flatten and a Dense head sized by the shape walk."""
+    from bcnn.models import Activation, walk_shapes
+
+    rng = np.random.default_rng(14)
+    bn = CgbnLayer.identity(4)
+    bn.running_mean_re[:] = rng.standard_normal(4) * 0.3
+    bn.gamma_im[:] = rng.standard_normal(4)
+    layers = [build_complex_input_generator(3, seed=14),
+              _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)), bn, Binarize(), *tail,
+              Flatten()]
+    features = walk_shapes(layers, Activation((3, 8, 8))).dims[0]
+    model = ModelGraph("binarize-feeds", (3, 8, 8), 2, layers + [_init_dense(rng, features, 2)])
+    validate_graph(model)
+    return model
+
+
+def _binary_conv(seed):
+    return _init_binary_conv(np.random.default_rng(seed), 4, 4, (3, 3), padding=(1, 1))
+
+
+BINARIZE_CONSUMERS = {
+    "avg_pool": lambda: (AvgPool((2, 2)), CgbnLayer.identity(4), Binarize(), _binary_conv(1),
+                         CgbnLayer.identity(4)),
+    "max_pool": lambda: (MaxPool((2, 2)),),
+    "spectral_pool": lambda: (SpectralPool((4, 4)),),
+    "cgbn": lambda: (CgbnLayer.identity(4), Binarize(), _binary_conv(2), CgbnLayer.identity(4)),
+    "flatten": lambda: (),
+    "binarize": lambda: (Binarize(), _binary_conv(3), CgbnLayer.identity(4)),
+    "block": lambda: (_block1(np.random.default_rng(4), 4),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINARIZE_CONSUMERS))
+def test_binarize_feeding_a_dense_consumer_gives_packed_equal_dense(case, monkeypatch):
+    import bcnn.models as models
+
+    model = _binarize_feeds(*BINARIZE_CONSUMERS[case]())
+    x = np.random.default_rng(15).random((3, 3, 8, 8))
+    unpacked = []
+    unpack = models.unpack
+    monkeypatch.setattr(models, "unpack", lambda b: unpacked.append(b) or unpack(b))
+    np.testing.assert_array_equal(forward(model, x), forward(model, x, packed=False))
+    assert unpacked  # the packed binarize output reached a node that reads planes
