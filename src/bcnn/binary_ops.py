@@ -16,6 +16,11 @@ consistent with the {+1,-1} alphabet.  The convolution's optional
 channel's weight rows never enter the XOR/popcount loop, and its output
 is exactly +0.0.
 
+``mismatch_counts`` is the kernel itself: integer XOR/popcount mismatch
+counts of the live output channels only.  ``binary_complex_conv2d`` is
+those counts as float dots, ``row_bits - 2 * count`` (exact integers), with
+every pruned channel +0.0.
+
 All results are integer-exact: the packed kernel must agree bit-for-bit
 with a dense reference convolution for any valid input.
 """
@@ -91,6 +96,11 @@ class ConvGeometry:
             )
         return h_out, w_out
 
+    @property
+    def row_bits(self) -> int:
+        """Bits in one joint ``[re | im]`` weight row: the all-match dot."""
+        return 2 * self.in_channels * self.kernel[0] * self.kernel[1]
+
 
 def xnor_dot(a_words: np.ndarray, b_words: np.ndarray, n: int) -> int:
     """Dot product of two packed {+1,-1} vectors of n elements.
@@ -138,24 +148,26 @@ def _joint_words(re: np.ndarray, im: np.ndarray, c: int) -> np.ndarray:
     return np.concatenate([re, im], axis=-1)
 
 
-def binary_complex_conv2d(
+def mismatch_counts(
     x: BitplaneTensor,
     w: BitplaneTensor,
     geometry: ConvGeometry,
-    parallelism: tuple[int, int] | None = None,
-    active: np.ndarray | None = None,
-) -> ComplexTensor:
-    """Exact bias-free binary complex 2D convolution on packed operands.
+    parallelism: tuple[int, int] | None,
+    active: np.ndarray | None,
+) -> np.ndarray:
+    """Integer XOR/popcount mismatch counts of a binary complex convolution.
 
-    ``w`` packs the weight tensor with shape (out_c, in_c, kh, kw); its
-    batch axis is the output channel.  ``active`` is an optional boolean
-    mask of the output channels to compute (default all); every other
-    output channel is exactly +0.0.  ``parallelism = (p_out, p_in)``
-    selects how many computed output channels and joint re|im words
-    (``p_in`` at most the words per plane) are processed per inner step,
-    with ``p_out`` dividing out_c; the result is bit-identical for every
-    valid choice and every mask (int32 accumulation is exact while
-    ``2*c*kh*kw < 2**31``), defaulting to the widest.
+    Returns an array of shape (2, live, n, h_out, w_out): plane 0 counts the
+    mismatches of each output pixel's ``[x_r | x_i]`` against the
+    ``[w_r | ~w_i]`` row (the real output), plane 1 against ``[w_i | w_r]``
+    (the imaginary output), for the ``live`` output channels that
+    ``active`` (a boolean mask, None for all) names, in channel order.  A
+    count ``m`` is the dot ``geometry.row_bits - 2 * m``.  Counts are
+    ``uint16`` while ``row_bits < 2**16``, else ``uint32``, which is exact
+    for every count.  ``parallelism = (p_out, p_in)`` selects how many live
+    output channels and joint re|im words (``p_in`` at most the words per
+    plane) are processed per inner step, with ``p_out`` dividing out_c; the
+    counts are identical for every valid choice, and None is the widest.
     """
     n, c, h, wd = x.shape
     out_c, in_c, kh, kw = w.shape
@@ -190,13 +202,15 @@ def binary_complex_conv2d(
     rows = np.stack([_joint_words(w_re, ~w_im, c), _joint_words(w_im, w_re, c)])
     nwj = xp.shape[-1]
 
-    acc = np.zeros((2, live.size, n, h_out, w_out), dtype=np.int32)
+    # popcounts land in the accumulator's dtype: no widening add per tap
+    counts = np.zeros((2, live.size, n, h_out, w_out),
+                      dtype=np.uint16 if geometry.row_bits < 2**16 else np.uint32)
     buf = np.empty((2, min(p_out, live.size), n, h_out, w_out), dtype=np.uint64)
-    cnt = np.empty(buf.shape, dtype=np.uint8)
+    ones = np.empty(buf.shape, dtype=counts.dtype)
     for oc0 in range(0, live.size, p_out):
         ocs = slice(oc0, oc0 + p_out)
         rows_out = min(p_out, live.size - oc0)  # skipped rows can leave a short last block
-        xor, ones = buf[:, :rows_out], cnt[:, :rows_out]
+        xor, pop = buf[:, :rows_out], ones[:, :rows_out]
         for w0 in range(0, nwj, p_in):
             for ky, kx in np.ndindex(kh, kw):
                 for j in range(w0, min(w0 + p_in, nwj)):
@@ -204,15 +218,34 @@ def binary_complex_conv2d(
                     xv = xp[:, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw, j]
                     tap = rows[:, ocs, ky, kx, j, None, None, None]
                     np.bitwise_xor(np.ascontiguousarray(xv), tap, out=xor)
-                    np.bitwise_count(xor, out=ones)
-                    acc[:, ocs] += ones
+                    np.bitwise_count(xor, out=pop)
+                    counts[:, ocs] += pop
+    return counts
 
-    # each row is a real dot over 2*c*kh*kw bits: all matches minus 2 per mismatch
-    dots = np.moveaxis(acc, 2, 1).astype(float, order="C")
+
+def binary_complex_conv2d(
+    x: BitplaneTensor,
+    w: BitplaneTensor,
+    geometry: ConvGeometry,
+    parallelism: tuple[int, int] | None = None,
+    active: np.ndarray | None = None,
+) -> ComplexTensor:
+    """Exact bias-free binary complex 2D convolution on packed operands.
+
+    ``w`` packs the weight tensor with shape (out_c, in_c, kh, kw); its
+    batch axis is the output channel.  The result is the float form of
+    :func:`mismatch_counts` (same ``parallelism`` and ``active`` mask):
+    every output channel outside ``active`` is exactly +0.0, and the result
+    is bit-identical for every valid ``parallelism`` and every mask.
+    """
+    counts = mismatch_counts(x, w, geometry, parallelism, active)
+    # each row is a real dot over row_bits bits: all matches minus 2 per mismatch
+    dots = np.moveaxis(counts, 2, 1).astype(float, order="C")
     dots *= -2
-    dots += 2 * c * kh * kw
-    if live.size < out_c:
-        planes = np.zeros((2, n, out_c, h_out, w_out))
-        planes[:, :, live] = dots
+    dots += geometry.row_bits
+    if counts.shape[1] < geometry.out_channels:
+        _, n, _, h_out, w_out = dots.shape
+        planes = np.zeros((2, n, geometry.out_channels, h_out, w_out))
+        planes[:, :, np.asarray(active, dtype=bool)] = dots
         dots = planes
     return ComplexTensor(dots[0], dots[1])

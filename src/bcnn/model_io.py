@@ -23,7 +23,7 @@ entry; this module holds the framing.  Payload lengths are derivable from
 the descriptor; a well-formed file has no trailing bytes.  Loading never
 returns a partial model: a residual block must hold binarized convolutions
 and CGBN layers in the encoded order, and the loaded graph must pass
-``validate_graph``.
+``validate_graph``, as a graph must before it is saved.
 """
 
 from __future__ import annotations
@@ -63,6 +63,14 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 def model_to_bytes(model: ModelGraph) -> bytes:
+    """Encode a model; a graph ``validate_graph`` rejects raises ShapeMismatch
+    here rather than being written as a file no loader accepts."""
+    validate_graph(model)
+    return _encode_graph(model)
+
+
+def _encode_graph(model: ModelGraph) -> bytes:
+    """The BCN1 framing of any graph, valid or not."""
     desc = bytearray()
     payload = bytearray()
     for layer in model.layers:

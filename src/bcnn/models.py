@@ -325,17 +325,125 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
                             binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
 
 
-def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
+def _packed_operands(layer: BinaryConvLayer, x) -> tuple[BitplaneTensor, BitplaneTensor]:
     """``x`` is a binarize step's packed words, or +-1 planes (packed by the
-    checked ``pack`` in packed mode)."""
+    checked ``pack``)."""
+    # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
+    # weights are packed per call because training and pruning edit them in place
+    w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
+    return (x if isinstance(x, BitplaneTensor) else pack(x)), w
+
+
+def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
     active = active_output_channels(layer)
     if packed:
-        # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
-        # weights are packed per call because training and pruning edit them in place
-        w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
-        x = x if isinstance(x, BitplaneTensor) else pack(x)
-        return binary_complex_conv2d(x, w, layer.geometry, active=active)
+        return binary_complex_conv2d(*_packed_operands(layer, x), layer.geometry, active=active)
     return mask_pruned_channels(complex_conv2d_fp(x, _sign_weights(layer)), active)
+
+
+# packed inference runs a binary conv and the CGBN right after it as one step
+
+def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
+    """The CGBN restricted to the sorted distinct channels ``idx``."""
+    if idx.size == bn.channels:
+        return bn
+    return CgbnLayer(*(getattr(bn, f.name)[idx] for f in fields(bn)[:-2]),
+                     eps=bn.eps, momentum=bn.momentum)
+
+
+def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a real-gamma CGBN (``gamma_im == 0``) fed by mismatch counts
+    ``m`` in [0, row_bits]: per plane and channel an integer ``t`` in
+    [-1, row_bits], and per channel ``flip``, such that the binarized
+    output is ``(m <= t) != flip``.
+
+    With a real gamma each plane's output depends on its own dot
+    ``row_bits - 2m`` only (the cross term is +-0, or NaN for every input),
+    and it is monotone in that dot because correctly rounded float ops are
+    monotone, so each bit is one step in ``m``.  The exact ``cgbn_forward``
+    is evaluated at a closed-form estimate of the step and its neighbours;
+    channels whose step lies elsewhere are bisected.
+    """
+    k = row_bits
+    flip = np.asarray(bn.gamma_re) < 0  # then the output rises with m
+    mean, var, beta = np.array([[bn.running_mean_re, bn.running_mean_im],
+                                [bn.running_var_re, bn.running_var_im],
+                                [bn.beta_re, bn.beta_im]], dtype=float)
+    with np.errstate(all="ignore"):
+        slope = np.asarray(bn.gamma_re, dtype=float) / np.sqrt(2.0 * var + bn.eps)
+        # the last count whose dot is on the high side of the output's zero
+        step = np.floor((k - mean + beta / slope) / 2)
+    step = np.fmax(np.fmin(step, k), -1).astype(np.int64)  # NaN (0 / 0): the output is +-0
+
+    def kept(m, idx):
+        """Whether the bit at counts ``m`` (2, channels, points) of the
+        channels ``idx`` is the unflipped one; counts below 0 keep it,
+        counts above ``k`` do not."""
+        dots = (k - 2 * np.fmin(np.fmax(m, 0), k)).astype(float)
+        y = cgbn_forward(ComplexTensor(dots[0, None, :, None], dots[1, None, :, None]),
+                         _bn_channels(bn, idx))
+        up = (np.stack([y.re[0, :, 0], y.im[0, :, 0]]) >= 0) != flip[idx, None]
+        return (up | (m < 0)) & (m <= k)
+
+    probe = step[..., None] + np.arange(-1, 3)
+    up = kept(probe, np.arange(flip.size))
+    edge = up[..., :-1] & ~up[..., 1:]  # at most one per row: the bit is monotone
+    t = probe[..., 0] + edge.argmax(axis=-1)
+    missed = np.flatnonzero(~edge.any(axis=-1).all(axis=0))
+    if missed.size:
+        lo = np.full((2, missed.size), -1)
+        hi = np.full((2, missed.size), k + 1)
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            up = kept(mid[..., None], missed)[..., 0]
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        t[:, missed] = lo
+    return t, flip
+
+
+def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer, x, binarize: bool):
+    """Packed binary conv, then eval CGBN on its live channels only; each
+    pruned channel is the constant CGBN gives for +0.0.  With ``binarize``
+    the step returns the binarized output's words: a channel with a real
+    gamma compares its integer dots with one threshold per plane, any other
+    takes the sign of its float CGBN.  Bit-identical to the node-by-node
+    forward."""
+    active = active_output_channels(conv)
+    live, pruned = np.flatnonzero(active), np.flatnonzero(~active)
+    # fresh planes, edited in place below; pruned channels are +0.0
+    y = binary_complex_conv2d(*_packed_operands(conv, x), conv.geometry, active=active)
+    if pruned.size:
+        zero = np.zeros((1, pruned.size, 1, 1))
+        const = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, pruned))
+    fold = (np.asarray(bn.gamma_im)[live] == 0) & binarize
+    rest = live[~fold]  # the channels that take the float CGBN
+    if rest.size == y.shape[1]:
+        y = cgbn_forward(y, bn)
+    elif rest.size:
+        part = cgbn_forward(ComplexTensor(y.re[:, rest], y.im[:, rest]), _bn_channels(bn, rest))
+        y.re[:, rest], y.im[:, rest] = part.re, part.im
+    if not binarize:
+        if pruned.size:
+            y.re[:, pruned], y.im[:, pruned] = const.re, const.im
+        return y
+
+    # each plane becomes (y - offset) * scale, whose sign is the bit
+    offset = np.zeros((2, y.shape[1]))
+    scale = np.ones(y.shape[1])
+    if pruned.size:  # a pruned channel reads +0.0: offset 1 packs it as a negative or NaN constant
+        offset[:, pruned] = ~(np.stack([const.re[0, :, 0, 0], const.im[0, :, 0, 0]]) >= 0)
+    if fold.any():
+        t, flip = _sign_thresholds(_bn_channels(bn, live[fold]), conv.geometry.row_bits)
+        # the bit (m <= t) != flip for the count m = (k - dot) / 2 is
+        # dot >= k - 2t, or dot <= k - 2t - 2 where flipped
+        offset[:, live[fold]] = conv.geometry.row_bits - 2 * t - 2 * flip
+        scale[live[fold]] = np.where(flip, -1.0, 1.0)
+    flipped = (scale < 0).any()
+    for plane, off in zip((y.re, y.im), offset):
+        plane -= off[:, None, None]
+        if flipped:
+            plane *= scale[:, None, None]
+    return pack_signs(y)
 
 
 def _binary_conv_train(layer: BinaryConvLayer, x: ComplexTensor, update_stats):
@@ -665,13 +773,24 @@ def run_nodes(nodes, x, packed: bool):
     """Inference over a node sequence (a model's or a block path's).
 
     In packed mode a binarize step emits a BitplaneTensor; a node kind that
-    does not take packed input sees it unpacked to the same +-1 planes.
+    does not take packed input sees it unpacked to the same +-1 planes.  A
+    binary conv directly followed by a CGBN, and by a Binarize after that,
+    runs with them as one step (``_conv_bn_forward``).
     """
-    for node in nodes:
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
         kind = kind_of(node)
         if isinstance(x, BitplaneTensor) and not kind.takes_packed:
             x = unpack(x)
-        x = kind.forward(node, x, packed)
+        follow = [type(nxt) for nxt in nodes[i + 1 : i + 3]]
+        if packed and type(node) is BinaryConvLayer and follow[:1] == [CgbnLayer]:
+            binarize = follow == [CgbnLayer, Binarize]
+            x = _conv_bn_forward(node, nodes[i + 1], x, binarize)
+            i += 2 + binarize
+        else:
+            x = kind.forward(node, x, packed)
+            i += 1
     return x
 
 
@@ -710,9 +829,12 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     ``packed=True`` routes binarized segments through the bit-packed
     XOR/popcount kernel (each binarize step sign-packs its input once, and
     pruned output channels are skipped), ``packed=False`` through the dense
-    reference path; the two are integer-exact equals.  Batch-norm layers
-    use running statistics, so per-image outputs do not depend on batch
-    composition.
+    reference path; the two are integer-exact equals.  In packed mode a
+    binary conv followed by a CGBN runs as one step: the CGBN runs on the
+    live channels only, and a Binarize right after it becomes integer
+    thresholds on the conv's dots for channels with a real gamma.
+    Batch-norm layers use running statistics, so per-image outputs do not
+    depend on batch composition.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:

@@ -219,3 +219,37 @@ def every_node_kind_model(seed=0):
     model = ModelGraph("every-kind", (3, 16, 16), 2, layers)
     validate_graph(model)
     return model
+
+
+def perturb_cgbn(model, rng):
+    """Move every CGBN of ``model`` (block paths included) off identity:
+    running statistics, gamma of both signs, beta, and a complex gamma on
+    about a quarter of the channels (gamma_im stays exactly 0 elsewhere)."""
+    from bcnn.layers import CgbnLayer
+    from bcnn.models import graph_nodes
+
+    for node, _ in graph_nodes(model):
+        if isinstance(node, CgbnLayer):
+            c = node.channels
+            node.running_mean_re[:] = rng.standard_normal(c) * 4
+            node.running_mean_im[:] = rng.standard_normal(c) * 4
+            node.running_var_re[:] = rng.uniform(0.2, 30.0, c)
+            node.running_var_im[:] = rng.uniform(0.2, 30.0, c)
+            node.gamma_re[:] = rng.standard_normal(c)
+            node.gamma_im[:] = np.where(rng.random(c) < 0.25, rng.standard_normal(c), 0.0)
+            node.beta_re[:] = rng.standard_normal(c)
+            node.beta_im[:] = rng.standard_normal(c)
+    return model
+
+
+def hard_prune(model, ratio):
+    """Project every binary conv of ``model`` onto its largest-norm output
+    channels, ``slr.budgets_from_ratio(model, ratio)`` of them per layer."""
+    from bcnn.models import iter_binary_convs
+    from bcnn.slr import budgets_from_ratio, project_channels
+
+    for layer, budget in zip(iter_binary_convs(model), budgets_from_ratio(model, ratio)):
+        z = project_channels(np.stack([layer.w_re, layer.w_im]), budget, channel_axis=1)
+        layer.w_re[...] = z[0]
+        layer.w_im[...] = z[1]
+    return model

@@ -7,6 +7,7 @@ from bcnn.binary_ops import (
     binarize_stochastic,
     binary_complex_conv2d,
     binary_complex_dot,
+    mismatch_counts,
     quadrant_binarize,
     xnor_dot,
 )
@@ -307,3 +308,22 @@ def test_binarize_stochastic_intermediate_probability():
     out = binarize_stochastic(np.full(100_000, 0.5), seed=3)
     plus_rate = (out == 1.0).mean()
     assert abs(plus_rate - 0.75) < 0.01
+
+
+@pytest.mark.parametrize("c, dtype", [(32767, np.uint16), (32768, np.uint32)])
+def test_counts_widen_past_uint16_and_stay_exact(c, dtype):
+    # row_bits = 2c for a 1x1 kernel: 65534 fits uint16, 65536 does not;
+    # images equal to weight row 0 (as [w_r | ~w_i]) and to its negation
+    # reach counts 0 and row_bits
+    rng = np.random.default_rng(c)
+    w = random_pm1_tensor(rng, (2, c, 1, 1))
+    x = ComplexTensor(np.concatenate([w.re[:1], -w.re[:1], random_pm1_tensor(rng, (1, c, 1, 1)).re]),
+                      np.concatenate([-w.im[:1], w.im[:1], random_pm1_tensor(rng, (1, c, 1, 1)).im]))
+    g = ConvGeometry(c, 2, (1, 1))
+    counts = mismatch_counts(pack(x), pack(w), g, None, None)
+    assert counts.dtype == dtype
+    assert counts[0, 0, :2].ravel().tolist() == [0, g.row_bits]
+    y = binary_complex_conv2d(pack(x), pack(w), g)
+    ref = reference_complex_conv2d(x, w, (1, 1), (0, 0))
+    np.testing.assert_array_equal(y.re, ref.re)
+    np.testing.assert_array_equal(y.im, ref.im)

@@ -3,16 +3,18 @@
 Seeded random graphs drawn from every node kind: each graph that
 ``validate_graph`` accepts must infer (packed == dense, exactly), train,
 keep its running statistics under ``batch_loss`` and round-trip BCN1
-byte-identically; each graph it rejects must also be refused by loading.
+byte-identically; each graph it rejects must also be refused by saving and,
+framed without validation, by loading.
 """
 
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from bcnn.errors import CorruptModelFile, ShapeMismatch
 from bcnn.layers import CgbnLayer, RealBnLayer
-from bcnn.model_io import model_from_bytes, model_to_bytes
+from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
 from bcnn.models import (NODE_KINDS, AvgPool, Binarize, ComplexInputGenerator, Flatten,
                          Hardtanh, MaxPool, ModelGraph, Relu, SpectralPool, backprop_nodes,
                          build_complex_input_generator, forward, graph_nodes, kind_of,
@@ -156,8 +158,10 @@ def test_every_accepted_graph_runs_and_every_rejected_graph_fails_to_load():
             validate_graph(model)
         except ShapeMismatch:
             rejected += 1
+            with pytest.raises(ShapeMismatch):
+                model_to_bytes(model)
             try:
-                model_from_bytes(model_to_bytes(model))
+                model_from_bytes(_encode_graph(model))
             except CorruptModelFile:
                 continue
             raise AssertionError(f"a graph validate_graph rejects loads: {model.layers}")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bcnn.binary_ops import binarize_deterministic
-from bcnn.errors import (BadMagic, BcnnError, CorruptModelFile, TruncatedFile,
+from bcnn.errors import (BadMagic, BcnnError, CorruptModelFile, ShapeMismatch, TruncatedFile,
                          UnsupportedVersion)
-from bcnn.model_io import load_model, model_from_bytes, model_to_bytes, save_model
+from bcnn.model_io import (_encode_graph, load_model, model_from_bytes, model_to_bytes,
+                           save_model)
 from bcnn.models import (
     build_nin_bcnn,
     build_resnet18_bcnn,
@@ -168,8 +169,10 @@ def test_block_with_wrong_sub_layer_type_is_corrupt(build):
     model = build(seed=0)
     block_at = 3  # generator, complex conv, CGBN, then the first block (ResNet)
     model.layers.insert(block_at, _block_with_dense_sub_layer())
+    with pytest.raises(ShapeMismatch):
+        model_to_bytes(model)
     with pytest.raises(CorruptModelFile, match="DenseLayer"):
-        model_from_bytes(model_to_bytes(model))
+        model_from_bytes(_encode_graph(model))
 
 
 def test_graph_failing_validation_is_corrupt():
@@ -178,17 +181,30 @@ def test_graph_failing_validation_is_corrupt():
     model = build_toy_bcnn(seed=0)
     binarize_at = next(i for i, layer in enumerate(model.layers) if isinstance(layer, Binarize))
     del model.layers[binarize_at]  # a binarized conv no longer follows a binarize step
+    with pytest.raises(ShapeMismatch, match="binarize"):
+        model_to_bytes(model)
     with pytest.raises(CorruptModelFile, match="binarize"):
-        model_from_bytes(model_to_bytes(model))
+        model_from_bytes(_encode_graph(model))
+
+
+def test_saving_a_misshaped_graph_raises_and_writes_nothing(tmp_path):
+    from bcnn.layers import CgbnLayer
+
+    model = build_toy_bcnn(seed=0)
+    model.layers.insert(3, CgbnLayer.identity(5))  # the conv before it gives 4 channels
+    path = tmp_path / "misshaped.bcn"
+    with pytest.raises(ShapeMismatch, match="channels"):
+        save_model(model, str(path))
+    assert not path.exists()
 
 
 def _rejected_by_validation_and_loading(model, match):
-    from bcnn.errors import ShapeMismatch
-
     with pytest.raises(ShapeMismatch, match=match):
         validate_graph(model)
+    with pytest.raises(ShapeMismatch, match=match):
+        model_to_bytes(model)
     with pytest.raises(CorruptModelFile, match=match):
-        model_from_bytes(model_to_bytes(model))
+        model_from_bytes(_encode_graph(model))
 
 
 def test_real_bn_after_the_generator_is_rejected():
@@ -226,8 +242,11 @@ def test_residual_block_as_last_compute_layer_is_rejected():
 def test_graph_without_compute_layer_is_corrupt():
     from bcnn.models import ModelGraph, Relu
 
+    model = ModelGraph("relu", (3, 8, 8), 2, [Relu()])
+    with pytest.raises(ShapeMismatch):
+        model_to_bytes(model)
     with pytest.raises(CorruptModelFile):
-        model_from_bytes(model_to_bytes(ModelGraph("relu", (3, 8, 8), 2, [Relu()])))
+        model_from_bytes(_encode_graph(model))
 
 
 def test_model_name_not_utf8_is_corrupt():

@@ -30,7 +30,7 @@ from bcnn.models import (
     kind_of,
 )
 from bcnn.tensors import ComplexTensor
-from helpers import random_pm1_tensor
+from helpers import hard_prune, perturb_cgbn, random_pm1_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +293,15 @@ MISSHAPED_GRAPHS = {
 @pytest.mark.parametrize("case", sorted(MISSHAPED_GRAPHS))
 def test_misshaped_graph_is_rejected_by_validation_and_loading(case):
     from bcnn.errors import CorruptModelFile
-    from bcnn.model_io import model_from_bytes, model_to_bytes
+    from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
 
     build, reason = MISSHAPED_GRAPHS[case]
     with pytest.raises(ShapeMismatch, match=reason):
         validate_graph(build())
+    with pytest.raises(ShapeMismatch, match=reason):
+        model_to_bytes(build())
     with pytest.raises(CorruptModelFile, match=reason):
-        model_from_bytes(model_to_bytes(build()))
+        model_from_bytes(_encode_graph(build()))
 
 
 def test_builders_order_pool_between_conv_and_bn():
@@ -462,3 +464,64 @@ def test_binarize_feeding_a_dense_consumer_gives_packed_equal_dense(case, monkey
     monkeypatch.setattr(models, "unpack", lambda b: unpacked.append(b) or unpack(b))
     np.testing.assert_array_equal(forward(model, x), forward(model, x, packed=False))
     assert unpacked  # the packed binarize output reached a node that reads planes
+
+
+# ---------------------------------------------------------------------------
+# conv -> CGBN (-> Binarize) as one packed step
+# ---------------------------------------------------------------------------
+
+# sha256 prefixes of the logits bytes as the node-by-node forward gave them
+# before the step existed (packed and dense agreed), from the seeded models
+# below: (model, kept channel ratio, batch) -> digest
+GOLDEN_LOGITS = {
+    ("nin", 1.0, 1): "164358265f79f6de8a075cbee13fae75",
+    ("nin", 1.0, 4): "19b26d03493379edf7aa2ed837e799f8",
+    ("nin", 0.5, 1): "ed0d2eb90147c65cb1594e2d7286a5d9",
+    ("nin", 0.5, 4): "89cfdf2f50ecd2481e822c27a6e9b702",
+    ("resnet18", 1.0, 1): "becda38999730386f2f797c7db9cff2a",
+    ("resnet18", 1.0, 4): "552c3017b9823e1204b5d989956c1468",
+    ("resnet18", 0.5, 1): "2fc8738d6f64fa9a4e71f62cfca40105",
+    ("resnet18", 0.5, 4): "a2b51edcef68edbff79e3429e8cbe9bb",
+}
+BUILDERS = {"nin": build_nin_bcnn, "resnet18": build_resnet18_bcnn}
+
+
+@pytest.mark.parametrize("name, ratio, batch", sorted(GOLDEN_LOGITS))
+def test_fused_forward_equals_dense_and_golden_logits(name, ratio, batch):
+    import hashlib
+
+    model = hard_prune(perturb_cgbn(BUILDERS[name](seed=21), np.random.default_rng(21)), ratio)
+    x = np.random.default_rng(batch).random((batch, 3, 32, 32))
+    packed, dense = forward(model, x), forward(model, x, packed=False)
+    np.testing.assert_array_equal(packed, dense)
+    np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
+    assert hashlib.sha256(packed.tobytes()).hexdigest()[:32] == GOLDEN_LOGITS[name, ratio, batch]
+
+
+def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
+    import bcnn.models as models
+
+    model = hard_prune(build_resnet18_bcnn(seed=22), 0.5)
+    events = []
+    conv2d, cgbn = models.binary_complex_conv2d, models.cgbn_forward
+
+    def conv(x, w, geometry, *args, **kwargs):
+        events.append(("conv", geometry.out_channels))
+        return conv2d(x, w, geometry, *args, **kwargs)
+
+    def bn(x, layer, *args, **kwargs):
+        events.append(("cgbn", x.shape[1]))
+        return cgbn(x, layer, *args, **kwargs)
+
+    monkeypatch.setattr(models, "binary_complex_conv2d", conv)
+    monkeypatch.setattr(models, "cgbn_forward", bn)
+    forward(model, np.random.default_rng(22).random((2, 3, 32, 32)))
+    assert sum(kind == "conv" for kind, _ in events) == 19
+    out_c, after_conv = None, 0
+    for kind, channels in events:
+        if kind == "conv":
+            out_c = channels
+        elif out_c is not None:
+            assert channels <= out_c // 2  # every conv keeps half its channels
+            after_conv += 1
+    assert after_conv >= 19
