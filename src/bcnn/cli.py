@@ -82,6 +82,16 @@ def _make_dataset(data: str, model: models.ModelGraph, seed: int, train_split: b
     return split.train if train_split else split.test
 
 
+def _train_and_save(model, dataset, cfg: training.TrainConfig, out: str, what: str) -> int:
+    _, history = training.train(model, dataset, cfg)
+    for rec in history:
+        print(f"epoch {rec['epoch']}: loss {rec['loss']:.4f} "
+              f"accuracy {rec['accuracy']:.3f}")
+    model_io.save_model(model, out)
+    print(f"saved {what} to {out}")
+    return 0
+
+
 def _cmd_train(args) -> int:
     builders = {
         "nin": models.build_nin_bcnn,
@@ -96,21 +106,12 @@ def _cmd_train(args) -> int:
     cfg = training.TrainConfig(
         lr=args.lr, epochs=args.epochs, batch_size=args.batch, seed=args.seed
     )
-    _, history = training.train(model, dataset, cfg)
-    for rec in history:
-        print(f"epoch {rec['epoch']}: loss {rec['loss']:.4f} "
-              f"accuracy {rec['accuracy']:.3f}")
-    model_io.save_model(model, args.out)
-    print(f"saved {model.name} to {args.out}")
-    return 0
+    return _train_and_save(model, dataset, cfg, args.out, model.name)
 
 
 def _cmd_prune(args) -> int:
     model = model_io.load_model(args.model_in)
-    dataset = training.make_synthetic_dataset(
-        num_classes=model.num_classes, samples_per_class=16,
-        shape=model.input_shape, seed=0,
-    )
+    dataset = _make_dataset("synthetic", model, 0, train_split=True)
     cfg = slr.SlrConfig(
         budgets=slr.budgets_from_ratio(model, args.budget_ratio),
         rho=args.rho,
@@ -127,23 +128,22 @@ def _cmd_prune(args) -> int:
 
 def _cmd_quantize(args) -> int:
     model = model_io.load_model(args.model_in)
-    dataset = training.make_synthetic_dataset(
-        num_classes=model.num_classes, samples_per_class=16,
-        shape=model.input_shape, seed=0,
-    )
+    dataset = _make_dataset("synthetic", model, 0, train_split=True)
     cfg = training.TrainConfig(epochs=args.epochs, clip=args.clip, seed=0)
-    _, history = training.train(model, dataset, cfg)
-    for rec in history:
-        print(f"epoch {rec['epoch']}: loss {rec['loss']:.4f} "
-              f"accuracy {rec['accuracy']:.3f}")
-    model_io.save_model(model, args.out)
-    print(f"saved quantized model to {args.out}")
-    return 0
+    return _train_and_save(model, dataset, cfg, args.out, "quantized model")
 
 
 def _load_image(path: str, shape) -> np.ndarray:
     if path.endswith(".npy"):
-        img = np.load(path)
+        try:
+            img = np.load(path, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise BcnnError(f"{path}: not a readable .npy array ({exc})") from None
+        if not isinstance(img, np.ndarray):
+            img.close()
+            raise BcnnError(f"{path}: an .npz archive, not one array")
+        if img.dtype.kind not in "biuf":
+            raise BcnnError(f"{path}: {img.dtype} pixels, expected real numbers")
     else:
         raw = np.fromfile(path, dtype=np.uint8)
         expected = int(np.prod(shape))
@@ -154,7 +154,10 @@ def _load_image(path: str, shape) -> np.ndarray:
         img = raw.reshape(shape).astype(float) / 255.0
     if img.shape != tuple(shape):
         raise BcnnError(f"image shape {img.shape} does not match model {shape}")
-    return np.asarray(img, dtype=float)
+    img = np.asarray(img, dtype=float)
+    if not np.isfinite(img).all():
+        raise BcnnError(f"{path}: the image has non-finite pixels")
+    return img
 
 
 def _cmd_infer(args) -> int:

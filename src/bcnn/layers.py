@@ -127,8 +127,22 @@ class ComplexConvLayer:
     pad_value: float = 0.0
 
 
-def complex_im2col(x: ComplexTensor, layer: ComplexConvLayer):
-    """Column matrices of both planes: (cols_r, cols_i, (h_out, w_out))."""
+def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTensor:
+    """Complex convolution: y = conv(x, w) with complex per-element products.
+
+    y_r = conv(x_r, w_r) - conv(x_i, w_i) + b_r
+    y_i = conv(x_r, w_i) + conv(x_i, w_r) + b_i
+
+    ``_complex_conv_fwd`` without the im2col columns it keeps for training.
+    """
+    return _complex_conv_fwd(x, layer)[0]
+
+
+def _complex_conv_fwd(x: ComplexTensor, layer: ComplexConvLayer):
+    """im2col of both planes, then two GEMMs: ``a = [w_r; w_i] @ cols_r`` and
+    ``b = [w_i; w_r] @ cols_i``, whose halves combine into
+    ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
+    Returns ``(y, (cols_r, cols_i, x.shape))``."""
     g = layer.geometry
     if x.shape[1] != g.in_channels or layer.w_re.shape[1] != g.in_channels:
         raise ShapeMismatch(
@@ -136,17 +150,7 @@ def complex_im2col(x: ComplexTensor, layer: ComplexConvLayer):
         )
     cols_r, out_hw = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
     cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
-    return cols_r, cols_i, out_hw
-
-
-def complex_conv_gemm(cols_r, cols_i, out_hw, layer: ComplexConvLayer) -> ComplexTensor:
-    """The two GEMMs of a complex convolution over ``complex_im2col`` columns.
-
-    ``a = [w_r; w_i] @ cols_r`` and ``b = [w_i; w_r] @ cols_i``; their halves
-    combine into ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
-    """
-    n = cols_r.shape[0]
-    out_c = layer.w_re.shape[0]
+    n, out_c = x.shape[0], layer.w_re.shape[0]
     mat_r = layer.w_re.reshape(out_c, -1)
     mat_i = layer.w_im.reshape(out_c, -1)
     a = np.matmul(np.concatenate([mat_r, mat_i]).astype(float), cols_r)
@@ -156,23 +160,7 @@ def complex_conv_gemm(cols_r, cols_i, out_hw, layer: ComplexConvLayer) -> Comple
     if layer.bias_re is not None:
         y_r += layer.bias_re.reshape(1, -1, 1, 1)
         y_i += layer.bias_im.reshape(1, -1, 1, 1)
-    return ComplexTensor(y_r, y_i)
-
-
-def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTensor:
-    """Complex convolution: y = conv(x, w) with complex per-element products.
-
-    y_r = conv(x_r, w_r) - conv(x_i, w_i) + b_r
-    y_i = conv(x_r, w_i) + conv(x_i, w_r) + b_i
-
-    computed as im2col of both planes followed by ``complex_conv_gemm``.
-    """
-    return complex_conv_gemm(*complex_im2col(x, layer), layer)
-
-
-def _complex_conv_fwd(x: ComplexTensor, layer: ComplexConvLayer):
-    cols_r, cols_i, out_hw = complex_im2col(x, layer)
-    return complex_conv_gemm(cols_r, cols_i, out_hw, layer), (cols_r, cols_i, x.shape)
+    return ComplexTensor(y_r, y_i), (cols_r, cols_i, x.shape)
 
 
 def _complex_conv_bwd(g: ComplexTensor, cache, layer: ComplexConvLayer):
@@ -481,14 +469,9 @@ def real_bn_forward(x: np.ndarray, layer: RealBnLayer, training: bool = False) -
     if x.ndim != 4 or x.shape[1] != layer.gamma.shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} does not match {layer.gamma.shape[0]} channels")
     if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        m = layer.momentum
-        layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
-        layer.running_var[:] = (1 - m) * layer.running_var + m * var
-    else:
-        mean = np.asarray(layer.running_mean, dtype=float)
-        var = np.asarray(layer.running_var, dtype=float)
+        return _fwd_real_bn(layer, x)[0]
+    mean = np.asarray(layer.running_mean, dtype=float)
+    var = np.asarray(layer.running_var, dtype=float)
     xh = (x - mean.reshape(1, -1, 1, 1)) / np.sqrt(var.reshape(1, -1, 1, 1) + layer.eps)
     return _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
 

@@ -335,10 +335,9 @@ def _packed_operands(layer: BinaryConvLayer, x) -> tuple[BitplaneTensor, Bitplan
 
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
-    active = active_output_channels(layer)
     if packed:
-        return binary_complex_conv2d(*_packed_operands(layer, x), layer.geometry, active=active)
-    return mask_pruned_channels(complex_conv2d_fp(x, _sign_weights(layer)), active)
+        return _conv_bn_forward(layer, None, x, False)
+    return _binary_conv_train(layer, x, False)[0]
 
 
 # packed inference runs a binary conv and the CGBN right after it as one step
@@ -351,18 +350,20 @@ def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
                      eps=bn.eps, momentum=bn.momentum)
 
 
-def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For a real-gamma CGBN (``gamma_im == 0``) fed by mismatch counts
     ``m`` in [0, row_bits]: per plane and channel an integer ``t`` in
     [-1, row_bits], and per channel ``flip``, such that the binarized
-    output is ``(m <= t) != flip``.
+    output is ``(m <= t) != flip``; and per channel whether both planes'
+    ``t`` were found.
 
     With a real gamma each plane's output depends on its own dot
     ``row_bits - 2m`` only (the cross term is +-0, or NaN for every input),
     and it is monotone in that dot because correctly rounded float ops are
-    monotone, so each bit is one step in ``m``.  The exact ``cgbn_forward``
-    is evaluated at a closed-form estimate of the step and its neighbours;
-    channels whose step lies elsewhere are bisected.
+    monotone, so each bit is one step in ``m``.  One ``cgbn_forward`` call
+    evaluates the exact output at a closed-form estimate of the step and
+    its neighbours.  A channel whose step lies elsewhere (statistics so
+    large that the float output is a staircase in ``m``) is not found.
     """
     k = row_bits
     flip = np.asarray(bn.gamma_re) < 0  # then the output rises with m
@@ -374,48 +375,39 @@ def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarr
         # the last count whose dot is on the high side of the output's zero
         step = np.floor((k - mean + beta / slope) / 2)
     step = np.fmax(np.fmin(step, k), -1).astype(np.int64)  # NaN (0 / 0): the output is +-0
-
-    def kept(m, idx):
-        """Whether the bit at counts ``m`` (2, channels, points) of the
-        channels ``idx`` is the unflipped one; counts below 0 keep it,
-        counts above ``k`` do not."""
-        dots = (k - 2 * np.fmin(np.fmax(m, 0), k)).astype(float)
-        y = cgbn_forward(ComplexTensor(dots[0, None, :, None], dots[1, None, :, None]),
-                         _bn_channels(bn, idx))
-        up = (np.stack([y.re[0, :, 0], y.im[0, :, 0]]) >= 0) != flip[idx, None]
-        return (up | (m < 0)) & (m <= k)
-
-    probe = step[..., None] + np.arange(-1, 3)
-    up = kept(probe, np.arange(flip.size))
+    probe = step[..., None] + np.arange(-1, 3)  # (2, channels, 4) counts
+    dots = (k - 2 * np.fmin(np.fmax(probe, 0), k)).astype(float)
+    y = cgbn_forward(ComplexTensor(dots[0, None, :, None], dots[1, None, :, None]), bn)
+    # whether the bit is the unflipped one; counts below 0 keep it, above k do not
+    up = (np.stack([y.re[0, :, 0], y.im[0, :, 0]]) >= 0) != flip[:, None]
+    up = (up | (probe < 0)) & (probe <= k)
     edge = up[..., :-1] & ~up[..., 1:]  # at most one per row: the bit is monotone
-    t = probe[..., 0] + edge.argmax(axis=-1)
-    missed = np.flatnonzero(~edge.any(axis=-1).all(axis=0))
-    if missed.size:
-        lo = np.full((2, missed.size), -1)
-        hi = np.full((2, missed.size), k + 1)
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            up = kept(mid[..., None], missed)[..., 0]
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        t[:, missed] = lo
-    return t, flip
+    return probe[..., 0] + edge.argmax(axis=-1), flip, edge.any(axis=-1).all(axis=0)
 
 
-def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer, x, binarize: bool):
-    """Packed binary conv, then eval CGBN on its live channels only; each
-    pruned channel is the constant CGBN gives for +0.0.  With ``binarize``
-    the step returns the binarized output's words: a channel with a real
-    gamma compares its integer dots with one threshold per plane, any other
-    takes the sign of its float CGBN.  Bit-identical to the node-by-node
-    forward."""
+def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: bool):
+    """Packed binary conv, the one caller of the packed kernel; without a
+    ``bn`` it returns the conv planes, pruned channels +0.0.  Otherwise
+    eval CGBN on the live channels only; each pruned channel is the
+    constant CGBN gives for +0.0.  With ``binarize`` the step returns the
+    binarized output's words: a real-gamma channel whose thresholds
+    ``_sign_thresholds`` finds compares its integer dots with one threshold
+    per plane, every other live channel takes the sign of its float CGBN.
+    Bit-identical to the node-by-node forward."""
     active = active_output_channels(conv)
-    live, pruned = np.flatnonzero(active), np.flatnonzero(~active)
     # fresh planes, edited in place below; pruned channels are +0.0
     y = binary_complex_conv2d(*_packed_operands(conv, x), conv.geometry, active=active)
+    if bn is None:
+        return y
+    live, pruned = np.flatnonzero(active), np.flatnonzero(~active)
     if pruned.size:
         zero = np.zeros((1, pruned.size, 1, 1))
         const = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, pruned))
     fold = (np.asarray(bn.gamma_im)[live] == 0) & binarize
+    if fold.any():
+        t, flip, found = _sign_thresholds(_bn_channels(bn, live[fold]), conv.geometry.row_bits)
+        fold[fold] = found
+        t, flip = t[:, found], flip[found]
     rest = live[~fold]  # the channels that take the float CGBN
     if rest.size == y.shape[1]:
         y = cgbn_forward(y, bn)
@@ -433,7 +425,6 @@ def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer, x, binarize: bool):
     if pruned.size:  # a pruned channel reads +0.0: offset 1 packs it as a negative or NaN constant
         offset[:, pruned] = ~(np.stack([const.re[0, :, 0, 0], const.im[0, :, 0, 0]]) >= 0)
     if fold.any():
-        t, flip = _sign_thresholds(_bn_channels(bn, live[fold]), conv.geometry.row_bits)
         # the bit (m <= t) != flip for the count m = (k - dot) / 2 is
         # dot >= k - 2t, or dot <= k - 2t - 2 where flipped
         offset[:, live[fold]] = conv.geometry.row_bits - 2 * t - 2 * flip

@@ -72,7 +72,7 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4 or len(self.labels) != len(self.images):
             raise ShapeMismatch("images must be (N, c, h, w) with one label each")
-        if len(self.labels) and self.labels.max() >= self.num_classes:
+        if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
             raise ShapeMismatch("label out of range")
 
     def __len__(self) -> int:

@@ -237,6 +237,35 @@ def test_infer_on_raw_pixel_file(tmp_path, capsys):
     assert "class " in capsys.readouterr().out
 
 
+def _write_npz(path):
+    with open(path, "wb") as fh:  # a file object keeps np.savez from renaming it
+        np.savez(fh, np.zeros((3, 32, 32)))
+
+
+MALFORMED_NPY = {
+    "empty_file": lambda path: path.write_bytes(b""),
+    "not_npy_bytes": lambda path: path.write_bytes(b"these are not npy bytes"),
+    "object_array": lambda path: np.save(path, np.full((3, 32, 32), None), allow_pickle=True),
+    "string_array": lambda path: np.save(path, np.full((3, 32, 32), "0.5")),
+    "complex_array": lambda path: np.save(path, np.full((3, 32, 32), 0.5 + 0.5j)),
+    "all_nan_image": lambda path: np.save(path, np.full((3, 32, 32), np.nan)),
+    "npz_archive": _write_npz,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_infer_on_a_malformed_npy_is_an_error(case, tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
+               str(model_path))
+    img_path = tmp_path / "img.npy"
+    MALFORMED_NPY[case](img_path)
+    assert run(["infer", "--in", str(model_path), "--image", str(img_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no prediction
+    assert captured.err.startswith("error: ") and str(img_path) in captured.err
+
+
 def test_prune_then_quantize_keeps_budgets(tmp_path, capsys):
     from bcnn.models import iter_binary_convs
     from bcnn.slr import count_nonzero_channels

@@ -135,9 +135,13 @@ def test_conv_bn_step_at_counts_zero_and_all(kind, mask, in_c):
         _check(conv, bn, xb)
 
 
-def test_conv_bn_step_bisects_where_the_estimate_misses(monkeypatch):
+@pytest.mark.parametrize("staircase", [slice(None), slice(None, None, 2)],
+                         ids=["all_channels", "alternate_channels"])
+def test_conv_bn_step_falls_back_to_float_cgbn_where_the_estimate_misses(staircase,
+                                                                        monkeypatch):
     # x - mean rounds to multiples of 256 when |mean| = 2**60: the float
-    # output is a staircase whose zero lies tens of counts from the estimate
+    # output is a staircase whose zero lies tens of counts from the estimate,
+    # so the probe does not settle those channels and they take the float CGBN
     import bcnn.models as models
 
     rng = np.random.default_rng(3)
@@ -145,16 +149,19 @@ def test_conv_bn_step_bisects_where_the_estimate_misses(monkeypatch):
     xb = pack(random_pm1_tensor(rng, (3, 40, 6, 6)))
     bn = CgbnLayer.identity(OUT_C, eps=0.0)
     bn.running_var_re[:] = bn.running_var_im[:] = 0.5  # 1 / sqrt(2 var + eps) == 1
-    bn.running_mean_re[:] = -(2.0**60)
-    bn.beta_re[:] = -(2.0**60)
-    bn.running_mean_im[:] = 2.0**60
-    bn.beta_im[:] = 2.0**60
+    bn.running_mean_re[staircase] = -(2.0**60)
+    bn.beta_re[staircase] = -(2.0**60)
+    bn.running_mean_im[staircase] = 2.0**60
+    bn.beta_im[staircase] = 2.0**60
+    _check(conv, bn, xb)
+    unsettled = np.flatnonzero(~models._sign_thresholds(bn, conv.geometry.row_bits)[2])
+    np.testing.assert_array_equal(unsettled, np.arange(OUT_C)[staircase])
     calls = []
     cgbn = models.cgbn_forward
-    monkeypatch.setattr(models, "cgbn_forward", lambda x, layer, *a: calls.append(1)
-                        or cgbn(x, layer, *a))
-    _check(conv, bn, xb)
-    assert len(calls) > 3  # float pass, probe, then bisection steps
+    monkeypatch.setattr(models, "cgbn_forward", lambda x, layer: calls.append(x.shape)
+                        or cgbn(x, layer))
+    _conv_bn_forward(conv, bn, xb, binarize=True)
+    assert calls == [(1, OUT_C, 1, 4), (3, unsettled.size, 6, 6)]  # the probe, one float pass
 
 
 NON_FINITE = {

@@ -498,6 +498,42 @@ def test_fused_forward_equals_dense_and_golden_logits(name, ratio, batch):
     assert hashlib.sha256(packed.tobytes()).hexdigest()[:32] == GOLDEN_LOGITS[name, ratio, batch]
 
 
+def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch):
+    # on about a third of each CGBN's channels the means sit at +-2**60 and
+    # beta cancels them, so the output is a staircase in the dots whose zero
+    # the closed-form estimate misses: those channels take the float CGBN
+    import bcnn.models as models
+    from bcnn.models import graph_nodes
+
+    model = perturb_cgbn(build_nin_bcnn(seed=23), np.random.default_rng(23))
+    rng = np.random.default_rng(24)
+    for node, _ in graph_nodes(model):
+        if isinstance(node, CgbnLayer):
+            sel = rng.random(node.channels) < 0.3
+            node.eps = 0.0
+            node.gamma_re[sel] = rng.choice([-1.0, 1.0], sel.sum())
+            node.gamma_im[sel] = 0.0
+            for mean, var, beta in ((node.running_mean_re, node.running_var_re, node.beta_re),
+                                    (node.running_mean_im, node.running_var_im, node.beta_im)):
+                var[sel] = 0.5  # 1 / sqrt(2 var + eps) == 1
+                mean[sel] = rng.choice([-1.0, 1.0], sel.sum()) * 2.0**60
+                beta[sel] = node.gamma_re[sel] * mean[sel]
+    unsettled = []
+    thresholds = models._sign_thresholds
+
+    def probe(bn, row_bits):
+        t, flip, found = thresholds(bn, row_bits)
+        unsettled.append(int((~found).sum()))
+        return t, flip, found
+
+    monkeypatch.setattr(models, "_sign_thresholds", probe)
+    x = np.random.default_rng(25).random((2, 3, 32, 32))
+    packed, dense = forward(model, x), forward(model, x, packed=False)
+    assert sum(unsettled) > 0
+    np.testing.assert_array_equal(packed, dense)
+    np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
+
+
 def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
     import bcnn.models as models
 

@@ -393,6 +393,40 @@ def test_fixed_seed_reproduces_loss_curve_exactly():
     assert [h["loss"] for h in h1] == [h["loss"] for h in h2]
 
 
+# sha256 prefixes of a seeded toy run, recorded with numpy 2.4.6 and its
+# OpenBLAS: the per-epoch train history, then the history and BCN1 bytes of
+# a 3-iteration SLR prune of the trained model
+GOLDEN_TRAINING = {
+    "train_history": "19693a6268dfb4262e2daf5bacea21d0",
+    "slr_history": "afa7791ac7b437f40b6392ae0296577e",
+    "slr_bcn1": "e97a4d95150d0e37caa5155d255b202d",
+}
+
+
+def test_seeded_train_and_slr_prune_are_golden():
+    import hashlib
+    import json
+
+    from bcnn.model_io import model_to_bytes
+    from bcnn.slr import SlrConfig, budgets_from_ratio, history_to_jsonl, slr_prune
+    from bcnn.training import make_synthetic_dataset
+
+    def digest(b):
+        return hashlib.sha256(b).hexdigest()[:32]
+
+    shape = (3, 16, 16)
+    model = build_toy_bcnn(input_shape=shape, num_classes=4, channels=(8, 8), seed=3)
+    data = make_synthetic_dataset(num_classes=4, samples_per_class=12, shape=shape, seed=3)
+    _, history = train(model, data, TrainConfig(lr=0.05, epochs=3, batch_size=16, seed=3))
+    cfg = SlrConfig(budgets=budgets_from_ratio(model, 0.5), max_iters=3)
+    _, slr_history = slr_prune(model, data, cfg)
+    assert {
+        "train_history": digest(json.dumps(history).encode()),
+        "slr_history": digest(history_to_jsonl(slr_history).encode()),
+        "slr_bcn1": digest(model_to_bytes(model)),
+    } == GOLDEN_TRAINING
+
+
 def test_latent_weights_stay_full_precision():
     data = make_separable_dataset(samples_per_class=10, seed=3)
     model = build_toy_bcnn(seed=3)
@@ -438,6 +472,14 @@ def _write_records(path, records):
     with open(path, "wb") as fh:
         for label, pixels in records:
             fh.write(bytes([label]) + pixels)
+
+
+@pytest.mark.parametrize("labels", [[0, -1], [2, 0]])
+def test_dataset_rejects_labels_out_of_range(labels):
+    from bcnn.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch, match="label out of range"):
+        Dataset(np.zeros((2, 3, 4, 4)), labels, 2)
 
 
 def test_read_cifar10_batch_two_records(tmp_path):
