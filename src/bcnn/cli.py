@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import accel, model_io, models, slr, training
-from .errors import BcnnError, DataExhausted, MissingFile
+from .errors import BcnnError, DataExhausted
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,11 +216,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 1
-    except MissingFile as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission: path and reason
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
     except BcnnError as exc:
         print(f"error: {exc}", file=sys.stderr)

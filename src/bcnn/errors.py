@@ -9,6 +9,10 @@ class ShapeMismatch(BcnnError):
     """Tensor or layer shapes do not compose."""
 
 
+class NonFiniteInput(BcnnError):
+    """An input image holds a NaN or an infinite value."""
+
+
 class NonBinaryEntry(BcnnError):
     """A value expected to be exactly +1 or -1 is not."""
 

@@ -3,12 +3,18 @@
 Convolution, the three batch-normalization variants, the three pooling
 variants, activations, and the fully connected head.  Everything here
 operates on dense planes; the packed kernels live in ``binary_ops``.
-Convolutions are im2col followed by ``np.matmul``, so they run as BLAS
-GEMMs: two per complex convolution, one per real convolution.
+There is one convolution routine, ``conv2d_real``: im2col (one strided
+window gather) followed by one ``np.matmul``, so it runs as a BLAS GEMM.
+A complex convolution is two real ones, on ``[w_r; w_i]`` and on
+``[w_i; w_r]`` stacked along output channels, and ``_real_conv_bwd`` is
+the one convolution backward.
 
 Each trainable op's backward sits beside its forward, including the
 straight-through estimators of binarized weights and activations.  A
 training forward returns ``(y, cache)`` and its backward consumes it.
+Convolutions cache their input, not its im2col columns: the backward
+rebuilds the columns, so a cached array is never larger than an
+activation.
 
 Layers are safe to share between readers in eval mode.  Training-mode
 batch-norm calls mutate the layer's running statistics and require a
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binary_ops import ConvGeometry, out_size
 from .errors import NonPsdCovariance, ShapeMismatch
@@ -27,7 +34,7 @@ from .tensors import ComplexTensor
 
 
 # ---------------------------------------------------------------------------
-# real 2D convolution plumbing (shared by the complex layer and the trainer)
+# real 2D convolution: the one GEMM convolution and its backward
 # ---------------------------------------------------------------------------
 
 def im2col(
@@ -46,11 +53,9 @@ def im2col(
     if h_out < 1 or w_out < 1:
         raise ShapeMismatch(f"kernel {kernel} does not fit a {h}x{w} input")
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
-    cols = np.empty((n, c, kh, kw, h_out, w_out), dtype=float)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[:, :, ky, kx] = xp[:, :, ky : ky + sh * h_out : sh,
-                                    kx : kx + sw * w_out : sw]
+    win = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    # (n, c, h_out, w_out, kh, kw) windows, copied once in (n, c, kh, kw, h_out, w_out) order
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3), dtype=float)
     return cols.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out)
 
 
@@ -85,25 +90,25 @@ def conv2d_real(
     padding: tuple[int, int] = (0, 0),
     pad_value: float = 0.0,
 ) -> np.ndarray:
-    """Plain real 2D convolution (cross-correlation), NCHW in, NCHW out."""
+    """Plain real 2D convolution (cross-correlation), NCHW in, NCHW out:
+    one GEMM of the flattened weights with the im2col columns."""
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
-    return _real_conv_fwd(x, w, padding, stride, pad_value)[0]
-
-
-def _real_conv_fwd(x, w, padding, stride=(1, 1), pad_value=0.0):
-    """``conv2d_real`` that also returns the im2col columns for the backward."""
     cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
     y = np.matmul(w.reshape(w.shape[0], -1).astype(float), cols)
-    return y.reshape(x.shape[0], w.shape[0], h_out, w_out), cols
+    return y.reshape(x.shape[0], w.shape[0], h_out, w_out)
 
 
-def _real_conv_bwd(g, cols, x_shape, w, padding):
+def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0):
+    """(dw, dx) of ``conv2d_real(x, w, stride, padding, pad_value)`` for the
+    output gradient ``g``; the columns are rebuilt from the cached input."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
+    cols, _ = im2col(x, w.shape[2:], stride, padding, pad_value)
     dw = _weight_grad_gemm(gm, cols).reshape(w.shape)
+    del cols  # dcols is as large
     dcols = np.matmul(w.reshape(out_c, -1).astype(float).T, gm)
-    dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
+    dx = _col2im(dcols, x.shape, w.shape[2:], stride, padding)
     return dw, dx
 
 
@@ -133,63 +138,47 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
     y_r = conv(x_r, w_r) - conv(x_i, w_i) + b_r
     y_i = conv(x_r, w_i) + conv(x_i, w_r) + b_i
 
-    ``_complex_conv_fwd`` without the im2col columns it keeps for training.
+    Two real convolutions, ``a = conv(x_r, [w_r; w_i])`` and
+    ``b = conv(x_i, [w_i; w_r])`` with the weights stacked along output
+    channels, whose halves combine into ``y_r = a_top - b_top`` and
+    ``y_i = a_bottom + b_bottom``.
     """
-    return _complex_conv_fwd(x, layer)[0]
-
-
-def _complex_conv_fwd(x: ComplexTensor, layer: ComplexConvLayer):
-    """im2col of both planes, then two GEMMs: ``a = [w_r; w_i] @ cols_r`` and
-    ``b = [w_i; w_r] @ cols_i``, whose halves combine into
-    ``y_r = a_top - b_top`` and ``y_i = a_bottom + b_bottom``.
-    Returns ``(y, (cols_r, cols_i, x.shape))``."""
     g = layer.geometry
     if x.shape[1] != g.in_channels or layer.w_re.shape[1] != g.in_channels:
         raise ShapeMismatch(
             f"input has {x.shape[1]} channels, layer expects {g.in_channels}"
         )
-    cols_r, out_hw = im2col(x.re, g.kernel, g.stride, g.padding, layer.pad_value)
-    cols_i, _ = im2col(x.im, g.kernel, g.stride, g.padding, layer.pad_value)
-    n, out_c = x.shape[0], layer.w_re.shape[0]
-    mat_r = layer.w_re.reshape(out_c, -1)
-    mat_i = layer.w_im.reshape(out_c, -1)
-    a = np.matmul(np.concatenate([mat_r, mat_i]).astype(float), cols_r)
-    b = np.matmul(np.concatenate([mat_i, mat_r]).astype(float), cols_i)
-    y_r = np.subtract(a[:, :out_c], b[:, :out_c]).reshape(n, out_c, *out_hw)
-    y_i = np.add(a[:, out_c:], b[:, out_c:]).reshape(n, out_c, *out_hw)
+    out_c = layer.w_re.shape[0]
+    args = (g.stride, g.padding, layer.pad_value)
+    a = conv2d_real(x.re, np.concatenate([layer.w_re, layer.w_im]), *args)
+    b = conv2d_real(x.im, np.concatenate([layer.w_im, layer.w_re]), *args)
+    y_r = np.subtract(a[:, :out_c], b[:, :out_c])
+    y_i = np.add(a[:, out_c:], b[:, out_c:])
     if layer.bias_re is not None:
         y_r += layer.bias_re.reshape(1, -1, 1, 1)
         y_i += layer.bias_im.reshape(1, -1, 1, 1)
-    return ComplexTensor(y_r, y_i), (cols_r, cols_i, x.shape)
+    return ComplexTensor(y_r, y_i)
 
 
-def _complex_conv_bwd(g: ComplexTensor, cache, layer: ComplexConvLayer):
-    """Returns (dw_re, dw_im, db_re, db_im, dx).
+def _complex_conv_bwd(g: ComplexTensor, x: ComplexTensor, layer: ComplexConvLayer):
+    """Returns (dw_re, dw_im, db_re, db_im, dx) for the cached input ``x``.
 
-    With ``G = [g_r; g_i]`` stacked along channels, the weight gradients are
-    the halves of ``G @ cols_r^T`` and ``G @ cols_i^T`` summed over the
-    batch, and ``dcols_r = [w_r; w_i]^T @ G``, ``dcols_i = [-w_i; w_r]^T @ G``.
+    With ``G = [g_r; g_i]`` stacked along channels, two real-conv backwards:
+    ``G`` through ``conv(x_r, [w_r; w_i])`` gives ``a`` and ``dx_r``, and
+    through ``conv(x_i, [-w_i; w_r])`` gives ``b`` and ``dx_i``; the weight
+    gradients are ``dw_r = a_top + b_bottom`` and ``dw_i = a_bottom - b_top``.
     """
-    cols_r, cols_i, x_shape = cache
     geo = layer.geometry
-    n = x_shape[0]
     out_c = layer.w_re.shape[0]
-    gs = np.concatenate([g.re.reshape(n, out_c, -1), g.im.reshape(n, out_c, -1)], axis=1)
-    a = _weight_grad_gemm(gs, cols_r)
-    b = _weight_grad_gemm(gs, cols_i)
-    dw_re = (a[:out_c] + b[out_c:]).reshape(layer.w_re.shape)
-    dw_im = (a[out_c:] - b[:out_c]).reshape(layer.w_im.shape)
+    gs = np.concatenate([g.re, g.im], axis=1)
+    args = (geo.stride, geo.padding, layer.pad_value)
+    a, dx_r = _real_conv_bwd(gs, x.re, np.concatenate([layer.w_re, layer.w_im]), *args)
+    b, dx_i = _real_conv_bwd(gs, x.im, np.concatenate([-layer.w_im, layer.w_re]), *args)
     db_re = db_im = None
     if layer.bias_re is not None:
         db_re = g.re.sum(axis=(0, 2, 3))
         db_im = g.im.sum(axis=(0, 2, 3))
-    mat_r = layer.w_re.reshape(out_c, -1).astype(float)
-    mat_i = layer.w_im.reshape(out_c, -1).astype(float)
-    dcols_r = np.matmul(np.concatenate([mat_r, mat_i]).T, gs)
-    dcols_i = np.matmul(np.concatenate([-mat_i, mat_r]).T, gs)
-    dx_r = _col2im(dcols_r, x_shape, geo.kernel, geo.stride, geo.padding)
-    dx_i = _col2im(dcols_i, x_shape, geo.kernel, geo.stride, geo.padding)
-    return dw_re, dw_im, db_re, db_im, ComplexTensor(dx_r, dx_i)
+    return a[:out_c] + b[out_c:], a[out_c:] - b[:out_c], db_re, db_im, ComplexTensor(dx_r, dx_i)
 
 
 def ste_backward(

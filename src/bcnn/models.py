@@ -35,13 +35,12 @@ import numpy as np
 
 from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d, out_size,
                          quadrant_binarize)
-from .errors import CorruptModelFile, ShapeMismatch
+from .errors import CorruptModelFile, NonFiniteInput, ShapeMismatch
 from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_pool,
-                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd,
-                     _complex_conv_fwd, _fwd_cgbn, _fwd_real_bn, _real_conv_bwd,
-                     _real_conv_fwd, avg_pool, cgbn_forward, complex_conv2d_fp, conv2d_real,
-                     fully_connected, hardtanh as _hardtanh, hardtanh_backward, max_pool,
-                     real_bn_forward, relu as _relu, relu_backward, spectral_pool,
+                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd, _fwd_cgbn,
+                     _fwd_real_bn, _real_conv_bwd, avg_pool, cgbn_forward, complex_conv2d_fp,
+                     conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
+                     max_pool, real_bn_forward, relu as _relu, relu_backward, spectral_pool,
                      ste_backward)
 from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack, pack_signs, unpack,
                       words_per_pixel)
@@ -244,30 +243,22 @@ def _read_geometry(cur) -> ConvGeometry:
     return ConvGeometry(ic, oc, (kh, kw), (sh, sw), (ph, pw))
 
 
-def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray) -> ComplexTensor:
-    h1 = _relu(conv2d_real(x, gen.w1, padding=(1, 1)) + gen.b1.reshape(1, -1, 1, 1))
-    im = conv2d_real(h1 + x, gen.w2, padding=(1, 1)) + gen.b2.reshape(1, -1, 1, 1)
-    return ComplexTensor(x.astype(float), im)
-
-
-def _generator_train(gen: ComplexInputGenerator, x, update_stats):
-    z1, cols_x = _real_conv_fwd(x, gen.w1, (1, 1))
-    z1 = z1 + gen.b1.reshape(1, -1, 1, 1)
-    h1 = np.maximum(z1, 0.0)
-    s = h1 + x
-    im, cols_s = _real_conv_fwd(s, gen.w2, (1, 1))
-    im = im + gen.b2.reshape(1, -1, 1, 1)
-    return ComplexTensor(x.astype(float), im), (x, z1, s, cols_x, cols_s)
+def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray):
+    """The generated complex tensor and the cache its backward reads."""
+    z1 = conv2d_real(x, gen.w1, padding=(1, 1)) + gen.b1.reshape(1, -1, 1, 1)
+    s = _relu(z1) + x
+    im = conv2d_real(s, gen.w2, padding=(1, 1)) + gen.b2.reshape(1, -1, 1, 1)
+    return ComplexTensor(x.astype(float), im), (x, z1, s)
 
 
 def _generator_backward(gen: ComplexInputGenerator, g, cache, clip, grads):
-    x, z1, s, cols_x, cols_s = cache
+    x, z1, s = cache
     grads.append((gen.b2, g.im.sum(axis=(0, 2, 3))))
-    dw2, ds = _real_conv_bwd(g.im, cols_s, s.shape, gen.w2, (1, 1))
+    dw2, ds = _real_conv_bwd(g.im, s, gen.w2, padding=(1, 1))
     grads.append((gen.w2, dw2))
     dz1 = ds * (z1 > 0)
     grads.append((gen.b1, dz1.sum(axis=(0, 2, 3))))
-    dw1, dx1 = _real_conv_bwd(dz1, cols_x, x.shape, gen.w1, (1, 1))
+    dw1, dx1 = _real_conv_bwd(dz1, x, gen.w1, padding=(1, 1))
     grads.append((gen.w1, dw1))
     return g.re + ds + dx1
 
@@ -283,8 +274,8 @@ def _decode_generator(desc, payload, variant) -> ComplexInputGenerator:
                                  _read_array(payload, (c, c, 3, 3)), _read_array(payload, (c,)))
 
 
-def _conv_backward(layer: ComplexConvLayer, g, cache, clip, grads):
-    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(g, cache, layer)
+def _conv_backward(layer: ComplexConvLayer, g, x, clip, grads):
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(g, x, layer)
     grads.append((layer.w_re, dw_re))
     grads.append((layer.w_im, dw_im))
     if db_re is not None:
@@ -438,16 +429,17 @@ def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: b
 
 
 def _binary_conv_train(layer: BinaryConvLayer, x: ComplexTensor, update_stats):
+    """Dense binary conv: the signed weights as a full-precision conv with
+    -1 padding, pruned channels masked to zero."""
     wb = _sign_weights(layer)
-    y, conv_cache = _complex_conv_fwd(x, wb)
     mask = active_output_channels(layer)
-    return mask_pruned_channels(y, mask), (wb, conv_cache, mask)
+    return mask_pruned_channels(complex_conv2d_fp(x, wb), mask), (wb, x, mask)
 
 
 def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grads):
-    wb, conv_cache, mask = cache
+    wb, x, mask = cache
     g = mask_pruned_channels(g, mask)  # pruned channels emit a forced zero: no gradient
-    dwb_re, dwb_im, _, _, dx = _complex_conv_bwd(g, conv_cache, wb)
+    dwb_re, dwb_im, _, _, dx = _complex_conv_bwd(g, x, wb)
     dw_re, dw_im = ste_backward(dwb_re, dwb_im, layer.w_re, layer.w_im, clip)
     grads.append((layer.w_re, dw_re))
     grads.append((layer.w_im, dw_im))
@@ -630,16 +622,15 @@ class NodeKind:
 NODE_KINDS = {
     ComplexInputGenerator: NodeKind(
         tags=(1,), encode=_encode_generator, decode=_decode_generator,
-        forward=lambda n, x, packed: _generator_forward(n, x),
-        train=_generator_train, backward=_generator_backward,
+        forward=lambda n, x, packed: _generator_forward(n, x)[0],
+        train=lambda n, x, update_stats: _generator_forward(n, x), backward=_generator_backward,
         out_shape=lambda n, act, visit: Activation(_image(act, n.w1.shape[0], ("real",)),
                                                    "complex"),
         describe=lambda n: f"{n.w1.shape[0]} channels",
     ),
     ComplexConvLayer: NodeKind(
         tags=(2,), encode=_encode_conv, decode=_decode_conv,
-        forward=lambda n, x, packed: complex_conv2d_fp(x, n),
-        train=lambda n, x, update_stats: _complex_conv_fwd(x, n), backward=_conv_backward,
+        forward=lambda n, x, packed: complex_conv2d_fp(x, n), backward=_conv_backward,
         out_shape=lambda n, act, visit: _conv_shape(n, act),
         describe=lambda n: _describe_conv(n.geometry, "full precision"),
         weight_layers=1,
@@ -825,7 +816,8 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     live channels only, and a Binarize right after it becomes integer
     thresholds on the conv's dots for channels with a real gamma.
     Batch-norm layers use running statistics, so per-image outputs do not
-    depend on batch composition.
+    depend on batch composition.  A NaN or infinite pixel raises
+    ``NonFiniteInput``.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:
@@ -834,6 +826,8 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
         raise ShapeMismatch(
             f"input shape {x.shape[1:]} does not match model input {model.input_shape}"
         )
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("the batch has non-finite pixels")
     return run_nodes(model.layers, x, packed)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DivergedLoss,
     InvalidConfig,
     MissingFile,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from .layers import ste_backward  # noqa: F401  (public as bcnn.training.ste_backward)
@@ -74,6 +75,8 @@ class Dataset:
             raise ShapeMismatch("images must be (N, c, h, w) with one label each")
         if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
             raise ShapeMismatch("label out of range")
+        if not np.isfinite(self.images).all():
+            raise NonFiniteInput("images have non-finite pixels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,7 +94,7 @@ def read_cifar10_batch(path: str) -> tuple[np.ndarray, np.ndarray]:
     3x32x32 image, scaled to [0, 1].
     """
     if not os.path.exists(path):
-        raise MissingFile(path)
+        raise MissingFile(f"{path}: no such file")
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size % CIFAR_RECORD_BYTES != 0:
         raise CorruptRecord(

@@ -171,20 +171,20 @@ def einsum_complex_conv_bwd(g: ComplexTensor, cache, layer):
     return dw_re, dw_im, db_re, db_im, ComplexTensor(dx_r, dx_i)
 
 
-def einsum_real_conv_fwd(x, w, padding):
-    """Stride-1 real conv forward as one plain einsum: (y, cols)."""
-    cols, (h_out, w_out) = im2col(x, w.shape[2:], (1, 1), padding, 0.0)
+def einsum_real_conv_fwd(x, w, stride, padding, pad_value):
+    """Real conv forward as one plain einsum over im2col columns: (y, cols)."""
+    cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
     y = np.einsum("ok,nkl->nol", w.reshape(w.shape[0], -1).astype(float), cols)
     return y.reshape(x.shape[0], w.shape[0], h_out, w_out), cols
 
 
-def einsum_real_conv_bwd(g, cols, x_shape, w, padding):
+def einsum_real_conv_bwd(g, cols, x_shape, w, stride, padding):
     """Einsum backward of ``einsum_real_conv_fwd``: (dw, dx)."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
     dw = np.einsum("nol,nkl->ok", gm, cols).reshape(w.shape)
     dcols = np.einsum("ok,nol->nkl", w.reshape(out_c, -1).astype(float), gm)
-    dx = _col2im(dcols, x_shape, w.shape[2:], (1, 1), padding)
+    dx = _col2im(dcols, x_shape, w.shape[2:], stride, padding)
     return dw, dx
 
 

@@ -266,6 +266,22 @@ def test_infer_on_a_malformed_npy_is_an_error(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and str(img_path) in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--in", "--image"])
+def test_infer_with_a_directory_is_an_error_line(flag, tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
+               str(model_path))
+    img_path = tmp_path / "img.npy"
+    np.save(img_path, np.zeros((3, 32, 32)))
+    folder = tmp_path / "folder.npy"
+    folder.mkdir()
+    paths = {"--in": str(model_path), "--image": str(img_path), flag: str(folder)}
+    assert run(["infer", "--in", paths["--in"], "--image", paths["--image"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {folder}: ") and captured.err.count("\n") == 1
+
+
 def test_prune_then_quantize_keeps_budgets(tmp_path, capsys):
     from bcnn.models import iter_binary_convs
     from bcnn.slr import count_nonzero_channels

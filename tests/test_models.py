@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcnn.binary_ops import ConvGeometry
-from bcnn.errors import NonBinaryEntry, ShapeMismatch
+from bcnn.errors import NonBinaryEntry, NonFiniteInput, ShapeMismatch
 from bcnn.layers import CgbnLayer
 from bcnn.models import (
     AvgPool,
@@ -42,7 +42,7 @@ def test_generator_zero_weights_gives_zero_imaginary():
     gen.w1[:] = 0.0
     gen.w2[:] = 0.0
     x = np.random.default_rng(0).random((2, 3, 8, 8))
-    out = _generator_forward(gen, x)
+    out, _ = _generator_forward(gen, x)
     np.testing.assert_array_equal(out.re, x)
     np.testing.assert_array_equal(out.im, 0.0)
 
@@ -50,15 +50,15 @@ def test_generator_zero_weights_gives_zero_imaginary():
 def test_generator_output_shape():
     gen = build_complex_input_generator(3, seed=1)
     x = np.random.default_rng(1).random((1, 3, 32, 32))
-    out = _generator_forward(gen, x)
+    out, _ = _generator_forward(gen, x)
     assert out.shape == (1, 3, 32, 32)
 
 
 def test_generator_deterministic():
     gen = build_complex_input_generator(3, seed=2)
     x = np.random.default_rng(2).random((1, 3, 8, 8))
-    a = _generator_forward(gen, x)
-    b = _generator_forward(gen, x)
+    a, _ = _generator_forward(gen, x)
+    b, _ = _generator_forward(gen, x)
     np.testing.assert_array_equal(a.im, b.im)
 
 
@@ -84,6 +84,15 @@ def test_nin_rejects_wrong_input_shape():
     model = build_nin_bcnn(seed=0)
     with pytest.raises(ShapeMismatch):
         forward(model, np.zeros((1, 3, 16, 16)))
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nin_rejects_a_non_finite_image(value, packed):
+    x = np.random.default_rng(6).random((2, 3, 32, 32))
+    x[1, 2, 17, 5] = value  # one pixel of the second image
+    with pytest.raises(NonFiniteInput):
+        forward(build_nin_bcnn(seed=0), x, packed=packed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,12 @@ from bcnn.tensors import ComplexTensor
 from bcnn.layers import (
     _bwd_cgbn,
     _complex_conv_bwd,
-    _complex_conv_fwd,
     _fwd_cgbn,
     _real_conv_bwd,
-    _real_conv_fwd,
+    complex_conv2d_fp,
+    conv2d_real,
 )
-from bcnn.models import kind_of, train_nodes
+from bcnn.models import graph_nodes, kind_of, train_nodes
 from bcnn.training import (
     CIFAR_RECORD_BYTES,
     Dataset,
@@ -140,12 +143,11 @@ def test_complex_conv_backward_matches_finite_differences():
     def loss_at(layer_w_re):
         test_layer = ComplexConvLayer(layer_w_re, layer.w_im, g,
                                       bias_re=layer.bias_re, bias_im=layer.bias_im)
-        y, _ = _complex_conv_fwd(x, test_layer)
+        y = complex_conv2d_fp(x, test_layer)
         return (up_r * y.re).sum() + (up_i * y.im).sum()
 
-    _, cache = _complex_conv_fwd(x, layer)
     dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(
-        ComplexTensor(up_r, up_i), cache, layer
+        ComplexTensor(up_r, up_i), x, layer
     )
     eps = 1e-6
     for idx in [(0, 0, 0, 0), (1, 1, 2, 2), (2, 0, 1, 2)]:
@@ -155,7 +157,7 @@ def test_complex_conv_backward_matches_finite_differences():
         np.testing.assert_allclose(dw_re[idx], fd, rtol=1e-5, atol=1e-6)
 
     def loss_at_x(re_plane):
-        y, _ = _complex_conv_fwd(ComplexTensor(re_plane, x.im), layer)
+        y = complex_conv2d_fp(ComplexTensor(re_plane, x.im), layer)
         return (up_r * y.re).sum() + (up_i * y.im).sum()
 
     for idx in [(0, 0, 0, 0), (1, 1, 3, 4)]:
@@ -187,11 +189,10 @@ def test_complex_conv_backward_stride2_matches_finite_differences():
     up = ComplexTensor(rng.standard_normal((2, 3, 3, 3)), rng.standard_normal((2, 3, 3, 3)))
 
     def loss():
-        y, _ = _complex_conv_fwd(x, layer)
+        y = complex_conv2d_fp(x, layer)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = _complex_conv_fwd(x, layer)
-    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, cache, layer)
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, x, layer)
     checks = [
         (layer.w_re, dw_re, [(0, 0, 0, 0), (2, 1, 2, 1)]),
         (layer.w_im, dw_im, [(0, 0, 0, 0), (1, 1, 2, 2), (2, 0, 1, 2)]),
@@ -305,13 +306,13 @@ def test_complex_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad
     )
     x = ComplexTensor(rng.standard_normal((batch, 3, 7, 6)),
                       rng.standard_normal((batch, 3, 7, 6)))
-    y, cache = _complex_conv_fwd(x, layer)
+    y = complex_conv2d_fp(x, layer)
     ref_y, ref_cache = einsum_complex_conv_fwd(x, layer)
     assert_close_relative(y.re, ref_y.re)
     assert_close_relative(y.im, ref_y.im)
 
     up = ComplexTensor(rng.standard_normal(y.shape), rng.standard_normal(y.shape))
-    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, cache, layer)
+    dw_re, dw_im, db_re, db_im, dx = _complex_conv_bwd(up, x, layer)
     ref = einsum_complex_conv_bwd(up, ref_cache, layer)
     for got, want in zip((dw_re, dw_im, dx.re, dx.im), (ref[0], ref[1], ref[4].re, ref[4].im)):
         assert_close_relative(got, want)
@@ -323,19 +324,22 @@ def test_complex_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad
 
 
 @pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("pad_value", [0.0, -1.0])
 @pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("kernel", [1, 3, 5])
-def test_real_conv_gemm_matches_einsum_reference(kernel, padding, batch):
+def test_real_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_value, batch):
     rng = np.random.default_rng([kernel, padding, batch])
     w = rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32)
     x = rng.standard_normal((batch, 3, 7, 6))
-    y, cols = _real_conv_fwd(x, w, (padding, padding))
-    ref_y, ref_cols = einsum_real_conv_fwd(x, w, (padding, padding))
+    args = ((stride, stride), (padding, padding), pad_value)
+    y = conv2d_real(x, w, *args)
+    ref_y, ref_cols = einsum_real_conv_fwd(x, w, *args)
     assert_close_relative(y, ref_y)
 
     up = rng.standard_normal(y.shape)
-    dw, dx = _real_conv_bwd(up, cols, x.shape, w, (padding, padding))
-    ref_dw, ref_dx = einsum_real_conv_bwd(up, ref_cols, x.shape, w, (padding, padding))
+    dw, dx = _real_conv_bwd(up, x, w, *args)
+    ref_dw, ref_dx = einsum_real_conv_bwd(up, ref_cols, x.shape, w, *args[:2])
     assert_close_relative(dw, ref_dw)
     assert_close_relative(dx, ref_dx)
 
@@ -482,6 +486,15 @@ def test_dataset_rejects_labels_out_of_range(labels):
         Dataset(np.zeros((2, 3, 4, 4)), labels, 2)
 
 
+def test_dataset_rejects_a_non_finite_pixel():
+    from bcnn.errors import NonFiniteInput
+
+    images = np.zeros((2, 3, 4, 4))
+    images[1, 0, 3, 2] = np.nan
+    with pytest.raises(NonFiniteInput):
+        Dataset(images, [0, 1], 2)
+
+
 def test_read_cifar10_batch_two_records(tmp_path):
     pixels0 = bytes(range(256)) * 12  # 3072 bytes
     pixels1 = bytes([255]) * 3072
@@ -592,6 +605,33 @@ def _trainable_arrays(model):
         return []
 
     return sum((layer_arrays(l) for l in model.layers), [])
+
+
+def _cached_arrays(cache):
+    """Every array a training cache holds, through tuples, lists and
+    dataclasses (complex tensors, layers)."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from _cached_arrays(item)
+    elif dataclasses.is_dataclass(cache):
+        for f in dataclasses.fields(cache):
+            yield from _cached_arrays(getattr(cache, f.name))
+
+
+@pytest.mark.parametrize("build", [build_toy_bcnn, every_node_kind_model],
+                         ids=["toy", "every-kind"])
+def test_training_caches_hold_no_array_larger_than_an_activation(build):
+    """Convs cache their input, not im2col columns (9x an activation for a
+    3x3 kernel), so no cached array outgrows the forward's largest activation."""
+    model = build(seed=0)
+    batch = 3
+    x = np.random.default_rng(0).standard_normal((batch, *model.input_shape))
+    _, caches = train_nodes(model.layers, x, update_stats=False)
+    largest = batch * max(math.prod(act.dims) for _, act in graph_nodes(model))
+    sizes = [arr.size for arr in _cached_arrays(caches)]
+    assert sizes and max(sizes) <= largest
 
 
 def test_backward_covers_every_trainable_parameter():
