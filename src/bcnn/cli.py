@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import accel, model_io, models, slr, training
-from .errors import BcnnError, DataExhausted
+from .errors import BcnnError, DataExhausted, InvalidConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,6 +161,8 @@ def _load_image(path: str, shape) -> np.ndarray:
 
 
 def _cmd_infer(args) -> int:
+    if args.jobs < 1:
+        raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     model = model_io.load_model(args.model_in)
     if args.image:
         img = _load_image(args.image, model.input_shape)
@@ -173,7 +175,7 @@ def _cmd_infer(args) -> int:
         raise DataExhausted(f"{args.data}: the test split has no images")
     step = training.EVAL_BATCH
     chunks = [dataset.images[i : i + step] for i in range(0, len(dataset), step)]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         preds = np.concatenate(list(pool.map(
             lambda xb: models.forward(model, xb).argmax(axis=1), chunks)))
     accuracy = float(np.mean(preds == dataset.labels))

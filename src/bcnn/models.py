@@ -42,8 +42,9 @@ from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_p
                      conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
                      max_pool, real_bn_forward, relu as _relu, relu_backward, spectral_pool,
                      ste_backward)
-from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack, pack_signs, unpack,
+from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack_signs, unpack,
                       words_per_pixel)
+from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -316,15 +317,6 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
                             binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
 
 
-def _packed_operands(layer: BinaryConvLayer, x) -> tuple[BitplaneTensor, BitplaneTensor]:
-    """``x`` is a binarize step's packed words, or +-1 planes (packed by the
-    checked ``pack``)."""
-    # pack_signs(w) is pack(quadrant_binarize(w)) without the float +-1 planes;
-    # weights are packed per call because training and pruning edit them in place
-    w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
-    return (x if isinstance(x, BitplaneTensor) else pack(x)), w
-
-
 def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
     if packed:
         return _conv_bn_forward(layer, None, x, False)
@@ -377,17 +369,19 @@ def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: bool):
-    """Packed binary conv, the one caller of the packed kernel; without a
-    ``bn`` it returns the conv planes, pruned channels +0.0.  Otherwise
-    eval CGBN on the live channels only; each pruned channel is the
-    constant CGBN gives for +0.0.  With ``binarize`` the step returns the
-    binarized output's words: a real-gamma channel whose thresholds
-    ``_sign_thresholds`` finds compares its integer dots with one threshold
-    per plane, every other live channel takes the sign of its float CGBN.
-    Bit-identical to the node-by-node forward."""
+    """Packed binary conv on a binarize step's words ``x`` (every engine entry
+    checks the graph), the one caller of the packed kernel; without a ``bn``
+    it returns the conv planes, pruned channels +0.0.  Otherwise eval CGBN on
+    the live channels only; each pruned channel is the constant CGBN gives for
+    +0.0.  With ``binarize`` the step returns the binarized output's words: a
+    real-gamma channel whose thresholds ``_sign_thresholds`` finds compares its
+    integer dots with one threshold per plane, every other live channel takes
+    the sign of its float CGBN.  Bit-identical to the node-by-node forward."""
     active = active_output_channels(conv)
+    # weights are packed per call because training and pruning edit them in place
+    w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
     # fresh planes, edited in place below; pruned channels are +0.0
-    y = binary_complex_conv2d(*_packed_operands(conv, x), conv.geometry, active=active)
+    y = binary_complex_conv2d(x, w, conv.geometry, active=active)
     if bn is None:
         return y
     live, pruned = np.flatnonzero(active), np.flatnonzero(~active)
@@ -731,7 +725,7 @@ _KIND_BY_TAG = {tag: (kind, variant) for kind in NODE_KINDS.values()
 
 def kind_of(node) -> NodeKind:
     if type(node) not in NODE_KINDS:
-        raise TypeError(f"unknown layer node {type(node).__name__}")
+        raise ShapeMismatch(f"unknown layer node {type(node).__name__}")
     return NODE_KINDS[type(node)]
 
 
@@ -752,12 +746,14 @@ def decode_node(desc, payload):
 
 
 def run_nodes(nodes, x, packed: bool):
-    """Inference over a node sequence (a model's or a block path's).
+    """Inference over a node sequence (a model's or a block path's) of a
+    graph ``forward`` has checked.
 
-    In packed mode a binarize step emits a BitplaneTensor; a node kind that
-    does not take packed input sees it unpacked to the same +-1 planes.  A
-    binary conv directly followed by a CGBN, and by a Binarize after that,
-    runs with them as one step (``_conv_bn_forward``).
+    In packed mode a binarize step emits a BitplaneTensor, the only input a
+    binary conv reads; a node kind that does not take packed input sees it
+    unpacked to the same +-1 planes.  A binary conv directly followed by a
+    CGBN, and by a Binarize after that, runs with them as one step
+    (``_conv_bn_forward``).
     """
     i = 0
     while i < len(nodes):
@@ -816,9 +812,11 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     live channels only, and a Binarize right after it becomes integer
     thresholds on the conv's dots for channels with a real gamma.
     Batch-norm layers use running statistics, so per-image outputs do not
-    depend on batch composition.  A NaN or infinite pixel raises
-    ``NonFiniteInput``.
+    depend on batch composition.  The graph is checked first (a ShapeMismatch
+    names the layer), so a packed binary conv reads only binarize words.  A
+    NaN or infinite pixel raises ``NonFiniteInput``.
     """
+    validate_graph(model)
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:
         x = x[None]
@@ -1032,13 +1030,13 @@ def validate_graph(model: ModelGraph):
     block's paths must agree.  The last compute layer is full precision.
     Every graph this accepts infers, trains and round-trips BCN1.
     """
+    if min(model.input_shape) < 1:
+        raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")
+    out = walk_shapes(model.layers, Activation(tuple(model.input_shape)))
     weighted = [layer for layer in model.layers if kind_of(layer).weight_layers]
     if not weighted:
         raise ShapeMismatch("model has no compute layer")
     if isinstance(weighted[-1], (BinaryConvLayer, ResidualBlock)):
         raise ShapeMismatch("the last compute layer must be full precision")
-    if min(model.input_shape) < 1:
-        raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")
-    out = walk_shapes(model.layers, Activation(tuple(model.input_shape)))
     if out.dims != (model.num_classes,):
         raise ShapeMismatch(f"graph outputs {out.dims}, not {model.num_classes} logits")

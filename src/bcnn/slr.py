@@ -28,6 +28,7 @@ and imaginary kernels of that channel are ranked and pruned together.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +54,23 @@ class SlrConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise InvalidConfig("rho must be > 0")
-        if self.big_m <= 1:
-            raise InvalidConfig("M must be > 1")
+        # every check fails on NaN
+        if not self.rho > 0:
+            raise InvalidConfig(f"rho must be > 0, got {self.rho}")
+        if not self.big_m > 1:
+            raise InvalidConfig(f"M must be > 1, got {self.big_m}")
         if not 0 < self.r < 1:
-            raise InvalidConfig("r must be in (0, 1)")
-        if self.s0 <= 0:
-            raise InvalidConfig("initial stepsize must be > 0")
+            raise InvalidConfig(f"r must be in (0, 1), got {self.r}")
+        if not self.s0 > 0:
+            raise InvalidConfig(f"initial stepsize must be > 0, got {self.s0}")
         if any(b < 1 for b in self.budgets):
             raise InvalidConfig("budgets must be >= 1")
+        if not self.max_iters >= 0:
+            raise InvalidConfig(f"max iterations must be >= 0, got {self.max_iters}")
+        if not self.batch_size >= 1:
+            raise InvalidConfig(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.inner_lr < math.inf:
+            raise InvalidConfig(f"inner lr must be finite and >= 0, got {self.inner_lr}")
 
 
 @dataclass

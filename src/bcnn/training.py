@@ -14,6 +14,7 @@ in storage.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,6 +37,7 @@ from .models import (
     build_toy_bcnn,
     forward as model_forward,
     train_nodes,
+    validate_graph,
 )
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*32*32 image bytes
@@ -55,11 +57,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # lr == 0 is allowed so a vacuous run leaves the model untouched
-        if self.lr < 0:
-            raise InvalidConfig("lr must be >= 0")
-        if self.clip <= 0:
-            raise InvalidConfig("clip must be > 0")
+        # every check fails on NaN; lr == 0 is allowed so a vacuous run
+        # leaves the model untouched
+        if not 0 <= self.lr < math.inf:
+            raise InvalidConfig(f"lr must be finite and >= 0, got {self.lr}")
+        if not self.clip > 0:
+            raise InvalidConfig(f"clip must be > 0, got {self.clip}")
+        if not self.epochs >= 0:
+            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
+        if not self.batch_size >= 1:
+            raise InvalidConfig(f"batch size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -191,7 +198,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def batch_loss(model: ModelGraph, xb, yb) -> float:
-    """Training-mode loss on one batch without touching running statistics."""
+    """Training-mode loss on one batch without touching running statistics;
+    the graph is checked first (a ShapeMismatch names the layer)."""
+    validate_graph(model)
     logits, _ = train_nodes(model.layers, np.asarray(xb, dtype=float), update_stats=False)
     loss, _ = softmax_cross_entropy(logits, yb)
     return loss
@@ -203,7 +212,9 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
 
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
+    The graph is checked first, so a rejected graph changes no parameter.
     """
+    validate_graph(model)
     logits, caches = train_nodes(model.layers, np.asarray(xb, dtype=float))
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []

@@ -282,6 +282,47 @@ def test_infer_with_a_directory_is_an_error_line(flag, tmp_path, capsys):
     assert captured.err.startswith(f"error: {folder}: ") and captured.err.count("\n") == 1
 
 
+# each rejected hyperparameter, after the command it goes to; {model} is a saved toy model
+BAD_HYPERPARAMETERS = {
+    "train_batch_zero": ["train", "--batch", "0"],
+    "train_batch_negative": ["train", "--batch", "-4"],
+    "train_epochs_negative": ["train", "--epochs", "-2"],
+    "quantize_epochs_negative": ["quantize", "--in", "{model}", "--epochs", "-1"],
+    "quantize_clip_nan": ["quantize", "--in", "{model}", "--clip", "nan"],
+    "prune_iters_negative": ["prune", "--in", "{model}", "--iters", "-3"],
+    "prune_rho_nan": ["prune", "--in", "{model}", "--rho", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HYPERPARAMETERS))
+def test_bad_hyperparameter_is_one_error_line_and_no_file(case, tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
+               str(model_path))
+    out_file = tmp_path / "out.bcn"
+    argv = [arg.format(model=model_path) for arg in BAD_HYPERPARAMETERS[case]]
+    assert run(argv + ["--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing trained, no records
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_infer_with_jobs_below_one_is_an_error(jobs, tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
+               str(model_path))
+    img_path = tmp_path / "img.npy"
+    np.save(img_path, np.zeros((3, 32, 32)))
+    assert run(["infer", "--in", str(model_path), "--image", str(img_path),
+                "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
 def test_prune_then_quantize_keeps_budgets(tmp_path, capsys):
     from bcnn.models import iter_binary_convs
     from bcnn.slr import count_nonzero_channels

@@ -12,8 +12,7 @@ import pytest
 
 from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d, mismatch_counts
 from bcnn.layers import CgbnLayer, cgbn_forward
-from bcnn.models import (BinaryConvLayer, _conv_bn_forward, _packed_operands,
-                         active_output_channels)
+from bcnn.models import BinaryConvLayer, _conv_bn_forward, active_output_channels
 from bcnn.tensors import ComplexTensor, pack, pack_signs
 from helpers import random_pm1_tensor
 
@@ -36,8 +35,8 @@ def _conv(rng, in_c, mask, kernel=3, stride=1, pad=1):
 
 
 def _counts(conv, xb):
-    return mismatch_counts(*_packed_operands(conv, xb), conv.geometry, None,
-                           active_output_channels(conv))
+    w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
+    return mismatch_counts(xb, w, conv.geometry, None, active_output_channels(conv))
 
 
 def _bn(rng, kind, conv, xb):

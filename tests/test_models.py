@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bcnn.binary_ops import ConvGeometry
-from bcnn.errors import NonBinaryEntry, NonFiniteInput, ShapeMismatch
-from bcnn.layers import CgbnLayer
+from bcnn.errors import NonFiniteInput, ShapeMismatch
+from bcnn.layers import CgbnLayer, RealBnLayer
 from bcnn.models import (
     AvgPool,
     Binarize,
@@ -29,7 +29,7 @@ from bcnn.models import (
     _init_dense,
     kind_of,
 )
-from bcnn.tensors import ComplexTensor
+from bcnn.tensors import ComplexTensor, pack
 from helpers import hard_prune, perturb_cgbn, random_pm1_tensor
 
 
@@ -144,9 +144,9 @@ def test_block1_adds_skip_to_cgbn_output():
     x = random_pm1_tensor(rng, (1, 4, 8, 8))
     out = kind_of(block).forward(block, x, packed=True)
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True), block.bn1)
+    path = cgbn_forward(_binary_conv_forward(block.conv1, pack(b), True), block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True), block.bn2)
+    path = cgbn_forward(_binary_conv_forward(block.conv2, pack(path), True), block.bn2)
     np.testing.assert_array_equal(out.re, path.re + x.re)
     np.testing.assert_array_equal(out.im, path.im + x.im)
 
@@ -173,10 +173,10 @@ def test_block_with_side_path_adds_side_cgbn_output():
     x = ComplexTensor(rng.standard_normal((1, 4, 8, 8)), rng.standard_normal((1, 4, 8, 8)))
     out = kind_of(block).forward(block, x, packed=True)
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, b, True), block.bn1)
+    path = cgbn_forward(_binary_conv_forward(block.conv1, pack(b), True), block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, path, True), block.bn2)
-    side = cgbn_forward(_binary_conv_forward(block.side_conv, b, True), block.side_bn)
+    path = cgbn_forward(_binary_conv_forward(block.conv2, pack(path), True), block.bn2)
+    side = cgbn_forward(_binary_conv_forward(block.side_conv, pack(b), True), block.side_bn)
     np.testing.assert_array_equal(out.re, path.re + side.re)
     np.testing.assert_array_equal(out.im, path.im + side.im)
 
@@ -228,17 +228,53 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(forward(model, x), forward(model, x))
 
 
-def test_packed_binary_conv_rejects_non_binary_activations():
-    layer = BinaryConvLayer(
-        np.ones((1, 1, 1, 1), np.float32), np.ones((1, 1, 1, 1), np.float32),
-        ConvGeometry(1, 1, (1, 1)),
-    )
-    from bcnn.models import _binary_conv_forward
-    from bcnn.tensors import ComplexTensor
+def _toy_without(index):
+    model = build_toy_bcnn(seed=0)
+    del model.layers[index]
+    return model
 
-    bad = ComplexTensor(np.full((1, 1, 2, 2), 0.5), np.ones((1, 1, 2, 2)))
-    with pytest.raises(NonBinaryEntry):
-        _binary_conv_forward(layer, bad, packed=True)
+
+# graphs the shape walk rejects, with the layer their ShapeMismatch names
+INVALID_GRAPHS = {
+    "binarize_removed": (lambda: _toy_without(3), r"layer 3 \(BinaryConvLayer\)"),
+    "real_bn_after_generator": (
+        lambda: _toy_with(1, RealBnLayer.identity(3), insert=True), r"layer 1 \(RealBnLayer\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_GRAPHS))
+def test_every_engine_entry_rejects_an_invalid_graph(case):
+    from bcnn.training import batch_loss, train_step
+
+    build, layer = INVALID_GRAPHS[case]
+    model = build()
+    x = np.random.default_rng(0).random((4, 3, 8, 8))
+    y = np.array([0, 1, 0, 1])
+    params = [(a, a.copy()) for node in model.layers for a in vars(node).values()
+              if isinstance(a, np.ndarray)]
+    assert params
+    entries = {
+        "packed forward": lambda: forward(model, x, packed=True),
+        "dense forward": lambda: forward(model, x, packed=False),
+        "train_step": lambda: train_step(model, x, y, lr=0.1, clip=1.0),
+        "batch_loss": lambda: batch_loss(model, x, y),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ShapeMismatch, match=layer):
+            entry()
+        for a, before in params:  # nothing trained, no running statistic moved
+            np.testing.assert_array_equal(a, before, err_msg=name)
+
+
+def test_unknown_node_is_a_shape_mismatch_naming_the_layer():
+    from bcnn.model_io import model_to_bytes
+
+    model = _toy_with(2, "relu", insert=True)
+    x = np.random.default_rng(0).random((1, 3, 8, 8))
+    for entry in (lambda: validate_graph(model), lambda: forward(model, x, packed=True),
+                  lambda: forward(model, x, packed=False), lambda: model_to_bytes(model)):
+        with pytest.raises(ShapeMismatch, match=r"layer 2 \(str\): unknown layer node str"):
+            entry()
 
 
 def test_validate_graph_requires_binarize_before_binary_conv():
@@ -356,7 +392,7 @@ def test_pruned_channels_are_skipped_at_binarization():
     np.testing.assert_array_equal(active_output_channels(layer), [True, False, True, True])
     x = ComplexTensor(np.ones((1, 2, 3, 3)), -np.ones((1, 2, 3, 3)))
     for packed in (True, False):
-        y = _binary_conv_forward(layer, x, packed=packed)
+        y = _binary_conv_forward(layer, pack(x) if packed else x, packed=packed)
         np.testing.assert_array_equal(y.re[:, 1], 0.0)
         np.testing.assert_array_equal(y.im[:, 1], 0.0)
         assert np.any(y.re[:, 0] != 0.0) or np.any(y.im[:, 0] != 0.0)

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -302,6 +303,21 @@ def test_slr_prune_aggressive_compression_beats_chance():
     assert params_before / kept >= 20
     _, accuracy = evaluate(model, data)
     assert accuracy > 0.55
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho", 0.0), ("rho", math.nan), ("big_m", 1.0), ("big_m", math.nan),
+    ("r", 0.0), ("r", 1.0), ("r", math.nan), ("s0", 0.0), ("s0", math.nan),
+    ("max_iters", -3), ("batch_size", 0), ("batch_size", -1),
+    ("inner_lr", -0.05), ("inner_lr", math.nan), ("inner_lr", math.inf),
+])
+def test_slr_config_rejects_bad_hyperparameters(field, value):
+    with pytest.raises(InvalidConfig):
+        SlrConfig(budgets=(2,), **{field: value})
+
+
+def test_slr_config_accepts_the_edges():
+    SlrConfig(budgets=(1,), max_iters=0, batch_size=1, inner_lr=0.0)
 
 
 def test_budgets_from_ratio_validation():

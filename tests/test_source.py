@@ -1,6 +1,7 @@
 """Checks on the package source itself, read with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcnn"
@@ -38,3 +39,30 @@ def test_every_private_top_level_name_is_used_in_the_package():
     assert private  # the walk found the package's helpers
     unused = [f"{module}:{name}" for module, name in private if name not in loaded]
     assert not unused, f"private names no package code reads: {unused}"
+
+
+def _imported_names(tree: ast.Module):
+    """(name, line) of each name a module's imports bind, ``__future__`` excluded."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], a.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, a.lineno) for a in node.names)
+
+
+def test_every_imported_name_is_read_or_marked_with_a_reason():
+    # an import kept only for other code (a re-export, a name a tool patches)
+    # says why on its own line: "# noqa: F401  (reason)"
+    kept = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source, str(path))
+        lines = source.splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+                   if name not in read and not kept.search(lines[line - 1])]
+    assert not unused, f"imported names the module never reads: {unused}"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bcnn.errors import CorruptRecord, DataExhausted, DivergedLoss, MissingFile
+from bcnn.errors import CorruptRecord, DataExhausted, DivergedLoss, InvalidConfig, MissingFile
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
 from bcnn.models import AvgPool, ComplexInputGenerator, MaxPool, SpectralPool, build_toy_bcnn
@@ -439,6 +439,20 @@ def test_latent_weights_stay_full_precision():
     logits, _ = train_nodes(model.layers, data.images[:8])
     np.testing.assert_array_equal(conv.w_re, before)  # forward never binarizes storage
     assert not np.all(np.abs(conv.w_re) == 1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("batch_size", 0), ("batch_size", -4),
+    ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
+    ("clip", 0.0), ("clip", -1.0), ("clip", math.nan),
+])
+def test_train_config_rejects_bad_hyperparameters(field, value):
+    with pytest.raises(InvalidConfig, match=field.split("_")[0]):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_edges():
+    TrainConfig(lr=0.0, epochs=0, batch_size=1, clip=math.inf)
 
 
 def test_train_raises_on_empty_dataset():
