@@ -3,17 +3,21 @@
 Convolution, the three batch-normalization variants, the three pooling
 variants, activations, and the fully connected head.  Everything here
 operates on dense planes; the packed kernels live in ``binary_ops``.
-There is one convolution routine, ``conv2d_real``: im2col (one strided
-window gather) followed by one ``np.matmul``, so it runs as a BLAS GEMM.
-A complex convolution is two real ones, on ``[w_r; w_i]`` and on
-``[w_i; w_r]`` stacked along output channels, and ``_real_conv_bwd`` is
-the one convolution backward.
+There is one convolution routine, ``conv2d_real``: one strided window
+gather over the padded batch, then per image a copy of that image's
+(c*kh*kw, h_out*w_out) columns into one reused buffer and one BLAS GEMM.
+The columns of the whole batch (k*k times an activation) never exist, and
+one image's columns stay in cache for their GEMM.  A complex convolution is
+two real ones, on ``[w_r; w_i]`` and on ``[w_i; w_r]`` stacked along output
+channels, and ``_real_conv_bwd`` is the one convolution backward, streaming
+the same way.  ``im2col`` builds the whole-batch matrix from the same gather,
+for tests to compare against.
 
 Each trainable op's backward sits beside its forward, including the
 straight-through estimators of binarized weights and activations.  A
 training forward returns ``(y, cache)`` and its backward consumes it.
 Convolutions cache their input, not its im2col columns: the backward
-rebuilds the columns, so a cached array is never larger than an
+rebuilds each image's columns, so a cached array is never larger than an
 activation.
 
 Layers are safe to share between readers in eval mode.  Training-mode
@@ -23,6 +27,7 @@ single writer per layer per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +42,11 @@ from .tensors import ComplexTensor
 # real 2D convolution: the one GEMM convolution and its backward
 # ---------------------------------------------------------------------------
 
-def im2col(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    pad_value: float = 0.0,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Gather sliding windows into a (n, c*kh*kw, h_out*w_out) matrix."""
-    n, c, h, w = x.shape
+def _windows(x, kernel, stride, padding, pad_value):
+    """The padded batch's sliding windows as an (n, c, kh, kw, h_out, w_out)
+    view, and (h_out, w_out): the one window gather, which ``_image_columns``
+    copies image by image and ``im2col`` for the whole batch."""
+    h, w = x.shape[2:]
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
@@ -54,33 +55,48 @@ def im2col(
         raise ShapeMismatch(f"kernel {kernel} does not fit a {h}x{w} input")
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
     win = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
-    # (n, c, h_out, w_out, kh, kw) windows, copied once in (n, c, kh, kw, h_out, w_out) order
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3), dtype=float)
-    return cols.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out)
+    return win.transpose(0, 1, 4, 5, 2, 3), (h_out, w_out)
+
+
+def _image_columns(win):
+    """Each image's (c*kh*kw, h_out*w_out) columns in turn, copied from the
+    window view ``win`` into one buffer that the next image overwrites."""
+    cols = np.empty(win.shape[1:])
+    flat = cols.reshape(math.prod(win.shape[1:4]), -1)
+    for image in win:
+        np.copyto(cols, image)
+        yield flat
+
+
+def im2col(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    pad_value: float = 0.0,
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Gather sliding windows into a (n, c*kh*kw, h_out*w_out) matrix: the
+    whole-batch columns, which the convolutions never build."""
+    win, (h_out, w_out) = _windows(x, kernel, stride, padding, pad_value)
+    cols = np.ascontiguousarray(win, dtype=float)
+    return cols.reshape(x.shape[0], -1, h_out * w_out), (h_out, w_out)
 
 
 def _col2im(dcols, x_shape, kernel, stride, padding):
-    n, c, h, w = x_shape
+    """Scatter-add columns back onto the input: ``dcols`` is
+    (..., c*kh*kw, h_out*w_out) for an input of shape ``x_shape`` (..., c, h, w)."""
+    *lead, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     h_out, w_out = out_size(h, kh, sh, ph), out_size(w, kw, sw, pw)
-    dpad = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    d6 = dcols.reshape(n, c, kh, kw, h_out, w_out)
+    dpad = np.zeros((*lead, h + 2 * ph, w + 2 * pw))
+    d6 = dcols.reshape(*lead, kh, kw, h_out, w_out)
     for ky in range(kh):
         for kx in range(kw):
-            dpad[:, :, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw] += d6[:, :, ky, kx]
-    return dpad[:, :, ph : ph + h, pw : pw + w]
-
-
-def _weight_grad_gemm(g, cols):
-    """Sum over the batch of ``g[i] @ cols[i]^T``, one GEMM per sample on a
-    transposed view: no copy of ``cols`` and no (n, rows, K) stack of
-    products, which would outgrow ``cols`` in deep layers."""
-    acc = g[0] @ cols[0].T
-    for i in range(1, len(g)):
-        acc += g[i] @ cols[i].T
-    return acc
+            tap = d6[..., ky, kx, :, :]
+            dpad[..., ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw] += tap
+    return dpad[..., ph : ph + h, pw : pw + w]
 
 
 def conv2d_real(
@@ -91,25 +107,35 @@ def conv2d_real(
     pad_value: float = 0.0,
 ) -> np.ndarray:
     """Plain real 2D convolution (cross-correlation), NCHW in, NCHW out:
-    one GEMM of the flattened weights with the im2col columns."""
+    per image, one GEMM of the flattened weights with that image's columns."""
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
-    cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
-    y = np.matmul(w.reshape(w.shape[0], -1).astype(float), cols)
+    win, (h_out, w_out) = _windows(x, w.shape[2:], stride, padding, pad_value)
+    wm = w.reshape(w.shape[0], -1).astype(float)
+    y = np.empty((x.shape[0], w.shape[0], h_out * w_out))
+    for y_i, cols in zip(y, _image_columns(win)):
+        np.matmul(wm, cols, out=y_i)
     return y.reshape(x.shape[0], w.shape[0], h_out, w_out)
 
 
 def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0):
     """(dw, dx) of ``conv2d_real(x, w, stride, padding, pad_value)`` for the
-    output gradient ``g``; the columns are rebuilt from the cached input."""
+    output gradient ``g``.  Per image, the columns are rebuilt from the
+    cached input, ``g_i @ cols_i^T`` is added to ``dw`` in image order, and
+    ``w^T @ g_i`` is scattered back into ``dx[i]``."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
-    cols, _ = im2col(x, w.shape[2:], stride, padding, pad_value)
-    dw = _weight_grad_gemm(gm, cols).reshape(w.shape)
-    del cols  # dcols is as large
-    dcols = np.matmul(w.reshape(out_c, -1).astype(float).T, gm)
-    dx = _col2im(dcols, x.shape, w.shape[2:], stride, padding)
-    return dw, dx
+    wm = w.reshape(out_c, -1).astype(float)
+    win, _ = _windows(x, w.shape[2:], stride, padding, pad_value)
+    dx = np.empty(x.shape)
+    for i, cols in enumerate(_image_columns(win)):
+        part = gm[i] @ cols.T
+        if i == 0:
+            dw = part
+        else:
+            dw += part
+        dx[i] = _col2im(wm.T @ gm[i], x.shape[1:], w.shape[2:], stride, padding)
+    return dw.reshape(w.shape), dx
 
 
 # ---------------------------------------------------------------------------

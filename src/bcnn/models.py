@@ -202,6 +202,16 @@ def _keep(act: Activation, dims=None) -> Activation:
                       "real" if act.domain == "real" else "complex")
 
 
+def _check_params(node, shapes: dict):
+    """Each named parameter array of ``node`` must have the shape ``shapes``
+    gives it; a missing (None) array never does."""
+    for name, want in shapes.items():
+        arr = getattr(node, name)
+        got = None if arr is None else np.shape(arr)
+        if got != want:
+            raise ShapeMismatch(f"{name} has shape {got}, expected {want}")
+
+
 def active_output_channels(layer: BinaryConvLayer) -> np.ndarray:
     """Boolean mask of output channels that are not hard-pruned to zero."""
     out_c = layer.w_re.shape[0]
@@ -264,6 +274,13 @@ def _generator_backward(gen: ComplexInputGenerator, g, cache, clip, grads):
     return g.re + ds + dx1
 
 
+def _generator_shape(gen: ComplexInputGenerator, act: Activation, visit) -> Activation:
+    c = np.size(gen.b1)
+    _image(act, c, ("real",))
+    _check_params(gen, {"w1": (c, c, 3, 3), "b1": (c,), "w2": (c, c, 3, 3), "b2": (c,)})
+    return Activation(act.dims, "complex")
+
+
 def _encode_generator(gen: ComplexInputGenerator, desc: bytearray, payload: bytearray):
     desc += struct.pack("<I", gen.w1.shape[0])
     payload += _f32(gen.w1, gen.b1, gen.w2, gen.b2)
@@ -288,6 +305,11 @@ def _conv_backward(layer: ComplexConvLayer, g, x, clip, grads):
 def _conv_shape(layer, act: Activation, domains=("complex", "binarized")) -> Activation:
     g = layer.geometry
     _, h, w = _image(act, g.in_channels, domains)
+    w_shape = (g.out_channels, g.in_channels, *g.kernel)
+    shapes = {"w_re": w_shape, "w_im": w_shape}
+    if getattr(layer, "bias_re", None) is not None or getattr(layer, "bias_im", None) is not None:
+        shapes.update(bias_re=(g.out_channels,), bias_im=(g.out_channels,))
+    _check_params(layer, shapes)
     return Activation((g.out_channels, *g.out_hw(h, w)), "complex")
 
 
@@ -475,6 +497,15 @@ def _decode_bn(cls, arrays: int, desc, payload):
     return cls(*(_read_array(payload, (c,)) for _ in range(arrays)), eps=eps, momentum=momentum)
 
 
+def _bn_shape(bn, act: Activation, domains) -> Activation:
+    """Every per-channel vector has as many entries as gamma, and as the input has channels."""
+    arrays = fields(bn)[:-2]
+    c = np.size(getattr(bn, arrays[0].name))
+    _image(act, c, domains)
+    _check_params(bn, {f.name: (c,) for f in arrays})
+    return _keep(act)
+
+
 def _pool_shape(pool: _Pool, act: Activation, visit) -> Activation:
     c, h, w = _image(act, domains=None)
     (kh, kw), (sh, sw) = pool.window, pool.stride
@@ -510,9 +541,12 @@ def _dense_backward(layer: DenseLayer, g, x, clip, grads):
 
 
 def _dense_shape(layer: DenseLayer, act: Activation, visit) -> Activation:
-    out_dim, in_dim = layer.weight.shape
+    if np.ndim(layer.weight) != 2:
+        raise ShapeMismatch(f"weight has shape {np.shape(layer.weight)}, expected a matrix")
+    out_dim, in_dim = np.shape(layer.weight)
     if act.dims != (in_dim,):
         raise ShapeMismatch(f"expects {in_dim} flat features, got {act.dims}")
+    _check_params(layer, {"bias": (out_dim,)})
     return Activation((out_dim,))
 
 
@@ -618,8 +652,7 @@ NODE_KINDS = {
         tags=(1,), encode=_encode_generator, decode=_decode_generator,
         forward=lambda n, x, packed: _generator_forward(n, x)[0],
         train=lambda n, x, update_stats: _generator_forward(n, x), backward=_generator_backward,
-        out_shape=lambda n, act, visit: Activation(_image(act, n.w1.shape[0], ("real",)),
-                                                   "complex"),
+        out_shape=_generator_shape,
         describe=lambda n: f"{n.w1.shape[0]} channels",
     ),
     ComplexConvLayer: NodeKind(
@@ -641,7 +674,7 @@ NODE_KINDS = {
         decode=lambda desc, payload, variant: _decode_bn(CgbnLayer, 8, desc, payload),
         forward=lambda n, x, packed: cgbn_forward(x, n, training=False),
         train=_fwd_cgbn, backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
-        out_shape=lambda n, act, visit: Activation(_image(act, n.channels), "complex"),
+        out_shape=lambda n, act, visit: _bn_shape(n, act, ("complex", "binarized")),
         describe=lambda n: f"{n.channels} complex channels",
     ),
     RealBnLayer: NodeKind(
@@ -650,7 +683,7 @@ NODE_KINDS = {
         forward=lambda n, x, packed: real_bn_forward(x, n, training=False),
         train=_fwd_real_bn,
         backward=lambda n, g, cache, clip, grads: _bwd_real_bn(n, g, cache, grads),
-        out_shape=lambda n, act, visit: Activation(_image(act, n.gamma.shape[0], ("real",))),
+        out_shape=lambda n, act, visit: _bn_shape(n, act, ("real",)),
         describe=lambda n: f"{n.gamma.shape[0]} channels",
     ),
     AvgPool: NodeKind(
@@ -1025,10 +1058,12 @@ def validate_graph(model: ModelGraph):
     generator (the only node making the real image complex), then the
     complex and binarized body, then Flatten and the Dense head.  Every
     node's input, from ``input_shape`` to ``num_classes`` logits, must have
-    the channels, size and domain it expects: a binarized convolution needs
-    a binarize step right before it (blocks binarize internally), and a
-    block's paths must agree.  The last compute layer is full precision.
-    Every graph this accepts infers, trains and round-trips BCN1.
+    the channels, size and domain it expects, and every parameter array the
+    shape its node's geometry or channel count gives: a binarized
+    convolution needs a binarize step right before it (blocks binarize
+    internally), and a block's paths must agree.  The last compute layer
+    is full precision.  Every graph this accepts infers, trains and
+    round-trips BCN1.
     """
     if min(model.input_shape) < 1:
         raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")

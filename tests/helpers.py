@@ -188,6 +188,23 @@ def einsum_real_conv_bwd(g, cols, x_shape, w, stride, padding):
     return dw, dx
 
 
+def batch_gemm_real_conv(x, w, g, stride, padding, pad_value):
+    """The whole-batch GEMM formulation of the real conv and its backward:
+    (y, dw, dx) from one (n, c*kh*kw, h_out*w_out) im2col matrix, one
+    stacked ``np.matmul`` per product, ``dw`` summed image by image in
+    order and ``dx`` through one whole-batch ``_col2im``."""
+    n, out_c = g.shape[:2]
+    cols, (h_out, w_out) = im2col(x, w.shape[2:], stride, padding, pad_value)
+    wm = w.reshape(out_c, -1).astype(float)
+    y = np.matmul(wm, cols).reshape(n, out_c, h_out, w_out)
+    gm = g.reshape(n, out_c, -1)
+    dw = gm[0] @ cols[0].T
+    for i in range(1, n):
+        dw += gm[i] @ cols[i].T
+    dx = _col2im(np.matmul(wm.T, gm), x.shape, w.shape[2:], stride, padding)
+    return y, dw.reshape(w.shape), dx
+
+
 def every_node_kind_model(seed=0):
     """One graph holding every node kind BCN1 stores, in a trainable order."""
     from bcnn.layers import CgbnLayer, RealBnLayer

@@ -21,6 +21,7 @@ from bcnn.models import (NODE_KINDS, AvgPool, Binarize, ComplexInputGenerator, F
                          train_nodes, validate_graph, _block1, _block2, _init_binary_conv,
                          _init_complex_conv, _init_dense)
 from bcnn.training import batch_loss, softmax_cross_entropy, train_step
+from helpers import every_node_kind_model
 
 GRAPHS = 300
 BATCH = 3
@@ -172,3 +173,20 @@ def test_every_accepted_graph_runs_and_every_rejected_graph_fails_to_load():
     assert accepted and rejected
     assert tags_run == {tag for kind in NODE_KINDS.values() for tag in kind.tags}
     assert real_prefix_run
+
+
+def test_every_misshaped_parameter_array_is_rejected_naming_its_layer():
+    model = every_node_kind_model()
+    cut = 0
+    for node, _ in graph_nodes(model):
+        for f in fields(node):
+            arr = getattr(node, f.name)
+            if not isinstance(arr, np.ndarray):
+                continue
+            setattr(node, f.name, arr[..., :-1])  # one kernel column, feature or channel short
+            with pytest.raises(ShapeMismatch, match=rf"\({type(node).__name__}\): "):
+                validate_graph(model)
+            setattr(node, f.name, arr)
+            cut += 1
+    assert cut == 90  # every parameter of every kind, block paths included
+    validate_graph(model)

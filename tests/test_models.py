@@ -234,16 +234,36 @@ def _toy_without(index):
     return model
 
 
+def _toy_cut(index, names, cut):
+    """The toy BCNN with the parameter arrays ``names`` of layer ``index``
+    sliced by ``cut``."""
+    model = build_toy_bcnn(seed=0)
+    node = model.layers[index]
+    for name in names:
+        setattr(node, name, getattr(node, name)[cut])
+    return model
+
+
 # graphs the shape walk rejects, with the layer their ShapeMismatch names
 INVALID_GRAPHS = {
     "binarize_removed": (lambda: _toy_without(3), r"layer 3 \(BinaryConvLayer\)"),
     "real_bn_after_generator": (
         lambda: _toy_with(1, RealBnLayer.identity(3), insert=True), r"layer 1 \(RealBnLayer\)"),
+    # misshaped parameters: unchecked, the one-element bias broadcasts into
+    # both logits and saves a file that fails to reload, the narrow weights
+    # fail naming no layer, the short beta with a bare numpy ValueError
+    "dense_bias_cut": (lambda: _toy_cut(8, ("bias",), slice(1)), r"layer 8 \(DenseLayer\): bias"),
+    "binary_conv_weights_cut": (
+        lambda: _toy_cut(4, ("w_re", "w_im"), (slice(None), slice(3))),
+        r"layer 4 \(BinaryConvLayer\): w_re"),
+    "cgbn_beta_cut": (lambda: _toy_cut(2, ("beta_re",), slice(2)),
+                      r"layer 2 \(CgbnLayer\): beta_re"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_GRAPHS))
 def test_every_engine_entry_rejects_an_invalid_graph(case):
+    from bcnn.model_io import model_to_bytes
     from bcnn.training import batch_loss, train_step
 
     build, layer = INVALID_GRAPHS[case]
@@ -258,6 +278,7 @@ def test_every_engine_entry_rejects_an_invalid_graph(case):
         "dense forward": lambda: forward(model, x, packed=False),
         "train_step": lambda: train_step(model, x, y, lr=0.1, clip=1.0),
         "batch_loss": lambda: batch_loss(model, x, y),
+        "model_to_bytes": lambda: model_to_bytes(model),
     }
     for name, entry in entries.items():
         with pytest.raises(ShapeMismatch, match=layer):

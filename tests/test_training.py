@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bcnn.training import (
 )
 from helpers import (
     assert_close_relative,
+    batch_gemm_real_conv,
     every_node_kind_model,
     einsum_complex_conv_bwd,
     einsum_complex_conv_fwd,
@@ -323,9 +325,9 @@ def test_complex_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad
         assert db_re is None and db_im is None
 
 
-@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("batch", [1, 3, 4])
 @pytest.mark.parametrize("pad_value", [0.0, -1.0])
-@pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 def test_real_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_value, batch):
@@ -342,6 +344,31 @@ def test_real_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_va
     ref_dw, ref_dx = einsum_real_conv_bwd(up, ref_cols, x.shape, w, *args[:2])
     assert_close_relative(dw, ref_dw)
     assert_close_relative(dx, ref_dx)
+
+    # streaming one image at a time issues the same GEMMs as the whole batch
+    for got, want in zip((y, dw, dx), batch_gemm_real_conv(x, w, up, *args)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_real_conv_never_holds_the_whole_batch_columns():
+    """Forward and backward peak below one (n, c*kh*kw, h_out*w_out) float64
+    column matrix: the columns exist one image at a time."""
+    rng = np.random.default_rng(0)
+    n, c, out_c, hw, k = 16, 8, 8, 16, 3
+    x = rng.standard_normal((n, c, hw, hw))
+    w = rng.standard_normal((out_c, c, k, k)).astype(np.float32)
+    g = rng.standard_normal((n, out_c, hw, hw))
+    whole_cols = n * c * k * k * hw * hw * 8  # padding 1 keeps hw x hw outputs
+    for run in (lambda: conv2d_real(x, w, padding=(1, 1)),
+                lambda: _real_conv_bwd(g, x, w, padding=(1, 1))):
+        run()  # first-call allocations (BLAS buffers) are not the routine's
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_cols
 
 
 def test_cgbn_backward_matches_finite_differences():
