@@ -35,12 +35,15 @@ class KernelConfig:
     kernel_count: int = 1
 
     def __post_init__(self):
-        if min(self.p_out, self.p_in, self.ii, self.kernel_count) < 1:
-            raise InvalidConfig("unroll factors, ii and kernel_count must be >= 1")
-        if self.clock_hz <= 0 or self.pipeline_fill < 0:
-            raise InvalidConfig("clock must be positive, pipeline fill non-negative")
-        if self.kernel_latency_s is not None and self.kernel_latency_s <= 0:
-            raise InvalidConfig("kernel latency must be > 0")
+        # every check fails on NaN and on +-inf
+        if not all(1 <= v < math.inf for v in (self.p_out, self.p_in, self.ii, self.kernel_count)):
+            raise InvalidConfig("unroll factors, ii and kernel_count must be finite and >= 1")
+        if not (0 < self.clock_hz < math.inf and 0 <= self.pipeline_fill < math.inf):
+            raise InvalidConfig("clock must be finite and positive, pipeline fill finite and "
+                                f"non-negative, got {self.clock_hz} and {self.pipeline_fill}")
+        if self.kernel_latency_s is not None and not 0 < self.kernel_latency_s < math.inf:
+            raise InvalidConfig(f"kernel latency must be finite and > 0, "
+                                f"got {self.kernel_latency_s}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,10 @@ def throughput(cfg: KernelConfig) -> int:
 
 def speedup_report(fpga_fps: float, baseline_fps: float) -> float:
     """Throughput ratio rounded to 2 decimals."""
-    if baseline_fps <= 0:
-        raise InvalidConfig("baseline throughput must be > 0")
+    if not 0 < baseline_fps < math.inf:
+        raise InvalidConfig(f"baseline throughput must be finite and > 0, got {baseline_fps}")
+    if not 0 <= fpga_fps < math.inf:
+        raise InvalidConfig(f"throughput must be finite and >= 0, got {fpga_fps}")
     return round(fpga_fps / baseline_fps, 2)
 
 

@@ -188,9 +188,11 @@ def _cmd_bench(args) -> int:
         kernel_count=args.kernels, kernel_latency_s=args.latency_ms / 1000.0
     )
     fps = accel.throughput(cfg)
+    # checked before anything is printed, so a bad baseline prints only the error
+    speedup = None if args.baseline_fps is None else accel.speedup_report(fps, args.baseline_fps)
     print(fps)
-    if args.baseline_fps is not None:
-        print(f"speedup {accel.speedup_report(fps, args.baseline_fps):.2f}x")
+    if speedup is not None:
+        print(f"speedup {speedup:.2f}x")
     return 0
 
 

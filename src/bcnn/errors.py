@@ -66,4 +66,6 @@ class TruncatedFile(BcnnError):
 
 
 class CorruptModelFile(BcnnError):
-    """Model file has trailing bytes or an inconsistent descriptor."""
+    """Model file has trailing bytes, an inconsistent descriptor, a
+    non-finite parameter or a batch-norm eps <= 0; saving a model with such
+    a parameter raises it too."""

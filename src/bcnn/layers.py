@@ -18,17 +18,19 @@ straight-through estimators of binarized weights and activations.  A
 training forward returns ``(y, cache)`` and its backward consumes it.
 Convolutions cache their input, not its im2col columns: the backward
 rebuilds each image's columns, so a cached array is never larger than an
-activation.
+activation.  CGBN and RealBn share one batch-norm core, ``_bn_plane`` and
+``_bn_plane_backward``, that runs in a ``Mode``.
 
-Layers are safe to share between readers in eval mode.  Training-mode
-batch-norm calls mutate the layer's running statistics and require a
-single writer per layer per step.
+Layers are safe to share between readers in the inference modes.  A
+``TRAIN_STEP`` batch norm mutates the layer's running statistics and
+requires a single writer per layer per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +38,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .binary_ops import ConvGeometry, out_size
 from .errors import NonPsdCovariance, ShapeMismatch
 from .tensors import ComplexTensor
+
+
+class Mode(Enum):
+    """How a forward runs.  The inference modes normalize by the running
+    statistics and keep no cache; the training modes normalize by the
+    batch's statistics and return the cache their backward reads."""
+
+    PACKED = "packed"  # inference, binarized segments on the bit-packed kernel
+    DENSE = "dense"  # inference on the dense reference path
+    BATCH_LOSS = "batch_loss"  # the loss on batch statistics: running statistics untouched
+    TRAIN_STEP = "train_step"  # a training step: running statistics updated
+
+    @property
+    def training(self) -> bool:
+        return self is Mode.BATCH_LOSS or self is Mode.TRAIN_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +293,36 @@ def _per_channel(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(1, -1, 1, 1)
 
 
-def cgbn_normalize(
-    x: ComplexTensor, layer: CgbnLayer, training: bool = False,
-    update_running: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized planes and the inverse scales, before gamma/beta."""
-    if x.shape[1] != layer.channels:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, layer has {layer.channels}")
-    if training:
-        mean_r = x.re.mean(axis=(0, 2, 3))
-        mean_i = x.im.mean(axis=(0, 2, 3))
-        var_r = x.re.var(axis=(0, 2, 3))
-        var_i = x.im.var(axis=(0, 2, 3))
-        if update_running:
+# one batch-norm core: CGBN normalizes each plane by sqrt(2*var + eps), RealBn by sqrt(var + eps)
+
+def _bn_plane(x, running_mean, running_var, factor: float, layer, mode: Mode):
+    """One (n, c, h, w) plane normalized per channel, ``(x - mean) / sqrt(factor*var + eps)``,
+    and the inverse scales.  Inference reads the running statistics, the
+    training modes the batch's over (n, h, w); ``TRAIN_STEP`` also moves the
+    running statistics toward them by ``layer.momentum``."""
+    if mode.training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        if mode is Mode.TRAIN_STEP:
             m = layer.momentum
-            layer.running_mean_re[:] = (1 - m) * layer.running_mean_re + m * mean_r
-            layer.running_mean_im[:] = (1 - m) * layer.running_mean_im + m * mean_i
-            layer.running_var_re[:] = (1 - m) * layer.running_var_re + m * var_r
-            layer.running_var_im[:] = (1 - m) * layer.running_var_im + m * var_i
+            running_mean[:] = (1 - m) * running_mean + m * mean
+            running_var[:] = (1 - m) * running_var + m * var
     else:
-        mean_r = np.asarray(layer.running_mean_re, dtype=float)
-        mean_i = np.asarray(layer.running_mean_im, dtype=float)
-        var_r = np.asarray(layer.running_var_re, dtype=float)
-        var_i = np.asarray(layer.running_var_im, dtype=float)
-    inv_r = 1.0 / np.sqrt(2.0 * var_r + layer.eps)
-    inv_i = 1.0 / np.sqrt(2.0 * var_i + layer.eps)
-    # one fresh array per plane, scaled in place
-    xh_r = np.subtract(x.re, mean_r.reshape(1, -1, 1, 1))
-    xh_r *= inv_r.reshape(1, -1, 1, 1)
-    xh_i = np.subtract(x.im, mean_i.reshape(1, -1, 1, 1))
-    xh_i *= inv_i.reshape(1, -1, 1, 1)
-    return xh_r, xh_i, inv_r, inv_i
+        mean = np.asarray(running_mean, dtype=float)
+        var = np.asarray(running_var, dtype=float)
+    inv = 1.0 / np.sqrt(factor * var + layer.eps)
+    xh = np.subtract(x, mean.reshape(1, -1, 1, 1))  # fresh, scaled in place
+    xh *= inv.reshape(1, -1, 1, 1)
+    return xh, inv
+
+
+def _bn_plane_backward(gh, xh, inv, factor: float):
+    """Input gradient of a ``_bn_plane`` on batch statistics, for the
+    gradient ``gh`` of its normalized plane ``xh``; ``factor`` scales the
+    variance-path term as it scales the variance."""
+    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
+    mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
+    return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - factor * xh * mean_ghx)
 
 
 def cgbn_forward(x: ComplexTensor, layer: CgbnLayer, training: bool = False) -> ComplexTensor:
@@ -316,13 +332,18 @@ def cgbn_forward(x: ComplexTensor, layer: CgbnLayer, training: bool = False) -> 
     running statistics by exponential moving average; eval mode uses the
     running statistics.
     """
-    xh_r, xh_i, _, _ = cgbn_normalize(x, layer, training)
-    return _cgbn_affine(xh_r, xh_i, layer, out_i=xh_i)
+    return _fwd_cgbn(layer, x, Mode.TRAIN_STEP if training else Mode.DENSE)[0]
 
 
-def _cgbn_affine(xh_r, xh_i, layer: CgbnLayer, out_i=None) -> ComplexTensor:
-    """y_r = g_r*xh_r - g_i*xh_i + b_r and y_i = g_r*xh_i + g_i*xh_r + b_i,
-    in that order; ``y_i`` is written to ``out_i`` when given."""
+def _fwd_cgbn(layer: CgbnLayer, x: ComplexTensor, mode: Mode):
+    """CGBN in ``mode``: the output and, in the training modes, the cache
+    ``_bwd_cgbn`` reads (None in inference).  The affine transform is
+    y_r = g_r*xh_r - g_i*xh_i + b_r and y_i = g_r*xh_i + g_i*xh_r + b_i,
+    in that order."""
+    if x.shape[1] != layer.channels:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, layer has {layer.channels}")
+    xh_r, inv_r = _bn_plane(x.re, layer.running_mean_re, layer.running_var_re, 2.0, layer, mode)
+    xh_i, inv_i = _bn_plane(x.im, layer.running_mean_im, layer.running_var_im, 2.0, layer, mode)
     g_r = _per_channel(layer.gamma_re)
     g_i = _per_channel(layer.gamma_im)
     y_r = np.multiply(g_r, xh_r)
@@ -330,39 +351,25 @@ def _cgbn_affine(xh_r, xh_i, layer: CgbnLayer, out_i=None) -> ComplexTensor:
     y_r -= tmp
     y_r += _per_channel(layer.beta_re)
     np.multiply(g_i, xh_r, out=tmp)
-    y_i = np.multiply(g_r, xh_i, out=out_i)
+    # in inference nothing reads xh_i again, so y_i takes its place
+    y_i = np.multiply(g_r, xh_i, out=None if mode.training else xh_i)
     y_i += tmp
     y_i += _per_channel(layer.beta_im)
-    return ComplexTensor(y_r, y_i)
-
-
-def _fwd_cgbn(layer: CgbnLayer, x: ComplexTensor, update_stats: bool):
-    xh_r, xh_i, inv_r, inv_i = cgbn_normalize(x, layer, training=True,
-                                              update_running=update_stats)
-    return _cgbn_affine(xh_r, xh_i, layer), (xh_r, xh_i, inv_r, inv_i)
+    return ComplexTensor(y_r, y_i), ((xh_r, xh_i, inv_r, inv_i) if mode.training else None)
 
 
 def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
     xh_r, xh_i, inv_r, inv_i = cache
     gam_r = layer.gamma_re.reshape(1, -1, 1, 1).astype(float)
     gam_i = layer.gamma_im.reshape(1, -1, 1, 1).astype(float)
-    d_gamma_re = (g.re * xh_r + g.im * xh_i).sum(axis=(0, 2, 3))
-    d_gamma_im = (-g.re * xh_i + g.im * xh_r).sum(axis=(0, 2, 3))
-    grads.append((layer.gamma_re, d_gamma_re))
-    grads.append((layer.gamma_im, d_gamma_im))
+    grads.append((layer.gamma_re, (g.re * xh_r + g.im * xh_i).sum(axis=(0, 2, 3))))
+    grads.append((layer.gamma_im, (-g.re * xh_i + g.im * xh_r).sum(axis=(0, 2, 3))))
     grads.append((layer.beta_re, g.re.sum(axis=(0, 2, 3))))
     grads.append((layer.beta_im, g.im.sum(axis=(0, 2, 3))))
     gh_r = g.re * gam_r + g.im * gam_i
     gh_i = -g.re * gam_i + g.im * gam_r
-
-    def plane_bwd(gh, xh, inv):
-        # x_hat = (x - mu) / sqrt(2 var + eps); the factor 2 doubles the
-        # usual variance-path term.
-        mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
-        mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
-        return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - 2.0 * xh * mean_ghx)
-
-    return ComplexTensor(plane_bwd(gh_r, xh_r, inv_r), plane_bwd(gh_i, xh_i, inv_i))
+    return ComplexTensor(_bn_plane_backward(gh_r, xh_r, inv_r, 2.0),
+                         _bn_plane_backward(gh_i, xh_i, inv_i, 2.0))
 
 
 @dataclass
@@ -481,27 +488,17 @@ class RealBnLayer:
 
 
 def real_bn_forward(x: np.ndarray, layer: RealBnLayer, training: bool = False) -> np.ndarray:
+    return _fwd_real_bn(layer, x, Mode.TRAIN_STEP if training else Mode.DENSE)[0]
+
+
+def _fwd_real_bn(layer: RealBnLayer, x, mode: Mode):
+    """RealBn in ``mode``: the output and, in the training modes, the cache
+    ``_bwd_real_bn`` reads (None in inference)."""
     if x.ndim != 4 or x.shape[1] != layer.gamma.shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} does not match {layer.gamma.shape[0]} channels")
-    if training:
-        return _fwd_real_bn(layer, x)[0]
-    mean = np.asarray(layer.running_mean, dtype=float)
-    var = np.asarray(layer.running_var, dtype=float)
-    xh = (x - mean.reshape(1, -1, 1, 1)) / np.sqrt(var.reshape(1, -1, 1, 1) + layer.eps)
-    return _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
-
-
-def _fwd_real_bn(layer: RealBnLayer, x, update_stats: bool = True):
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    if update_stats:
-        m = layer.momentum
-        layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
-        layer.running_var[:] = (1 - m) * layer.running_var + m * var
-    inv = 1.0 / np.sqrt(var + layer.eps)
-    xh = (x - mean.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-    y = layer.gamma.reshape(1, -1, 1, 1) * xh + layer.beta.reshape(1, -1, 1, 1)
-    return y, (xh, inv)
+    xh, inv = _bn_plane(x, layer.running_mean, layer.running_var, 1.0, layer, mode)
+    y = _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
+    return y, ((xh, inv) if mode.training else None)
 
 
 def _bwd_real_bn(layer: RealBnLayer, g, cache, grads):
@@ -509,9 +506,7 @@ def _bwd_real_bn(layer: RealBnLayer, g, cache, grads):
     grads.append((layer.gamma, (g * xh).sum(axis=(0, 2, 3))))
     grads.append((layer.beta, g.sum(axis=(0, 2, 3))))
     gh = g * layer.gamma.reshape(1, -1, 1, 1).astype(float)
-    mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
-    mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
-    return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - xh * mean_ghx)
+    return _bn_plane_backward(gh, xh, inv, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,21 @@ entry; this module holds the framing.  Payload lengths are derivable from
 the descriptor; a well-formed file has no trailing bytes.  Loading never
 returns a partial model: a residual block must hold binarized convolutions
 and CGBN layers in the encoded order, and the loaded graph must pass
-``validate_graph``, as a graph must before it is saved.
+``validate_graph``, as a graph must before it is saved.  Every stored float
+must be finite and every batch-norm ``eps`` positive, on save and on load:
+a NaN batch norm would otherwise infer, its NaN binarizing to -1.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
+
+import numpy as np
 
 from .errors import (BadMagic, CorruptModelFile, ShapeMismatch, TruncatedFile,
                      UnsupportedVersion)
-from .models import ModelGraph, decode_node, encode_node, validate_graph
+from .models import ModelGraph, decode_node, encode_node, graph_nodes, validate_graph
 
 MAGIC = b"BCN1"
 VERSION = 1
@@ -63,10 +68,30 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 def model_to_bytes(model: ModelGraph) -> bytes:
-    """Encode a model; a graph ``validate_graph`` rejects raises ShapeMismatch
-    here rather than being written as a file no loader accepts."""
+    """Encode a model.  A graph ``validate_graph`` rejects raises
+    ShapeMismatch, and a non-finite parameter or a batch-norm eps <= 0
+    CorruptModelFile, rather than being written as a file no loader accepts."""
     validate_graph(model)
+    _check_parameters(model)
     return _encode_graph(model)
+
+
+def _check_parameters(model: ModelGraph):
+    """Every float of a node must be finite as stored (arrays as 32-bit,
+    scalars as 64-bit reals) and a batch norm's ``eps`` must be > 0; this is
+    not part of ``validate_graph`` because it reads every parameter."""
+    for node, _ in graph_nodes(model):
+        where = type(node).__name__
+        for f in fields(node):
+            value = np.asarray(getattr(node, f.name))
+            if value.dtype.kind != "f":
+                continue
+            with np.errstate(over="ignore"):  # a float64 beyond the 32-bit range is stored as inf
+                stored = value.astype(np.float32, copy=False) if value.ndim else value
+            if not np.isfinite(stored).all():
+                raise CorruptModelFile(f"{where} {f.name} holds a non-finite value")
+        if not getattr(node, "eps", 1.0) > 0:
+            raise CorruptModelFile(f"{where} eps must be > 0, got {node.eps}")
 
 
 def _encode_graph(model: ModelGraph) -> bytes:
@@ -113,6 +138,7 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         validate_graph(model)
     except ShapeMismatch as exc:
         raise CorruptModelFile(f"invalid model graph: {exc}") from exc
+    _check_parameters(model)
     return model
 
 

@@ -11,9 +11,15 @@ binarize step (explicit in plain sequences, internal to residual blocks).
 ``validate_graph`` enforces all of this with one shape walk, and every
 graph it accepts infers, trains and round-trips BCN1.
 
-A node kind is one ``NODE_KINDS`` entry: its inference and training forward,
-backward, output shape, BCN1 tag and codec, and ``bcnn export`` text.  Every
-per-node loop dispatches through that table, block paths included.
+A node kind is one ``NODE_KINDS`` entry: its forward, backward, output
+shape, BCN1 tag and codec, and ``bcnn export`` text.  Every per-node loop
+dispatches through that table, block paths included.  Each kind has one
+forward, ``(node, x, mode) -> (y, cache)``, and ``run_nodes`` is the one loop
+over a node sequence, in one of four ``Mode`` values: packed or dense
+inference on running statistics (``forward``), the loss on batch statistics
+(``batch_loss``), or a training step that also moves the running statistics
+(``train_step``).  Only the two training modes keep the caches the backward
+reads.
 
 The per-stage channel widths are the real-valued NIN / ResNet-18 baselines
 with every width halved, so the complex model matches the baseline's
@@ -36,12 +42,11 @@ import numpy as np
 from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d, out_size,
                          quadrant_binarize)
 from .errors import CorruptModelFile, NonFiniteInput, ShapeMismatch
-from .layers import (CgbnLayer, ComplexConvLayer, RealBnLayer, _bwd_cgbn, _bwd_pool,
+from .layers import (CgbnLayer, ComplexConvLayer, Mode, RealBnLayer, _bwd_cgbn, _bwd_pool,
                      _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd, _fwd_cgbn,
                      _fwd_real_bn, _real_conv_bwd, avg_pool, cgbn_forward, complex_conv2d_fp,
                      conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
-                     max_pool, real_bn_forward, relu as _relu, relu_backward, spectral_pool,
-                     ste_backward)
+                     max_pool, relu as _relu, relu_backward, spectral_pool, ste_backward)
 from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack_signs, unpack,
                       words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
@@ -339,10 +344,15 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
                             binarize_deterministic(layer.w_im), layer.geometry, pad_value=-1.0)
 
 
-def _binary_conv_forward(layer: BinaryConvLayer, x, packed: bool) -> ComplexTensor:
-    if packed:
-        return _conv_bn_forward(layer, None, x, False)
-    return _binary_conv_train(layer, x, False)[0]
+def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
+    """Packed, the packed kernel on a binarize step's words.  Otherwise the
+    dense conv and its cache: the signed weights as a full-precision conv
+    with -1 padding, pruned channels masked to zero."""
+    if mode is Mode.PACKED:
+        return _conv_bn_forward(layer, None, x, False), None
+    wb = _sign_weights(layer)
+    mask = active_output_channels(layer)
+    return mask_pruned_channels(complex_conv2d_fp(x, wb), mask), (wb, x, mask)
 
 
 # packed inference runs a binary conv and the CGBN right after it as one step
@@ -442,14 +452,6 @@ def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: b
         if flipped:
             plane *= scale[:, None, None]
     return pack_signs(y)
-
-
-def _binary_conv_train(layer: BinaryConvLayer, x: ComplexTensor, update_stats):
-    """Dense binary conv: the signed weights as a full-precision conv with
-    -1 padding, pruned channels masked to zero."""
-    wb = _sign_weights(layer)
-    mask = active_output_channels(layer)
-    return mask_pruned_channels(complex_conv2d_fp(x, wb), mask), (wb, x, mask)
 
 
 def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grads):
@@ -560,24 +562,25 @@ def _decode_dense(desc, payload, variant) -> DenseLayer:
     return DenseLayer(_read_array(payload, (out_dim, in_dim)), _read_array(payload, (out_dim,)))
 
 
-def _binarize_forward(x: ComplexTensor, packed: bool):
+def _binarize_forward(x: ComplexTensor, mode: Mode):
     """Quadrant binarization; packed, the signs go straight to words."""
-    return pack_signs(x) if packed else quadrant_binarize(x)
+    return pack_signs(x) if mode is Mode.PACKED else quadrant_binarize(x)
+
+
+def _cgbn_forward(bn: CgbnLayer, x: ComplexTensor, mode: Mode):
+    """Inference calls ``cgbn_forward`` by this module's name, so a wrapper
+    installed on it sees every CGBN that runs outside the fused step."""
+    if mode.training:
+        return _fwd_cgbn(bn, x, mode)
+    return cgbn_forward(x, bn), None
 
 
 # residual block: both paths run through the table on the binarized input
 
-def _block_forward(block: ResidualBlock, x: ComplexTensor, packed: bool):
-    b = _binarize_forward(x, packed)  # packed once, read by both paths
-    y = run_nodes(block.main, b, packed)
-    skip = run_nodes(block.side, b, packed) if block.side else x
-    return ComplexTensor(y.re + skip.re, y.im + skip.im)
-
-
-def _block_train(block: ResidualBlock, x: ComplexTensor, update_stats):
-    b = quadrant_binarize(x)
-    y, main = train_nodes(block.main, b, update_stats)
-    skip, side = train_nodes(block.side, b, update_stats) if block.side else (x, [])
+def _block_forward(block: ResidualBlock, x: ComplexTensor, mode: Mode):
+    b = _binarize_forward(x, mode)  # packed once, read by both paths
+    y, main = run_nodes(block.main, b, mode)
+    skip, side = run_nodes(block.side, b, mode) if block.side else (x, [])
     return ComplexTensor(y.re + skip.re, y.im + skip.im), (x, main, side)
 
 
@@ -628,20 +631,13 @@ class NodeKind:
 
     tags: tuple[int, ...]  # BCN1 tags; a node is stored under tags[variant(node)]
     decode: Callable  # (desc, payload, variant) -> node, reading what encode wrote
-    forward: Callable  # (node, x, packed) -> y: inference
+    forward: Callable  # (node, x, mode) -> (y, cache); the cache is what backward reads
     backward: Callable  # (node, g, cache, clip, grads) -> dx; appends (param, grad) pairs
     out_shape: Callable = lambda node, act, visit: _keep(act)  # checks input, gives output
     encode: Callable = lambda node, desc, payload: None  # appends fields and arrays
-    train: Callable | None = None  # (node, x, update_stats) -> (y, cache)
     describe: Callable = lambda node: ""  # the `bcnn export` details
     variant: Callable = lambda node: 0
     weight_layers: int = 0  # main-path convolutions and fully connected layers
-    takes_packed: bool = False  # in packed inference, reads a binarize step's words
-
-    def __post_init__(self):
-        if self.train is None:  # the dense inference op, caching its input
-            forward = self.forward
-            self.train = lambda node, x, update_stats: (forward(node, x, False), x)
 
     def tag(self, node) -> int:
         return self.tags[self.variant(node)]
@@ -650,38 +646,36 @@ class NodeKind:
 NODE_KINDS = {
     ComplexInputGenerator: NodeKind(
         tags=(1,), encode=_encode_generator, decode=_decode_generator,
-        forward=lambda n, x, packed: _generator_forward(n, x)[0],
-        train=lambda n, x, update_stats: _generator_forward(n, x), backward=_generator_backward,
+        forward=lambda n, x, mode: _generator_forward(n, x), backward=_generator_backward,
         out_shape=_generator_shape,
         describe=lambda n: f"{n.w1.shape[0]} channels",
     ),
     ComplexConvLayer: NodeKind(
         tags=(2,), encode=_encode_conv, decode=_decode_conv,
-        forward=lambda n, x, packed: complex_conv2d_fp(x, n), backward=_conv_backward,
+        forward=lambda n, x, mode: (complex_conv2d_fp(x, n), x), backward=_conv_backward,
         out_shape=lambda n, act, visit: _conv_shape(n, act),
         describe=lambda n: _describe_conv(n.geometry, "full precision"),
         weight_layers=1,
     ),
     BinaryConvLayer: NodeKind(
         tags=(3,), encode=_encode_binary_conv, decode=_decode_binary_conv,
-        forward=_binary_conv_forward, train=_binary_conv_train, backward=_binary_conv_backward,
+        forward=_binary_conv_forward, backward=_binary_conv_backward,
         out_shape=lambda n, act, visit: _conv_shape(n, act, ("binarized",)),
         describe=lambda n: _describe_conv(n.geometry, "binarized"),
-        weight_layers=1, takes_packed=True,
+        weight_layers=1,
     ),
     CgbnLayer: NodeKind(
         tags=(4,), encode=_encode_bn,
         decode=lambda desc, payload, variant: _decode_bn(CgbnLayer, 8, desc, payload),
-        forward=lambda n, x, packed: cgbn_forward(x, n, training=False),
-        train=_fwd_cgbn, backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
+        forward=_cgbn_forward,
+        backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
         out_shape=lambda n, act, visit: _bn_shape(n, act, ("complex", "binarized")),
         describe=lambda n: f"{n.channels} complex channels",
     ),
     RealBnLayer: NodeKind(
         tags=(5,), encode=_encode_bn,
         decode=lambda desc, payload, variant: _decode_bn(RealBnLayer, 4, desc, payload),
-        forward=lambda n, x, packed: real_bn_forward(x, n, training=False),
-        train=_fwd_real_bn,
+        forward=_fwd_real_bn,
         backward=lambda n, g, cache, clip, grads: _bwd_real_bn(n, g, cache, grads),
         out_shape=lambda n, act, visit: _bn_shape(n, act, ("real",)),
         describe=lambda n: f"{n.gamma.shape[0]} channels",
@@ -689,57 +683,57 @@ NODE_KINDS = {
     AvgPool: NodeKind(
         tags=(6,), encode=_encode_pool,
         decode=lambda desc, payload, variant: _decode_pool(AvgPool, desc),
-        forward=lambda n, x, packed: avg_pool(x, n.window, n.stride),
+        forward=lambda n, x, mode: (avg_pool(x, n.window, n.stride), x),
         backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=True),
         out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
     ),
     MaxPool: NodeKind(
         tags=(7,), encode=_encode_pool,
         decode=lambda desc, payload, variant: _decode_pool(MaxPool, desc),
-        forward=lambda n, x, packed: max_pool(x, n.window, n.stride),
+        forward=lambda n, x, mode: (max_pool(x, n.window, n.stride), x),
         backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=False),
         out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
     ),
     SpectralPool: NodeKind(
         tags=(8,), encode=lambda n, desc, payload: desc.extend(struct.pack("<2I", *n.out_hw)),
         decode=lambda desc, payload, variant: SpectralPool(desc.unpack("<2I")),
-        forward=lambda n, x, packed: spectral_pool(x, n.out_hw),
+        forward=lambda n, x, mode: (spectral_pool(x, n.out_hw), x),
         backward=lambda n, g, x, clip, grads: _bwd_spectral_pool(g, x.shape),
         out_shape=_spectral_pool_shape, describe=lambda n: f"crop to {n.out_hw}",
     ),
     Relu: NodeKind(
         tags=(9,), decode=lambda desc, payload, variant: Relu(),
-        forward=lambda n, x, packed: _relu(x),
+        forward=lambda n, x, mode: (_relu(x), x),
         backward=lambda n, g, x, clip, grads: relu_backward(g, x),
     ),
     Hardtanh: NodeKind(
         tags=(10,), decode=lambda desc, payload, variant: Hardtanh(),
-        forward=lambda n, x, packed: _hardtanh(x),
+        forward=lambda n, x, mode: (_hardtanh(x), x),
         backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
     ),
     Binarize: NodeKind(
         tags=(11,), decode=lambda desc, payload, variant: Binarize(),
-        forward=lambda n, x, packed: _binarize_forward(x, packed),
+        forward=lambda n, x, mode: (_binarize_forward(x, mode), x),
         backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
         out_shape=lambda n, act, visit: Activation(_image(act), "binarized"),
     ),
     Flatten: NodeKind(
         tags=(12,), decode=lambda desc, payload, variant: Flatten(),
-        forward=lambda n, x, packed: x.to_planes().reshape(x.shape[0], -1),
+        forward=lambda n, x, mode: (x.to_planes().reshape(x.shape[0], -1), x),
         backward=lambda n, g, x, clip, grads: ComplexTensor.from_planes(
             g.reshape(len(g), 2 * x.shape[1], *x.shape[2:])),
         out_shape=lambda n, act, visit: Activation((2 * math.prod(_image(act)),)),
     ),
     DenseLayer: NodeKind(
         tags=(13,), encode=_encode_dense, decode=_decode_dense,
-        forward=lambda n, x, packed: fully_connected(x, n.weight, n.bias),
+        forward=lambda n, x, mode: (fully_connected(x, n.weight, n.bias), x),
         backward=_dense_backward, out_shape=_dense_shape,
         describe=lambda n: f"{n.weight.shape[1]}->{n.weight.shape[0]}", weight_layers=1,
     ),
     ResidualBlock: NodeKind(
         tags=(14, 15), variant=lambda n: int(bool(n.side)),
         encode=_encode_block, decode=_decode_block,
-        forward=_block_forward, train=_block_train, backward=_block_backward,
+        forward=_block_forward, backward=_block_backward,
         out_shape=_block_shape,
         describe=lambda n: (f"{n.conv1.geometry.in_channels}->{n.conv2.geometry.out_channels}"
                             f" stride {n.conv1.geometry.stride}"),
@@ -778,39 +772,33 @@ def decode_node(desc, payload):
     return kind.decode(desc, payload, variant)
 
 
-def run_nodes(nodes, x, packed: bool):
-    """Inference over a node sequence (a model's or a block path's) of a
-    graph ``forward`` has checked.
+def run_nodes(nodes, x, mode: Mode):
+    """A node sequence (a model's or a block path's) of a graph its engine
+    entry has checked, run in ``mode``; returns (output, caches), the caches
+    in node order in the training modes and empty in inference.
 
     In packed mode a binarize step emits a BitplaneTensor, the only input a
-    binary conv reads; a node kind that does not take packed input sees it
-    unpacked to the same +-1 planes.  A binary conv directly followed by a
-    CGBN, and by a Binarize after that, runs with them as one step
-    (``_conv_bn_forward``).
+    binary conv reads; every other node sees it unpacked to the same +-1
+    planes.  A binary conv directly followed by a CGBN, and by a Binarize
+    after that, runs with them as one step (``_conv_bn_forward``).
     """
+    caches = []
     i = 0
     while i < len(nodes):
         node = nodes[i]
-        kind = kind_of(node)
-        if isinstance(x, BitplaneTensor) and not kind.takes_packed:
+        if isinstance(x, BitplaneTensor) and type(node) is not BinaryConvLayer:
             x = unpack(x)
         follow = [type(nxt) for nxt in nodes[i + 1 : i + 3]]
-        if packed and type(node) is BinaryConvLayer and follow[:1] == [CgbnLayer]:
+        if mode is Mode.PACKED and type(node) is BinaryConvLayer and follow[:1] == [CgbnLayer]:
             binarize = follow == [CgbnLayer, Binarize]
             x = _conv_bn_forward(node, nodes[i + 1], x, binarize)
             i += 2 + binarize
-        else:
-            x = kind.forward(node, x, packed)
-            i += 1
-    return x
-
-
-def train_nodes(nodes, x, update_stats: bool = True):
-    """Training forward over a node sequence; returns (output, caches)."""
-    caches = []
-    for node in nodes:
-        x, cache = kind_of(node).train(node, x, update_stats)
-        caches.append(cache)
+            continue
+        x, cache = kind_of(node).forward(node, x, mode)
+        if mode.training:
+            caches.append(cache)
+        del cache  # often the node's input: in inference it must not outlive the node
+        i += 1
     return x, caches
 
 
@@ -859,7 +847,7 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
         )
     if not np.isfinite(x).all():
         raise NonFiniteInput("the batch has non-finite pixels")
-    return run_nodes(model.layers, x, packed)
+    return run_nodes(model.layers, x, Mode.PACKED if packed else Mode.DENSE)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Desk-scale training: datasets, loss, SGD and the training loops.
 
 The forward graph is differentiated layer-locally (no autodiff tape): each
-node kind's training forward and backward are entries of
+node kind's one forward and its backward are entries of
 ``bcnn.models.NODE_KINDS``, and their gradient math sits in ``bcnn.layers``
-beside the forward it differentiates.  Binarized convolutions use quadrant
-binarization in the forward pass and the straight-through estimator
-(``ste_backward``) in the backward pass -- the gradient with respect to a
-latent weight plane passes through unchanged where the plane's magnitude is
-below the clip threshold and is zeroed elsewhere, with the real and
-imaginary planes gated independently.  Latent weights are never binarized
-in storage.
+beside the forward it differentiates.  ``train_step`` runs the node loop in
+``Mode.TRAIN_STEP`` (batch statistics, running statistics updated, caches
+kept for the backward), ``batch_loss`` in ``Mode.BATCH_LOSS`` (the same
+without the running update), and ``evaluate`` runs packed inference.
+Binarized convolutions use quadrant binarization in the forward pass and
+the straight-through estimator (``ste_backward``) in the backward pass --
+the gradient with respect to a latent weight plane passes through unchanged
+where the plane's magnitude is below the clip threshold and is zeroed
+elsewhere, with the real and imaginary planes gated independently.  Latent
+weights are never binarized in storage.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from .errors import (
 )
 from .layers import ste_backward  # noqa: F401  (public as bcnn.training.ste_backward)
 from .models import (
+    Mode,
     ModelGraph,
     backprop_nodes,
     build_toy_bcnn,
     forward as model_forward,
-    train_nodes,
+    run_nodes,
     validate_graph,
 )
 
@@ -201,7 +205,7 @@ def batch_loss(model: ModelGraph, xb, yb) -> float:
     """Training-mode loss on one batch without touching running statistics;
     the graph is checked first (a ShapeMismatch names the layer)."""
     validate_graph(model)
-    logits, _ = train_nodes(model.layers, np.asarray(xb, dtype=float), update_stats=False)
+    logits, _ = run_nodes(model.layers, np.asarray(xb, dtype=float), Mode.BATCH_LOSS)
     loss, _ = softmax_cross_entropy(logits, yb)
     return loss
 
@@ -215,7 +219,7 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     The graph is checked first, so a rejected graph changes no parameter.
     """
     validate_graph(model)
-    logits, caches = train_nodes(model.layers, np.asarray(xb, dtype=float))
+    logits, caches = run_nodes(model.layers, np.asarray(xb, dtype=float), Mode.TRAIN_STEP)
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, clip, grads)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bcnn.accel import (
@@ -174,6 +176,15 @@ def test_speedup_rejects_zero_baseline():
         speedup_report(100, 0)
 
 
+@pytest.mark.parametrize("fpga_fps, baseline_fps", [
+    (100, math.nan), (100, math.inf), (100, -math.inf),
+    (math.nan, 100), (math.inf, 100), (-1, 100),
+])
+def test_speedup_rejects_non_finite_and_negative_throughputs(fpga_fps, baseline_fps):
+    with pytest.raises(InvalidConfig):
+        speedup_report(fpga_fps, baseline_fps)
+
+
 # ---------------------------------------------------------------------------
 # resource reports
 # ---------------------------------------------------------------------------
@@ -212,3 +223,11 @@ def test_kernel_config_validation():
         KernelConfig(kernel_latency_s=-1.0)
     with pytest.raises(InvalidConfig):
         throughput(KernelConfig())  # latency unset
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p_out", "p_in", "ii", "kernel_count", "clock_hz",
+                                   "pipeline_fill", "kernel_latency_s"])
+def test_kernel_config_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidConfig):
+        KernelConfig(**{field: value})

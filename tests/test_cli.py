@@ -23,6 +23,18 @@ def test_bench_with_baseline(capsys):
     assert "1.58x" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--latency-ms", "nan"], ["--latency-ms", "inf"], ["--latency-ms=-inf"],
+    ["--latency-ms", "1.53", "--baseline-fps", "nan"],
+    ["--latency-ms", "1.53", "--baseline-fps", "inf"],
+])
+def test_bench_rejects_non_finite_values_with_one_error_line(flags, capsys):
+    assert run(["bench", "--kernels", "9", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_train_zero_epochs_saves_untrained(tmp_path, capsys):
     out_file = tmp_path / "untrained.bcn"
     code = run(["train", "--model", "toy", "--epochs", "0", "--seed", "3",

@@ -16,9 +16,9 @@ from bcnn.errors import CorruptModelFile, ShapeMismatch
 from bcnn.layers import CgbnLayer, RealBnLayer
 from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
 from bcnn.models import (NODE_KINDS, AvgPool, Binarize, ComplexInputGenerator, Flatten,
-                         Hardtanh, MaxPool, ModelGraph, Relu, SpectralPool, backprop_nodes,
+                         Hardtanh, MaxPool, Mode, ModelGraph, Relu, SpectralPool, backprop_nodes,
                          build_complex_input_generator, forward, graph_nodes, kind_of,
-                         train_nodes, validate_graph, _block1, _block2, _init_binary_conv,
+                         run_nodes, validate_graph, _block1, _block2, _init_binary_conv,
                          _init_complex_conv, _init_dense)
 from bcnn.training import batch_loss, softmax_cross_entropy, train_step
 from helpers import every_node_kind_model
@@ -134,7 +134,7 @@ def _check_accepted(model: ModelGraph, rng):
     blob = model_to_bytes(model)
     assert model_to_bytes(model_from_bytes(blob)) == blob
 
-    logits, caches = train_nodes(model.layers, x, update_stats=False)
+    logits, caches = run_nodes(model.layers, x, Mode.BATCH_LOSS)
     _, dlogits = softmax_cross_entropy(logits, y)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, 1.0, grads)

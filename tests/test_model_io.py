@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from bcnn.models import (
     iter_binary_convs,
     validate_graph,
 )
+from helpers import every_node_kind_model
 
 
 def test_roundtrip_is_byte_identical():
@@ -196,6 +198,53 @@ def test_saving_a_misshaped_graph_raises_and_writes_nothing(tmp_path):
     with pytest.raises(ShapeMismatch, match="channels"):
         save_model(model, str(path))
     assert not path.exists()
+
+
+def _set(path, value):
+    """An edit of a toy model: ``path`` is (layer index, field[, entry])."""
+    def edit(model):
+        node = model.layers[path[0]]
+        if len(path) == 2:
+            setattr(node, path[1], value)
+        else:
+            getattr(node, path[1])[path[2]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set((2, "eps"), math.nan), "eps"),
+    (_set((2, "eps"), -1.0), "eps"),
+    (_set((2, "eps"), 0.0), "eps"),
+    (_set((2, "eps"), math.inf), "eps"),
+    (_set((2, "momentum"), math.nan), "momentum"),
+    (_set((1, "pad_value"), math.nan), "pad_value"),
+    (_set((2, "gamma_re", 0), math.nan), "gamma_re"),
+    (_set((6, "running_var_im", 1), math.inf), "running_var_im"),
+    (_set((0, "b1", 2), -math.inf), "b1"),
+    (_set((8, "bias"), np.full(2, 1e39)), "bias"),  # finite in float64, inf as stored
+], ids=["eps-nan", "eps-negative", "eps-zero", "eps-inf", "momentum-nan", "pad-nan",
+        "gamma-nan", "running-var-inf", "generator-bias-inf", "dense-bias-overflow"])
+def test_non_finite_parameter_is_refused_on_save_and_load(tmp_path, edit, match):
+    model = build_toy_bcnn(seed=0)
+    edit(model)
+    path = tmp_path / "bad.bcn"
+    with pytest.raises(CorruptModelFile, match=match):
+        save_model(model, str(path))
+    assert not path.exists()
+    with np.errstate(over="ignore"):
+        blob = _encode_graph(model)
+    with pytest.raises(CorruptModelFile, match=match):
+        model_from_bytes(blob)
+
+
+def test_non_finite_parameter_inside_a_block_is_refused():
+    model = every_node_kind_model(seed=0)
+    block = next(layer for layer in model.layers if type(layer).__name__ == "ResidualBlock")
+    block.bn2.eps = math.nan
+    with pytest.raises(CorruptModelFile, match="eps"):
+        model_to_bytes(model)
+    with pytest.raises(CorruptModelFile, match="eps"):
+        model_from_bytes(_encode_graph(model))
 
 
 def _rejected_by_validation_and_loading(model, match):

@@ -18,7 +18,7 @@ from bcnn.layers import (
     complex_conv2d_fp,
     conv2d_real,
 )
-from bcnn.models import graph_nodes, kind_of, train_nodes
+from bcnn.models import Mode, graph_nodes, kind_of, run_nodes
 from bcnn.training import (
     CIFAR_RECORD_BYTES,
     Dataset,
@@ -220,10 +220,10 @@ def test_generator_backward_matches_finite_differences():
     up = ComplexTensor(rng.standard_normal(x.shape), rng.standard_normal(x.shape))
 
     def loss():
-        y, _ = kind_of(gen).train(gen, x, update_stats=False)
+        y, _ = kind_of(gen).forward(gen, x, Mode.BATCH_LOSS)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = kind_of(gen).train(gen, x, update_stats=False)
+    _, cache = kind_of(gen).forward(gen, x, Mode.BATCH_LOSS)
     grads = []
     dx = kind_of(gen).backward(gen, up, cache, 1.0, grads)
     by_param = {id(arr): grad for arr, grad in grads}
@@ -248,10 +248,10 @@ def _check_node_input_gradient(node, x, out_shape, seed):
     up = ComplexTensor(rng.standard_normal(out_shape), rng.standard_normal(out_shape))
 
     def loss():
-        y, _ = kind_of(node).train(node, x, update_stats=False)
+        y, _ = kind_of(node).forward(node, x, Mode.BATCH_LOSS)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    y, cache = kind_of(node).train(node, x, update_stats=False)
+    y, cache = kind_of(node).forward(node, x, Mode.BATCH_LOSS)
     assert y.shape == out_shape
     dx = kind_of(node).backward(node, up, cache, 1.0, [])
     for arr, grad in ((x.re, dx.re), (x.im, dx.im)):
@@ -380,10 +380,10 @@ def test_cgbn_backward_matches_finite_differences():
     up = ComplexTensor(rng.standard_normal((3, 2, 4, 4)), rng.standard_normal((3, 2, 4, 4)))
 
     def loss_at(re_plane):
-        y, _ = _fwd_cgbn(layer, ComplexTensor(re_plane, x.im), update_stats=False)
+        y, _ = _fwd_cgbn(layer, ComplexTensor(re_plane, x.im), Mode.BATCH_LOSS)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = _fwd_cgbn(layer, x, update_stats=False)
+    _, cache = _fwd_cgbn(layer, x, Mode.BATCH_LOSS)
     dx = _bwd_cgbn(layer, up, cache, grads=[])
     eps = 1e-6
     for idx in [(0, 0, 0, 0), (1, 1, 2, 3), (2, 0, 3, 1)]:
@@ -463,7 +463,7 @@ def test_latent_weights_stay_full_precision():
     model = build_toy_bcnn(seed=3)
     conv = [l for l in model.layers if type(l).__name__ == "BinaryConvLayer"][0]
     before = conv.w_re.copy()
-    logits, _ = train_nodes(model.layers, data.images[:8])
+    logits, _ = run_nodes(model.layers, data.images[:8], Mode.TRAIN_STEP)
     np.testing.assert_array_equal(conv.w_re, before)  # forward never binarizes storage
     assert not np.all(np.abs(conv.w_re) == 1.0)
 
@@ -669,7 +669,7 @@ def test_training_caches_hold_no_array_larger_than_an_activation(build):
     model = build(seed=0)
     batch = 3
     x = np.random.default_rng(0).standard_normal((batch, *model.input_shape))
-    _, caches = train_nodes(model.layers, x, update_stats=False)
+    _, caches = run_nodes(model.layers, x, Mode.BATCH_LOSS)
     largest = batch * max(math.prod(act.dims) for _, act in graph_nodes(model))
     sizes = [arr.size for arr in _cached_arrays(caches)]
     assert sizes and max(sizes) <= largest
@@ -680,7 +680,7 @@ def test_backward_covers_every_trainable_parameter():
 
     model = _toy_residual_model(seed=1)
     data = make_separable_dataset(samples_per_class=8, seed=1)
-    logits, caches = train_nodes(model.layers, data.images[:8])
+    logits, caches = run_nodes(model.layers, data.images[:8], Mode.TRAIN_STEP)
     _, dlogits = softmax_cross_entropy(logits, data.labels[:8])
     grads = []
     backprop_nodes(model.layers, caches, dlogits, 1.0, grads)
@@ -708,18 +708,28 @@ def test_train_step_on_nin_and_resnet():
 
 
 def test_batch_loss_leaves_every_running_statistic_unchanged():
-    from bcnn.models import graph_nodes
-    from bcnn.training import batch_loss
+    from bcnn.models import forward, graph_nodes
+    from bcnn.training import batch_loss, train_step
 
     model = every_node_kind_model(seed=2)
     stats = [arr for node, _ in graph_nodes(model)
              for name, arr in vars(node).items() if name.startswith("running_")]
     assert len(stats) == 2 * 1 + 4 * 8  # one RealBn, eight CGBNs (five inside the blocks)
-    before = [arr.copy() for arr in stats]
+    arrays = [arr for node, _ in graph_nodes(model) for arr in vars(node).values()
+              if isinstance(arr, np.ndarray)]
+    before = [arr.copy() for arr in arrays]
     data = make_separable_dataset(samples_per_class=4, shape=(3, 16, 16), seed=2)
+    # neither inference mode nor the loss changes any array of the model
+    forward(model, data.images, packed=True)
+    forward(model, data.images, packed=False)
     batch_loss(model, data.images, data.labels)
-    for old, new in zip(before, stats):
+    for old, new in zip(before, arrays):
         np.testing.assert_array_equal(old, new)
+    # a training step moves every running statistic
+    before = [arr.copy() for arr in stats]
+    train_step(model, data.images, data.labels, lr=0.0, clip=1.0)
+    for old, new in zip(before, stats):
+        assert not np.array_equal(old, new)
 
 
 def test_every_node_kind_trains_infers_and_round_trips():
@@ -731,7 +741,7 @@ def test_every_node_kind_trains_infers_and_round_trips():
     tags = {kind_of(layer).tag(layer) for layer in model.layers}
     assert tags == set(range(1, 16))  # every BCN1 layer tag
     data = make_separable_dataset(samples_per_class=4, shape=(3, 16, 16), seed=2)
-    logits, caches = train_nodes(model.layers, data.images)
+    logits, caches = run_nodes(model.layers, data.images, Mode.TRAIN_STEP)
     _, dlogits = softmax_cross_entropy(logits, data.labels)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, 1.0, grads)
@@ -758,10 +768,10 @@ def test_cgbn_backward_imaginary_plane_finite_differences():
     up = ComplexTensor(rng.standard_normal((3, 2, 4, 4)), rng.standard_normal((3, 2, 4, 4)))
 
     def loss_at(im_plane):
-        y, _ = _fwd_cgbn(layer, ComplexTensor(x.re, im_plane), update_stats=False)
+        y, _ = _fwd_cgbn(layer, ComplexTensor(x.re, im_plane), Mode.BATCH_LOSS)
         return (up.re * y.re).sum() + (up.im * y.im).sum()
 
-    _, cache = _fwd_cgbn(layer, x, update_stats=False)
+    _, cache = _fwd_cgbn(layer, x, Mode.BATCH_LOSS)
     dx = _bwd_cgbn(layer, up, cache, grads=[])
     eps = 1e-6
     for idx in [(0, 0, 0, 0), (1, 1, 2, 3), (2, 0, 3, 1)]:
@@ -784,10 +794,10 @@ def test_real_bn_backward_finite_differences():
     def loss_at(x_val):
         fresh = RealBnLayer.identity(2, eps=1e-5)
         fresh.gamma[:] = layer.gamma
-        y, _ = _fwd_real_bn(fresh, x_val)
+        y, _ = _fwd_real_bn(fresh, x_val, Mode.TRAIN_STEP)
         return (up * y).sum()
 
-    _, cache = _fwd_real_bn(layer, x)
+    _, cache = _fwd_real_bn(layer, x, Mode.TRAIN_STEP)
     dx = _bwd_real_bn(layer, up, cache, grads=[])
     eps = 1e-6
     for idx in [(0, 0, 0, 0), (2, 1, 3, 2)]:
