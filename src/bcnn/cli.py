@@ -101,11 +101,11 @@ def _cmd_train(args) -> int:
             channels=(8, 8), seed=seed,
         ),
     }
-    model = builders[args.model](num_classes=10, seed=args.seed)
-    dataset = _make_dataset(args.data, model, args.seed, train_split=True)
     cfg = training.TrainConfig(
         lr=args.lr, epochs=args.epochs, batch_size=args.batch, seed=args.seed
     )
+    model = builders[args.model](num_classes=10, seed=args.seed)
+    dataset = _make_dataset(args.data, model, args.seed, train_split=True)
     return _train_and_save(model, dataset, cfg, args.out, model.name)
 
 

@@ -15,11 +15,11 @@ for tests to compare against.
 
 Each trainable op's backward sits beside its forward, including the
 straight-through estimators of binarized weights and activations.  A
-training forward returns ``(y, cache)`` and its backward consumes it.
-Convolutions cache their input, not its im2col columns: the backward
-rebuilds each image's columns, so a cached array is never larger than an
-activation.  CGBN and RealBn share one batch-norm core, ``_bn_plane`` and
-``_bn_plane_backward``, that runs in a ``Mode``.
+training forward returns ``(y, cache)``; only a training step keeps it for
+the backward.  Convolutions cache their input, not its im2col columns or
+their weights: the backward rebuilds those, so a cached array is never
+larger than an activation.  CGBN and RealBn share one batch-norm core,
+``_bn_plane`` and ``_bn_plane_backward``, that runs in a ``Mode``.
 
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
@@ -42,8 +42,8 @@ from .tensors import ComplexTensor
 
 class Mode(Enum):
     """How a forward runs.  The inference modes normalize by the running
-    statistics and keep no cache; the training modes normalize by the
-    batch's statistics and return the cache their backward reads."""
+    statistics and keep no cache; the training modes normalize by the batch's
+    statistics and return a cache, which only ``TRAIN_STEP``'s loop keeps."""
 
     PACKED = "packed"  # inference, binarized segments on the bit-packed kernel
     DENSE = "dense"  # inference on the dense reference path
@@ -128,7 +128,7 @@ def conv2d_real(
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
     win, (h_out, w_out) = _windows(x, w.shape[2:], stride, padding, pad_value)
-    wm = w.reshape(w.shape[0], -1).astype(float)
+    wm = w.reshape(w.shape[0], -1).astype(float, copy=False)
     y = np.empty((x.shape[0], w.shape[0], h_out * w_out))
     for y_i, cols in zip(y, _image_columns(win)):
         np.matmul(wm, cols, out=y_i)
@@ -142,7 +142,7 @@ def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0):
     ``w^T @ g_i`` is scattered back into ``dx[i]``."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
-    wm = w.reshape(out_c, -1).astype(float)
+    wm = w.reshape(out_c, -1).astype(float, copy=False)
     win, _ = _windows(x, w.shape[2:], stride, padding, pad_value)
     dx = np.empty(x.shape)
     for i, cols in enumerate(_image_columns(win)):

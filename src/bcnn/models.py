@@ -18,8 +18,8 @@ forward, ``(node, x, mode) -> (y, cache)``, and ``run_nodes`` is the one loop
 over a node sequence, in one of four ``Mode`` values: packed or dense
 inference on running statistics (``forward``), the loss on batch statistics
 (``batch_loss``), or a training step that also moves the running statistics
-(``train_step``).  Only the two training modes keep the caches the backward
-reads.
+(``train_step``).  Only the training step keeps the caches its backward
+reads; a binary conv, like every conv, caches only its input.
 
 The per-stage channel widths are the real-valued NIN / ResNet-18 baselines
 with every width halved, so the complex model matches the baseline's
@@ -346,13 +346,12 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
     """Packed, the packed kernel on a binarize step's words.  Otherwise the
-    dense conv and its cache: the signed weights as a full-precision conv
-    with -1 padding, pruned channels masked to zero."""
+    dense conv, the signed weights as a full-precision conv with -1 padding
+    and pruned channels masked to zero, and its input as the cache."""
     if mode is Mode.PACKED:
         return _conv_bn_forward(layer, None, x, False), None
-    wb = _sign_weights(layer)
-    mask = active_output_channels(layer)
-    return mask_pruned_channels(complex_conv2d_fp(x, wb), mask), (wb, x, mask)
+    y = complex_conv2d_fp(x, _sign_weights(layer))
+    return mask_pruned_channels(y, active_output_channels(layer)), x
 
 
 # packed inference runs a binary conv and the CGBN right after it as one step
@@ -454,10 +453,10 @@ def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: b
     return pack_signs(y)
 
 
-def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, cache, clip, grads):
-    wb, x, mask = cache
-    g = mask_pruned_channels(g, mask)  # pruned channels emit a forced zero: no gradient
-    dwb_re, dwb_im, _, _, dx = _complex_conv_bwd(g, x, wb)
+def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, x, clip, grads):
+    """Rebuilds the signed weights and mask: a step moves weights after its backward."""
+    g = mask_pruned_channels(g, active_output_channels(layer))  # pruned: forced 0, no gradient
+    dwb_re, dwb_im, _, _, dx = _complex_conv_bwd(g, x, _sign_weights(layer))
     dw_re, dw_im = ste_backward(dwb_re, dwb_im, layer.w_re, layer.w_im, clip)
     grads.append((layer.w_re, dw_re))
     grads.append((layer.w_im, dw_im))
@@ -775,7 +774,7 @@ def decode_node(desc, payload):
 def run_nodes(nodes, x, mode: Mode):
     """A node sequence (a model's or a block path's) of a graph its engine
     entry has checked, run in ``mode``; returns (output, caches), the caches
-    in node order in the training modes and empty in inference.
+    in node order for a training step and empty in every other mode.
 
     In packed mode a binarize step emits a BitplaneTensor, the only input a
     binary conv reads; every other node sees it unpacked to the same +-1
@@ -795,9 +794,9 @@ def run_nodes(nodes, x, mode: Mode):
             i += 2 + binarize
             continue
         x, cache = kind_of(node).forward(node, x, mode)
-        if mode.training:
+        if mode is Mode.TRAIN_STEP:
             caches.append(cache)
-        del cache  # often the node's input: in inference it must not outlive the node
+        del cache  # often the node's input: without a backward it must not outlive the node
         i += 1
     return x, caches
 
@@ -833,10 +832,21 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     live channels only, and a Binarize right after it becomes integer
     thresholds on the conv's dots for channels with a real gamma.
     Batch-norm layers use running statistics, so per-image outputs do not
-    depend on batch composition.  The graph is checked first (a ShapeMismatch
-    names the layer), so a packed binary conv reads only binarize words.  A
-    NaN or infinite pixel raises ``NonFiniteInput``.
+    depend on batch composition.  The graph and then the batch are checked
+    first (``check_batch``; a ShapeMismatch names the layer), so a packed
+    binary conv reads only binarize words.
     """
+    x = check_batch(model, batch)
+    return run_nodes(model.layers, x, Mode.PACKED if packed else Mode.DENSE)[0]
+
+
+def check_batch(model: ModelGraph, batch, labels=None) -> np.ndarray:
+    """The check every engine entry makes before it runs or changes anything:
+    the graph (``validate_graph``), then the batch, returned as a float
+    (n, c, h, w) array; a single (c, h, w) image gets a batch axis.  A batch
+    whose image shape is not the model's, or labels that are not one integer
+    in [0, num_classes) per image, raise ``ShapeMismatch``; a NaN or infinite
+    pixel raises ``NonFiniteInput``."""
     validate_graph(model)
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:
@@ -847,7 +857,15 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
         )
     if not np.isfinite(x).all():
         raise NonFiniteInput("the batch has non-finite pixels")
-    return run_nodes(model.layers, x, Mode.PACKED if packed else Mode.DENSE)[0]
+    if labels is not None:
+        y = np.asarray(labels)
+        if y.shape != (len(x),) or not np.issubdtype(y.dtype, np.integer):
+            raise ShapeMismatch(f"labels of shape {y.shape} for {len(x)} images: "
+                                "expected one integer label per image")
+        if y.size and not 0 <= y.min() <= y.max() < model.num_classes:
+            raise ShapeMismatch(f"labels span [{y.min()}, {y.max()}], "
+                                f"outside [0, {model.num_classes})")
+    return x
 
 
 # ---------------------------------------------------------------------------

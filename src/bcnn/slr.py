@@ -173,12 +173,21 @@ def init_slr_state(problem, cfg: SlrConfig) -> SlrState:
     return SlrState(weights, duplicates, multipliers, cfg.s0, k=1, channel_axis=axis)
 
 
+def _surrogate_update(decreased, a, s, norm_prev, norm, multipliers, weights, duplicates):
+    """(fired, s, multipliers) after the gated s <- a*s*norm_prev/norm, Lambda += s*(W - Z)."""
+    if not (decreased and norm_prev > 0 and norm > 0):
+        return False, s, multipliers
+    s = a * s * norm_prev / norm
+    return True, s, [lam + s * (w - z) for lam, w, z in zip(multipliers, weights, duplicates)]
+
+
 def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
-    """One SLR iteration; mutates the state and returns a history record."""
+    """One SLR iteration; mutates the state and returns a history record.
+    It copies no state array: a problem's ``get_weights`` returns fresh
+    arrays, and its methods never mutate the arrays they are given."""
     axis = state.channel_axis
     batch = problem.condition_batch()
-    w_prev = [w.copy() for w in state.weights]
-    z_prev = [z.copy() for z in state.duplicates]
+    w_prev, z_prev = state.weights, state.duplicates
     f_prev = problem.loss(batch)
 
     # Step 1: SGD on the W subproblem, Z and multipliers held.
@@ -193,16 +202,9 @@ def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
     norm_w_zprev = _violation_norm(w_new, z_prev)
     l_new = f_new + _coupling_terms(w_new, z_prev, state.multipliers, cfg.rho)
     l_old = f_prev + _coupling_terms(w_prev, z_prev, state.multipliers, cfg.rho)
-    fired1 = bool(l_new < l_old) and norm_prev > 0 and norm_w_zprev > 0
-    if fired1:
-        s_prime = a * state.stepsize * norm_prev / norm_w_zprev
-        multipliers = [
-            lam + s_prime * (w - z)
-            for lam, w, z in zip(state.multipliers, w_new, z_prev)
-        ]
-    else:
-        s_prime = state.stepsize
-        multipliers = state.multipliers
+    fired1, s_prime, multipliers = _surrogate_update(
+        l_new < l_old, a, state.stepsize, norm_prev, norm_w_zprev,
+        state.multipliers, w_new, z_prev)
 
     # Step 2: analytic projection onto the channel-budget set.
     z_new = [
@@ -211,14 +213,8 @@ def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
     norm_w_znew = _violation_norm(w_new, z_new)
     l_zn = f_new + _coupling_terms(w_new, z_new, multipliers, cfg.rho)
     l_zp = f_new + _coupling_terms(w_new, z_prev, multipliers, cfg.rho)
-    fired2 = bool(l_zn < l_zp) and norm_prev > 0 and norm_w_znew > 0
-    if fired2:
-        s_new = a * s_prime * norm_prev / norm_w_znew
-        multipliers = [
-            lam + s_new * (w - z) for lam, w, z in zip(multipliers, w_new, z_new)
-        ]
-    else:
-        s_new = s_prime
+    fired2, s_new, multipliers = _surrogate_update(
+        l_zn < l_zp, a, s_prime, norm_prev, norm_w_znew, multipliers, w_new, z_new)
 
     state.weights = w_new
     state.duplicates = z_new
@@ -246,7 +242,7 @@ def slr_run(problem, cfg: SlrConfig):
     """Run ``max_iters`` SLR iterations, then hard-prune W <- Z."""
     state = init_slr_state(problem, cfg)
     history = [slr_step(state, problem, cfg) for _ in range(cfg.max_iters)]
-    problem.write_weights([z.copy() for z in state.duplicates])
+    problem.write_weights(state.duplicates)
     state.weights = problem.get_weights()
     return state, history
 
@@ -331,9 +327,7 @@ class ModelPruningProblem:
         ]
 
     def get_weights(self):
-        return [
-            np.stack([l.w_re, l.w_im]).astype(float) for l in self.layers
-        ]
+        return [np.stack([l.w_re, l.w_im], dtype=float) for l in self.layers]
 
     def write_weights(self, ws):
         for layer, w in zip(self.layers, ws):
@@ -352,7 +346,7 @@ class ModelPruningProblem:
         for idx in self._batches:
             extra = []
             for layer, lam, z in zip(self.layers, multipliers, targets):
-                live = np.stack([layer.w_re, layer.w_im]).astype(float)
+                live = np.stack([layer.w_re, layer.w_im], dtype=float)
                 e = lam + rho * (live - z)
                 extra.append((layer.w_re, e[0]))
                 extra.append((layer.w_im, e[1]))

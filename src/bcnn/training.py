@@ -6,7 +6,9 @@ node kind's one forward and its backward are entries of
 beside the forward it differentiates.  ``train_step`` runs the node loop in
 ``Mode.TRAIN_STEP`` (batch statistics, running statistics updated, caches
 kept for the backward), ``batch_loss`` in ``Mode.BATCH_LOSS`` (the same
-without the running update), and ``evaluate`` runs packed inference.
+without the running update, and without caches: nothing runs backward), and
+``evaluate`` runs packed inference.  Each entry first checks the graph, the
+batch and the labels with ``bcnn.models.check_batch``.
 Binarized convolutions use quadrant binarization in the forward pass and
 the straight-through estimator (``ste_backward``) in the backward pass --
 the gradient with respect to a latent weight plane passes through unchanged
@@ -39,9 +41,9 @@ from .models import (
     ModelGraph,
     backprop_nodes,
     build_toy_bcnn,
+    check_batch,
     forward as model_forward,
     run_nodes,
-    validate_graph,
 )
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3*32*32 image bytes
@@ -71,6 +73,8 @@ class TrainConfig:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
         if not self.batch_size >= 1:
             raise InvalidConfig(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.seed >= 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -203,9 +207,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def batch_loss(model: ModelGraph, xb, yb) -> float:
     """Training-mode loss on one batch without touching running statistics;
-    the graph is checked first (a ShapeMismatch names the layer)."""
-    validate_graph(model)
-    logits, _ = run_nodes(model.layers, np.asarray(xb, dtype=float), Mode.BATCH_LOSS)
+    the graph, the batch and its labels are checked first (``check_batch``)."""
+    logits, _ = run_nodes(model.layers, check_batch(model, xb, yb), Mode.BATCH_LOSS)
     loss, _ = softmax_cross_entropy(logits, yb)
     return loss
 
@@ -216,10 +219,10 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
 
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
-    The graph is checked first, so a rejected graph changes no parameter.
+    The graph, the batch and its labels are checked first (``check_batch``),
+    so a rejected graph or batch changes no parameter.
     """
-    validate_graph(model)
-    logits, caches = run_nodes(model.layers, np.asarray(xb, dtype=float), Mode.TRAIN_STEP)
+    logits, caches = run_nodes(model.layers, check_batch(model, xb, yb), Mode.TRAIN_STEP)
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, clip, grads)

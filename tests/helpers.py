@@ -270,3 +270,17 @@ def hard_prune(model, ratio):
         layer.w_re[...] = z[0]
         layer.w_im[...] = z[1]
     return model
+
+
+def tracemalloc_peak_mib(run) -> float:
+    """The tracemalloc peak of a second ``run()``, in MiB: first-call
+    allocations (BLAS buffers, caches) stay out of it."""
+    import tracemalloc
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -321,6 +321,15 @@ def test_bad_hyperparameter_is_one_error_line_and_no_file(case, tmp_path, capsys
     assert not out_file.exists()
 
 
+def test_train_with_a_negative_seed_is_one_error_line_and_no_file(tmp_path, capsys):
+    out_file = tmp_path / "out.bcn"
+    assert run(["train", "--seed", "-1", "--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_infer_with_jobs_below_one_is_an_error(jobs, tmp_path, capsys):
     model_path = tmp_path / "m.bcn"

@@ -134,7 +134,7 @@ def _check_accepted(model: ModelGraph, rng):
     blob = model_to_bytes(model)
     assert model_to_bytes(model_from_bytes(blob)) == blob
 
-    logits, caches = run_nodes(model.layers, x, Mode.BATCH_LOSS)
+    logits, caches = run_nodes(model.layers, x, Mode.TRAIN_STEP)
     _, dlogits = softmax_cross_entropy(logits, y)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, 1.0, grads)

@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bcnn.errors import CorruptRecord, DataExhausted, DivergedLoss, InvalidConfig, MissingFile
+from bcnn.errors import (
+    CorruptRecord, DataExhausted, DivergedLoss, InvalidConfig, MissingFile, NonFiniteInput,
+    ShapeMismatch,
+)
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
 from bcnn.models import AvgPool, ComplexInputGenerator, MaxPool, SpectralPool, build_toy_bcnn
@@ -41,6 +44,7 @@ from helpers import (
     einsum_complex_conv_fwd,
     einsum_real_conv_bwd,
     einsum_real_conv_fwd,
+    tracemalloc_peak_mib,
 )
 
 
@@ -478,6 +482,11 @@ def test_train_config_rejects_bad_hyperparameters(field, value):
         TrainConfig(**{field: value})
 
 
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(InvalidConfig, match="seed"):
+        TrainConfig(seed=-1)
+
+
 def test_train_config_accepts_the_edges():
     TrainConfig(lr=0.0, epochs=0, batch_size=1, clip=math.inf)
 
@@ -669,7 +678,7 @@ def test_training_caches_hold_no_array_larger_than_an_activation(build):
     model = build(seed=0)
     batch = 3
     x = np.random.default_rng(0).standard_normal((batch, *model.input_shape))
-    _, caches = run_nodes(model.layers, x, Mode.BATCH_LOSS)
+    _, caches = run_nodes(model.layers, x, Mode.TRAIN_STEP)
     largest = batch * max(math.prod(act.dims) for _, act in graph_nodes(model))
     sizes = [arr.size for arr in _cached_arrays(caches)]
     assert sizes and max(sizes) <= largest
@@ -730,6 +739,77 @@ def test_batch_loss_leaves_every_running_statistic_unchanged():
     train_step(model, data.images, data.labels, lr=0.0, clip=1.0)
     for old, new in zip(before, stats):
         assert not np.array_equal(old, new)
+
+
+def _bad_batch(case):
+    """A toy-model batch of four images and its labels, broken as ``case`` says."""
+    data = make_separable_dataset(samples_per_class=2, seed=5)
+    images, labels = data.images.copy(), data.labels.copy()
+    if case == "nan_pixel":
+        images[2, 1, 4, 4] = np.nan
+    elif case == "inf_pixel":
+        images[0, 0, 0, 0] = -np.inf
+    elif case == "label_too_large":
+        labels[1] = 5
+    elif case == "negative_label":
+        labels[3] = -1
+    elif case == "three_labels":
+        labels = labels[:3]
+    elif case == "float_labels":
+        labels = labels.astype(float)
+    elif case == "image_9x9":
+        images = np.zeros((4, 3, 9, 9))
+    return images, labels
+
+
+@pytest.mark.parametrize("entry", ["train_step", "batch_loss"])
+@pytest.mark.parametrize("case, error, match", [
+    ("nan_pixel", NonFiniteInput, "non-finite"), ("inf_pixel", NonFiniteInput, "non-finite"),
+    ("label_too_large", ShapeMismatch, "outside"), ("negative_label", ShapeMismatch, "outside"),
+    ("three_labels", ShapeMismatch, "one integer label per image"),
+    ("float_labels", ShapeMismatch, "one integer label per image"),
+    ("image_9x9", ShapeMismatch, "does not match model input"),
+])
+def test_training_entries_reject_a_bad_batch_before_changing_anything(entry, case, error, match):
+    from bcnn import training
+
+    model = build_toy_bcnn(seed=5)
+    arrays = [arr for node, _ in graph_nodes(model) for arr in vars(node).values()
+              if isinstance(arr, np.ndarray)]
+    before = [arr.copy() for arr in arrays]
+    images, labels = _bad_batch(case)
+    args = (0.5, 1.0) if entry == "train_step" else ()
+    with pytest.raises(error, match=match):
+        getattr(training, entry)(model, images, labels, *args)
+    for old, new in zip(before, arrays):
+        np.testing.assert_array_equal(old, new)
+
+
+def test_batch_loss_keeps_no_node_cache():
+    """A NIN batch-8 loss peaks where a dense forward on the batch does
+    (42.1 MiB each).  Keeping every node's cache, which nothing reads
+    without a backward, reached 105.6 MiB."""
+    from bcnn.models import build_nin_bcnn, forward
+    from bcnn.training import batch_loss
+
+    model = build_nin_bcnn(seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.random((8, 3, 32, 32)), rng.integers(0, 10, 8)
+    dense = tracemalloc_peak_mib(lambda: forward(model, x, packed=False))
+    assert tracemalloc_peak_mib(lambda: batch_loss(model, x, y)) < 1.1 * dense
+
+
+def test_train_step_caches_one_copy_of_each_array():
+    """A ResNet-18 batch-4 training step peaks at 126.6 MiB.  Caching each
+    binary conv's float64 signed weights beside its input reached 169.2 MiB,
+    and copying float64 weights on every cast 135.6 MiB."""
+    from bcnn.models import build_resnet18_bcnn
+    from bcnn.training import train_step
+
+    model = build_resnet18_bcnn(seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.random((4, 3, 32, 32)), rng.integers(0, 10, 4)
+    assert tracemalloc_peak_mib(lambda: train_step(model, x, y, lr=0.0, clip=1.0)) < 131
 
 
 def test_every_node_kind_trains_infers_and_round_trips():
