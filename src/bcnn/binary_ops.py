@@ -9,7 +9,12 @@ A binary complex product is two such real dots over the joint vector
     y_r = <x_r, w_r> - <x_i, w_i> = <[x_r | x_i], [w_r | ~w_i]>
     y_i = <x_r, w_i> + <x_i, w_r> = <[x_r | x_i], [w_i | w_r]>
 
-and the 2D convolution accumulates them over kernel taps and joint words.
+and the 2D convolution is one such dot per output pixel over a dense row:
+the ``[x_r | x_i]`` vectors of all kh*kw taps back to back, packed into
+whole 64-bit words (``ceil(row_bits / 64)`` of them whenever ``2c mod 64``
+is 0 or divides 64, as on every model this package builds), against the weight
+rows ``[w_r | ~w_i]`` and ``[w_i | w_r]`` in the same bit order.  A dot
+does not depend on bit order, so the counts are those of any other layout.
 Spatial padding uses the value -1 on both planes (all-zero words),
 consistent with the {+1,-1} alphabet.  The convolution's optional
 ``active`` mask names the output channels to compute: a hard-pruned
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidConfig, InvalidParallelism, LengthMismatch, ShapeMismatch
 from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
@@ -138,14 +144,49 @@ def binary_complex_dot(
     return rr - ii, ri + ir
 
 
-def _joint_words(re: np.ndarray, im: np.ndarray, c: int) -> np.ndarray:
-    """Per-pixel words of the 2c-bit vector ``[re | im]`` with pad bits
-    cleared; one shared word when ``2c <= 64``."""
-    mask = channel_mask(c)
-    re, im = re & mask, im & mask
-    if 2 * c <= WORD_BITS:
-        return re | (im << np.uint64(c))
-    return np.concatenate([re, im], axis=-1)
+def _joint_words(re: np.ndarray, im: np.ndarray, c: int, pad: tuple[int, int]) -> np.ndarray:
+    """Word-major (words, n, h, w) planes of the 2c-bit vector ``[re | im]``
+    at every pixel of two (n, h, w, words) planes, packed tightly (bit
+    ``c + j`` holds channel j of ``im``) with pad bits cleared, inside
+    ``pad`` rows and columns of all-zero words (pixels of all -1 channels)
+    on each side."""
+    n, h, w, nw = re.shape
+    ph, pw = pad
+    q, s = divmod(c, WORD_BITS)
+    joint = np.zeros((words_per_pixel(2 * c), n, h + 2 * ph, w + 2 * pw), dtype=np.uint64)
+    inner = joint[:, :, ph : ph + h, pw : pw + w]
+    mask = channel_mask(c).reshape(nw, 1, 1, 1)
+    np.bitwise_and(re.transpose(3, 0, 1, 2), mask, out=inner[:nw])
+    im = im.transpose(3, 0, 1, 2) & mask
+    inner[q : q + nw] |= im << np.uint64(s)
+    if s:  # the bits that cross into the next word
+        inner[q + 1 :] |= (im >> np.uint64(WORD_BITS - s))[: len(inner) - q - 1]
+    return joint
+
+
+def _dense_rows(taps: np.ndarray, c: int) -> np.ndarray:
+    """One dense row per trailing index: the joint 2c-bit vectors of a
+    (kh, kw, joint words, ...) tap grid, back to back, as (row words, ...).
+
+    Each tap's full words are copied in tap order; the partial last words,
+    of ``rho = 2c mod 64`` bits, follow, packed ``64 // rho`` to a word.
+    Unused bits stay zero on both operands, so they never mismatch.
+    """
+    kh, kw, _, *rest = taps.shape
+    t = kh * kw
+    full, rho = divmod(2 * c, WORD_BITS)
+    per = WORD_BITS // rho if rho else 1
+    lanes = -(-t // per) if rho else 0
+    rows = np.empty((t * full + lanes, *rest), dtype=np.uint64)
+    rows[: t * full].reshape(kh, kw, full, *rest)[...] = taps[:, :, :full]
+    if rho:
+        part = np.zeros((lanes * per, *rest), dtype=np.uint64)
+        part[:t].reshape(kh, kw, *rest)[...] = taps[:, :, full]
+        part = part.reshape(lanes, per, *rest)
+        shifts = np.arange(per, dtype=np.uint64) * np.uint64(rho)
+        np.left_shift(part, shifts.reshape(per, *[1] * len(rest)), out=part)
+        np.bitwise_or.reduce(part, axis=1, out=rows[t * full :])
+    return rows
 
 
 def mismatch_counts(
@@ -158,16 +199,17 @@ def mismatch_counts(
     """Integer XOR/popcount mismatch counts of a binary complex convolution.
 
     Returns an array of shape (2, live, n, h_out, w_out): plane 0 counts the
-    mismatches of each output pixel's ``[x_r | x_i]`` against the
-    ``[w_r | ~w_i]`` row (the real output), plane 1 against ``[w_i | w_r]``
-    (the imaginary output), for the ``live`` output channels that
-    ``active`` (a boolean mask, None for all) names, in channel order.  A
-    count ``m`` is the dot ``geometry.row_bits - 2 * m``.  Counts are
-    ``uint16`` while ``row_bits < 2**16``, else ``uint32``, which is exact
-    for every count.  ``parallelism = (p_out, p_in)`` selects how many live
-    output channels and joint re|im words (``p_in`` at most the words per
-    plane) are processed per inner step, with ``p_out`` dividing out_c; the
-    counts are identical for every valid choice, and None is the widest.
+    mismatches of each output pixel's dense row (the ``[x_r | x_i]`` vectors
+    of every tap, back to back) against the matching ``[w_r | ~w_i]`` row
+    (the real output), plane 1 against ``[w_i | w_r]`` (the imaginary
+    output), for the ``live`` output channels that ``active`` (a boolean
+    mask, None for all) names, in channel order.  A count ``m`` is the dot
+    ``geometry.row_bits - 2 * m``.  Counts are ``uint16`` while
+    ``row_bits < 2**16``, else ``uint32``, which is exact for every count.
+    ``parallelism = (p_out, p_in)`` blocks the loop: ``p_out`` live rows
+    (dividing out_c) and ``p_in`` row words (at most the words per plane)
+    per block; the counts are identical for every valid choice, and None is
+    the widest.
     """
     n, c, h, wd = x.shape
     out_c, in_c, kh, kw = w.shape
@@ -192,32 +234,33 @@ def mismatch_counts(
     live = np.flatnonzero(active)
 
     sh, sw = geometry.stride
-    ph, pw = geometry.padding
-    # zero words encode pixels of all -1 channels, the declared pad value
-    xp = np.pad(_joint_words(x.re_words, x.im_words, c),
-                ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # rows[0] yields y_r from [w_r | ~w_i], rows[1] yields y_i from [w_i | w_r];
+    xp = _joint_words(x.re_words, x.im_words, c, geometry.padding)
+    s0, s1, s2, s3 = xp.strides
+    # the (kh, kw, joint words, n, h_out, w_out) tap grid, a view of xp
+    taps = as_strided(xp, (kh, kw, len(xp), n, h_out, w_out),
+                      (s2, s3, s0, s1, sh * s2, sw * s3), writeable=False)
+    cols = _dense_rows(taps, c)
+    # rows[:, 0] yields y_r from [w_r | ~w_i], rows[:, 1] yields y_i from [w_i | w_r];
     # only the computed output channels' rows are built
     w_re, w_im = w.re_words[live], w.im_words[live]
-    rows = np.stack([_joint_words(w_re, ~w_im, c), _joint_words(w_im, w_re, c)])
-    nwj = xp.shape[-1]
+    joint = _joint_words(np.concatenate([w_re, w_im]), np.concatenate([~w_im, w_re]), c, (0, 0))
+    rows = _dense_rows(joint.reshape(len(joint), 2, live.size, kh, kw).transpose(3, 4, 0, 1, 2), c)
 
-    # popcounts land in the accumulator's dtype: no widening add per tap
-    counts = np.zeros((2, live.size, n, h_out, w_out),
+    # popcounts land in the accumulator's dtype: no widening add per word
+    counts = np.empty((2, live.size, n, h_out, w_out),
                       dtype=np.uint16 if geometry.row_bits < 2**16 else np.uint32)
     buf = np.empty((2, min(p_out, live.size), n, h_out, w_out), dtype=np.uint64)
     ones = np.empty(buf.shape, dtype=counts.dtype)
-    for oc0 in range(0, live.size, p_out):
-        ocs = slice(oc0, oc0 + p_out)
-        rows_out = min(p_out, live.size - oc0)  # skipped rows can leave a short last block
-        xor, pop = buf[:, :rows_out], ones[:, :rows_out]
-        for w0 in range(0, nwj, p_in):
-            for ky, kx in np.ndindex(kh, kw):
-                for j in range(w0, min(w0 + p_in, nwj)):
-                    # a contiguous tap window lets each row XOR one long run
-                    xv = xp[:, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw, j]
-                    tap = rows[:, ocs, ky, kx, j, None, None, None]
-                    np.bitwise_xor(np.ascontiguousarray(xv), tap, out=xor)
+    for j0 in range(0, len(cols), p_in):
+        for oc0 in range(0, live.size, p_out):
+            ocs = slice(oc0, oc0 + p_out)
+            rows_out = min(p_out, live.size - oc0)  # skipped rows can leave a short last block
+            xor, pop = buf[:, :rows_out], ones[:, :rows_out]
+            for j in range(j0, min(j0 + p_in, len(cols))):
+                np.bitwise_xor(cols[j], rows[j, :, ocs, None, None, None], out=xor)
+                if j == 0:  # the first word's popcounts start the counts
+                    np.bitwise_count(xor, out=counts[:, ocs])
+                else:
                     np.bitwise_count(xor, out=pop)
                     counts[:, ocs] += pop
     return counts

@@ -319,10 +319,18 @@ def _bn_plane(x, running_mean, running_var, factor: float, layer, mode: Mode):
 def _bn_plane_backward(gh, xh, inv, factor: float):
     """Input gradient of a ``_bn_plane`` on batch statistics, for the
     gradient ``gh`` of its normalized plane ``xh``; ``factor`` scales the
-    variance-path term as it scales the variance."""
+    variance-path term as it scales the variance.  The gradient is written
+    into ``gh``, which the caller owns, in the order of
+    ``inv * (gh - mean(gh) - factor * xh * mean(gh * xh))``."""
     mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
-    mean_ghx = (gh * xh).mean(axis=(0, 2, 3), keepdims=True)
-    return inv.reshape(1, -1, 1, 1) * (gh - mean_gh - factor * xh * mean_ghx)
+    tmp = np.multiply(gh, xh)
+    mean_ghx = tmp.mean(axis=(0, 2, 3), keepdims=True)
+    np.multiply(factor, xh, out=tmp)
+    tmp *= mean_ghx
+    gh -= mean_gh
+    gh -= tmp
+    gh *= inv.reshape(1, -1, 1, 1)
+    return gh
 
 
 def cgbn_forward(x: ComplexTensor, layer: CgbnLayer, training: bool = False) -> ComplexTensor:
@@ -362,12 +370,25 @@ def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
     xh_r, xh_i, inv_r, inv_i = cache
     gam_r = layer.gamma_re.reshape(1, -1, 1, 1).astype(float)
     gam_i = layer.gamma_im.reshape(1, -1, 1, 1).astype(float)
-    grads.append((layer.gamma_re, (g.re * xh_r + g.im * xh_i).sum(axis=(0, 2, 3))))
-    grads.append((layer.gamma_im, (-g.re * xh_i + g.im * xh_r).sum(axis=(0, 2, 3))))
+    # two reused activation-sized buffers; every sum keeps its operation order
+    a = np.multiply(g.re, xh_r)
+    b = np.multiply(g.im, xh_i)
+    a += b
+    grads.append((layer.gamma_re, a.sum(axis=(0, 2, 3))))
+    np.negative(g.re, out=a)
+    a *= xh_i
+    np.multiply(g.im, xh_r, out=b)
+    a += b
+    grads.append((layer.gamma_im, a.sum(axis=(0, 2, 3))))
     grads.append((layer.beta_re, g.re.sum(axis=(0, 2, 3))))
     grads.append((layer.beta_im, g.im.sum(axis=(0, 2, 3))))
-    gh_r = g.re * gam_r + g.im * gam_i
-    gh_i = -g.re * gam_i + g.im * gam_r
+    gh_r = np.multiply(g.re, gam_r, out=a)
+    np.multiply(g.im, gam_i, out=b)
+    gh_r += b
+    gh_i = np.negative(g.re)
+    gh_i *= gam_i
+    np.multiply(g.im, gam_r, out=b)
+    gh_i += b
     return ComplexTensor(_bn_plane_backward(gh_r, xh_r, inv_r, 2.0),
                          _bn_plane_backward(gh_i, xh_i, inv_i, 2.0))
 

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from bcnn.binary_ops import (
     ConvGeometry,
+    _dense_rows,
     binarize_deterministic,
     binarize_stochastic,
     binary_complex_conv2d,
@@ -12,7 +15,9 @@ from bcnn.binary_ops import (
     xnor_dot,
 )
 from bcnn.errors import InvalidParallelism, LengthMismatch, ShapeMismatch
-from bcnn.tensors import BitplaneTensor, ComplexTensor, channel_mask, pack, pack_vector
+from bcnn.models import build_nin_bcnn, build_resnet18_bcnn, build_toy_bcnn, iter_binary_convs
+from bcnn.tensors import (BitplaneTensor, ComplexTensor, channel_mask, pack, pack_vector,
+                          words_per_pixel)
 from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2d
 
 
@@ -327,3 +332,86 @@ def test_counts_widen_past_uint16_and_stay_exact(c, dtype):
     ref = reference_complex_conv2d(x, w, (1, 1), (0, 0))
     np.testing.assert_array_equal(y.re, ref.re)
     np.testing.assert_array_equal(y.im, ref.im)
+
+
+# ---------------------------------------------------------------------------
+# dense rows: every tap's [x_r | x_i] vector back to back
+# ---------------------------------------------------------------------------
+
+# 2c mod 64 is 16, 32, 32 and 0: partial words packed four or two to a word, or none
+@pytest.mark.parametrize("c", [8, 48, 80, 96])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_dense_rows_match_reference(c, k):
+    rng = np.random.default_rng(c * 10 + k)
+    x = random_pm1_tensor(rng, (2, c, 7, 6))
+    w = random_pm1_tensor(rng, (4, c, k, k))
+    xb, wb = pack(x), pack(w)
+    active = np.array([True, False, True, True])
+    keep = active.reshape(1, -1, 1, 1)
+    for stride in (1, 2):
+        for pad in (0, 1, 2):
+            g = ConvGeometry(c, 4, (k, k), (stride, stride), (pad, pad))
+            ref = reference_complex_conv2d(x, w, (stride, stride), (pad, pad))
+            for p_out in (1, 2, 4):
+                for p_in in range(1, xb.words_per_pixel + 1):
+                    y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
+                    np.testing.assert_array_equal(y.re, ref.re)
+                    np.testing.assert_array_equal(y.im, ref.im)
+                    y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in), active=active)
+                    np.testing.assert_array_equal(y.re, np.where(keep, ref.re, 0.0))
+                    np.testing.assert_array_equal(y.im, np.where(keep, ref.im, 0.0))
+
+
+def _row_words(c: int, kh: int, kw: int) -> int:
+    taps = np.zeros((kh, kw, words_per_pixel(2 * c), 1), dtype=np.uint64)
+    return _dense_rows(taps, c).shape[0]
+
+
+def test_model_rows_are_dense():
+    models = (build_nin_bcnn(10), build_resnet18_bcnn(10), build_toy_bcnn((3, 8, 8), 2, (8, 8)))
+    convs = [conv.geometry for m in models for conv in iter_binary_convs(m)]
+    assert len(convs) == 7 + 19 + 1
+    for g in convs:
+        assert _row_words(g.in_channels, *g.kernel) == -(-g.row_bits // 64), g
+
+
+def test_dense_rows_never_wider_than_per_plane_words():
+    # the earlier layout: one shared word per tap while 2c <= 64, else each
+    # plane's words in full
+    for c in range(1, 301):
+        per_tap = 1 if 2 * c <= 64 else 2 * words_per_pixel(c)
+        for kh in range(1, 6):
+            for kw in range(1, 6):
+                words = _row_words(c, kh, kw)
+                assert -(-2 * c * kh * kw // 64) <= words <= kh * kw * per_tap, (c, kh, kw)
+
+
+def _calls_made(fn, *args) -> int:
+    """Python and C function calls made while ``fn(*args)`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("c", [8, 48, 96])
+def test_building_rows_makes_no_call_per_tap(c):
+    rng = np.random.default_rng(c)
+    xb = pack(random_pm1_tensor(rng, (1, c, 9, 9)))
+    calls = []
+    for k in (1, 3, 5):
+        wb = pack(random_pm1_tensor(rng, (2, c, k, k)))
+        g = ConvGeometry(c, 2, (k, k), (1, 1), (k // 2, k // 2))
+        # with one row block and p_in = 1 the kernel loop makes three calls
+        # per row word; every other call builds the columns and rows
+        words = _row_words(c, k, k)
+        calls.append(_calls_made(mismatch_counts, xb, wb, g, (2, 1), None) - 3 * words)
+    assert calls[0] == calls[1] == calls[2], calls
