@@ -135,23 +135,25 @@ def conv2d_real(
     return y.reshape(x.shape[0], w.shape[0], h_out, w_out)
 
 
-def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0):
+def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0, input_grad=True):
     """(dw, dx) of ``conv2d_real(x, w, stride, padding, pad_value)`` for the
     output gradient ``g``.  Per image, the columns are rebuilt from the
     cached input, ``g_i @ cols_i^T`` is added to ``dw`` in image order, and
-    ``w^T @ g_i`` is scattered back into ``dx[i]``."""
+    ``w^T @ g_i`` is scattered back into ``dx[i]``; with ``input_grad``
+    False, ``dx`` is None and never computed."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
     wm = w.reshape(out_c, -1).astype(float, copy=False)
     win, _ = _windows(x, w.shape[2:], stride, padding, pad_value)
-    dx = np.empty(x.shape)
+    dx = np.empty(x.shape) if input_grad else None
     for i, cols in enumerate(_image_columns(win)):
         part = gm[i] @ cols.T
         if i == 0:
             dw = part
         else:
             dw += part
-        dx[i] = _col2im(wm.T @ gm[i], x.shape[1:], w.shape[2:], stride, padding)
+        if input_grad:
+            dx[i] = _col2im(wm.T @ gm[i], x.shape[1:], w.shape[2:], stride, padding)
     return dw.reshape(w.shape), dx
 
 

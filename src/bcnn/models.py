@@ -267,16 +267,16 @@ def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray):
     return ComplexTensor(x.astype(float), im), (x, z1, s)
 
 
-def _generator_backward(gen: ComplexInputGenerator, g, cache, clip, grads):
+def _generator_backward(gen: ComplexInputGenerator, g, cache, clip, grads, input_grad=True):
     x, z1, s = cache
     grads.append((gen.b2, g.im.sum(axis=(0, 2, 3))))
     dw2, ds = _real_conv_bwd(g.im, s, gen.w2, padding=(1, 1))
     grads.append((gen.w2, dw2))
     dz1 = ds * (z1 > 0)
     grads.append((gen.b1, dz1.sum(axis=(0, 2, 3))))
-    dw1, dx1 = _real_conv_bwd(dz1, x, gen.w1, padding=(1, 1))
+    dw1, dx1 = _real_conv_bwd(dz1, x, gen.w1, padding=(1, 1), input_grad=input_grad)
     grads.append((gen.w1, dw1))
-    return g.re + ds + dx1
+    return g.re + ds + dx1 if input_grad else None
 
 
 def _generator_shape(gen: ComplexInputGenerator, act: Activation, visit) -> Activation:
@@ -802,9 +802,14 @@ def run_nodes(nodes, x, mode: Mode):
 
 
 def backprop_nodes(nodes, caches, g, clip: float, grads):
-    """Backward through a node sequence; returns the input gradient."""
-    for node, cache in zip(reversed(nodes), reversed(caches)):
-        g = kind_of(node).backward(node, g, cache, clip, grads)
+    """Backward through a node sequence; returns the input gradient, or None
+    when the sequence starts with the ComplexInputGenerator (as every built
+    model does): nothing reads a gradient of the input images, so the
+    generator computes only its weight gradients."""
+    for i in reversed(range(len(nodes))):
+        if i == 0 and type(nodes[0]) is ComplexInputGenerator:
+            return _generator_backward(nodes[0], g, caches[0], clip, grads, input_grad=False)
+        g = kind_of(nodes[i]).backward(nodes[i], g, caches[i], clip, grads)
     return g
 
 

@@ -348,6 +348,9 @@ def test_real_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_va
     ref_dw, ref_dx = einsum_real_conv_bwd(up, ref_cols, x.shape, w, *args[:2])
     assert_close_relative(dw, ref_dw)
     assert_close_relative(dx, ref_dx)
+    only_dw, none = _real_conv_bwd(up, x, w, *args, input_grad=False)
+    np.testing.assert_array_equal(only_dw, dw)
+    assert none is None
 
     # streaming one image at a time issues the same GEMMs as the whole batch
     for got, want in zip((y, dw, dx), batch_gemm_real_conv(x, w, up, *args)):
@@ -885,3 +888,22 @@ def test_real_bn_backward_finite_differences():
         xm = x.copy(); xm[idx] -= eps
         fd = (loss_at(xp) - loss_at(xm)) / (2 * eps)
         np.testing.assert_allclose(dx[idx], fd, rtol=1e-4, atol=1e-6)
+
+
+def test_backward_computes_no_gradient_of_the_images():
+    from bcnn.models import backprop_nodes
+
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=3)
+    data = make_separable_dataset(samples_per_class=4, shape=(3, 8, 8), seed=3)
+    logits, caches = run_nodes(model.layers, data.images, Mode.TRAIN_STEP)
+    _, dlogits = softmax_cross_entropy(logits, data.labels)
+    grads = []
+    assert backprop_nodes(model.layers, caches, dlogits, 1.0, grads) is None
+    # the same weight gradients as every node's backward, the generator's included
+    g, full = dlogits, []
+    for node, cache in zip(reversed(model.layers), reversed(caches)):
+        g = kind_of(node).backward(node, g, cache, 1.0, full)
+    assert g.shape == data.images.shape
+    assert [id(arr) for arr, _ in grads] == [id(arr) for arr, _ in full]
+    for (_, got), (_, want) in zip(grads, full):
+        np.testing.assert_array_equal(got, want)
