@@ -32,8 +32,6 @@ with a dense reference convolution for any valid input.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,39 +40,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import InvalidConfig, InvalidParallelism, LengthMismatch, ShapeMismatch
 from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
                       words_per_pixel)
-
-
-# Live-row blocks go to threads only when each block's XOR call covers at
-# least this many words: below it, handing the GIL over per ufunc call costs
-# more than the work it splits.
-THREAD_WORDS = 2**17
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int):
-    """The kernel's worker pool, started with ``workers`` threads on first
-    use and shared by every calling thread.  ``concurrent.futures`` is
-    imported here, so a process whose convs all run inline never loads it:
-    with the import at module level the batch-1 NIN loop ran about 4%
-    slower (2-core Xeon)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="bcnn-kernel")
-        return _pool
-
-
-def _forget_pool():
-    """A forked child has none of its parent's worker threads: start anew."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # platforms without fork have no hook
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def binarize_deterministic(x: np.ndarray) -> np.ndarray:
@@ -241,16 +206,12 @@ def mismatch_counts(
     mask, None for all) names, in channel order.  A count ``m`` is the dot
     ``geometry.row_bits - 2 * m``.  Counts are ``uint16`` while
     ``row_bits < 2**16``, else ``uint32``, which is exact for every count.
-    ``parallelism = (p_out, p_in)`` blocks a one-thread loop: ``p_out``
-    live rows (dividing out_c) and ``p_in`` row words (at most the words per
-    plane) per block.  None splits the live rows into one contiguous block
-    of ``ceil(live / cores)`` rows per core (``os.sched_getaffinity``, or
-    ``os.cpu_count`` where the platform has no affinity mask) when
-    each block's XOR call covers at least ``THREAD_WORDS`` words
-    (``2 * rows * n * h_out * w_out``), else runs one block of all of them:
-    the calling thread computes the first block and a shared pool of
-    ``cores - 1`` workers the others.  The counts are identical for every
-    valid choice.
+    ``parallelism = (p_out, p_in)`` blocks the loop: ``p_out`` live rows
+    (dividing out_c) and ``p_in`` row words (at most the words per plane)
+    per block; the counts are identical for every valid choice, and None is
+    the widest, one block of every live row.  The kernel runs on the
+    calling thread: ``models.forward`` spreads a batch over the cores by
+    images, not rows.
     """
     n, c, h, wd = x.shape
     out_c, in_c, kh, kw = w.shape
@@ -290,40 +251,18 @@ def mismatch_counts(
     # popcounts land in the accumulator's dtype: no widening add per word
     counts = np.empty((2, live.size, n, h_out, w_out),
                       dtype=np.uint16 if geometry.row_bits < 2**16 else np.uint32)
-    # every buffer is allocated here, on the calling thread: allocations made
-    # in the workers grow peak RSS through per-thread malloc arenas
-    per = live.size
-    if parallelism is None:
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        share = -(-live.size // cores)
-        if 2 * share * n * h_out * w_out >= THREAD_WORDS:
-            per = share
-    blocks = []
-    for oc0 in range(0, live.size, max(per, 1)):
-        ocs = slice(oc0, oc0 + per)
-        buf = np.empty((2, min(p_out, per, live.size - oc0), n, h_out, w_out), dtype=np.uint64)
-        blocks.append((cols, rows[:, :, ocs], counts[:, ocs], buf,
-                       np.empty(buf.shape, dtype=counts.dtype), p_out, p_in))
-    # the calling thread runs the first block, the pool any others
-    futures = [_executor(cores - 1).submit(_count_rows, *block) for block in blocks[1:]]
-    try:
-        for block in blocks[:1]:
-            _count_rows(*block)
-    finally:
-        for future in futures:  # no block may still write once this call ends
-            future.exception()
-    for future in futures:
-        future.result()
+    _count_rows(cols, rows, counts, p_out, p_in)
     return counts
 
 
-def _count_rows(cols, rows, counts, buf, ones, p_out, p_in):
+def _count_rows(cols, rows, counts, p_out, p_in):
     """Mismatch counts of ``rows`` (row words, 2, r) against ``cols`` (row
     words, n, h_out, w_out) into ``counts`` (2, r, n, h_out, w_out), in
-    blocks of ``p_out`` rows and ``p_in`` row words, through the XOR buffer
-    ``buf`` and the popcount buffer ``ones`` (each one row block wide)."""
+    blocks of ``p_out`` rows and ``p_in`` row words, through one XOR buffer
+    and one popcount buffer, each one row block wide."""
     live = counts.shape[1]
+    buf = np.empty((2, min(p_out, live), *counts.shape[2:]), dtype=np.uint64)
+    ones = np.empty(buf.shape, dtype=counts.dtype)
     for j0 in range(0, len(cols), p_in):
         for oc0 in range(0, live, p_out):
             ocs = slice(oc0, oc0 + p_out)

@@ -1,11 +1,8 @@
-import multiprocessing
 import sys
-import threading
 
 import numpy as np
 import pytest
 
-from bcnn import binary_ops
 from bcnn.binary_ops import (
     ConvGeometry,
     _dense_rows,
@@ -418,189 +415,3 @@ def test_building_rows_makes_no_call_per_tap(c):
         words = _row_words(c, k, k)
         calls.append(_calls_made(mismatch_counts, xb, wb, g, (2, 1), None) - 3 * words)
     assert calls[0] == calls[1] == calls[2], calls
-
-
-# ---------------------------------------------------------------------------
-# live-row blocks on every core
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def cores(monkeypatch):
-    """Sets the kernel's core count; the test starts without a worker pool
-    and the pool it starts is shut down after it."""
-    monkeypatch.setattr(binary_ops, "_pool", None)
-
-    def set_cores(count):
-        monkeypatch.setattr(binary_ops.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-    yield set_cores
-    if binary_ops._pool is not None:
-        binary_ops._pool.shutdown()
-
-
-@pytest.fixture
-def blocks(monkeypatch):
-    """(thread id, rows, live thread count) of every row block the kernel runs."""
-    calls = []
-    count_rows = binary_ops._count_rows
-
-    def record(*block):
-        calls.append((threading.get_ident(), block[2].shape[1], threading.active_count()))
-        count_rows(*block)
-
-    monkeypatch.setattr(binary_ops, "_count_rows", record)
-    return calls
-
-
-def _conv_case(seed, n, c, out_c, hw, k, stride, pad):
-    rng = np.random.default_rng(seed)
-    x = random_pm1_tensor(rng, (n, c, hw, hw))
-    w = random_pm1_tensor(rng, (out_c, c, k, k))
-    return x, w, ConvGeometry(c, out_c, (k, k), (stride, stride), (pad, pad))
-
-
-def _threads(blocks) -> int:
-    """Threads that ran ``blocks``; the calling thread must be one of them."""
-    threads = {thread for thread, _, _ in blocks}
-    assert threading.get_ident() in threads
-    return len(threads)
-
-
-def _one_thread(xb, wb, g, active=None):
-    return mismatch_counts(xb, wb, g, (g.out_channels, xb.words_per_pixel), active)
-
-
-@pytest.mark.parametrize("pruned", [False, True])
-def test_threaded_counts_equal_one_thread_and_reference(cores, blocks, pruned):
-    # batch 4 keeps each half-pruned block of 16 rows at the cutoff
-    cores(2)
-    x, w, g = _conv_case(5, 4, 64, 64, 32, 3, 1, 1)
-    active = np.arange(64) % 2 == 0 if pruned else None
-    xb, wb = pack(x), pack(w)
-    counts = mismatch_counts(xb, wb, g, None, active)
-    live = 32 if pruned else 64
-    assert 2 * (live // 2) * 4 * 32 * 32 >= binary_ops.THREAD_WORDS
-    assert [rows for _, rows, _ in blocks] == [live // 2] * 2
-    assert _threads(blocks) == 2
-    np.testing.assert_array_equal(counts, _one_thread(xb, wb, g, active))
-
-    y = binary_complex_conv2d(xb, wb, g, active=active)
-    ref = reference_complex_conv2d(x, w, (1, 1), (1, 1))
-    keep = np.ones(64, bool) if active is None else active
-    for plane, want in ((y.re, ref.re), (y.im, ref.im)):
-        np.testing.assert_array_equal(plane, np.where(keep.reshape(1, -1, 1, 1), want, 0.0))
-
-
-@pytest.mark.parametrize("live", [1, 3])
-def test_fewer_live_rows_than_cores_take_one_block_each(cores, blocks, live):
-    cores(4)
-    x, w, g = _conv_case(live, 16, 8, 6, 64, 3, 1, 1)
-    assert 2 * 16 * 64 * 64 >= binary_ops.THREAD_WORDS  # one row per block suffices
-    active = np.arange(6) < live
-    xb, wb = pack(x), pack(w)
-    counts = mismatch_counts(xb, wb, g, None, active)
-    assert [rows for _, rows, _ in blocks] == [1] * live
-    assert (_threads(blocks) > 1) == (live > 1)
-    np.testing.assert_array_equal(counts, _one_thread(xb, wb, g, active))
-    if live == 1:
-        assert binary_ops._pool is None  # one block runs inline
-
-
-def test_threaded_1x1_stride_2_conv_matches_reference(cores, blocks):
-    cores(2)
-    x, w, g = _conv_case(7, 2, 64, 64, 64, 1, 2, 0)
-    xb, wb = pack(x), pack(w)
-    y = binary_complex_conv2d(xb, wb, g)
-    assert _threads(blocks) == 2
-    ref = reference_complex_conv2d(x, w, (2, 2), (0, 0))
-    np.testing.assert_array_equal(y.re, ref.re)
-    np.testing.assert_array_equal(y.im, ref.im)
-    np.testing.assert_array_equal(mismatch_counts(xb, wb, g, None, None),
-                                  _one_thread(xb, wb, g))
-
-
-def test_one_core_runs_inline(cores, blocks):
-    cores(1)
-    x, w, g = _conv_case(8, 4, 64, 64, 32, 3, 1, 1)
-    xb, wb = pack(x), pack(w)
-    np.testing.assert_array_equal(mismatch_counts(xb, wb, g, None, None), _one_thread(xb, wb, g))
-    assert blocks[0][:2] == (threading.get_ident(), 64)
-    assert len(blocks) == 2  # the threaded call's one block and the one-thread loop's
-    assert binary_ops._pool is None
-
-
-def test_small_convs_run_inline(cores, blocks):
-    cores(2)
-    x, w, g = _conv_case(9, 1, 64, 64, 16, 3, 1, 1)
-    assert 2 * 32 * 16 * 16 < binary_ops.THREAD_WORDS
-    mismatch_counts(pack(x), pack(w), g, None, None)
-    assert [(thread, rows) for thread, rows, _ in blocks] == [(threading.get_ident(), 64)]
-    assert binary_ops._pool is None
-
-
-def test_kernel_threads_never_outnumber_the_cores(cores, blocks):
-    cores(3)
-    x, w, g = _conv_case(10, 4, 64, 64, 32, 3, 1, 1)
-    xb, wb = pack(x), pack(w)
-    want = _one_thread(xb, wb, g)
-    blocks.clear()
-    before = set(threading.enumerate())
-    results = []
-    callers = [threading.Thread(target=lambda: results.extend(
-        mismatch_counts(xb, wb, g, None, None) for _ in range(3))) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # hand the interpreter over often
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    results.append(mismatch_counts(xb, wb, g, None, None))
-    assert len(results) == 7 and len(blocks) == 3 * 7
-    for counts in results:
-        np.testing.assert_array_equal(counts, want)
-    # the two callers share one pool of cores - 1 workers
-    assert max(active for _, _, active in blocks) - len(before) <= 2 + 2
-    assert 1 <= len(set(threading.enumerate()) - before) <= 2
-
-
-def test_worker_exceptions_reach_the_caller(cores, monkeypatch):
-    cores(2)
-    x, w, g = _conv_case(11, 4, 64, 64, 32, 3, 1, 1)
-    caller = threading.get_ident()
-    count_rows = binary_ops._count_rows
-
-    def fail_off_caller(*block):
-        if threading.get_ident() != caller:
-            raise RuntimeError("worker failed")
-        count_rows(*block)
-
-    monkeypatch.setattr(binary_ops, "_count_rows", fail_off_caller)
-    with pytest.raises(RuntimeError, match="worker failed"):
-        mismatch_counts(pack(x), pack(w), g, None, None)
-
-
-def _threaded_conv_in_child(xb, wb, g, want, blocks):
-    blocks.clear()
-    np.testing.assert_array_equal(mismatch_counts(xb, wb, g, None, None), want)
-    assert _threads(blocks) == 2
-
-
-def test_a_forked_child_starts_its_own_workers(cores, blocks):
-    cores(2)
-    x, w, g = _conv_case(12, 4, 64, 64, 32, 3, 1, 1)
-    xb, wb = pack(x), pack(w)
-    want = mismatch_counts(xb, wb, g, None, None)  # starts the parent's pool
-    assert binary_ops._pool is not None and _threads(blocks) == 2
-    child = multiprocessing.get_context("fork").Process(
-        target=_threaded_conv_in_child, args=(xb, wb, g, want, blocks))
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("the forked child hung on its parent's worker pool")
-    assert child.exitcode == 0

@@ -598,6 +598,12 @@ GOLDEN_LOGITS = {
     ("resnet18", 1.0, 4): "552c3017b9823e1204b5d989956c1468",
     ("resnet18", 0.5, 1): "2fc8738d6f64fa9a4e71f62cfca40105",
     ("resnet18", 0.5, 4): "a2b51edcef68edbff79e3429e8cbe9bb",
+    # batch 20 runs as chunks of 8, 8 and 4 images on every core; these were
+    # taken from the one-thread forward before the split existed
+    ("nin", 1.0, 20): "120650a2f7a9e79d495f8b076b817fc4",
+    ("nin", 0.5, 20): "c02f7cbedb04438e9a1560514ffa6548",
+    ("resnet18", 1.0, 20): "9610474f701f05c77a94bf1cf84dd872",
+    ("resnet18", 0.5, 20): "be3ae6d0df67c65bdefaf86e5537e49a",
 }
 BUILDERS = {"nin": build_nin_bcnn, "resnet18": build_resnet18_bcnn}
 
@@ -677,3 +683,226 @@ def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
             assert channels <= out_c // 2  # every conv keeps half its channels
             after_conv += 1
     assert after_conv >= 19
+
+
+# ---------------------------------------------------------------------------
+# image chunks on every core
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count ``forward`` sees; the test starts without a worker
+    pool and the pool it starts is shut down after it."""
+    import bcnn.models as models
+
+    monkeypatch.setattr(models, "_pool", None)
+
+    def set_cores(count):
+        monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    yield set_cores
+    if models._pool is not None:
+        models._pool.shutdown()
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """(thread id, images, live thread count) of every chunk a forward's body
+    runs on; block paths and the head are not chunks."""
+    import threading
+
+    import bcnn.models as models
+
+    calls = []
+    run_nodes = models.run_nodes
+
+    def record(nodes, x, mode):
+        if type(x) is np.ndarray and x.ndim == 4:
+            calls.append((threading.get_ident(), len(x), threading.active_count()))
+        return run_nodes(nodes, x, mode)
+
+    monkeypatch.setattr(models, "run_nodes", record)
+    return calls
+
+
+def _threads(chunks) -> int:
+    return len({thread for thread, _, _ in chunks})
+
+
+SPLIT_MODELS = {
+    "nin": lambda: build_nin_bcnn(seed=23),
+    "resnet18": lambda: hard_prune(build_resnet18_bcnn(seed=23), 0.5),
+    "toy": lambda: build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=23),
+}
+
+
+@pytest.fixture(scope="module")
+def split_model():
+    built = {}
+    return lambda name: built.setdefault(name, SPLIT_MODELS[name]())
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "dense"])
+@pytest.mark.parametrize("batch", [9, 20, 64])
+@pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+def test_split_forward_equals_one_pass(cores, chunks, split_model, name, batch, packed):
+    from bcnn.models import run_nodes
+
+    model = split_model(name)
+    x = np.random.default_rng(batch).random((batch, *model.input_shape))
+    want = run_nodes(model.layers, x, Mode.PACKED if packed else Mode.DENSE)[0]
+    # one core runs inline, more split into the same chunks; the slower
+    # dense path takes one count of 2-4 per batch
+    for count in (1, 2, 3, 4) if packed else ({9: 4, 20: 3, 64: 2}[batch],):
+        cores(count)
+        chunks.clear()
+        np.testing.assert_array_equal(forward(model, x, packed=packed), want)
+        assert [images for _, images, _ in chunks] == (
+            [batch] if count == 1 else [min(8, batch - i) for i in range(0, batch, 8)])
+        assert _threads(chunks) <= count
+
+
+@pytest.mark.parametrize("batch", [8, 20])
+def test_fewer_chunks_than_cores_take_one_thread_each(cores, chunks, batch):
+    import threading
+
+    import bcnn.models as models
+
+    cores(4)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=24)
+    forward(model, np.random.default_rng(batch).random((batch, 3, 8, 8)))
+    assert sorted(images for _, images, _ in chunks) == ([8] if batch == 8 else [4, 8, 8])
+    if batch == 8:  # one chunk runs inline
+        assert chunks[0][0] == threading.get_ident() and models._pool is None
+    else:  # three chunks start two tasks, never a third worker
+        assert models._pool._max_workers == 3 and len(models._pool._threads) <= 2
+
+
+def test_one_core_runs_inline(cores, chunks):
+    import threading
+
+    import bcnn.models as models
+
+    cores(1)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=25)
+    forward(model, np.random.default_rng(25).random((20, 3, 8, 8)))
+    assert [(thread, images) for thread, images, _ in chunks] == [(threading.get_ident(), 20)]
+    assert models._pool is None
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_small_batches_run_inline(cores, chunks, batch):
+    import threading
+
+    import bcnn.models as models
+
+    cores(2)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=26)
+    forward(model, np.random.default_rng(26).random((batch, 3, 8, 8)))
+    assert [(thread, images) for thread, images, _ in chunks] == [(threading.get_ident(), batch)]
+    assert models._pool is None
+
+
+def test_forward_threads_never_outnumber_the_cores(cores, chunks):
+    import sys
+    import threading
+
+    from bcnn.models import run_nodes
+
+    cores(3)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=27)
+    x = np.random.default_rng(27).random((40, 3, 8, 8))
+    want = run_nodes(model.layers, x, Mode.PACKED)[0]
+    chunks.clear()
+    before = set(threading.enumerate())
+    results = []
+    callers = [threading.Thread(target=lambda: results.extend(
+        forward(model, x) for _ in range(3))) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    results.append(forward(model, x))
+    assert len(results) == 7 and len(chunks) == 5 * 7
+    for logits in results:
+        np.testing.assert_array_equal(logits, want)
+    # the two callers share one pool of cores - 1 workers
+    assert max(active for _, _, active in chunks) - len(before) <= 2 + 2
+    assert 1 <= len(set(threading.enumerate()) - before) <= 2
+
+
+def test_worker_exceptions_reach_the_caller_and_nothing_runs_after(cores, monkeypatch):
+    import threading
+    import time
+
+    import bcnn.models as models
+
+    cores(2)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=28)
+    x = np.random.default_rng(28).random((24, 3, 8, 8))
+    caller, started, writes = threading.get_ident(), threading.Event(), []
+    run_nodes = models.run_nodes
+
+    def fail_off_caller(nodes, xs, mode):
+        if threading.get_ident() == caller:
+            assert started.wait(10)  # the worker has taken a chunk
+            return run_nodes(nodes, xs, mode)
+        started.set()
+        time.sleep(0.2)  # the caller drains the other chunks meanwhile
+        writes.append(time.perf_counter())
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(models, "run_nodes", fail_off_caller)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        forward(model, x)
+    returned = time.perf_counter()
+    time.sleep(0.3)
+    assert len(writes) == 1 and writes[0] < returned
+
+
+def _split_forward_in_child(model, x, want):
+    import threading
+
+    import bcnn.models as models
+
+    caller, started, threads = threading.get_ident(), threading.Event(), set()
+    run_nodes = models.run_nodes
+
+    def record(nodes, xs, mode):
+        threads.add(threading.get_ident())
+        if threading.get_ident() == caller:
+            assert started.wait(10)  # a worker of the child's own pool has taken a chunk
+        else:
+            started.set()
+        return run_nodes(nodes, xs, mode)
+
+    models.run_nodes = record
+    np.testing.assert_array_equal(forward(model, x), want)
+    assert len(threads) == 2
+
+
+def test_a_forked_child_starts_its_own_workers(cores):
+    import multiprocessing
+
+    import bcnn.models as models
+
+    cores(2)
+    model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=29)
+    x = np.random.default_rng(29).random((40, 3, 8, 8))
+    want = forward(model, x)  # starts the parent's pool
+    assert models._pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_forward_in_child, args=(model, x, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on its parent's worker pool")
+    assert child.exitcode == 0
