@@ -9,25 +9,19 @@ throughput model.
 from .binary_ops import (
     ConvGeometry,
     binarize_deterministic,
-    binarize_stochastic,
     binary_complex_conv2d,
-    binary_complex_dot,
     quadrant_binarize,
-    xnor_dot,
 )
 from .layers import (
     CgbnLayer,
     ComplexConvLayer,
-    CovComplexBnLayer,
     RealBnLayer,
     avg_pool,
     cgbn_forward,
     complex_conv2d_fp,
-    cov_complex_bn_forward,
     fully_connected,
     hardtanh,
     max_pool,
-    real_bn_forward,
     relu,
     spectral_pool,
 )

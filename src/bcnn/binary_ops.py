@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidConfig, InvalidParallelism, LengthMismatch, ShapeMismatch
+from .errors import InvalidConfig, InvalidParallelism, ShapeMismatch
 from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
                       words_per_pixel)
 
@@ -45,18 +45,6 @@ from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
 def binarize_deterministic(x: np.ndarray) -> np.ndarray:
     """Sign binarization: +1 where x >= 0, else -1."""
     return np.where(np.asarray(x) >= 0, 1.0, -1.0)
-
-
-def binarize_stochastic(x: np.ndarray, seed: int) -> np.ndarray:
-    """Stochastic binarization: +1 with probability clip((x+1)/2, 0, 1).
-
-    The draw is a pure function of (x, seed); the same seed reproduces the
-    same output.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-    draws = np.random.default_rng(seed).random(x.shape)
-    return np.where(draws < p, 1.0, -1.0)
 
 
 def quadrant_binarize(x: ComplexTensor) -> ComplexTensor:
@@ -106,42 +94,6 @@ class ConvGeometry:
     def row_bits(self) -> int:
         """Bits in one joint ``[re | im]`` weight row: the all-match dot."""
         return 2 * self.in_channels * self.kernel[0] * self.kernel[1]
-
-
-def xnor_dot(a_words: np.ndarray, b_words: np.ndarray, n: int) -> int:
-    """Dot product of two packed {+1,-1} vectors of n elements.
-
-    Computes ``n - 2 * popcount((a ^ b) & valid_mask)``; pad bits never
-    contribute.
-    """
-    a = np.asarray(a_words, dtype=np.uint64).ravel()
-    b = np.asarray(b_words, dtype=np.uint64).ravel()
-    expected = words_per_pixel(n)
-    if a.size != expected or b.size != expected:
-        raise LengthMismatch(
-            f"expected {expected} words for {n} elements, got {a.size} and {b.size}"
-        )
-    mismatches = int(np.bitwise_count((a ^ b) & channel_mask(n)).sum())
-    return n - 2 * mismatches
-
-
-def binary_complex_dot(
-    x: tuple[np.ndarray, np.ndarray],
-    w: tuple[np.ndarray, np.ndarray],
-    n: int,
-) -> tuple[int, int]:
-    """Complex dot product of two packed complex vectors of n elements.
-
-    ``x`` and ``w`` are (real_words, imag_words) pairs; returns the integer
-    pair (y_r, y_i).
-    """
-    xr, xi = x
-    wr, wi = w
-    rr = xnor_dot(xr, wr, n)
-    ii = xnor_dot(xi, wi, n)
-    ri = xnor_dot(xr, wi, n)
-    ir = xnor_dot(xi, wr, n)
-    return rr - ii, ri + ir
 
 
 def _joint_words(re: np.ndarray, im: np.ndarray, c: int, pad: tuple[int, int]) -> np.ndarray:
@@ -207,11 +159,11 @@ def mismatch_counts(
     ``geometry.row_bits - 2 * m``.  Counts are ``uint16`` while
     ``row_bits < 2**16``, else ``uint32``, which is exact for every count.
     ``parallelism = (p_out, p_in)`` blocks the loop: ``p_out`` live rows
-    (dividing out_c) and ``p_in`` row words (at most the words per plane)
-    per block; the counts are identical for every valid choice, and None is
-    the widest, one block of every live row.  The kernel runs on the
-    calling thread: ``models.forward`` spreads a batch over the cores by
-    images, not rows.
+    (dividing out_c) and ``p_in`` row words (at most the words of one dense
+    row) per block; the counts are identical for every valid choice, and
+    None is the widest, one block of every live row and every row word.
+    The kernel runs on the calling thread: ``models.forward`` spreads a
+    batch over the cores by images, not rows.
     """
     n, c, h, wd = x.shape
     out_c, in_c, kh, kw = w.shape
@@ -223,13 +175,10 @@ def mismatch_counts(
     if out_c != geometry.out_channels or (kh, kw) != geometry.kernel:
         raise ShapeMismatch(f"weight shape {w.shape} does not match {geometry}")
     h_out, w_out = geometry.out_hw(h, wd)
-    nw = words_per_pixel(c)
 
-    p_out, p_in = parallelism if parallelism is not None else (out_c, nw)
+    p_out, p_in = parallelism if parallelism is not None else (out_c, None)
     if p_out < 1 or out_c % p_out != 0:
         raise InvalidParallelism(f"p_out={p_out} must divide out_channels={out_c}")
-    if p_in < 1 or p_in > nw:
-        raise InvalidParallelism(f"p_in={p_in} must be in [1, {nw}]")
     active = np.ones(out_c, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if active.shape != (out_c,):
         raise ShapeMismatch(f"active mask has shape {active.shape}, expected ({out_c},)")
@@ -242,6 +191,9 @@ def mismatch_counts(
     taps = as_strided(xp, (kh, kw, len(xp), n, h_out, w_out),
                       (s2, s3, s0, s1, sh * s2, sw * s3), writeable=False)
     cols = _dense_rows(taps, c)
+    p_in = len(cols) if p_in is None else p_in
+    if p_in < 1 or p_in > len(cols):
+        raise InvalidParallelism(f"p_in={p_in} must be in [1, {len(cols)}], the words of one row")
     # rows[:, 0] yields y_r from [w_r | ~w_i], rows[:, 1] yields y_i from [w_i | w_r];
     # only the computed output channels' rows are built
     w_re, w_im = w.re_words[live], w.im_words[live]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import accel, model_io, models, slr, training
-from .errors import BcnnError, DataExhausted, InvalidConfig
+from .errors import BcnnError, DataExhausted
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--image", help=".npy image or raw 3072-byte pixels")
     group.add_argument("--data", help="dataset directory; reports test accuracy")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads, each running one batch of --data at a time")
 
     p = sub.add_parser("bench", help="throughput arithmetic for replicated kernels")
     p.add_argument("--kernels", type=int, required=True)
@@ -161,8 +158,6 @@ def _load_image(path: str, shape) -> np.ndarray:
 
 
 def _cmd_infer(args) -> int:
-    if args.jobs < 1:
-        raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     model = model_io.load_model(args.model_in)
     if args.image:
         img = _load_image(args.image, model.input_shape)
@@ -173,12 +168,7 @@ def _cmd_infer(args) -> int:
     dataset = training.load_cifar10(args.data).test
     if len(dataset) == 0:
         raise DataExhausted(f"{args.data}: the test split has no images")
-    step = training.EVAL_BATCH
-    chunks = [dataset.images[i : i + step] for i in range(0, len(dataset), step)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        preds = np.concatenate(list(pool.map(
-            lambda xb: models.forward(model, xb).argmax(axis=1), chunks)))
-    accuracy = float(np.mean(preds == dataset.labels))
+    _, accuracy = training.evaluate(model, dataset)
     print(f"accuracy {accuracy:.4f} over {len(dataset)} images")
     return 0
 

@@ -17,16 +17,8 @@ class NonBinaryEntry(BcnnError):
     """A value expected to be exactly +1 or -1 is not."""
 
 
-class LengthMismatch(BcnnError):
-    """Packed word buffers disagree with the declared element count."""
-
-
 class InvalidParallelism(BcnnError):
     """Requested (p_out, p_in) unroll factors are not valid for the layer."""
-
-
-class NonPsdCovariance(BcnnError):
-    """Per-channel 2x2 covariance has an eigenvalue below -1e-6."""
 
 
 class BudgetTooLarge(BcnnError):

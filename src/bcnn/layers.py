@@ -1,8 +1,9 @@
 """Full-precision complex layers and their gradients.
 
-Convolution, the three batch-normalization variants, the three pooling
-variants, activations, and the fully connected head.  Everything here
-operates on dense planes; the packed kernels live in ``binary_ops``.
+Convolution, the two batch-normalization variants (CGBN and real), the
+three pooling variants, activations, and the fully connected head.
+Everything here operates on dense planes; the packed kernels live in
+``binary_ops``.
 There is one convolution routine, ``conv2d_real``: one strided window
 gather over the padded batch, then per image a copy of that image's
 (c*kh*kw, h_out*w_out) columns into one reused buffer and one BLAS GEMM.
@@ -10,15 +11,14 @@ The columns of the whole batch (k*k times an activation) never exist, and
 one image's columns stay in cache for their GEMM.  A complex convolution is
 two real ones, on ``[w_r; w_i]`` and on ``[w_i; w_r]`` stacked along output
 channels, and ``_real_conv_bwd`` is the one convolution backward, streaming
-the same way.  ``im2col`` builds the whole-batch matrix from the same gather,
-for tests to compare against.
+the same way.
 
 Each trainable op's backward sits beside its forward, including the
 straight-through estimators of binarized weights and activations.  A
 training forward returns ``(y, cache)``; only a training step keeps it for
-the backward.  Convolutions cache their input, not its im2col columns or
-their weights: the backward rebuilds those, so a cached array is never
-larger than an activation.  CGBN and RealBn share one batch-norm core,
+the backward.  Convolutions cache their input, not its columns or their
+weights: the backward rebuilds those, so a cached array is never larger
+than an activation.  CGBN and RealBn share one batch-norm core,
 ``_bn_plane`` and ``_bn_plane_backward``, that runs in a ``Mode``.
 
 Layers are safe to share between readers in the inference modes.  A
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binary_ops import ConvGeometry, out_size
-from .errors import NonPsdCovariance, ShapeMismatch
+from .errors import ShapeMismatch
 from .tensors import ComplexTensor
 
 
@@ -61,8 +61,8 @@ class Mode(Enum):
 
 def _windows(x, kernel, stride, padding, pad_value):
     """The padded batch's sliding windows as an (n, c, kh, kw, h_out, w_out)
-    view, and (h_out, w_out): the one window gather, which ``_image_columns``
-    copies image by image and ``im2col`` for the whole batch."""
+    view, and (h_out, w_out): the one window gather of both convolution
+    directions, which ``_image_columns`` copies image by image."""
     h, w = x.shape[2:]
     kh, kw = kernel
     sh, sw = stride
@@ -83,20 +83,6 @@ def _image_columns(win):
     for image in win:
         np.copyto(cols, image)
         yield flat
-
-
-def im2col(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    pad_value: float = 0.0,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Gather sliding windows into a (n, c*kh*kw, h_out*w_out) matrix: the
-    whole-batch columns, which the convolutions never build."""
-    win, (h_out, w_out) = _windows(x, kernel, stride, padding, pad_value)
-    cols = np.ascontiguousarray(win, dtype=float)
-    return cols.reshape(x.shape[0], -1, h_out * w_out), (h_out, w_out)
 
 
 def _col2im(dcols, x_shape, kernel, stride, padding):
@@ -396,98 +382,6 @@ def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
 
 
 @dataclass
-class CovComplexBnLayer:
-    """Whitening complex batch normalization with a per-channel 2x2 covariance.
-
-    Reference implementation kept for comparison against CGBN; gamma is a
-    real 2x2 matrix per channel, beta a complex number per channel.
-    """
-
-    gamma: np.ndarray  # (c, 2, 2)
-    beta_re: np.ndarray
-    beta_im: np.ndarray
-    running_mean: np.ndarray  # (c, 2)
-    running_cov: np.ndarray  # (c, 2, 2)
-    eps: float = 1e-5
-    momentum: float = 0.1
-
-    @classmethod
-    def identity(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        return cls(
-            gamma=np.tile(np.eye(2, dtype=np.float32), (channels, 1, 1)),
-            beta_re=np.zeros(channels, dtype=np.float32),
-            beta_im=np.zeros(channels, dtype=np.float32),
-            running_mean=np.zeros((channels, 2), dtype=np.float32),
-            running_cov=np.tile(np.eye(2, dtype=np.float32), (channels, 1, 1)),
-            eps=eps,
-            momentum=momentum,
-        )
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
-
-
-def _inverse_sqrt_2x2(mats: np.ndarray) -> np.ndarray:
-    """Closed-form symmetric inverse square root of SPD 2x2 matrices.
-
-    For M = [[a, b], [b, c]] with s = sqrt(det M), t = sqrt(tr M + 2s):
-    M^{-1/2} = [[c+s, -b], [-b, a+s]] / (s*t).
-    """
-    a = mats[:, 0, 0]
-    b = mats[:, 0, 1]
-    c = mats[:, 1, 1]
-    s = np.sqrt(a * c - b * b)
-    t = np.sqrt(a + c + 2.0 * s)
-    out = np.empty_like(mats, dtype=float)
-    out[:, 0, 0] = c + s
-    out[:, 0, 1] = -b
-    out[:, 1, 0] = -b
-    out[:, 1, 1] = a + s
-    return out / (s * t)[:, None, None]
-
-
-def cov_complex_bn_forward(
-    x: ComplexTensor, layer: CovComplexBnLayer, training: bool = False
-) -> ComplexTensor:
-    """Whitening form: x_hat = gamma . V^{-1/2} (x - E[x]) + beta."""
-    if x.shape[1] != layer.channels:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, layer has {layer.channels}")
-    if training:
-        r = x.re.transpose(1, 0, 2, 3).reshape(layer.channels, -1)
-        i = x.im.transpose(1, 0, 2, 3).reshape(layer.channels, -1)
-        mean = np.stack([r.mean(axis=1), i.mean(axis=1)], axis=1)
-        dr = r - mean[:, 0:1]
-        di = i - mean[:, 1:2]
-        cov = np.empty((layer.channels, 2, 2), dtype=float)
-        cov[:, 0, 0] = (dr * dr).mean(axis=1)
-        cov[:, 0, 1] = cov[:, 1, 0] = (dr * di).mean(axis=1)
-        cov[:, 1, 1] = (di * di).mean(axis=1)
-        m = layer.momentum
-        layer.running_mean[:] = (1 - m) * layer.running_mean + m * mean
-        layer.running_cov[:] = (1 - m) * layer.running_cov + m * cov
-    else:
-        mean = np.asarray(layer.running_mean, dtype=float)
-        cov = np.asarray(layer.running_cov, dtype=float)
-
-    tr = cov[:, 0, 0] + cov[:, 1, 1]
-    det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 1, 0]
-    lam_min = (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))) / 2.0
-    if np.any(lam_min < -1e-6):
-        raise NonPsdCovariance(f"minimum covariance eigenvalue {lam_min.min():g}")
-
-    reg = cov + layer.eps * np.eye(2)
-    w = np.einsum("cij,cjk->cik", np.asarray(layer.gamma, dtype=float),
-                  _inverse_sqrt_2x2(reg))
-    dr = x.re - mean[:, 0].reshape(1, -1, 1, 1)
-    di = x.im - mean[:, 1].reshape(1, -1, 1, 1)
-    y_r = w[:, 0, 0].reshape(1, -1, 1, 1) * dr + w[:, 0, 1].reshape(1, -1, 1, 1) * di
-    y_i = w[:, 1, 0].reshape(1, -1, 1, 1) * dr + w[:, 1, 1].reshape(1, -1, 1, 1) * di
-    return ComplexTensor(y_r + _per_channel(layer.beta_re),
-                         y_i + _per_channel(layer.beta_im))
-
-
-@dataclass
 class RealBnLayer:
     """Standard per-channel batch normalization on a real tensor."""
 
@@ -508,10 +402,6 @@ class RealBnLayer:
             eps=eps,
             momentum=momentum,
         )
-
-
-def real_bn_forward(x: np.ndarray, layer: RealBnLayer, training: bool = False) -> np.ndarray:
-    return _fwd_real_bn(layer, x, Mode.TRAIN_STEP if training else Mode.DENSE)[0]
 
 
 def _fwd_real_bn(layer: RealBnLayer, x, mode: Mode):

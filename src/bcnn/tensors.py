@@ -161,15 +161,3 @@ def unpack(b: BitplaneTensor) -> ComplexTensor:
     """Inverse of :func:`pack`; pad bits are ignored."""
     _, c, _, _ = b.shape
     return ComplexTensor(_unpack_plane(b.re_words, c), _unpack_plane(b.im_words, c))
-
-
-def pack_vector(values) -> np.ndarray:
-    """Pack a 1-D {+1,-1} vector into LSB-first 64-bit words."""
-    v = np.asarray(values, dtype=float).reshape(1, -1, 1, 1)
-    return _pack_plane(v)[0, 0, 0]
-
-
-def unpack_vector(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack ``n`` elements from LSB-first 64-bit words back to {+1,-1}."""
-    w = np.asarray(words, dtype=np.uint64).reshape(1, 1, 1, -1)
-    return _unpack_plane(w, n)[0, :, 0, 0]

@@ -266,10 +266,14 @@ def train(model: ModelGraph, dataset: Dataset, cfg: TrainConfig):
 
 
 def evaluate(model: ModelGraph, dataset: Dataset) -> tuple[float, float]:
-    """Eval-mode loss and accuracy over a dataset, through the packed kernel."""
+    """Eval-mode loss and accuracy over a dataset, through the packed kernel.
+    A label the model has no class for raises ``ShapeMismatch``."""
     n = len(dataset)
     if n == 0:
         raise DataExhausted("dataset has no samples")
+    if dataset.labels.max() >= model.num_classes:
+        raise ShapeMismatch(f"labels reach {dataset.labels.max()}, outside the model's "
+                            f"{model.num_classes} classes")
     total_loss = 0.0
     correct = 0
     for start in range(0, n, EVAL_BATCH):

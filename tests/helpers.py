@@ -4,8 +4,20 @@ the packed kernels they check."""
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from bcnn.layers import _col2im, im2col
+from bcnn.layers import _col2im
 from bcnn.tensors import ComplexTensor
+
+
+def im2col(x, kernel, stride, padding, pad_value=0.0):
+    """Gather sliding windows into a (n, c*kh*kw, h_out*w_out) matrix: the
+    whole-batch columns, which the engine's convolutions never build.
+    Returns (cols, (h_out, w_out))."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    n, c, h_out, w_out = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3), dtype=float)
+    return cols.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out)
 
 
 def assert_close_relative(y, ref, rel=1e-12):

@@ -7,17 +7,13 @@ from bcnn.binary_ops import (
     ConvGeometry,
     _dense_rows,
     binarize_deterministic,
-    binarize_stochastic,
     binary_complex_conv2d,
-    binary_complex_dot,
     mismatch_counts,
     quadrant_binarize,
-    xnor_dot,
 )
-from bcnn.errors import InvalidParallelism, LengthMismatch, ShapeMismatch
+from bcnn.errors import InvalidParallelism, ShapeMismatch
 from bcnn.models import build_nin_bcnn, build_resnet18_bcnn, build_toy_bcnn, iter_binary_convs
-from bcnn.tensors import (BitplaneTensor, ComplexTensor, channel_mask, pack, pack_vector,
-                          words_per_pixel)
+from bcnn.tensors import BitplaneTensor, ComplexTensor, channel_mask, pack, words_per_pixel
 from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2d
 
 
@@ -28,28 +24,6 @@ from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2
 def test_binarize_deterministic_signs():
     out = binarize_deterministic(np.array([0.3, -0.7, 0.0]))
     np.testing.assert_array_equal(out, [1.0, -1.0, 1.0])
-
-
-def test_binarize_stochastic_saturation():
-    x = np.full((100,), 3.0)
-    np.testing.assert_array_equal(binarize_stochastic(x, seed=1), np.ones(100))
-    np.testing.assert_array_equal(binarize_stochastic(-x, seed=1), -np.ones(100))
-
-
-def test_binarize_stochastic_mean_at_zero():
-    # delta(0) = 0.5, so the empirical mean of many draws is close to 0
-    out = binarize_stochastic(np.zeros(100_000), seed=7)
-    assert abs(out.mean()) < 0.02
-
-
-def test_binarize_stochastic_seeded_is_pure():
-    x = np.linspace(-1, 1, 257)
-    np.testing.assert_array_equal(
-        binarize_stochastic(x, seed=42), binarize_stochastic(x, seed=42)
-    )
-    assert not np.array_equal(
-        binarize_stochastic(x, seed=42), binarize_stochastic(x, seed=43)
-    )
 
 
 def test_quadrant_binarize_examples():
@@ -72,18 +46,36 @@ def test_quadrant_binarize_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# packed dot products
+# packed dot products: a 1x1 convolution of one pixel is a dot over channels
 # ---------------------------------------------------------------------------
+
+def _pixel(re, im):
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    return ComplexTensor(re.reshape(1, -1, 1, 1), im.reshape(1, -1, 1, 1))
+
+
+def _xnor_dot(a, b):
+    """The real dot a . b of two {+1,-1} vectors from the kernel's XOR/popcount
+    count: the imaginary halves of both dense rows always agree."""
+    n = len(a)
+    x, w = _pixel(a, np.ones(n)), _pixel(b, -np.ones(n))  # [a | 1] against [b | ~(-1)]
+    m = mismatch_counts(pack(x), pack(w), ConvGeometry(n, 1, (1, 1)), None, None)
+    return n - 2 * int(m[0, 0, 0, 0, 0])
+
+
+def _complex_dot(x, w):
+    y = binary_complex_conv2d(pack(x), pack(w), ConvGeometry(x.shape[1], 1, (1, 1)))
+    return int(y.re[0, 0, 0, 0]), int(y.im[0, 0, 0, 0])
+
 
 def test_xnor_dot_identical_vectors():
     v = np.ones(64)
-    w = pack_vector(v)
-    assert xnor_dot(w, w, 64) == 64
+    assert _xnor_dot(v, v) == 64
 
 
 def test_xnor_dot_negated_vectors():
     v = np.ones(64)
-    assert xnor_dot(pack_vector(v), pack_vector(-v), 64) == -64
+    assert _xnor_dot(v, -v) == -64
 
 
 def test_xnor_dot_matches_naive_loop():
@@ -91,29 +83,28 @@ def test_xnor_dot_matches_naive_loop():
     a = np.where(rng.random(200) > 0.5, 1.0, -1.0)
     b = np.where(rng.random(200) > 0.5, 1.0, -1.0)
     naive = int(sum(int(x) * int(y) for x, y in zip(a, b)))
-    assert xnor_dot(pack_vector(a), pack_vector(b), 200) == naive
+    assert _xnor_dot(a, b) == naive
 
 
 def test_xnor_dot_self_is_n():
     rng = np.random.default_rng(3)
     for n in (1, 63, 64, 65, 200):
         a = np.where(rng.random(n) > 0.5, 1.0, -1.0)
-        w = pack_vector(a)
-        assert xnor_dot(w, w, n) == n
+        assert _xnor_dot(a, a) == n
 
 
 def test_xnor_dot_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        xnor_dot(np.zeros(2, np.uint64), np.zeros(1, np.uint64), 64)
+    # 128 input channels fill two words, 64 weight channels one
+    x, w = _pixel(np.ones(128), np.ones(128)), _pixel(np.ones(64), np.ones(64))
+    with pytest.raises(ShapeMismatch):
+        mismatch_counts(pack(x), pack(w), ConvGeometry(128, 1, (1, 1)), None, None)
 
 
 def test_binary_complex_dot_unit_cases():
-    one = pack_vector([1.0])
-    neg = pack_vector([-1.0])
     # x = 1+i, w = 1+i -> (0, 2)
-    assert binary_complex_dot((one, one), (one, one), 1) == (0, 2)
+    assert _complex_dot(_pixel([1.0], [1.0]), _pixel([1.0], [1.0])) == (0, 2)
     # x = 1+i, w = 1-i -> (2, 0)
-    assert binary_complex_dot((one, one), (one, neg), 1) == (2, 0)
+    assert _complex_dot(_pixel([1.0], [1.0]), _pixel([1.0], [-1.0])) == (2, 0)
 
 
 def test_binary_complex_dot_matches_complex_oracle():
@@ -122,9 +113,7 @@ def test_binary_complex_dot_matches_complex_oracle():
     xr, xi = (np.where(rng.random(n) > 0.5, 1.0, -1.0) for _ in range(2))
     wr, wi = (np.where(rng.random(n) > 0.5, 1.0, -1.0) for _ in range(2))
     expected = ((xr + 1j * xi) * (wr + 1j * wi)).sum()
-    got = binary_complex_dot(
-        (pack_vector(xr), pack_vector(xi)), (pack_vector(wr), pack_vector(wi)), n
-    )
+    got = _complex_dot(_pixel(xr, xi), _pixel(wr, wi))
     assert got == (int(expected.real), int(expected.imag))
 
 
@@ -200,20 +189,26 @@ def test_conv_matches_reference_at_word_boundaries(c):
         np.testing.assert_array_equal(y.im, ref.im)
 
 
-@pytest.mark.parametrize("c", [129, 200])
+@pytest.mark.parametrize("c", [96, 129, 200])
 def test_conv_parallelism_neutral_across_input_words(c):
-    # 200 channels give 8 joint words, so p_in = 3 ends on a partial block
+    # p_in blocks row words: a 3x3 row holds 27 words at 96 channels, 37 at
+    # 129 and 57 at 200, against 2, 3 and 4 words per plane, so most p_in end
+    # on a partial last block and the last one takes the whole row
     rng = np.random.default_rng(c)
     x = random_pm1_tensor(rng, (2, c, 5, 5))
     w = random_pm1_tensor(rng, (6, c, 3, 3))
     g = ConvGeometry(c, 6, (3, 3), (2, 2), (1, 1))
     xb, wb = pack(x), pack(w)
     ref = reference_complex_conv2d(x, w, (2, 2), (1, 1))
+    row_words = _row_words(c, 3, 3)
+    assert row_words == {96: 27, 129: 37, 200: 57}[c]
     for p_out in (1, 2, 3, 6):
-        for p_in in range(1, xb.words_per_pixel + 1):
+        for p_in in range(1, row_words + 1):
             y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
             np.testing.assert_array_equal(y.re, ref.re)
             np.testing.assert_array_equal(y.im, ref.im)
+    with pytest.raises(InvalidParallelism, match=f"must be in \\[1, {row_words}\\]"):
+        binary_complex_conv2d(xb, wb, g, parallelism=(2, row_words + 1))
 
 
 def _set_pad_bits(b: BitplaneTensor) -> BitplaneTensor:
@@ -241,7 +236,7 @@ def test_conv_invalid_parallelism():
     with pytest.raises(InvalidParallelism):
         binary_complex_conv2d(pack(x), pack(w), g, parallelism=(4, 1))  # 4 !| 6
     with pytest.raises(InvalidParallelism):
-        binary_complex_conv2d(pack(x), pack(w), g, parallelism=(2, 5))  # 5 > words
+        binary_complex_conv2d(pack(x), pack(w), g, parallelism=(2, 5))  # 5 > 2 row words
 
 
 def test_conv_shape_mismatch():
@@ -306,13 +301,6 @@ def test_conv_parity_and_magnitude_bounds():
         if n % 2 == 0:
             assert np.all(np.mod(y.re, 2) == 0)
             assert np.all(np.mod(y.im, 2) == 0)
-
-
-def test_binarize_stochastic_intermediate_probability():
-    # delta(0.5) = 0.75: the draw frequency tracks the hard-clip probability
-    out = binarize_stochastic(np.full(100_000, 0.5), seed=3)
-    plus_rate = (out == 1.0).mean()
-    assert abs(plus_rate - 0.75) < 0.01
 
 
 @pytest.mark.parametrize("c, dtype", [(32767, np.uint16), (32768, np.uint32)])

@@ -73,7 +73,7 @@ def test_infer_on_npy_image(tmp_path, capsys):
     assert f"class {expected}" in out
 
 
-def test_infer_jobs_over_dataset(tmp_path, capsys):
+def test_infer_over_dataset(tmp_path, capsys):
     from bcnn.training import EVAL_BATCH, load_cifar10
 
     model = build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10,
@@ -84,8 +84,7 @@ def test_infer_jobs_over_dataset(tmp_path, capsys):
     for i in range(1, 6):
         (tmp_path / f"data_batch_{i}.bin").write_bytes(bytes([1]) + pixels)
     (tmp_path / "test_batch.bin").write_bytes((bytes([1]) + pixels) * 3)
-    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path),
-                "--jobs", "2"]) == 0
+    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path)]) == 0
     assert "over 3 images" in capsys.readouterr().out
 
     # distinct images over two chunks, labelled so that a third of the
@@ -101,11 +100,27 @@ def test_infer_jobs_over_dataset(tmp_path, capsys):
     labels = np.where(np.arange(n) % 3 == 0, (preds + 1) % 10, preds)
     records[:, 0] = labels
     (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
-    for jobs in ("1", "2"):
-        assert run(["infer", "--in", str(model_path), "--data", str(tmp_path),
-                    "--jobs", jobs]) == 0
-        expected = np.mean(labels == preds)
-        assert f"accuracy {expected:.4f} over {n} images" in capsys.readouterr().out
+    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path)]) == 0
+    expected = np.mean(labels == preds)
+    assert f"accuracy {expected:.4f} over {n} images" in capsys.readouterr().out
+
+
+def test_infer_over_dataset_prints_what_evaluate_measures(tmp_path, capsys):
+    from bcnn.training import evaluate, load_cifar10
+
+    model = build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10,
+                           channels=(8, 8), seed=4)
+    model_path = tmp_path / "m.bcn"
+    save_model(model, str(model_path))
+    rng = np.random.default_rng(4)
+    records = rng.integers(0, 256, size=(11, 3073), dtype=np.uint8)
+    records[:, 0] = rng.integers(0, 10, size=11)
+    for i in range(1, 6):
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(records[:1].tobytes())
+    (tmp_path / "test_batch.bin").write_bytes(records.tobytes())
+    _, accuracy = evaluate(load_model(str(model_path)), load_cifar10(str(tmp_path)).test)
+    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"accuracy {accuracy:.4f} over 11 images\n"
 
 
 def test_infer_on_an_empty_test_split_is_an_error(tmp_path, capsys):
@@ -330,18 +345,43 @@ def test_train_with_a_negative_seed_is_one_error_line_and_no_file(tmp_path, caps
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_infer_with_jobs_below_one_is_an_error(jobs, tmp_path, capsys):
+def _assert_jobs_is_a_usage_error(jobs, tmp_path, capsys):
     model_path = tmp_path / "m.bcn"
     save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
                str(model_path))
     img_path = tmp_path / "img.npy"
     np.save(img_path, np.zeros((3, 32, 32)))
-    assert run(["infer", "--in", str(model_path), "--image", str(img_path),
-                "--jobs", jobs]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["infer", "--in", str(model_path), "--image", str(img_path), "--jobs", jobs])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+
+
+def test_infer_jobs_is_a_usage_error(tmp_path, capsys):
+    # each forward already spreads its batch over every core; there is no --jobs
+    _assert_jobs_is_a_usage_error("2", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_infer_with_jobs_below_one_is_an_error(jobs, tmp_path, capsys):
+    # still refused, now as the unknown flag it is
+    _assert_jobs_is_a_usage_error(jobs, tmp_path, capsys)
+
+
+def test_infer_with_labels_beyond_the_model_classes_is_an_error(tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=4, channels=(8, 8)),
+               str(model_path))
+    pixels = bytes([100]) * 3072
+    for i in range(1, 6):
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(bytes([1]) + pixels)
+    (tmp_path / "test_batch.bin").write_bytes((bytes([2]) + pixels) + (bytes([7]) + pixels))
+    assert run(["infer", "--in", str(model_path), "--data", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: labels reach 7, outside the model's 4 classes\n"
 
 
 def test_prune_then_quantize_keeps_budgets(tmp_path, capsys):

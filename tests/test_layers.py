@@ -2,26 +2,25 @@ import numpy as np
 import pytest
 
 from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d
-from bcnn.errors import NonPsdCovariance, ShapeMismatch
+from bcnn.errors import ShapeMismatch
 from bcnn.layers import (
     CgbnLayer,
     ComplexConvLayer,
-    CovComplexBnLayer,
+    Mode,
     RealBnLayer,
     avg_pool,
     cgbn_forward,
     complex_conv2d_fp,
     conv2d_real,
-    cov_complex_bn_forward,
     fully_connected,
     hardtanh,
     max_pool,
-    real_bn_forward,
     relu,
     spectral_pool,
 )
+from bcnn.models import kind_of
 from bcnn.tensors import ComplexTensor, pack
-from helpers import (assert_close_relative, einsum_complex_conv2d, einsum_conv2d_real,
+from helpers import (assert_close_relative, einsum_complex_conv2d, einsum_conv2d_real, im2col,
                      random_pm1_tensor, reference_cgbn_eval)
 
 
@@ -106,6 +105,27 @@ def test_conv2d_real_matches_einsum_reference(stride, padding):
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     y = conv2d_real(x, w, stride, padding, pad_value=-0.5)
     assert_close_relative(y, einsum_conv2d_real(x, w, stride, padding, pad_value=-0.5))
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [
+    ((1, 1), (1, 1), (0, 0)),
+    ((3, 3), (1, 1), (1, 1)),
+    ((3, 3), (2, 2), (1, 1)),
+    ((1, 3), (1, 2), (0, 1)),
+])
+def test_im2col_oracle_matches_per_window_gather(kernel, stride, padding):
+    # the oracle the einsum references stand on, against one slice per window
+    rng = np.random.default_rng(sum(kernel) + sum(stride) + sum(padding))
+    x = rng.standard_normal((2, 3, 6, 7))
+    cols, (h_out, w_out) = im2col(x, kernel, stride, padding, pad_value=-0.5)
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-0.5)
+    assert (h_out, w_out) == ((6 + 2 * ph - kh) // sh + 1, (7 + 2 * pw - kw) // sw + 1)
+    assert cols.shape == (2, 3 * kh * kw, h_out * w_out)
+    for oy in range(h_out):
+        for ox in range(w_out):
+            window = xp[:, :, oy * sh:oy * sh + kh, ox * sw:ox * sw + kw]
+            np.testing.assert_array_equal(cols[:, :, oy * w_out + ox], window.reshape(2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,62 +214,13 @@ def test_cgbn_running_stat_update():
 
 
 # ---------------------------------------------------------------------------
-# covariance complex BN
-# ---------------------------------------------------------------------------
-
-def test_cov_bn_whitens():
-    rng = np.random.default_rng(5)
-    layer = CovComplexBnLayer.identity(2, eps=1e-8)
-    # correlated planes with non-unit variance
-    base = rng.standard_normal((8, 2, 40, 40))
-    x = ComplexTensor(2.0 * base + 1.0,
-                      base + 0.5 * rng.standard_normal((8, 2, 40, 40)) - 2.0)
-    y = cov_complex_bn_forward(x, layer, training=True)
-    for c in range(2):
-        r = y.re[:, c].ravel()
-        i = y.im[:, c].ravel()
-        cov = np.cov(np.stack([r, i]), bias=True)
-        np.testing.assert_allclose(cov, np.eye(2), atol=0.05)
-        assert abs(r.mean()) < 0.05 and abs(i.mean()) < 0.05
-
-
-def test_cov_bn_constant_input_outputs_beta():
-    layer = CovComplexBnLayer.identity(1)
-    layer.beta_re[:] = 4.0
-    layer.beta_im[:] = -1.5
-    x = ComplexTensor(np.full((4, 1, 6, 6), 3.0), np.full((4, 1, 6, 6), 2.0))
-    y = cov_complex_bn_forward(x, layer, training=True)
-    np.testing.assert_allclose(y.re, 4.0, atol=1e-6)
-    np.testing.assert_allclose(y.im, -1.5, atol=1e-6)
-
-
-def test_cov_bn_diagonal_closed_form():
-    # V = diag(4, 1), zero mean: scales re by 1/2 and im by 1
-    layer = CovComplexBnLayer.identity(1, eps=1e-12)
-    layer.running_cov[0] = np.array([[4.0, 0.0], [0.0, 1.0]])
-    rng = np.random.default_rng(6)
-    x = ComplexTensor(rng.standard_normal((2, 1, 4, 4)), rng.standard_normal((2, 1, 4, 4)))
-    y = cov_complex_bn_forward(x, layer, training=False)
-    np.testing.assert_allclose(y.re, x.re / 2.0, rtol=1e-6)
-    np.testing.assert_allclose(y.im, x.im, rtol=1e-6)
-
-
-def test_cov_bn_rejects_non_psd():
-    layer = CovComplexBnLayer.identity(1)
-    layer.running_cov[0] = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    x = ComplexTensor(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))
-    with pytest.raises(NonPsdCovariance):
-        cov_complex_bn_forward(x, layer, training=False)
-
-
-# ---------------------------------------------------------------------------
 # real BN
 # ---------------------------------------------------------------------------
 
 def test_real_bn_constant_gives_zero():
     layer = RealBnLayer.identity(2)
     x = np.full((3, 2, 4, 4), 5.0)
-    y = real_bn_forward(x, layer, training=True)
+    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
 
@@ -259,7 +230,7 @@ def test_real_bn_affine_example():
     layer.gamma[:] = 2.0
     layer.beta[:] = 1.0
     x = np.array([3.0, 7.0] * 8).reshape(1, 1, 4, 4)
-    y = real_bn_forward(x, layer, training=True)
+    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
     np.testing.assert_allclose(y.ravel()[1], 3.0, rtol=1e-6)
 
 
@@ -267,7 +238,7 @@ def test_real_bn_normalizes():
     rng = np.random.default_rng(7)
     layer = RealBnLayer.identity(3, eps=1e-9)
     x = rng.standard_normal((8, 3, 16, 16)) * 4 - 2
-    y = real_bn_forward(x, layer, training=True)
+    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
     np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
     np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 

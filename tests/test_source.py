@@ -7,8 +7,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcnn"
 
 
-def _private_top_level_names(tree: ast.Module):
-    """Private names a module binds at top level: ``_x``, dunders excluded."""
+def _top_level_names(tree: ast.Module):
+    """(name, statement) of each name a module binds at top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -17,8 +17,7 @@ def _private_top_level_names(tree: ast.Module):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (name for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names)
 
 
 def _loaded_names(tree: ast.Module):
@@ -35,7 +34,8 @@ def test_every_private_top_level_name_is_used_in_the_package():
              for path in sorted(SRC.glob("*.py"))}
     loaded = {name for tree in trees.values() for name in _loaded_names(tree)}
     private = [(module, name) for module, tree in trees.items()
-               for name in _private_top_level_names(tree)]
+               for name, _ in _top_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")]
     assert private  # the walk found the package's helpers
     unused = [f"{module}:{name}" for module, name in private if name not in loaded]
     assert not unused, f"private names no package code reads: {unused}"
@@ -66,3 +66,49 @@ def test_every_imported_name_is_read_or_marked_with_a_reason():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                    if name not in read and not kept.search(lines[line - 1])]
     assert not unused, f"imported names the module never reads: {unused}"
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# public names that no package code, ``bcnn/__init__.py`` or ``perfbench/``
+# reads, each kept on purpose; an entry that something does read fails
+KEPT_UNREAD = {
+    **dict.fromkeys(
+        ["accel.NIN_KERNEL_LATENCY_S", "accel.RESNET18_KERNEL_LATENCY_S",
+         "accel.NIN_KERNEL_COUNT", "accel.RESNET18_KERNEL_COUNT",
+         "accel.NIN_U280_RESOURCES", "accel.RESNET18_U280_RESOURCES",
+         "accel.GPU_BASELINE_FPS", "accel.REFERENCE_THROUGHPUT_ROWS",
+         "accel.format_resource_table", "accel.format_throughput_table"],
+        "the paper's U280 reference figures and their tables, for the acceptance "
+        "suite until a benchmark report prints them"),
+    "accel.stack_latency_s": "the cycle model in seconds, for that report",
+    "slr.augmented_lagrangian": "the SLR objective, which the acceptance suite evaluates",
+    "slr.QuadraticChannelProblem": "the exact-projection problem of the SLR acceptance tests",
+    "training.pooling_comparison": "the pooling-comparison harness in README",
+    "models.count_weight_layers": "the weight-layer count that names ResNet-18, in README",
+}
+
+
+def _read_or_imported(tree: ast.AST):
+    """Names a tree reads, or imports under any alias."""
+    yield from _loaded_names(tree)
+    yield from (alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
+
+
+def test_every_public_name_is_read_or_kept_with_a_reason():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    outside = {name for path in sorted(PERFBENCH.glob("*.py"))
+               for name in _read_or_imported(ast.parse(path.read_text(), str(path)))}
+    outside |= set(_read_or_imported(trees.pop("__init__")))
+    # what each top-level statement reads, so a definition's own body never counts
+    reads = [(node, set(_read_or_imported(node))) for tree in trees.values()
+             for node in tree.body]
+    public = [(f"{module}.{name}", name, node) for module, tree in trees.items()
+              for name, node in _top_level_names(tree) if not name.startswith("_")]
+    assert len(public) > 50  # the walk found the package's public names
+    unread = {qualified for qualified, name, node in public if name not in outside
+              and not any(name in names for other, names in reads if other is not node)}
+    assert unread - KEPT_UNREAD.keys() == set(), "public names nothing reads"
+    assert KEPT_UNREAD.keys() - unread == set(), "kept names that are read or gone"

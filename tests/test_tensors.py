@@ -11,9 +11,7 @@ from bcnn.tensors import (
     channel_mask,
     pack,
     pack_signs,
-    pack_vector,
     unpack,
-    unpack_vector,
     words_per_pixel,
 )
 from helpers import random_pm1_tensor, reference_pack_plane
@@ -164,8 +162,12 @@ def test_shape_validation():
 
 
 def test_pack_vector_roundtrip():
+    # one pixel of 200 channels packs as one contiguous vector of words
     rng = np.random.default_rng(9)
     v = np.where(rng.random(200) > 0.5, 1.0, -1.0)
-    words = pack_vector(v)
-    assert words.shape == (words_per_pixel(200),)
-    np.testing.assert_array_equal(unpack_vector(words, 200), v)
+    t = ComplexTensor(v.reshape(1, 200, 1, 1), -v.reshape(1, 200, 1, 1))
+    b = pack(t)
+    assert b.re_words.shape == (1, 1, 1, words_per_pixel(200))
+    back = unpack(b)
+    np.testing.assert_array_equal(back.re.ravel(), v)
+    np.testing.assert_array_equal(back.im.ravel(), -v)
