@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="model_in", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--image", help=".npy image or raw 3072-byte pixels")
-    group.add_argument("--data", help="dataset directory; reports test accuracy")
+    group.add_argument("--data", help="dataset directory or 'synthetic'; reports test accuracy")
 
     p = sub.add_parser("bench", help="throughput arithmetic for replicated kernels")
     p.add_argument("--kernels", type=int, required=True)
@@ -165,7 +165,7 @@ def _cmd_infer(args) -> int:
         print(f"class {int(np.argmax(logits))}")
         print("logits " + " ".join(f"{v:.4f}" for v in logits))
         return 0
-    dataset = training.load_cifar10(args.data).test
+    dataset = _make_dataset(args.data, model, 0, train_split=False)
     if len(dataset) == 0:
         raise DataExhausted(f"{args.data}: the test split has no images")
     _, accuracy = training.evaluate(model, dataset)

@@ -51,8 +51,8 @@ from .layers import (CgbnLayer, ComplexConvLayer, Mode, RealBnLayer, _bwd_cgbn, 
                      _fwd_real_bn, _real_conv_bwd, avg_pool, cgbn_forward, complex_conv2d_fp,
                      conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
                      max_pool, relu as _relu, relu_backward, spectral_pool, ste_backward)
-from .tensors import (BitplaneTensor, ComplexTensor, _unpack_plane, pack_signs, unpack,
-                      words_per_pixel)
+from .tensors import (BitplaneTensor, ComplexTensor, _pack_bits, _unpack_plane, channel_mask,
+                      pack_signs, unpack, words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
 
 # Halved widths of the public real-valued NIN baseline
@@ -378,21 +378,23 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
 
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
-    """Packed, the packed kernel on a binarize step's words.  Otherwise the
-    dense conv, the signed weights as a full-precision conv with -1 padding
-    and pruned channels masked to zero, and its input as the cache."""
+    """Packed, the packed kernel on a binarize step's words, pruned channels
+    +0.0.  Otherwise the dense conv, the signed weights as a full-precision
+    conv with -1 padding and pruned channels masked to zero, and its input as
+    the cache."""
+    active = active_output_channels(layer)
     if mode is Mode.PACKED:
-        return _conv_bn_forward(layer, None, x, False), None
+        # weights are packed per call because training and pruning edit them in place
+        w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
+        return binary_complex_conv2d(x, w, layer.geometry, active=active), None
     y = complex_conv2d_fp(x, _sign_weights(layer))
-    return mask_pruned_channels(y, active_output_channels(layer)), x
+    return mask_pruned_channels(y, active), x
 
 
 # packed inference runs a binary conv and the CGBN right after it as one step
 
 def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
-    """The CGBN restricted to the sorted distinct channels ``idx``."""
-    if idx.size == bn.channels:
-        return bn
+    """The CGBN restricted to the channels ``idx``."""
     return CgbnLayer(*(getattr(bn, f.name)[idx] for f in fields(bn)[:-2]),
                      eps=bn.eps, momentum=bn.momentum)
 
@@ -432,58 +434,38 @@ def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarr
     return probe[..., 0] + edge.argmax(axis=-1), flip, edge.any(axis=-1).all(axis=0)
 
 
-def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: bool):
+def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer, x, binarize: bool):
     """Packed binary conv on a binarize step's words ``x`` (every engine entry
-    checks the graph), the one caller of the packed kernel; without a ``bn``
-    it returns the conv planes, pruned channels +0.0.  Otherwise eval CGBN on
-    the live channels only; each pruned channel is the constant CGBN gives for
-    +0.0.  With ``binarize`` the step returns the binarized output's words: a
-    real-gamma channel whose thresholds ``_sign_thresholds`` finds compares its
-    integer dots with one threshold per plane, every other live channel takes
-    the sign of its float CGBN.  Bit-identical to the node-by-node forward."""
+    checks the graph), then eval CGBN, then with ``binarize`` the binarized
+    output's words, by one of two rules, each bit-identical to the
+    node-by-node forward.  Fold: when a Binarize follows, every ``gamma_im``
+    is 0 and ``_sign_thresholds`` settles every channel, each plane's bit
+    compares the conv's integer dot with one threshold; a pruned channel's
+    +0.0 is the dot of count ``row_bits / 2``.  Float: otherwise CGBN runs
+    on the live channels, each pruned channel is the constant CGBN gives
+    for +0.0, and a Binarize packs the signs."""
+    k = conv.geometry.row_bits
     active = active_output_channels(conv)
-    # weights are packed per call because training and pruning edit them in place
     w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
-    # fresh planes, edited in place below; pruned channels are +0.0
-    y = binary_complex_conv2d(x, w, conv.geometry, active=active)
-    if bn is None:
-        return y
-    live, pruned = np.flatnonzero(active), np.flatnonzero(~active)
-    if pruned.size:
+    y = binary_complex_conv2d(x, w, conv.geometry, active=active)  # fresh planes
+    if binarize and not np.any(bn.gamma_im):
+        t, flip, found = _sign_thresholds(bn, k)
+        if found.all():
+            # (m <= t) != flip for the count m = (k - dot) / 2 is (dot >= k - 2t) != flip
+            edge, flip = (k - 2 * t)[..., None, None], flip[:, None, None]
+            return BitplaneTensor(y.shape, _pack_bits((y.re >= edge[0]) != flip),
+                                  _pack_bits((y.im >= edge[1]) != flip))
+    if active.all():
+        y = cgbn_forward(y, bn)
+    else:
+        pruned, live = np.flatnonzero(~active), np.flatnonzero(active)
         zero = np.zeros((1, pruned.size, 1, 1))
         const = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, pruned))
-    fold = (np.asarray(bn.gamma_im)[live] == 0) & binarize
-    if fold.any():
-        t, flip, found = _sign_thresholds(_bn_channels(bn, live[fold]), conv.geometry.row_bits)
-        fold[fold] = found
-        t, flip = t[:, found], flip[found]
-    rest = live[~fold]  # the channels that take the float CGBN
-    if rest.size == y.shape[1]:
-        y = cgbn_forward(y, bn)
-    elif rest.size:
-        part = cgbn_forward(ComplexTensor(y.re[:, rest], y.im[:, rest]), _bn_channels(bn, rest))
-        y.re[:, rest], y.im[:, rest] = part.re, part.im
-    if not binarize:
-        if pruned.size:
-            y.re[:, pruned], y.im[:, pruned] = const.re, const.im
-        return y
-
-    # each plane becomes (y - offset) * scale, whose sign is the bit
-    offset = np.zeros((2, y.shape[1]))
-    scale = np.ones(y.shape[1])
-    if pruned.size:  # a pruned channel reads +0.0: offset 1 packs it as a negative or NaN constant
-        offset[:, pruned] = ~(np.stack([const.re[0, :, 0, 0], const.im[0, :, 0, 0]]) >= 0)
-    if fold.any():
-        # the bit (m <= t) != flip for the count m = (k - dot) / 2 is
-        # dot >= k - 2t, or dot <= k - 2t - 2 where flipped
-        offset[:, live[fold]] = conv.geometry.row_bits - 2 * t - 2 * flip
-        scale[live[fold]] = np.where(flip, -1.0, 1.0)
-    flipped = (scale < 0).any()
-    for plane, off in zip((y.re, y.im), offset):
-        plane -= off[:, None, None]
-        if flipped:
-            plane *= scale[:, None, None]
-    return pack_signs(y)
+        if live.size:
+            part = cgbn_forward(ComplexTensor(y.re[:, live], y.im[:, live]), _bn_channels(bn, live))
+            y.re[:, live], y.im[:, live] = part.re, part.im
+        y.re[:, pruned], y.im[:, pruned] = const.re, const.im
+    return pack_signs(y) if binarize else y
 
 
 def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, x, clip, grads):
@@ -511,6 +493,15 @@ def _decode_binary_conv(desc, payload, variant) -> BinaryConvLayer:
     wshape = (g.out_channels, *g.kernel, words_per_pixel(g.in_channels))
     re_words = _read_array(payload, wshape, np.uint64)
     im_words = _read_array(payload, wshape, np.uint64)
+    # refuse what the encoder never writes, so a loaded file re-saves to its own bytes
+    if np.any(mask > 1):
+        raise CorruptModelFile(f"pruned-channel mask byte {mask.max()}, expected 0 or 1")
+    valid = channel_mask(g.in_channels)  # a pruned channel's zero weights pack as all +1
+    for words in (re_words, im_words):
+        if np.any(words & ~valid):
+            raise CorruptModelFile(f"a weight word sets a bit beyond {g.in_channels} channels")
+        if np.any(words[mask == 0] != valid):
+            raise CorruptModelFile("a pruned channel's packed weights are not all +1")
     # packed layout is (oc, kh, kw, words); planes come back (oc, ic, kh, kw)
     scale = mask.astype(np.float32).reshape(-1, 1, 1, 1)
     w_re = _unpack_plane(re_words, g.in_channels).astype(np.float32) * scale
@@ -812,7 +803,8 @@ def run_nodes(nodes, x, mode: Mode):
     In packed mode a binarize step emits a BitplaneTensor, the only input a
     binary conv reads; every other node sees it unpacked to the same +-1
     planes.  A binary conv directly followed by a CGBN, and by a Binarize
-    after that, runs with them as one step (``_conv_bn_forward``).
+    after that, runs with them as one step (``_conv_bn_forward``): the whole
+    layer folds into one integer compare per plane, or takes the float CGBN.
     """
     caches = []
     i = 0
@@ -866,9 +858,10 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     XOR/popcount kernel (each binarize step sign-packs its input once, and
     pruned output channels are skipped), ``packed=False`` through the dense
     reference path; the two are integer-exact equals.  In packed mode a
-    binary conv followed by a CGBN runs as one step: the CGBN runs on the
-    live channels only, and a Binarize right after it becomes integer
-    thresholds on the conv's dots for channels with a real gamma.
+    binary conv followed by a CGBN runs as one step: when a Binarize follows
+    and the CGBN's gamma is real with thresholds found for every channel,
+    each plane's bit is one integer compare on the conv's dots; otherwise
+    the CGBN runs on the live channels only.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed

@@ -116,13 +116,18 @@ class BitplaneTensor:
         return words_per_pixel(self.shape[1])
 
 
-def _pack_signs(plane: np.ndarray) -> np.ndarray:
-    n, c, h, w = plane.shape
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) booleans as (n, h, w, words) words, bit 1 where True."""
+    n, c, h, w = bits.shape
     nw = words_per_pixel(c)
-    bits = np.zeros((n, h, w, nw * WORD_BITS), dtype=bool)
-    bits[..., :c] = np.moveaxis(plane >= 0, 1, -1)
+    padded = np.zeros((n, h, w, nw * WORD_BITS), dtype=bool)
+    padded[..., :c] = np.moveaxis(bits, 1, -1)
     # LSB-first bytes read as little-endian words give bit j of word k = channel 64k+j
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+def _pack_signs(plane: np.ndarray) -> np.ndarray:
+    return _pack_bits(plane >= 0)
 
 
 def _pack_plane(plane: np.ndarray) -> np.ndarray:

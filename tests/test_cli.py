@@ -123,6 +123,19 @@ def test_infer_over_dataset_prints_what_evaluate_measures(tmp_path, capsys):
     assert capsys.readouterr().out == f"accuracy {accuracy:.4f} over 11 images\n"
 
 
+def test_infer_over_the_synthetic_set(tmp_path, capsys):
+    # the built-in set that prune and quantize train on, as evaluate measures it
+    from bcnn.training import evaluate, make_synthetic_dataset
+
+    model = build_toy_bcnn(seed=6)
+    model_path = tmp_path / "m.bcn"
+    save_model(model, str(model_path))
+    dataset = make_synthetic_dataset(num_classes=2, samples_per_class=16, shape=(3, 8, 8), seed=0)
+    _, accuracy = evaluate(load_model(str(model_path)), dataset)
+    assert run(["infer", "--in", str(model_path), "--data", "synthetic"]) == 0
+    assert capsys.readouterr().out == f"accuracy {accuracy:.4f} over 32 images\n"
+
+
 def test_infer_on_an_empty_test_split_is_an_error(tmp_path, capsys):
     model_path = tmp_path / "m.bcn"
     save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, seed=1), str(model_path))

@@ -1,10 +1,12 @@
 """The packed conv -> CGBN (-> Binarize) step against the node-by-node forward.
 
-``models._conv_bn_forward`` runs the CGBN on a binary conv's live channels
-only and, when a Binarize follows, folds a real-gamma CGBN into one integer
-threshold per plane on the conv's dots.  Every case must give float
-planes equal to ``cgbn_forward(binary_complex_conv2d(...))`` with equal
-sign bits, and words byte-identical to ``pack_signs`` of those planes.
+``models._conv_bn_forward`` has two rules.  Fold: when a Binarize follows
+and the probe settles every channel of a real-gamma CGBN, each plane's bit
+is one integer threshold on the conv's dots, pruned channels included.
+Float: otherwise the CGBN runs on the live channels only.  Every case must
+give float planes equal to ``cgbn_forward(binary_complex_conv2d(...))``
+with equal sign bits, and words byte-identical to ``pack_signs`` of those
+planes.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d, mismatch_counts
 from bcnn.layers import CgbnLayer, cgbn_forward
 from bcnn.models import BinaryConvLayer, _conv_bn_forward, active_output_channels
-from bcnn.tensors import ComplexTensor, pack, pack_signs
+from bcnn.tensors import ComplexTensor, pack, pack_signs, unpack
 from helpers import random_pm1_tensor
 
 OUT_C = 6
@@ -22,6 +24,7 @@ MASKS = {
     "none_pruned": [True] * OUT_C,
     "alternate_pruned": [True, False] * (OUT_C // 2),
     "all_but_one_pruned": [False, False, False, True, False, False],
+    "all_pruned": [False] * OUT_C,
 }
 
 
@@ -32,6 +35,18 @@ def _conv(rng, in_c, mask, kernel=3, stride=1, pad=1):
     w_im[~np.array(mask)] = 0.0
     g = ConvGeometry(in_c, OUT_C, (kernel, kernel), (stride, stride), (pad, pad))
     return BinaryConvLayer(w_re, w_im, g)
+
+
+@pytest.fixture
+def cgbn_calls(monkeypatch):
+    """The input shape of every ``models.cgbn_forward`` call, in call order."""
+    import bcnn.models as models
+
+    calls = []
+    cgbn = models.cgbn_forward
+    monkeypatch.setattr(models, "cgbn_forward", lambda x, layer: calls.append(x.shape)
+                        or cgbn(x, layer))
+    return calls
 
 
 def _counts(conv, xb):
@@ -107,7 +122,7 @@ def test_conv_bn_step_matches_node_by_node(kind, mask, in_c):
 
 
 @pytest.mark.parametrize("in_c", [3, 33])
-@pytest.mark.parametrize("mask", sorted(MASKS))
+@pytest.mark.parametrize("mask", sorted(m for m in MASKS if any(MASKS[m])))
 @pytest.mark.parametrize("kind", BN_KINDS)
 def test_conv_bn_step_at_counts_zero_and_all(kind, mask, in_c):
     # a window as large as the input: each image is one dot per channel, and
@@ -137,10 +152,11 @@ def test_conv_bn_step_at_counts_zero_and_all(kind, mask, in_c):
 @pytest.mark.parametrize("staircase", [slice(None), slice(None, None, 2)],
                          ids=["all_channels", "alternate_channels"])
 def test_conv_bn_step_falls_back_to_float_cgbn_where_the_estimate_misses(staircase,
-                                                                        monkeypatch):
+                                                                        cgbn_calls):
     # x - mean rounds to multiples of 256 when |mean| = 2**60: the float
     # output is a staircase whose zero lies tens of counts from the estimate,
-    # so the probe does not settle those channels and they take the float CGBN
+    # so the probe does not settle those channels and the whole layer takes
+    # the float CGBN
     import bcnn.models as models
 
     rng = np.random.default_rng(3)
@@ -155,12 +171,9 @@ def test_conv_bn_step_falls_back_to_float_cgbn_where_the_estimate_misses(stairca
     _check(conv, bn, xb)
     unsettled = np.flatnonzero(~models._sign_thresholds(bn, conv.geometry.row_bits)[2])
     np.testing.assert_array_equal(unsettled, np.arange(OUT_C)[staircase])
-    calls = []
-    cgbn = models.cgbn_forward
-    monkeypatch.setattr(models, "cgbn_forward", lambda x, layer: calls.append(x.shape)
-                        or cgbn(x, layer))
+    cgbn_calls.clear()
     _conv_bn_forward(conv, bn, xb, binarize=True)
-    assert calls == [(1, OUT_C, 1, 4), (3, unsettled.size, 6, 6)]  # the probe, one float pass
+    assert cgbn_calls == [(1, OUT_C, 1, 4), (3, OUT_C, 6, 6)]  # the probe, one float pass
 
 
 NON_FINITE = {
@@ -191,18 +204,48 @@ def test_conv_bn_step_with_non_finite_statistics(case):
 
 
 @pytest.mark.parametrize("kind", [k for k in BN_KINDS if k != "complex_gamma_on_some"])
-def test_conv_bn_step_probes_each_real_gamma_layer_once(kind, monkeypatch):
-    # the closed-form estimate lands on the step: one small CGBN evaluation
-    # for the thresholds, one for the pruned channels' constants
-    import bcnn.models as models
-
+def test_conv_bn_step_probes_each_real_gamma_layer_once(kind, cgbn_calls):
+    # the closed-form estimate lands on the step of every channel, pruned
+    # ones included: the layer folds, and its one CGBN evaluation is the probe
     rng = np.random.default_rng(5)
     conv = _conv(rng, 33, MASKS["alternate_pruned"])
     xb = pack(random_pm1_tensor(rng, (2, 33, 5, 5)))
     bn = _bn(rng, kind, conv, xb)
-    calls = []
-    cgbn = models.cgbn_forward
-    monkeypatch.setattr(models, "cgbn_forward", lambda x, layer: calls.append(x.shape)
-                        or cgbn(x, layer))
     _conv_bn_forward(conv, bn, xb, binarize=True)
-    assert calls == [(1, 3, 1, 1), (1, 3, 1, 4)]
+    assert cgbn_calls == [(1, OUT_C, 1, 4)]
+
+
+def test_one_complex_gamma_channel_sends_the_whole_layer_to_float_cgbn(cgbn_calls):
+    rng = np.random.default_rng(6)
+    conv = _conv(rng, 33, MASKS["alternate_pruned"])
+    xb = pack(random_pm1_tensor(rng, (2, 33, 5, 5)))
+    bn = _bn(rng, "gamma_positive", conv, xb)
+    bn.gamma_im[3] = 0.25
+    _check(conv, bn, xb)
+    cgbn_calls.clear()
+    _conv_bn_forward(conv, bn, xb, binarize=True)
+    # no probe: the pruned channels' constants, then the live channels
+    assert cgbn_calls == [(1, 3, 1, 1), (2, 3, 5, 5)]
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_pruned_channel_folds_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
+    # a pruned channel's conv output is +0.0, the dot of count k / 2, so the
+    # fold gives it the sign CGBN gives +0.0 on each plane, at every pixel
+    rng = np.random.default_rng(7)
+    mask = np.array(MASKS["alternate_pruned"])
+    conv = _conv(rng, 9, mask)
+    xb = pack(random_pm1_tensor(rng, (2, 9, 4, 4)))
+    bn = _bn(rng, "gamma_positive", conv, xb)
+    bn.running_mean_re[~mask] = -signs[0] * 5.0
+    bn.running_mean_im[~mask] = -signs[1] * 5.0
+    bn.beta_re[:] = bn.beta_im[:] = 0.0
+    _check(conv, bn, xb)
+    cgbn_calls.clear()
+    bits = unpack(_conv_bn_forward(conv, bn, xb, binarize=True))
+    assert cgbn_calls == [(1, OUT_C, 1, 4)]  # folded: the probe only
+    zero = np.zeros((1, OUT_C, 1, 1))
+    const = cgbn_forward(ComplexTensor(zero, zero), bn)
+    for plane, want, sign in ((bits.re, const.re, signs[0]), (bits.im, const.im, signs[1])):
+        assert np.all(np.where(want[0, ~mask] >= 0, 1.0, -1.0) == sign)
+        assert np.all(plane[:, ~mask] == sign)

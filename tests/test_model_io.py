@@ -313,6 +313,44 @@ def _descriptor_bounds(data) -> tuple[int, int]:
     return desc_len_at + 4, desc_len_at + 4 + desc_len
 
 
+def _toy_with_a_pruned_channel():
+    """A toy model whose binary conv has output channel 0 pruned, its BCN1
+    bytes, and where that conv's payload starts: one mask byte per output
+    channel, then the real and the imaginary weight words, (oc, kh, kw,
+    words) little-endian u64 each."""
+    from bcnn.models import encode_node
+
+    model = build_toy_bcnn(seed=0)
+    conv = next(iter(iter_binary_convs(model)))
+    conv.w_re[0] = conv.w_im[0] = 0.0
+    data = model_to_bytes(model)
+    payload = bytearray()
+    for layer in model.layers[: model.layers.index(conv)]:
+        encode_node(layer, bytearray(), payload)
+    return model, data, _descriptor_bounds(data)[1] + len(payload)
+
+
+def test_binary_conv_payload_the_encoder_never_writes_is_corrupt():
+    model, data, at = _toy_with_a_pruned_channel()
+    assert model_to_bytes(model_from_bytes(data)) == data  # the valid file round-trips
+    g = next(iter(iter_binary_convs(model))).geometry
+    assert g.in_channels == 4  # bits 4..63 of each weight word are pad bits
+    words = at + g.out_channels  # channel 0's first real word, then channel 1's
+    im_words = words + 8 * g.out_channels * g.kernel[0] * g.kernel[1]
+    cases = [
+        (at, 3, "mask byte 3, expected 0 or 1"),  # pruned 0 -> 3: read as |w| = 3
+        (at + 1, 2, "mask byte 3, expected 0 or 1"),  # live 1 -> 3
+        (words + 8 * 9, 1 << 4, "beyond 4 channels"),  # channel 1, first tap, real
+        (im_words + 8 * 9 + 7, 0x80, "beyond 4 channels"),  # bit 63, imaginary
+        (words, 1, "pruned channel's packed weights are not all"),  # a -1 in channel 0
+    ]
+    for offset, flip, match in cases:  # each case flips bits of one byte
+        blob = bytearray(data)
+        blob[offset] ^= flip
+        with pytest.raises(CorruptModelFile, match=match):
+            model_from_bytes(bytes(blob))
+
+
 def test_layer_size_overflowing_int64_is_truncated():
     data = bytearray(model_to_bytes(build_toy_bcnn(seed=0)))
     start, _ = _descriptor_bounds(data)

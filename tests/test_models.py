@@ -528,11 +528,13 @@ def test_downsampling_block_sign_packs_its_input_once(monkeypatch):
             return fn(t)
         return record
 
-    monkeypatch.setattr(models, "pack", recording(models.pack))
-    monkeypatch.setattr(models, "pack_signs", recording(models.pack_signs))
+    for name in ("pack", "pack_signs", "_pack_bits"):
+        monkeypatch.setattr(models, name, recording(getattr(models, name)))
     forward(model, np.random.default_rng(13).random((batch, 3, 8, 8)))
-    # the block input (read by the main and the side conv), then the inner binarize
-    assert [s for s in packed_shapes if s[0] == batch] == [(batch, 4, 8, 8), (batch, 8, 4, 4)]
+    # the block input (read by the main and the side conv), then the inner
+    # binarize, folded into its conv -> CGBN step: one bit array per plane
+    assert [s for s in packed_shapes if s[0] == batch] == [(batch, 4, 8, 8), (batch, 8, 4, 4),
+                                                           (batch, 8, 4, 4)]
 
 
 def _binarize_feeds(*tail):
@@ -621,45 +623,53 @@ def test_fused_forward_equals_dense_and_golden_logits(name, ratio, batch):
 
 
 def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch):
-    # on about a third of each CGBN's channels the means sit at +-2**60 and
-    # beta cancels them, so the output is a staircase in the dots whose zero
-    # the closed-form estimate misses: those channels take the float CGBN
+    # every CGBN has a real gamma; on every other one, about a third of the
+    # channels have means at +-2**60 that beta cancels, so the output is a
+    # staircase in the dots whose zero the closed-form estimate misses: those
+    # layers take the float CGBN, the others fold
     import bcnn.models as models
     from bcnn.models import graph_nodes
 
     model = perturb_cgbn(build_nin_bcnn(seed=23), np.random.default_rng(23))
     rng = np.random.default_rng(24)
-    for node, _ in graph_nodes(model):
-        if isinstance(node, CgbnLayer):
-            sel = rng.random(node.channels) < 0.3
-            node.eps = 0.0
-            node.gamma_re[sel] = rng.choice([-1.0, 1.0], sel.sum())
-            node.gamma_im[sel] = 0.0
-            for mean, var, beta in ((node.running_mean_re, node.running_var_re, node.beta_re),
-                                    (node.running_mean_im, node.running_var_im, node.beta_im)):
-                var[sel] = 0.5  # 1 / sqrt(2 var + eps) == 1
-                mean[sel] = rng.choice([-1.0, 1.0], sel.sum()) * 2.0**60
-                beta[sel] = node.gamma_re[sel] * mean[sel]
-    unsettled = []
+    bns = [node for node, _ in graph_nodes(model) if isinstance(node, CgbnLayer)]
+    for i, node in enumerate(bns):
+        node.gamma_im[:] = 0.0
+        sel = (rng.random(node.channels) < 0.3) & (i % 2 == 0)
+        node.eps = 0.0
+        node.gamma_re[sel] = rng.choice([-1.0, 1.0], sel.sum())
+        for mean, var, beta in ((node.running_mean_re, node.running_var_re, node.beta_re),
+                                (node.running_mean_im, node.running_var_im, node.beta_im)):
+            var[sel] = 0.5  # 1 / sqrt(2 var + eps) == 1
+            mean[sel] = rng.choice([-1.0, 1.0], sel.sum()) * 2.0**60
+            beta[sel] = node.gamma_re[sel] * mean[sel]
+    settled = []
     thresholds = models._sign_thresholds
 
     def probe(bn, row_bits):
         t, flip, found = thresholds(bn, row_bits)
-        unsettled.append(int((~found).sum()))
+        settled.append(bool(found.all()))
         return t, flip, found
 
     monkeypatch.setattr(models, "_sign_thresholds", probe)
     x = np.random.default_rng(25).random((2, 3, 32, 32))
     packed, dense = forward(model, x), forward(model, x, packed=False)
-    assert sum(unsettled) > 0
+    assert True in settled and False in settled  # layers of both rules ran
     np.testing.assert_array_equal(packed, dense)
     np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
 
 
 def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
+    # as in a trained model, every CGBN has a complex gamma on every channel,
+    # so none folds and each runs as a float CGBN on the conv's live channels
     import bcnn.models as models
+    from bcnn.models import graph_nodes
 
     model = hard_prune(build_resnet18_bcnn(seed=22), 0.5)
+    rng = np.random.default_rng(22)
+    for node, _ in graph_nodes(model):
+        if isinstance(node, CgbnLayer):
+            node.gamma_im[:] = rng.uniform(0.1, 1.0, node.channels)
     events = []
     conv2d, cgbn = models.binary_complex_conv2d, models.cgbn_forward
 
