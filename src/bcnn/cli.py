@@ -74,6 +74,7 @@ def _make_dataset(data: str, model: models.ModelGraph, seed: int, train_split: b
             samples_per_class=16,
             shape=model.input_shape,
             seed=seed,
+            held_out=not train_split,
         )
     split = training.load_cifar10(data)
     return split.train if train_split else split.test

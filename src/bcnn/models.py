@@ -379,19 +379,17 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
     """Packed, the packed kernel on a binarize step's words, pruned channels
-    +0.0.  Otherwise the dense conv, the signed weights as a full-precision
-    conv with -1 padding and pruned channels masked to zero, and its input as
-    the cache."""
-    active = active_output_channels(layer)
+    +0.0, as a conv step with no CGBN (``_conv_bn_forward``).  Otherwise the
+    dense conv, the signed weights as a full-precision conv with -1 padding
+    and pruned channels masked to zero, and its input as the cache."""
     if mode is Mode.PACKED:
-        # weights are packed per call because training and pruning edit them in place
-        w = pack_signs(ComplexTensor(layer.w_re, layer.w_im))
-        return binary_complex_conv2d(x, w, layer.geometry, active=active), None
+        return _conv_bn_forward(layer, None, x, False), None
     y = complex_conv2d_fp(x, _sign_weights(layer))
-    return mask_pruned_channels(y, active), x
+    return mask_pruned_channels(y, active_output_channels(layer)), x
 
 
-# packed inference runs a binary conv and the CGBN right after it as one step
+# packed inference runs each binary conv, with the CGBN and Binarize right
+# after it, as one step prepared once per forward (``_plan``)
 
 def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
     """The CGBN restricted to the channels ``idx``."""
@@ -434,38 +432,189 @@ def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarr
     return probe[..., 0] + edge.argmax(axis=-1), flip, edge.any(axis=-1).all(axis=0)
 
 
-def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer, x, binarize: bool):
-    """Packed binary conv on a binarize step's words ``x`` (every engine entry
-    checks the graph), then eval CGBN, then with ``binarize`` the binarized
-    output's words, by one of two rules, each bit-identical to the
-    node-by-node forward.  Fold: when a Binarize follows, every ``gamma_im``
-    is 0 and ``_sign_thresholds`` settles every channel, each plane's bit
-    compares the conv's integer dot with one threshold; a pruned channel's
-    +0.0 is the dot of count ``row_bits / 2``.  Float: otherwise CGBN runs
-    on the live channels, each pruned channel is the constant CGBN gives
-    for +0.0, and a Binarize packs the signs."""
-    k = conv.geometry.row_bits
+def _constant_dots(conv: BinaryConvLayer, const: np.ndarray, signs: np.ndarray, hw, active):
+    """(2, live, h_out, w_out) dots of the input channels ``const`` alone,
+    each one sign per plane (``signs``, (2, channels) booleans) at every
+    pixel of an ``hw`` input and -1 in the padding, for the ``active``
+    output channels: exact integers.  A tap's dot is one value inside the
+    image and another in the padding, so each output pixel sums the taps
+    it places inside."""
+    # per tap: the sums over those channels of s_re * w, s_im * w and w, for
+    # the signed weights w of each plane, (live, channels, kh, kw) +-1
+    s_re, s_im = np.where(signs, np.float32(1), np.float32(-1))
+    sums = np.stack([s_re, s_im, np.ones_like(s_re)])
+    (re_re, im_re, re), (re_im, im_im, im) = (
+        np.tensordot(sums, (np.compress(const, np.compress(active, w, axis=0), axis=1) >= 0)
+                     * np.float32(2) - 1, axes=(1, 1))
+        for w in (conv.w_re, conv.w_im))
+    # y_r = x_r w_r - x_i w_i and y_i = x_r w_i + x_i w_r, inside; x_r = x_i = -1 in the padding
+    inner = np.stack([re_re - im_im, re_im + im_re])
+    pad = np.stack([im - re, -im - re])
+    g = conv.geometry
+    out_hw = g.out_hw(*hw)
+    inside = []  # per axis, (taps, outputs): whether the tap reads the image, not the padding
+    for size, size_out, k, s, p in zip(hw, out_hw, g.kernel, g.stride, g.padding):
+        at = np.arange(k)[:, None] + np.arange(size_out) * s - p  # tap i of output r reads row at
+        inside.append((at >= 0) & (at < size))
+    rows, cols = inside
+    taps = (rows[:, None, :, None] & cols[None, :, None, :]).reshape(-1, math.prod(out_hw))
+    live = inner.shape[1]
+    dots = ((inner - pad).reshape(2 * live, len(taps)).astype(float) @ taps
+            + pad.sum(axis=(2, 3)).reshape(2 * live, 1))
+    return dots.reshape(2, live, *out_hw)
+
+
+class _ConvStep(NamedTuple):
+    """A binary conv prepared for a packed forward (``_prepare_step``), with
+    the CGBN, and the Binarize after that, that run with it as one step."""
+
+    geometry: ConvGeometry  # the conv's, over the live input channels when cut
+    weights: BitplaneTensor  # the sign-packed weights of those input channels
+    active: np.ndarray  # the live output channels
+    live: np.ndarray | None  # their indices; None when every channel is live
+    bias: np.ndarray | None  # (2, live, h_out, w_out): the cut input channels' dots
+    fold: tuple | None  # the fold rule's edge per plane and channel, and flip per channel
+    bn: CgbnLayer | None  # the float rule's CGBN on the live channels
+    const: np.ndarray | None  # (2, pruned) outputs; None where y's +0.0 stands
+    signs: np.ndarray | None  # (2, pruned) bits, with a Binarize
+    binarize: bool
+    emit_live: bool  # words of the live channels only, for a cut conv
+
+
+class _PlannedBlock(NamedTuple):
+    """A residual block's paths as a packed forward's steps."""
+
+    main: list
+    side: list
+
+
+def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: bool = False,
+                  cut=None, feeds_conv: bool = False) -> _ConvStep:
+    """The per-forward work of a packed conv step: the live-output mask, the
+    sign-packed weights and the CGBN's rule.  Fold: with a Binarize after a
+    CGBN whose every ``gamma_im`` is 0 and whose every channel
+    ``_sign_thresholds`` settles, each plane's bit is one compare of the
+    conv's integer dot with an edge; a pruned channel's +0.0 is the dot of
+    count ``row_bits / 2``.  Float: otherwise the CGBN runs on the live
+    channels and each pruned one is the constant CGBN gives for +0.0.
+
+    ``cut = (live, signs, hw)`` says that the conv's input channels outside
+    ``live`` are constant, one sign per plane, on an ``hw`` image: the
+    weights keep the live input channels, and ``bias`` adds the dots of the
+    others.  With ``feeds_conv`` (a Binarize after the CGBN, then a binary
+    conv) and some but not all output channels pruned, the step emits the
+    live channels' words only, for that conv to take as its cut."""
     active = active_output_channels(conv)
-    w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
-    y = binary_complex_conv2d(x, w, conv.geometry, active=active)  # fresh planes
-    if binarize and not np.any(bn.gamma_im):
+    pruned = ~active
+    live = None if active.all() else np.flatnonzero(active)
+    g, w_re, w_im, bias = conv.geometry, conv.w_re, conv.w_im, None
+    if cut is not None:
+        keep, cut_signs, hw = cut
+        bias = _constant_dots(conv, ~keep, cut_signs, hw, active)
+        g = ConvGeometry(int(keep.sum()), g.out_channels, g.kernel, g.stride, g.padding)
+        w_re, w_im = np.compress(keep, w_re, axis=1), np.compress(keep, w_im, axis=1)
+    fold = const = signs = None
+    if bn is not None and binarize and not np.any(bn.gamma_im):
+        k = conv.geometry.row_bits
         t, flip, found = _sign_thresholds(bn, k)
         if found.all():
             # (m <= t) != flip for the count m = (k - dot) / 2 is (dot >= k - 2t) != flip
-            edge, flip = (k - 2 * t)[..., None, None], flip[:, None, None]
-            return BitplaneTensor(y.shape, _pack_bits((y.re >= edge[0]) != flip),
-                                  _pack_bits((y.im >= edge[1]) != flip))
-    if active.all():
-        y = cgbn_forward(y, bn)
+            edge = k - 2 * t
+            fold = (edge[..., None, None], flip[:, None, None])
+            signs = (0 >= edge[:, pruned]) != flip[pruned]
+    if bn is not None and fold is None:  # the float rule
+        if pruned.any():
+            zero = np.zeros((1, int(pruned.sum()), 1, 1))
+            c = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, np.flatnonzero(pruned)))
+            const = np.stack([c.re[0, :, 0, 0], c.im[0, :, 0, 0]])
+            signs = const >= 0
+        if live is not None:  # with no live channel, no CGBN runs
+            bn = _bn_channels(bn, live) if live.size else None
     else:
-        pruned, live = np.flatnonzero(~active), np.flatnonzero(active)
-        zero = np.zeros((1, pruned.size, 1, 1))
-        const = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, pruned))
-        if live.size:
-            part = cgbn_forward(ComplexTensor(y.re[:, live], y.im[:, live]), _bn_channels(bn, live))
-            y.re[:, live], y.im[:, live] = part.re, part.im
-        y.re[:, pruned], y.im[:, pruned] = const.re, const.im
-    return pack_signs(y) if binarize else y
+        bn = None
+        if bias is not None and fold is None:  # a lone conv, widened after the bias
+            const = np.zeros((2, int(pruned.sum())))
+    emit_live = feeds_conv and live is not None and live.size > 0
+    return _ConvStep(g, pack_signs(ComplexTensor(w_re, w_im)), active, live, bias, fold, bn,
+                     const, signs, binarize, emit_live)
+
+
+def _run_step(step: _ConvStep, x: BitplaneTensor):
+    """A prepared conv step on a binarize step's words ``x``: the CGBN's
+    output planes, its binarized words with ``binarize``, or the conv's
+    planes without a CGBN; bit-identical to the node-by-node forward."""
+    y = binary_complex_conv2d(x, step.weights, step.geometry, active=step.active)  # fresh planes
+    live = slice(None) if step.live is None else step.live
+    if step.fold is not None:  # every channel: a pruned one's +0.0 is the dot of count k / 2
+        if step.bias is not None:
+            y.re[:, live] += step.bias[0]
+            y.im[:, live] += step.bias[1]
+        edge, flip = step.fold
+        re, im = (y.re >= edge[0]) != flip, (y.im >= edge[1]) != flip
+        if step.emit_live:
+            re, im = re[:, live], im[:, live]
+        return BitplaneTensor(re.shape, _pack_bits(re), _pack_bits(im))
+    if step.bias is None and step.bn is None and step.const is None:
+        return y  # a lone conv on every input channel
+    re, im = y.re[:, live], y.im[:, live]  # a copy, or y itself when every channel is live
+    if step.bias is not None:
+        re += step.bias[0]
+        im += step.bias[1]
+    if step.bn is not None:
+        z = cgbn_forward(ComplexTensor(re, im), step.bn)
+        re, im = z.re, z.im
+    if step.live is not None and not step.emit_live:  # in y: live, then pruned channels
+        y.re[:, step.live], y.im[:, step.live] = re, im
+        pruned = ~step.active
+        y.re[:, pruned], y.im[:, pruned] = (c[:, None, None] for c in step.const)
+        re, im = y.re, y.im
+    if step.binarize:
+        return BitplaneTensor(re.shape, _pack_bits(re >= 0), _pack_bits(im >= 0))
+    return ComplexTensor(re, im)
+
+
+def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: bool):
+    """Packed binary conv on a binarize step's words ``x`` (every engine entry
+    checks the graph), then eval CGBN (if any), then with ``binarize`` the
+    binarized output's words, by ``_prepare_step``'s rules, without a plan:
+    the step is prepared here, and reads every input channel."""
+    return _run_step(_prepare_step(conv, bn, binarize), x)
+
+
+def _plan(nodes, act: Activation | None = None) -> list:
+    """A packed forward's steps for a node sequence: each binary conv, with
+    the CGBN right after it and a Binarize after that, as one prepared
+    ``_ConvStep``; each residual block as a ``_PlannedBlock`` of its paths'
+    steps; every other node, a plan's own steps included, as it is.
+
+    Given the sequence's input ``act``, a binary conv -> CGBN -> Binarize
+    with some but not all output channels pruned, followed by a binary conv,
+    emits its live channels' words only, and that conv reads them with the
+    pruned channels' constant signs as its cut (``_prepare_step``)."""
+    steps, cut, i = [], None, 0
+    walked = 0  # act is the input of nodes[walked], walked up to where it is read
+    while i < len(nodes):
+        node, covers = nodes[i], 1
+        if type(node) is BinaryConvLayer:
+            follow = [type(nxt) for nxt in nodes[i + 1 : i + 4]]
+            bn = nodes[i + 1] if follow[:1] == [CgbnLayer] else None
+            binarize = follow[:2] == [CgbnLayer, Binarize]
+            feeds_conv = act is not None and follow == [CgbnLayer, Binarize, BinaryConvLayer]
+            covers = 1 + (bn is not None) + binarize
+            node = _prepare_step(node, bn, binarize, cut, feeds_conv)
+        elif type(node) is ResidualBlock:
+            b = None
+            if act is not None:
+                act, walked = walk_shapes(nodes[walked:i], act), i
+                b = Activation(act.dims, "binarized")
+            node = _PlannedBlock(_plan(node.main, b), _plan(node.side, b))
+        cut = None
+        if act is not None and type(node) is _ConvStep and node.emit_live:
+            act, walked = walk_shapes(nodes[walked : i + covers], act), i + covers
+            cut = (node.active, node.signs, act.dims[1:])
+        steps.append(node)
+        i += covers
+    return steps
 
 
 def _binary_conv_backward(layer: BinaryConvLayer, g: ComplexTensor, x, clip, grads):
@@ -800,29 +949,28 @@ def run_nodes(nodes, x, mode: Mode):
     entry has checked, run in ``mode``; returns (output, caches), the caches
     in node order for a training step and empty in every other mode.
 
-    In packed mode a binarize step emits a BitplaneTensor, the only input a
-    binary conv reads; every other node sees it unpacked to the same +-1
-    planes.  A binary conv directly followed by a CGBN, and by a Binarize
-    after that, runs with them as one step (``_conv_bn_forward``): the whole
-    layer folds into one integer compare per plane, or takes the float CGBN.
+    In packed mode the sequence runs as its plan's steps (``_plan``; a
+    plan's own steps run as they are): each binary conv, with the CGBN
+    right after it and a Binarize after that, is one ``_run_step``.  A
+    binarize step emits a BitplaneTensor, the only input a binary conv
+    reads; every other node sees it unpacked to the same +-1 planes.
     """
+    if mode is Mode.PACKED:
+        nodes = _plan(nodes)
     caches = []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if isinstance(x, BitplaneTensor) and type(node) is not BinaryConvLayer:
+    for node in nodes:
+        if isinstance(x, BitplaneTensor) and type(node) is not _ConvStep:
             x = unpack(x)
-        follow = [type(nxt) for nxt in nodes[i + 1 : i + 3]]
-        if mode is Mode.PACKED and type(node) is BinaryConvLayer and follow[:1] == [CgbnLayer]:
-            binarize = follow == [CgbnLayer, Binarize]
-            x = _conv_bn_forward(node, nodes[i + 1], x, binarize)
-            i += 2 + binarize
+        if type(node) is _ConvStep:
+            x = _run_step(node, x)
+            continue
+        if type(node) is _PlannedBlock:
+            x = _block_forward(node, x, mode)[0]
             continue
         x, cache = kind_of(node).forward(node, x, mode)
         if mode is Mode.TRAIN_STEP:
             caches.append(cache)
         del cache  # often the node's input: without a backward it must not outlive the node
-        i += 1
     return x, caches
 
 
@@ -857,11 +1005,14 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     ``packed=True`` routes binarized segments through the bit-packed
     XOR/popcount kernel (each binarize step sign-packs its input once, and
     pruned output channels are skipped), ``packed=False`` through the dense
-    reference path; the two are integer-exact equals.  In packed mode a
-    binary conv followed by a CGBN runs as one step: when a Binarize follows
-    and the CGBN's gamma is real with thresholds found for every channel,
-    each plane's bit is one integer compare on the conv's dots; otherwise
-    the CGBN runs on the live channels only.
+    reference path; the two are integer-exact equals.  In packed mode the
+    body is planned once, on the calling thread, before any chunk runs
+    (``_plan``): each binary conv's live-output mask, sign-packed weights
+    and CGBN rule (a real-gamma CGBN with thresholds for every channel
+    folds into one integer compare per plane; otherwise the CGBN runs on
+    the live channels only).  A binary conv fed by a partly pruned conv ->
+    CGBN -> Binarize reads only the live input channels and adds the
+    constant ones' dots as an integer bias map.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed
@@ -872,7 +1023,10 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     mode = Mode.PACKED if packed else Mode.DENSE
     head = next((i for i, node in enumerate(model.layers) if type(node) is DenseLayer),
                 len(model.layers))
-    body = _run_chunks(model.layers[:head], x, mode)
+    body = model.layers[:head]
+    if packed:  # the chunks only read the plan
+        body = _plan(body, Activation(tuple(model.input_shape)))
+    body = _run_chunks(body, x, mode)
     return run_nodes(model.layers[head:], body, mode)[0]
 
 

@@ -146,10 +146,18 @@ def make_synthetic_dataset(
     shape: tuple[int, int, int] = (3, 32, 32),
     seed: int = 0,
     noise: float = 0.25,
+    held_out: bool = False,
 ) -> Dataset:
-    """Gaussian-blob classification set: one fixed sign pattern per class."""
+    """Gaussian-blob classification set: one fixed sign pattern per class.
+
+    ``seed`` draws the patterns and the noise.  ``held_out`` keeps the
+    seed's patterns and draws the noise from a second stream of the seed,
+    so the set is a test split of the same classes with no training image.
+    """
     rng = np.random.default_rng(seed)
     patterns = np.sign(rng.standard_normal((num_classes,) + shape)) * 0.5
+    if held_out:
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     images, labels = [], []
     for cls in range(num_classes):
         images.append(patterns[cls] + noise * rng.standard_normal(

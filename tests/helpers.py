@@ -271,6 +271,38 @@ def perturb_cgbn(model, rng):
     return model
 
 
+def real_gamma_cgbn(model, rng):
+    """``perturb_cgbn`` with every gamma real, so each layer can fold."""
+    from bcnn.layers import CgbnLayer
+    from bcnn.models import graph_nodes
+
+    perturb_cgbn(model, rng)
+    for node, _ in graph_nodes(model):
+        if isinstance(node, CgbnLayer):
+            node.gamma_im[:] = 0.0
+    return model
+
+
+# how a test moves a model's CGBNs: (model, rng) -> model
+CGBN_KINDS = {
+    "identity": lambda model, rng: model,
+    "real_gamma": real_gamma_cgbn,
+    "complex_gamma": perturb_cgbn,
+}
+
+
+def cut_convs(model) -> int:
+    """How many binary convs the packed forward's plan cuts to their live
+    input channels."""
+    from bcnn.models import Activation, _ConvStep, _PlannedBlock, _plan
+
+    def cut(steps):
+        return sum(cut(s.main) + cut(s.side) if type(s) is _PlannedBlock
+                   else type(s) is _ConvStep and s.bias is not None for s in steps)
+
+    return cut(_plan(model.layers, Activation(tuple(model.input_shape))))
+
+
 def hard_prune(model, ratio):
     """Project every binary conv of ``model`` onto its largest-norm output
     channels, ``slr.budgets_from_ratio(model, ratio)`` of them per layer."""

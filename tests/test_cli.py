@@ -124,16 +124,38 @@ def test_infer_over_dataset_prints_what_evaluate_measures(tmp_path, capsys):
 
 
 def test_infer_over_the_synthetic_set(tmp_path, capsys):
-    # the built-in set that prune and quantize train on, as evaluate measures it
+    # the held-out split of the built-in set that prune and quantize train
+    # on, as evaluate measures it
     from bcnn.training import evaluate, make_synthetic_dataset
 
     model = build_toy_bcnn(seed=6)
     model_path = tmp_path / "m.bcn"
     save_model(model, str(model_path))
-    dataset = make_synthetic_dataset(num_classes=2, samples_per_class=16, shape=(3, 8, 8), seed=0)
+    dataset = make_synthetic_dataset(num_classes=2, samples_per_class=16, shape=(3, 8, 8), seed=0,
+                                     held_out=True)
     _, accuracy = evaluate(load_model(str(model_path)), dataset)
     assert run(["infer", "--in", str(model_path), "--data", "synthetic"]) == 0
     assert capsys.readouterr().out == f"accuracy {accuracy:.4f} over 32 images\n"
+
+
+def test_synthetic_infer_images_are_not_the_training_images():
+    # infer scores a held-out split: the classes of the set that train,
+    # prune and quantize use, none of its images
+    from bcnn.cli import _make_dataset
+
+    model = build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, seed=7)
+    train = _make_dataset("synthetic", model, 0, train_split=True)
+    test = _make_dataset("synthetic", model, 0, train_split=False)
+    assert test.images.shape == train.images.shape
+    np.testing.assert_array_equal(test.labels, train.labels)
+    flat_train = train.images.reshape(len(train), -1)
+    flat_test = test.images.reshape(len(test), -1)
+    assert not any((flat_train == row).all(axis=1).any() for row in flat_test)
+    # the same sign pattern per class: each class mean's signs agree across the splits
+    for cls in range(10):
+        a = flat_train[train.labels == cls].mean(axis=0)
+        b = flat_test[test.labels == cls].mean(axis=0)
+        assert np.mean(np.sign(a) == np.sign(b)) > 0.95
 
 
 def test_infer_on_an_empty_test_split_is_an_error(tmp_path, capsys):

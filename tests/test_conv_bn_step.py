@@ -6,7 +6,9 @@ is one integer threshold on the conv's dots, pruned channels included.
 Float: otherwise the CGBN runs on the live channels only.  Every case must
 give float planes equal to ``cgbn_forward(binary_complex_conv2d(...))``
 with equal sign bits, and words byte-identical to ``pack_signs`` of those
-planes.
+planes.  A conv fed by a partly pruned conv -> CGBN -> Binarize reads only
+the live input channels, plus the constant ones' dots as a bias map: every
+such forward's logits must equal the dense path's, ``signbit`` included.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d, mismatch_counts
 from bcnn.layers import CgbnLayer, cgbn_forward
 from bcnn.models import BinaryConvLayer, _conv_bn_forward, active_output_channels
 from bcnn.tensors import ComplexTensor, pack, pack_signs, unpack
-from helpers import random_pm1_tensor
+from helpers import CGBN_KINDS, cut_convs, random_pm1_tensor
 
 OUT_C = 6
 
@@ -249,3 +251,121 @@ def test_pruned_channel_folds_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
     for plane, want, sign in ((bits.re, const.re, signs[0]), (bits.im, const.im, signs[1])):
         assert np.all(np.where(want[0, ~mask] >= 0, 1.0, -1.0) == sign)
         assert np.all(plane[:, ~mask] == sign)
+
+
+# ---------------------------------------------------------------------------
+# live input channels: a conv fed by a partly pruned conv -> CGBN -> Binarize
+# ---------------------------------------------------------------------------
+
+MID_C = 70  # conv A's output channels take two words per pixel; half of them, one
+
+A_MASKS = {
+    "half_pruned": lambda rng: np.arange(MID_C) % 2 == rng.integers(2),
+    "random_pruned": lambda rng: rng.random(MID_C) < 0.6,
+    "all_but_one_pruned": lambda rng: np.arange(MID_C) == rng.integers(MID_C),
+    "all_pruned": lambda rng: np.zeros(MID_C, dtype=bool),
+    "none_pruned": lambda rng: np.ones(MID_C, dtype=bool),
+}
+B_GEOMETRIES = {  # (kernel, stride, padding) of conv B on a 7x7 input
+    "3x3_pad1_stride1": ((3, 3), (1, 1), (1, 1)),
+    "3x3_pad1_stride2": ((3, 3), (2, 2), (1, 1)),
+    "1x1": ((1, 1), (1, 1), (0, 0)),
+}
+B_TAILS = ("cgbn_binarize_conv", "cgbn", "none")  # what follows conv B
+
+
+def _prune(conv, live):
+    conv.w_re[~live] = 0.0
+    conv.w_im[~live] = 0.0
+
+
+def _live_input_model(seed, mask, kind, geometry, tail, b_pruned=np.arange(9) % 3 == 0):
+    """generator -> fp conv -> CGBN -> Binarize -> conv A (``mask`` pruned) ->
+    CGBN -> Binarize -> conv B (``geometry``, its ``b_pruned`` outputs
+    pruned) -> ``tail``, then Flatten and a Dense head, every CGBN moved as
+    ``CGBN_KINDS[kind]`` says."""
+    from bcnn.models import (Activation, Binarize, Flatten, ModelGraph,
+                             build_complex_input_generator, validate_graph, walk_shapes,
+                             _init_binary_conv, _init_complex_conv, _init_dense)
+
+    rng = np.random.default_rng(seed)
+    conv_a = _init_binary_conv(rng, 4, MID_C, (3, 3), padding=(1, 1))
+    _prune(conv_a, A_MASKS[mask](rng))
+    conv_b = _init_binary_conv(rng, MID_C, 9, *B_GEOMETRIES[geometry])
+    _prune(conv_b, ~b_pruned)
+    layers = [build_complex_input_generator(3, seed=seed),
+              _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)), CgbnLayer.identity(4),
+              Binarize(), conv_a, CgbnLayer.identity(MID_C), Binarize(), conv_b]
+    if tail != "none":
+        layers.append(CgbnLayer.identity(9))
+    if tail == "cgbn_binarize_conv":  # B is a partly pruned first conv in turn: C is cut too
+        conv_c = _init_binary_conv(rng, 9, 5, (3, 3), padding=(1, 1))
+        _prune(conv_c, np.arange(5) != 2)
+        layers += [Binarize(), conv_c, CgbnLayer.identity(5)]
+    layers.append(Flatten())
+    features = walk_shapes(layers, Activation((3, 7, 7))).dims[0]
+    model = ModelGraph("live-input", (3, 7, 7), 2, layers + [_init_dense(rng, features, 2)])
+    validate_graph(model)
+    return CGBN_KINDS[kind](model, rng)
+
+
+@pytest.mark.parametrize("tail", B_TAILS)
+@pytest.mark.parametrize("geometry", sorted(B_GEOMETRIES))
+@pytest.mark.parametrize("kind", ["identity", "real_gamma", "complex_gamma"])
+@pytest.mark.parametrize("mask", sorted(A_MASKS))
+def test_a_conv_reads_only_the_live_input_channels(mask, kind, geometry, tail):
+    from bcnn.models import forward
+
+    seed = sorted(A_MASKS).index(mask) * 97 + len(kind) * 13 + len(geometry) + len(tail)
+    model = _live_input_model(seed, mask, kind, geometry, tail)
+    partial = mask not in ("all_pruned", "none_pruned")
+    # B is cut when A is partly pruned; C is cut too, since a third of B is pruned
+    assert cut_convs(model) == partial + (tail == "cgbn_binarize_conv")
+    for batch in (1, 20):  # 20 images run as a split forward
+        x = np.random.default_rng(batch).random((batch, 3, 7, 7))
+        packed, dense = forward(model, x), forward(model, x, packed=False)
+        np.testing.assert_array_equal(packed, dense)
+        np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
+
+
+@pytest.mark.parametrize("tail", B_TAILS)
+@pytest.mark.parametrize("kind", ["real_gamma", "complex_gamma"])
+def test_a_cut_conv_with_every_output_channel_pruned(kind, tail):
+    from bcnn.models import forward
+
+    model = _live_input_model(9, "half_pruned", kind, "3x3_pad1_stride2", tail,
+                              b_pruned=np.ones(9, dtype=bool))
+    assert cut_convs(model) == 1  # B is cut; with no live output, B cuts nothing
+    x = np.random.default_rng(9).random((20, 3, 7, 7))
+    packed, dense = forward(model, x), forward(model, x, packed=False)
+    np.testing.assert_array_equal(packed, dense)
+    np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
+
+
+def test_the_bias_map_is_the_constant_channels_dot_with_border_padding():
+    # on each output pixel the cut conv's dots plus the bias are the whole
+    # conv's dots: the constant channels add one integer inside the image and
+    # others where a 3x3 window at stride 2 covers the -1 padding
+    from bcnn.models import _constant_dots
+
+    rng = np.random.default_rng(8)
+    conv = _conv(rng, 11, MASKS["alternate_pruned"], kernel=3, stride=2, pad=1)
+    const = rng.random(11) < 0.5
+    signs = rng.random((2, 11)) < 0.5
+    active = np.array(MASKS["alternate_pruned"])
+    x = random_pm1_tensor(rng, (1, 11, 7, 7))
+    x.re[:, const] = np.where(signs[0, const], 1.0, -1.0)[:, None, None]
+    x.im[:, const] = np.where(signs[1, const], 1.0, -1.0)[:, None, None]
+    whole = binary_complex_conv2d(pack(x), pack_signs(ComplexTensor(conv.w_re, conv.w_im)),
+                                  conv.geometry, active=active)
+    keep = ~const
+    part = ComplexTensor(x.re[:, keep], x.im[:, keep])
+    g = ConvGeometry(int(keep.sum()), OUT_C, (3, 3), (2, 2), (1, 1))
+    cut = binary_complex_conv2d(pack(part), pack_signs(ComplexTensor(conv.w_re[:, keep],
+                                                                     conv.w_im[:, keep])),
+                                g, active=active)
+    bias = _constant_dots(conv, const, signs[:, const], (7, 7), active)
+    assert bias.shape == (2, active.sum(), 4, 4)
+    np.testing.assert_array_equal(cut.re[:, active] + bias[0], whole.re[:, active])
+    np.testing.assert_array_equal(cut.im[:, active] + bias[1], whole.im[:, active])
+    assert len(np.unique(bias[0, 0])) > 1  # the border rows and columns differ

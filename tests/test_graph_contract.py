@@ -15,17 +15,19 @@ import pytest
 from bcnn.errors import CorruptModelFile, ShapeMismatch
 from bcnn.layers import CgbnLayer, RealBnLayer
 from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
-from bcnn.models import (NODE_KINDS, AvgPool, Binarize, ComplexInputGenerator, Flatten,
-                         Hardtanh, MaxPool, Mode, ModelGraph, Relu, SpectralPool, backprop_nodes,
-                         build_complex_input_generator, forward, graph_nodes, kind_of,
-                         run_nodes, validate_graph, _block1, _block2, _init_binary_conv,
+from bcnn.models import (NODE_KINDS, AvgPool, Binarize, BinaryConvLayer, ComplexInputGenerator,
+                         Flatten, Hardtanh, MaxPool, Mode, ModelGraph, Relu, SpectralPool,
+                         backprop_nodes, build_complex_input_generator, forward, graph_nodes,
+                         kind_of, run_nodes, validate_graph, _block1, _block2, _init_binary_conv,
                          _init_complex_conv, _init_dense)
 from bcnn.training import batch_loss, softmax_cross_entropy, train_step
-from helpers import every_node_kind_model
+from helpers import cut_convs, every_node_kind_model
 
 GRAPHS = 300
 BATCH = 3
+SPLIT_BATCH = 20  # more than one chunk of images: a split forward
 NUM_CLASSES = 2
+PRUNED = 0.4  # the share of a binary conv's output channels pruned at random
 
 REAL_PREFIX = ("realbn", "relu", "hardtanh", "avg", "max", "conv", "binarize", "cgbn")
 REAL_PREFIX_P = (0.25, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05, 0.05)
@@ -120,10 +122,41 @@ def _arrays(node, running: bool):
             and f.name.startswith("running_") == running]
 
 
+def _draw_statistics_and_pruning(model: ModelGraph, rng) -> dict:
+    """Move every CGBN off identity, with a real gamma or a complex one, and
+    hard-prune about ``PRUNED`` of each binary conv's output channels (one
+    conv in ten entirely); returns what was drawn, for the test's coverage
+    checks."""
+    drawn = {"complex_gamma": 0, "real_gamma": 0, "all_pruned": 0, "partly_pruned": 0}
+    for node, _ in graph_nodes(model):
+        if isinstance(node, CgbnLayer):
+            c = node.channels
+            for plane in ("re", "im"):
+                getattr(node, f"running_mean_{plane}")[:] = rng.standard_normal(c) * 3
+                getattr(node, f"running_var_{plane}")[:] = rng.uniform(0.2, 20.0, c)
+                getattr(node, f"beta_{plane}")[:] = rng.standard_normal(c)
+            node.gamma_re[:] = rng.standard_normal(c)
+            complex_gamma = rng.random() < 0.5
+            node.gamma_im[:] = rng.standard_normal(c) * (rng.random(c) < 0.5) * complex_gamma
+            drawn["complex_gamma" if complex_gamma else "real_gamma"] += 1
+        elif isinstance(node, BinaryConvLayer):
+            pruned = np.ones(node.geometry.out_channels, dtype=bool)
+            if rng.random() > 0.1:
+                pruned = rng.random(node.geometry.out_channels) < PRUNED
+            node.w_re[pruned] = 0.0
+            node.w_im[pruned] = 0.0
+            drawn["all_pruned"] += int(pruned.all())
+            drawn["partly_pruned"] += int(pruned.any() and not pruned.all())
+    return drawn
+
+
 def _check_accepted(model: ModelGraph, rng):
     x = rng.random((BATCH, *model.input_shape))
     y = rng.integers(0, NUM_CLASSES, BATCH)
-    np.testing.assert_array_equal(forward(model, x, packed=True), forward(model, x, packed=False))
+    for xs in (x, np.random.default_rng(len(x)).random((SPLIT_BATCH, *model.input_shape))):
+        packed, dense = forward(model, xs, packed=True), forward(model, xs, packed=False)
+        np.testing.assert_array_equal(packed, dense)
+        np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
 
     nodes = [node for node, _ in graph_nodes(model)]
     stats = [a.copy() for node in nodes for a in _arrays(node, running=True)]
@@ -149,8 +182,9 @@ def _check_accepted(model: ModelGraph, rng):
 
 
 def test_every_accepted_graph_runs_and_every_rejected_graph_fails_to_load():
-    rng = np.random.default_rng(2024)
-    accepted, rejected = 0, 0
+    rng, draws = np.random.default_rng(2024), np.random.default_rng(2025)
+    accepted, rejected, cut = 0, 0, 0
+    drawn = dict.fromkeys(("complex_gamma", "real_gamma", "all_pruned", "partly_pruned"), 0)
     tags_run = set()
     real_prefix_run = False
     for _ in range(GRAPHS):
@@ -167,10 +201,16 @@ def test_every_accepted_graph_runs_and_every_rejected_graph_fails_to_load():
                 continue
             raise AssertionError(f"a graph validate_graph rejects loads: {model.layers}")
         accepted += 1
+        # drawn from a stream of its own, so the graphs drawn stay the same
+        for key, count in _draw_statistics_and_pruning(model, draws).items():
+            drawn[key] += count
+        cut += cut_convs(model)
         tags_run |= _check_accepted(model, rng)
         real_prefix_run |= not isinstance(model.layers[0], ComplexInputGenerator)
-    print(f"{accepted} graphs accepted, {rejected} rejected")
+    print(f"{accepted} graphs accepted, {rejected} rejected, {cut} convs cut to live inputs, "
+          f"drawn: {drawn}")
     assert accepted and rejected
+    assert all(drawn.values()) and cut  # every drawn case and the live-input rule ran
     assert tags_run == {tag for kind in NODE_KINDS.values() for tag in kind.tags}
     assert real_prefix_run
 

@@ -31,7 +31,8 @@ from bcnn.models import (
     kind_of,
 )
 from bcnn.tensors import ComplexTensor, pack
-from helpers import hard_prune, perturb_cgbn, random_pm1_tensor, tracemalloc_peak_mib
+from helpers import (CGBN_KINDS, cut_convs, hard_prune, perturb_cgbn, random_pm1_tensor,
+                     real_gamma_cgbn, tracemalloc_peak_mib)
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +623,13 @@ def test_fused_forward_equals_dense_and_golden_logits(name, ratio, batch):
     assert hashlib.sha256(packed.tobytes()).hexdigest()[:32] == GOLDEN_LOGITS[name, ratio, batch]
 
 
-def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch):
-    # every CGBN has a real gamma; on every other one, about a third of the
-    # channels have means at +-2**60 that beta cancels, so the output is a
-    # staircase in the dots whose zero the closed-form estimate misses: those
-    # layers take the float CGBN, the others fold
-    import bcnn.models as models
+def _staircase_statistics(model, rng):
+    """Every CGBN gets a real gamma; on every other one, about a third of the
+    channels have means at +-2**60 that beta cancels, so the output is a
+    staircase in the dots whose zero the closed-form estimate misses: those
+    layers take the float CGBN, the others fold."""
     from bcnn.models import graph_nodes
 
-    model = perturb_cgbn(build_nin_bcnn(seed=23), np.random.default_rng(23))
-    rng = np.random.default_rng(24)
     bns = [node for node, _ in graph_nodes(model) if isinstance(node, CgbnLayer)]
     for i, node in enumerate(bns):
         node.gamma_im[:] = 0.0
@@ -643,6 +641,14 @@ def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch
             var[sel] = 0.5  # 1 / sqrt(2 var + eps) == 1
             mean[sel] = rng.choice([-1.0, 1.0], sel.sum()) * 2.0**60
             beta[sel] = node.gamma_re[sel] * mean[sel]
+    return model
+
+
+def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch):
+    import bcnn.models as models
+
+    model = perturb_cgbn(build_nin_bcnn(seed=23), np.random.default_rng(23))
+    _staircase_statistics(model, np.random.default_rng(24))
     settled = []
     thresholds = models._sign_thresholds
 
@@ -693,6 +699,37 @@ def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
             assert channels <= out_c // 2  # every conv keeps half its channels
             after_conv += 1
     assert after_conv >= 19
+
+
+# ---------------------------------------------------------------------------
+# live input channels of a conv fed by a pruned conv -> CGBN -> Binarize
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("kind", sorted(CGBN_KINDS))
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.05])  # 0%, 50% and 95% pruned
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_live_input_forward_equals_dense(name, ratio, kind, batch):
+    # NIN cuts the four binary convs right after a binary conv -> CGBN ->
+    # Binarize, ResNet-18 each block's conv2; nothing is cut unpruned
+    rng = np.random.default_rng(31)
+    model = hard_prune(CGBN_KINDS[kind](BUILDERS[name](seed=31), rng), ratio)
+    assert cut_convs(model) == (0 if ratio == 1.0 else {"nin": 4, "resnet18": 8}[name])
+    x = np.random.default_rng(batch).random((batch, 3, 32, 32))
+    packed, dense = forward(model, x), forward(model, x, packed=False)
+    np.testing.assert_array_equal(packed, dense)
+    np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_live_input_forward_equals_dense_with_staircase_statistics(name):
+    model = hard_prune(_staircase_statistics(BUILDERS[name](seed=32),
+                                             np.random.default_rng(32)), 0.5)
+    assert cut_convs(model)
+    x = np.random.default_rng(33).random((3, 3, 32, 32))
+    packed, dense = forward(model, x), forward(model, x, packed=False)
+    np.testing.assert_array_equal(packed, dense)
+    np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -916,3 +953,65 @@ def test_a_forked_child_starts_its_own_workers(cores):
         child.join()
         pytest.fail("the forked child hung on its parent's worker pool")
     assert child.exitcode == 0
+
+
+def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypatch):
+    # the plan is built once, before the chunks run: however many chunks,
+    # each layer's mask, weight packing and threshold probe run once
+    import bcnn.models as models
+
+    cores(2)
+    model = hard_prune(build_resnet18_bcnn(seed=34), 0.5)
+    calls = {"active": 0, "weights": 0, "thresholds": 0}
+
+    def counting(name, fn, counts=lambda *args: True):
+        def count(*args):
+            calls[name] += bool(counts(*args))
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(models, "active_output_channels",
+                        counting("active", models.active_output_channels))
+    monkeypatch.setattr(models, "pack_signs", counting(
+        "weights", models.pack_signs, lambda t: t.shape[2:] in ((3, 3), (1, 1))))
+    monkeypatch.setattr(models, "_sign_thresholds",
+                        counting("thresholds", models._sign_thresholds))
+    forward(model, np.random.default_rng(34).random((32, 3, 32, 32)))
+    assert [images for _, images, _ in chunks] == [8, 8, 8, 8]
+    # 19 binary convs, 8 of them (each block's conv1) followed by CGBN -> Binarize
+    assert calls == {"active": 19, "weights": 19, "thresholds": 8}
+
+
+def test_concurrent_forwards_of_two_models_each_get_their_own_logits(cores):
+    import sys
+    import threading
+
+    import bcnn.models as models
+
+    cores(2)
+    nets = [hard_prune(perturb_cgbn(build_resnet18_bcnn(seed=35), np.random.default_rng(35)),
+                       0.5),
+            hard_prune(real_gamma_cgbn(build_nin_bcnn(seed=36), np.random.default_rng(36)), 0.5)]
+    x = np.random.default_rng(37).random((20, 3, 32, 32))
+    want = [forward(net, x) for net in nets]
+    before = dict(vars(models))
+    results = [[], []]
+    callers = [threading.Thread(target=lambda k=k: results[k].extend(
+        forward(nets[k], x) for _ in range(3))) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for k in range(2):
+        assert len(results[k]) == 3
+        for logits in results[k]:
+            np.testing.assert_array_equal(logits, want[k])
+    # a forward leaves no plan behind: the module's only new state is its pool
+    changed = {name for name, value in vars(models).items() if before.get(name) is not value}
+    assert changed <= {"_pool"}
