@@ -23,7 +23,9 @@ than an activation.  CGBN and RealBn share one batch-norm core,
 
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
-requires a single writer per layer per step.
+requires a single writer per layer per step.  A packed forward makes the
+arrays its plan reads read-only; every in-place writer of the engine calls
+``_thaw`` first, which makes the model's next forward plan anew.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ class Mode(Enum):
     @property
     def training(self) -> bool:
         return self is Mode.BATCH_LOSS or self is Mode.TRAIN_STEP
+
+
+def _thaw(*arrays):
+    """Make parameter arrays writeable before the engine writes them in
+    place.  A packed forward left them read-only if its kept plan read them
+    (``models._model_plan``), and a writeable array makes the next forward
+    plan anew."""
+    for a in arrays:
+        if not a.flags.writeable:
+            a.flags.writeable = True
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,7 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
     Two real convolutions, ``a = conv(x_r, [w_r; w_i])`` and
     ``b = conv(x_i, [w_i; w_r])`` with the weights stacked along output
     channels, whose halves combine into ``y_r = a_top - b_top`` and
-    ``y_i = a_bottom + b_bottom``.
+    ``y_i = a_bottom + b_bottom``, written over ``a``'s halves.
     """
     g = layer.geometry
     if x.shape[1] != g.in_channels or layer.w_re.shape[1] != g.in_channels:
@@ -183,8 +195,8 @@ def complex_conv2d_fp(x: ComplexTensor, layer: ComplexConvLayer) -> ComplexTenso
     args = (g.stride, g.padding, layer.pad_value)
     a = conv2d_real(x.re, np.concatenate([layer.w_re, layer.w_im]), *args)
     b = conv2d_real(x.im, np.concatenate([layer.w_im, layer.w_re]), *args)
-    y_r = np.subtract(a[:, :out_c], b[:, :out_c])
-    y_i = np.add(a[:, out_c:], b[:, out_c:])
+    y_r = np.subtract(a[:, :out_c], b[:, :out_c], out=a[:, :out_c])
+    y_i = np.add(a[:, out_c:], b[:, out_c:], out=a[:, out_c:])
     if layer.bias_re is not None:
         y_r += layer.bias_re.reshape(1, -1, 1, 1)
         y_i += layer.bias_im.reshape(1, -1, 1, 1)
@@ -292,6 +304,7 @@ def _bn_plane(x, running_mean, running_var, factor: float, layer, mode: Mode):
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         if mode is Mode.TRAIN_STEP:
+            _thaw(running_mean, running_var)
             m = layer.momentum
             running_mean[:] = (1 - m) * running_mean + m * mean
             running_var[:] = (1 - m) * running_var + m * var

@@ -26,19 +26,24 @@ with every width halved, so the complex model matches the baseline's
 parameter count.  They are collected in module-level constants so the
 schedule is auditable in one place.
 
-Models are immutable after construction; inference is pure and may run on
-many images concurrently; ``forward`` itself spreads a batch's images over
-the cores, with the logits of one unsplit pass.
+Inference is pure and may run on many images concurrently; ``forward``
+itself spreads a batch's images over the cores, with the logits of one
+unsplit pass.  A model's first packed forward plans its body once and keeps
+the plan with the model; the arrays the plan read become read-only, so an
+in-place edit of them raises instead of serving stale logits.  To edit a
+forwarded model, make the array writeable first (the engine's training and
+pruning do) or load the model again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import struct
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -210,6 +215,20 @@ class ModelGraph:
     input_shape: tuple[int, int, int]
     num_classes: int
     layers: list = field(default_factory=list)
+
+    def __getstate__(self):
+        """A copy or a pickle leaves the packed plan behind (``_model_plan``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        """Every array comes back writeable and owning its memory, as a
+        plan kept with the model needs (``_model_plan``): a pickle of
+        protocol 5 restores arrays as views of its buffers, read-only where
+        the plan had made them so, and those are copied."""
+        self.__dict__.update(state)
+        for node, name, value in _fields_of(self.layers):
+            if isinstance(value, np.ndarray) and not value.flags.owndata:
+                setattr(node, name, value.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +408,11 @@ def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
 
 
 # packed inference runs each binary conv, with the CGBN and Binarize right
-# after it, as one step prepared once per forward (``_plan``)
+# after it, as one step prepared once per model (``_plan``, ``_model_plan``)
 
 def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
     """The CGBN restricted to the channels ``idx``."""
-    return CgbnLayer(*(getattr(bn, f.name)[idx] for f in fields(bn)[:-2]),
-                     eps=bn.eps, momentum=bn.momentum)
+    return CgbnLayer(*(a[idx] for a in _bn_arrays(bn)), eps=bn.eps, momentum=bn.momentum)
 
 
 def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -581,16 +599,20 @@ def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: b
     return _run_step(_prepare_step(conv, bn, binarize), x)
 
 
-def _plan(nodes, act: Activation | None = None) -> list:
+def _plan(nodes, act: Activation | None = None, read: list | None = None) -> list:
     """A packed forward's steps for a node sequence: each binary conv, with
     the CGBN right after it and a Binarize after that, as one prepared
     ``_ConvStep``; each residual block as a ``_PlannedBlock`` of its paths'
-    steps; every other node, a plan's own steps included, as it is.
+    steps; every other node, a plan's own steps included, as it is.  The
+    steps only read what they hold, so one plan serves every chunk of every
+    forward of the model it was made for (``_model_plan``).
 
     Given the sequence's input ``act``, a binary conv -> CGBN -> Binarize
     with some but not all output channels pruned, followed by a binary conv,
     emits its live channels' words only, and that conv reads them with the
-    pruned channels' constant signs as its cut (``_prepare_step``)."""
+    pruned channels' constant signs as its cut (``_prepare_step``).  Given
+    a list ``read``, each array a step is prepared from (the conv's weight
+    planes, its CGBN's arrays) is appended to it."""
     steps, cut, i = [], None, 0
     walked = 0  # act is the input of nodes[walked], walked up to where it is read
     while i < len(nodes):
@@ -601,19 +623,78 @@ def _plan(nodes, act: Activation | None = None) -> list:
             binarize = follow[:2] == [CgbnLayer, Binarize]
             feeds_conv = act is not None and follow == [CgbnLayer, Binarize, BinaryConvLayer]
             covers = 1 + (bn is not None) + binarize
+            if read is not None:
+                read += [node.w_re, node.w_im] + _bn_arrays(bn)
             node = _prepare_step(node, bn, binarize, cut, feeds_conv)
         elif type(node) is ResidualBlock:
             b = None
             if act is not None:
                 act, walked = walk_shapes(nodes[walked:i], act), i
                 b = Activation(act.dims, "binarized")
-            node = _PlannedBlock(_plan(node.main, b), _plan(node.side, b))
+            node = _PlannedBlock(_plan(node.main, b, read), _plan(node.side, b, read))
         cut = None
         if act is not None and type(node) is _ConvStep and node.emit_live:
             act, walked = walk_shapes(nodes[walked : i + covers], act), i + covers
             cut = (node.active, node.signs, act.dims[1:])
         steps.append(node)
         i += covers
+    return steps
+
+
+def _fields_of(nodes):
+    """(node, name, value) for every field of every node, block paths' nodes
+    included."""
+    for node in nodes:
+        for f in fields(node) if is_dataclass(node) else ():
+            yield node, f.name, getattr(node, f.name)
+        if type(node) is ResidualBlock:
+            yield from _fields_of(node.main + node.side)
+
+
+class _Plan(NamedTuple):
+    """A model's packed body steps (``_plan``), kept with the model, and what
+    they were planned from."""
+
+    layers: tuple  # the model's nodes
+    input_shape: tuple
+    fields: list  # (node, name, value) of every body node, block paths' nodes included
+    read: list  # the arrays the steps were prepared from, all read-only
+    steps: list
+
+    def holds(self, model: ModelGraph) -> bool:
+        return (len(model.layers) == len(self.layers)
+                and all(map(operator.is_, model.layers, self.layers))
+                and tuple(model.input_shape) == self.input_shape
+                and all(getattr(node, name) is value for node, name, value in self.fields)
+                and not any(a.flags.writeable for a in self.read))
+
+
+def _model_plan(model: ModelGraph, body: list) -> list:
+    """The packed steps of ``body``, the model's nodes before its Dense head.
+
+    They are planned on the model's first packed forward and kept with it
+    while the plan holds: the model has the same nodes and input shape,
+    every field of every body node is the same object, and every array the
+    steps were prepared from is still read-only.  Planning makes those
+    arrays read-only, and the engine's in-place writers make them writeable
+    again (``layers._thaw``), so the forward after a training step or an
+    SLR write plans anew, and an outside in-place write raises (not one
+    through a view taken before planning: numpy cannot freeze it).  A plan
+    that read an array not owning its memory (a view, whose base stays
+    writeable) is used for this forward only."""
+    kept = model.__dict__.get("_packed_plan")
+    if kept is not None and kept.holds(model):
+        return kept.steps
+    fields_now = list(_fields_of(body))  # taken first: a node replaced while planning misses
+    read = []
+    steps = _plan(body, Activation(tuple(model.input_shape)), read)
+    if all(type(a) is np.ndarray and a.flags.owndata for a in read):
+        for a in read:
+            a.flags.writeable = False
+        model._packed_plan = _Plan(tuple(model.layers), tuple(model.input_shape), fields_now,
+                                   read, steps)
+    else:
+        model.__dict__.pop("_packed_plan", None)
     return steps
 
 
@@ -660,8 +741,13 @@ def _decode_binary_conv(desc, payload, variant) -> BinaryConvLayer:
 
 # batch norms: every dataclass field but eps and momentum is a per-channel array
 
+def _bn_arrays(bn) -> list:
+    """A batch norm's per-channel arrays; none for no batch norm (None)."""
+    return [] if bn is None else [getattr(bn, f.name) for f in fields(bn)[:-2]]
+
+
 def _encode_bn(layer, desc: bytearray, payload: bytearray):
-    arrays = [getattr(layer, f.name) for f in fields(layer)[:-2]]
+    arrays = _bn_arrays(layer)
     desc += struct.pack("<Idd", len(arrays[0]), layer.eps, layer.momentum)
     payload += _f32(*arrays)
 
@@ -949,11 +1035,15 @@ def run_nodes(nodes, x, mode: Mode):
     entry has checked, run in ``mode``; returns (output, caches), the caches
     in node order for a training step and empty in every other mode.
 
-    In packed mode the sequence runs as its plan's steps (``_plan``; a
-    plan's own steps run as they are): each binary conv, with the CGBN
-    right after it and a Binarize after that, is one ``_run_step``.  A
-    binarize step emits a BitplaneTensor, the only input a binary conv
-    reads; every other node sees it unpacked to the same +-1 planes.
+    In packed mode the sequence runs as its plan's steps: ``forward``
+    passes the model's kept plan (``_model_plan``), and any other sequence
+    is planned here, per call (``_plan``; a plan's own steps run as they
+    are).  Each binary conv, with the CGBN right after it and a Binarize
+    after that, is one ``_run_step``.  A binarize step emits a
+    BitplaneTensor, the only input a binary conv reads; every other node
+    sees it unpacked to the same +-1 planes.  ``Mode.TRAIN_STEP`` writes
+    the batch norms' running statistics in place, first making them
+    writeable, so the model's next packed forward plans anew.
     """
     if mode is Mode.PACKED:
         nodes = _plan(nodes)
@@ -1006,13 +1096,18 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     XOR/popcount kernel (each binarize step sign-packs its input once, and
     pruned output channels are skipped), ``packed=False`` through the dense
     reference path; the two are integer-exact equals.  In packed mode the
-    body is planned once, on the calling thread, before any chunk runs
-    (``_plan``): each binary conv's live-output mask, sign-packed weights
-    and CGBN rule (a real-gamma CGBN with thresholds for every channel
-    folds into one integer compare per plane; otherwise the CGBN runs on
-    the live channels only).  A binary conv fed by a partly pruned conv ->
-    CGBN -> Binarize reads only the live input channels and adds the
-    constant ones' dots as an integer bias map.
+    body is planned once per model, on the calling thread of its first
+    packed forward, and the plan is kept with the model for every later one
+    (``_model_plan``): each binary conv's live-output mask, sign-packed
+    weights and CGBN rule (a real-gamma CGBN with thresholds for every
+    channel folds into one integer compare per plane; otherwise the CGBN
+    runs on the live channels only).  A binary conv fed by a partly pruned
+    conv -> CGBN -> Binarize reads only the live input channels and adds
+    the constant ones' dots as an integer bias map.  The arrays the plan
+    read are left read-only, so an in-place edit of them raises; to edit a
+    forwarded model, make the array writeable first or load the model
+    again.  A replaced node or array, or a training step or SLR write (they
+    make what they write writeable), makes the next forward plan anew.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed
@@ -1025,7 +1120,7 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
                 len(model.layers))
     body = model.layers[:head]
     if packed:  # the chunks only read the plan
-        body = _plan(body, Activation(tuple(model.input_shape)))
+        body = _model_plan(model, body)
     body = _run_chunks(body, x, mode)
     return run_nodes(model.layers[head:], body, mode)[0]
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetTooLarge, DivergedLoss, InvalidConfig
+from .layers import _thaw
 from .models import ModelGraph, iter_binary_convs
 from .training import Dataset, batch_loss, train_step
 
@@ -331,6 +332,7 @@ class ModelPruningProblem:
 
     def write_weights(self, ws):
         for layer, w in zip(self.layers, ws):
+            _thaw(layer.w_re, layer.w_im)  # a packed forward may have left them read-only
             layer.w_re[...] = w[0]
             layer.w_im[...] = w[1]
 

@@ -35,6 +35,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
+from .layers import _thaw
 from .layers import ste_backward  # noqa: F401  (public as bcnn.training.ste_backward)
 from .models import (
     Mode,
@@ -192,7 +193,10 @@ def make_separable_dataset(
 # ---------------------------------------------------------------------------
 
 def sgd_step(weight: np.ndarray, grad, lr: float) -> np.ndarray:
-    """In-place w <- w - lr*g."""
+    """In-place w <- w - lr*g.  The weight is made writeable first: a packed
+    forward leaves the arrays its kept plan read read-only, and the write
+    makes the model's next forward plan anew."""
+    _thaw(weight)
     weight -= (lr * np.asarray(grad)).astype(weight.dtype)
     return weight
 

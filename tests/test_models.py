@@ -956,13 +956,14 @@ def test_a_forked_child_starts_its_own_workers(cores):
 
 
 def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypatch):
-    # the plan is built once, before the chunks run: however many chunks,
-    # each layer's mask, weight packing and threshold probe run once
+    # the plan is built once per model, before the first forward's chunks
+    # run: however many chunks and forwards, each layer's step, mask, weight
+    # packing and threshold probe run once
     import bcnn.models as models
 
     cores(2)
     model = hard_prune(build_resnet18_bcnn(seed=34), 0.5)
-    calls = {"active": 0, "weights": 0, "thresholds": 0}
+    calls = {"steps": 0, "active": 0, "weights": 0, "thresholds": 0}
 
     def counting(name, fn, counts=lambda *args: True):
         def count(*args):
@@ -976,10 +977,73 @@ def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypat
         "weights", models.pack_signs, lambda t: t.shape[2:] in ((3, 3), (1, 1))))
     monkeypatch.setattr(models, "_sign_thresholds",
                         counting("thresholds", models._sign_thresholds))
-    forward(model, np.random.default_rng(34).random((32, 3, 32, 32)))
+    monkeypatch.setattr(models, "_prepare_step", counting("steps", models._prepare_step))
+    x = np.random.default_rng(34).random((32, 3, 32, 32))
+    want = forward(model, x)
     assert [images for _, images, _ in chunks] == [8, 8, 8, 8]
     # 19 binary convs, 8 of them (each block's conv1) followed by CGBN -> Binarize
-    assert calls == {"active": 19, "weights": 19, "thresholds": 8}
+    once = {"steps": 19, "active": 19, "weights": 19, "thresholds": 8}
+    assert calls == once
+    np.testing.assert_array_equal(forward(model, x), want)
+    assert len(chunks) == 8 and calls == once
+
+
+@pytest.mark.parametrize("build", [build_toy_bcnn, build_nin_bcnn])
+def test_a_model_is_planned_again_only_after_it_changed(build, monkeypatch):
+    import bcnn.models as models
+    from bcnn.training import train_step
+
+    model = hard_prune(build(seed=38), 0.5)
+    convs = len(list(iter_binary_convs(model)))
+    prepared = []
+    prepare_step = models._prepare_step
+    monkeypatch.setattr(models, "_prepare_step",
+                        lambda *args: prepared.append(args[0]) or prepare_step(*args))
+    rng = np.random.default_rng(38)
+    x = rng.random((1, *model.input_shape))
+    for planned in (convs, 0, 0):  # the first forward plans, the next two reuse its plan
+        forward(model, x)
+        assert len(prepared) == planned
+        prepared.clear()
+    train_step(model, rng.random((4, *model.input_shape)), np.arange(4) % model.num_classes,
+               lr=0.1, clip=1.0)
+    np.testing.assert_array_equal(forward(model, x), forward(model, x, packed=False))
+    assert len(prepared) == convs  # the step wrote weights: planned anew, once
+
+
+def test_concurrent_first_forwards_of_one_model_get_the_same_logits(cores):
+    # more callers than cores, all planning the same model at once, then reusing a plan
+    import sys
+    import threading
+
+    cores(2)
+    model = hard_prune(perturb_cgbn(build_resnet18_bcnn(seed=39), np.random.default_rng(39)),
+                       0.5)
+    x = np.random.default_rng(39).random((10, 3, 32, 32))
+    want = forward(model, x, packed=False)  # the dense path plans nothing
+    start, results = threading.Barrier(4), [[] for _ in range(4)]
+
+    def forwards(k):
+        start.wait(timeout=60)
+        results[k].extend(forward(model, x) for _ in range(2))
+
+    callers = [threading.Thread(target=forwards, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for logits in results:
+        assert len(logits) == 2
+        for each in logits:
+            np.testing.assert_array_equal(each, want)
+            np.testing.assert_array_equal(np.signbit(each), np.signbit(want))
+    np.testing.assert_array_equal(forward(model, x), want)
 
 
 def test_concurrent_forwards_of_two_models_each_get_their_own_logits(cores):
