@@ -24,13 +24,14 @@ than an activation.  CGBN and RealBn share one batch-norm core,
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
 requires a single writer per layer per step.  A packed forward makes the
-arrays its plan reads read-only; every in-place writer of the engine calls
-``_thaw`` first, which makes the model's next forward plan anew.
+arrays its plan reads read-only (``_freeze``); every in-place writer of the
+engine calls ``_thaw`` first, which makes the model's next forward plan anew.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,13 +58,28 @@ class Mode(Enum):
         return self is Mode.BATCH_LOSS or self is Mode.TRAIN_STEP
 
 
+# the arrays a kept packed plan made read-only, by id: the only ones ``_thaw``
+# makes writeable again
+_frozen = weakref.WeakValueDictionary()
+
+
+def _freeze(a: np.ndarray) -> bool:
+    """Make a parameter array read-only for a kept plan (``models._model_plan``);
+    False, and the array left as it is, if it was read-only already."""
+    if not a.flags.writeable:
+        return False
+    a.flags.writeable = False
+    _frozen[id(a)] = a
+    return True
+
+
 def _thaw(*arrays):
     """Make parameter arrays writeable before the engine writes them in
-    place.  A packed forward left them read-only if its kept plan read them
-    (``models._model_plan``), and a writeable array makes the next forward
-    plan anew."""
+    place, where a kept plan made them read-only (``_freeze``); a writeable
+    array makes the next forward plan anew.  An array the caller made
+    read-only stays so, and the write raises."""
     for a in arrays:
-        if not a.flags.writeable:
+        if _frozen.pop(id(a), None) is a:
             a.flags.writeable = True
 
 

@@ -31,8 +31,9 @@ itself spreads a batch's images over the cores, with the logits of one
 unsplit pass.  A model's first packed forward plans its body once and keeps
 the plan with the model; the arrays the plan read become read-only, so an
 in-place edit of them raises instead of serving stale logits.  To edit a
-forwarded model, make the array writeable first (the engine's training and
-pruning do) or load the model again.
+forwarded model, make the array writeable first and leave it so until the
+next forward (the engine's training and pruning do), or load the model
+again.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_co
                          quadrant_binarize)
 from .errors import CorruptModelFile, NonFiniteInput, ShapeMismatch
 from .layers import (CgbnLayer, ComplexConvLayer, Mode, RealBnLayer, _bwd_cgbn, _bwd_pool,
-                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd, _fwd_cgbn,
+                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd, _freeze, _fwd_cgbn,
                      _fwd_real_bn, _real_conv_bwd, avg_pool, cgbn_forward, complex_conv2d_fp,
                      conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
                      max_pool, relu as _relu, relu_backward, spectral_pool, ste_backward)
@@ -218,7 +219,7 @@ class ModelGraph:
 
     def __getstate__(self):
         """A copy or a pickle leaves the packed plan behind (``_model_plan``)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in self.__dict__.items() if k != "_packed_plan"}
 
     def __setstate__(self, state):
         """Every array comes back writeable and owning its memory, as a
@@ -659,14 +660,24 @@ class _Plan(NamedTuple):
     input_shape: tuple
     fields: list  # (node, name, value) of every body node, block paths' nodes included
     read: list  # the arrays the steps were prepared from, all read-only
+    generation: int  # ``_generation`` once they were
     steps: list
 
     def holds(self, model: ModelGraph) -> bool:
-        return (len(model.layers) == len(self.layers)
+        return (self.generation == _generation
+                and len(model.layers) == len(self.layers)
                 and all(map(operator.is_, model.layers, self.layers))
                 and tuple(model.input_shape) == self.input_shape
                 and all(getattr(node, name) is value for node, name, value in self.fields)
                 and not any(a.flags.writeable for a in self.read))
+
+
+# bumped by each planning that freezes a writeable array: the array may have
+# been written since another kept plan read it (that plan's model shares the
+# node, or a caller made the array writeable), so every kept plan made before
+# is dropped
+_generation = 0
+_generation_lock = threading.Lock()
 
 
 def _model_plan(model: ModelGraph, body: list) -> list:
@@ -674,14 +685,20 @@ def _model_plan(model: ModelGraph, body: list) -> list:
 
     They are planned on the model's first packed forward and kept with it
     while the plan holds: the model has the same nodes and input shape,
-    every field of every body node is the same object, and every array the
-    steps were prepared from is still read-only.  Planning makes those
-    arrays read-only, and the engine's in-place writers make them writeable
-    again (``layers._thaw``), so the forward after a training step or an
-    SLR write plans anew, and an outside in-place write raises (not one
-    through a view taken before planning: numpy cannot freeze it).  A plan
-    that read an array not owning its memory (a view, whose base stays
-    writeable) is used for this forward only."""
+    every field of every body node is the same object, every array the
+    steps were prepared from is still read-only, and no planning has frozen
+    a writeable array since (``_generation``).  Planning makes those arrays
+    read-only (``layers._freeze``; one the caller made read-only stays the
+    caller's), and the engine's in-place writers make them writeable again
+    (``layers._thaw``), so the forward after a training step or an SLR
+    write, of this model or of one sharing its nodes, plans anew, and an
+    outside in-place write raises.  Two edits go unseen: one through a view
+    taken before planning (numpy cannot freeze it), and one made while the
+    caller had the array writeable if the caller makes it read-only again
+    before the next forward.  A plan that read an array not owning its
+    memory (a view, whose base stays writeable) is used for this forward
+    only."""
+    global _generation
     kept = model.__dict__.get("_packed_plan")
     if kept is not None and kept.holds(model):
         return kept.steps
@@ -689,10 +706,12 @@ def _model_plan(model: ModelGraph, body: list) -> list:
     read = []
     steps = _plan(body, Activation(tuple(model.input_shape)), read)
     if all(type(a) is np.ndarray and a.flags.owndata for a in read):
-        for a in read:
-            a.flags.writeable = False
+        with _generation_lock:
+            if any([_freeze(a) for a in read]):  # every array frozen, not the first only
+                _generation += 1
+            generation = _generation
         model._packed_plan = _Plan(tuple(model.layers), tuple(model.input_shape), fields_now,
-                                   read, steps)
+                                   read, generation, steps)
     else:
         model.__dict__.pop("_packed_plan", None)
     return steps
@@ -1042,8 +1061,9 @@ def run_nodes(nodes, x, mode: Mode):
     after that, is one ``_run_step``.  A binarize step emits a
     BitplaneTensor, the only input a binary conv reads; every other node
     sees it unpacked to the same +-1 planes.  ``Mode.TRAIN_STEP`` writes
-    the batch norms' running statistics in place, first making them
-    writeable, so the model's next packed forward plans anew.
+    the batch norms' running statistics in place, first making writeable
+    those a kept plan made read-only, so the model's next packed forward
+    plans anew.
     """
     if mode is Mode.PACKED:
         nodes = _plan(nodes)
@@ -1105,9 +1125,11 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     conv -> CGBN -> Binarize reads only the live input channels and adds
     the constant ones' dots as an integer bias map.  The arrays the plan
     read are left read-only, so an in-place edit of them raises; to edit a
-    forwarded model, make the array writeable first or load the model
-    again.  A replaced node or array, or a training step or SLR write (they
-    make what they write writeable), makes the next forward plan anew.
+    forwarded model, make the array writeable first and leave it so until
+    the next forward, or load the model again.  A replaced node or array,
+    or a training step or SLR write (they make what they write writeable),
+    makes the next forward plan anew, of this model and of any model
+    sharing the node.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed

@@ -193,9 +193,9 @@ def make_separable_dataset(
 # ---------------------------------------------------------------------------
 
 def sgd_step(weight: np.ndarray, grad, lr: float) -> np.ndarray:
-    """In-place w <- w - lr*g.  The weight is made writeable first: a packed
-    forward leaves the arrays its kept plan read read-only, and the write
-    makes the model's next forward plan anew."""
+    """In-place w <- w - lr*g.  A weight a packed forward's kept plan made
+    read-only is made writeable first, and the write makes the model's next
+    forward plan anew; a weight the caller made read-only raises."""
     _thaw(weight)
     weight -= (lr * np.asarray(grad)).astype(weight.dtype)
     return weight

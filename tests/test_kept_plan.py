@@ -3,6 +3,7 @@ still describes it: every action that changes the model, from the engine or
 from a caller, must leave the next packed forward equal to the dense path."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from bcnn.layers import CgbnLayer
 from bcnn.model_io import model_to_bytes
-from bcnn.models import (Mode, build_nin_bcnn, build_toy_bcnn, check_batch, forward,
+from bcnn.models import (Mode, ModelGraph, build_nin_bcnn, build_toy_bcnn, check_batch, forward,
                          iter_binary_convs, run_nodes, _fields_of, _init_binary_conv)
 from bcnn.slr import SlrConfig, budgets_from_ratio, slr_prune
 from bcnn.training import Dataset, train_step
@@ -37,9 +38,12 @@ def _arrays(model):
 
 
 def _assert_serves(model, x):
-    """Packed logits equal the dense path's and a fresh copy's, sign bits included."""
+    """Packed logits equal the dense path's and a fresh copy's, sign bits included.  The
+    copy's planning drops the model's plan, so the last forward plans the model again: its
+    plan is then the newest, and only its own checks can find the next action's change."""
     packed = forward(model, x)
-    for other in (forward(model, x, packed=False), forward(copy.deepcopy(model), x)):
+    for other in (forward(model, x, packed=False), forward(copy.deepcopy(model), x),
+                  forward(model, x)):
         np.testing.assert_array_equal(packed, other)
         np.testing.assert_array_equal(np.signbit(packed), np.signbit(other))
     return packed
@@ -124,13 +128,14 @@ def test_every_change_to_a_planned_model_reaches_its_next_packed_forward(build):
 @pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
 def test_a_planned_model_copies_and_pickles_to_a_writeable_model(build):
     model = build()
+    model.note = "kept by copies"
     x = np.random.default_rng(46).random((3, *model.input_shape))
     want, blob = forward(model, x), model_to_bytes(model)
     assert any(not a.flags.writeable for a in _arrays(model))
     copies = [copy.deepcopy(model)] + [pickle.loads(pickle.dumps(model, protocol))
                                        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
     for clone in copies:
-        assert "_packed_plan" not in vars(clone)
+        assert "_packed_plan" not in vars(clone) and clone.note == model.note
         assert all(a.flags.writeable for a in _arrays(clone))
         assert model_to_bytes(clone) == blob
         np.testing.assert_array_equal(forward(clone, x), want)
@@ -150,3 +155,40 @@ def test_a_plan_that_read_a_view_is_not_kept():
     assert "_packed_plan" not in vars(model) and conv.w_re.flags.writeable
     stacked[:, 0] *= -1
     _assert_serves(model, x)
+
+
+def _thaw_and_edit(model, data):
+    conv = _first_conv(model)
+    conv.w_re.flags.writeable = True
+    conv.w_re[:] *= -1
+
+
+SHARERS = [copy.copy, lambda m: dataclasses.replace(m, name="sharer"),
+           lambda m: ModelGraph("sharer", m.input_shape, m.num_classes, m.layers)]
+
+
+@pytest.mark.parametrize("edit", [_train, _thaw_and_edit], ids=["train_step", "thaw_and_edit"])
+@pytest.mark.parametrize("share", SHARERS, ids=["copy", "replace", "same_layers"])
+def test_a_model_sharing_the_nodes_of_a_planned_model_leaves_no_stale_plan(share, edit):
+    model = _toy()
+    x = np.random.default_rng(48).random((3, *model.input_shape))
+    before = forward(model, x)
+    sharer = share(model)
+    edit(sharer, _data(sharer))
+    forward(sharer, x)  # plans the sharer, freezing the written arrays again
+    after = _assert_serves(model, x)
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(forward(sharer, x), after)
+
+
+def test_arrays_the_caller_made_read_only_stay_so_through_training():
+    model = _toy()
+    for a in _arrays(model):
+        a.flags.writeable = False
+    x = np.random.default_rng(49).random((2, *model.input_shape))
+    want, blob = _assert_serves(model, x), model_to_bytes(model)
+    with pytest.raises(ValueError, match="read-only"):
+        _train(model, _data(model))
+    assert not any(a.flags.writeable for a in _arrays(model))
+    assert model_to_bytes(model) == blob
+    np.testing.assert_array_equal(forward(model, x), want)
