@@ -15,12 +15,10 @@ from .binary_ops import (
 from .layers import (
     CgbnLayer,
     ComplexConvLayer,
-    RealBnLayer,
     avg_pool,
     cgbn_forward,
     complex_conv2d_fp,
     fully_connected,
-    hardtanh,
     max_pool,
     relu,
     spectral_pool,

@@ -22,9 +22,10 @@ channel's weight rows never enter the XOR/popcount loop, and its output
 is exactly +0.0.
 
 ``mismatch_counts`` is the kernel itself: integer XOR/popcount mismatch
-counts of the live output channels only.  ``binary_complex_conv2d`` is
-those counts as float dots, ``row_bits - 2 * count`` (exact integers), with
-every pruned channel +0.0.
+counts of the live output channels only, in one pass over the row words
+(the FPGA's unroll factors are modelled in ``accel.KernelConfig``, not
+here).  ``binary_complex_conv2d`` is those counts as float dots,
+``row_bits - 2 * count`` (exact integers), with every pruned channel +0.0.
 
 All results are integer-exact: the packed kernel must agree bit-for-bit
 with a dense reference convolution for any valid input.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidConfig, InvalidParallelism, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .tensors import (WORD_BITS, BitplaneTensor, ComplexTensor, channel_mask,
                       words_per_pixel)
 
@@ -145,7 +146,6 @@ def mismatch_counts(
     x: BitplaneTensor,
     w: BitplaneTensor,
     geometry: ConvGeometry,
-    parallelism: tuple[int, int] | None,
     active: np.ndarray | None,
 ) -> np.ndarray:
     """Integer XOR/popcount mismatch counts of a binary complex convolution.
@@ -158,10 +158,6 @@ def mismatch_counts(
     mask, None for all) names, in channel order.  A count ``m`` is the dot
     ``geometry.row_bits - 2 * m``.  Counts are ``uint16`` while
     ``row_bits < 2**16``, else ``uint32``, which is exact for every count.
-    ``parallelism = (p_out, p_in)`` blocks the loop: ``p_out`` live rows
-    (dividing out_c) and ``p_in`` row words (at most the words of one dense
-    row) per block; the counts are identical for every valid choice, and
-    None is the widest, one block of every live row and every row word.
     The kernel runs on the calling thread: ``models.forward`` spreads a
     batch over the cores by images, not rows.
     """
@@ -176,9 +172,6 @@ def mismatch_counts(
         raise ShapeMismatch(f"weight shape {w.shape} does not match {geometry}")
     h_out, w_out = geometry.out_hw(h, wd)
 
-    p_out, p_in = parallelism if parallelism is not None else (out_c, None)
-    if p_out < 1 or out_c % p_out != 0:
-        raise InvalidParallelism(f"p_out={p_out} must divide out_channels={out_c}")
     active = np.ones(out_c, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if active.shape != (out_c,):
         raise ShapeMismatch(f"active mask has shape {active.shape}, expected ({out_c},)")
@@ -191,9 +184,6 @@ def mismatch_counts(
     taps = as_strided(xp, (kh, kw, len(xp), n, h_out, w_out),
                       (s2, s3, s0, s1, sh * s2, sw * s3), writeable=False)
     cols = _dense_rows(taps, c)
-    p_in = len(cols) if p_in is None else p_in
-    if p_in < 1 or p_in > len(cols):
-        raise InvalidParallelism(f"p_in={p_in} must be in [1, {len(cols)}], the words of one row")
     # rows[:, 0] yields y_r from [w_r | ~w_i], rows[:, 1] yields y_i from [w_i | w_r];
     # only the computed output channels' rows are built
     w_re, w_im = w.re_words[live], w.im_words[live]
@@ -203,48 +193,40 @@ def mismatch_counts(
     # popcounts land in the accumulator's dtype: no widening add per word
     counts = np.empty((2, live.size, n, h_out, w_out),
                       dtype=np.uint16 if geometry.row_bits < 2**16 else np.uint32)
-    _count_rows(cols, rows, counts, p_out, p_in)
+    _count_rows(cols, rows, counts)
     return counts
 
 
-def _count_rows(cols, rows, counts, p_out, p_in):
+def _count_rows(cols, rows, counts):
     """Mismatch counts of ``rows`` (row words, 2, r) against ``cols`` (row
-    words, n, h_out, w_out) into ``counts`` (2, r, n, h_out, w_out), in
-    blocks of ``p_out`` rows and ``p_in`` row words, through one XOR buffer
-    and one popcount buffer, each one row block wide."""
-    live = counts.shape[1]
-    buf = np.empty((2, min(p_out, live), *counts.shape[2:]), dtype=np.uint64)
-    ones = np.empty(buf.shape, dtype=counts.dtype)
-    for j0 in range(0, len(cols), p_in):
-        for oc0 in range(0, live, p_out):
-            ocs = slice(oc0, oc0 + p_out)
-            rows_out = min(p_out, live - oc0)  # skipped rows can leave a short last block
-            xor, pop = buf[:, :rows_out], ones[:, :rows_out]
-            for j in range(j0, min(j0 + p_in, len(cols))):
-                np.bitwise_xor(cols[j], rows[j, :, ocs, None, None, None], out=xor)
-                if j == 0:  # the first word's popcounts start the counts
-                    np.bitwise_count(xor, out=counts[:, ocs])
-                else:
-                    np.bitwise_count(xor, out=pop)
-                    counts[:, ocs] += pop
+    words, n, h_out, w_out) into ``counts`` (2, r, n, h_out, w_out), one row
+    word at a time, through one XOR buffer and one popcount buffer."""
+    xor = np.empty(counts.shape, dtype=np.uint64)
+    pop = np.empty(counts.shape, dtype=counts.dtype)
+    for j, col in enumerate(cols):
+        np.bitwise_xor(col, rows[j, :, :, None, None, None], out=xor)
+        if j == 0:  # the first word's popcounts start the counts
+            np.bitwise_count(xor, out=counts)
+        else:
+            np.bitwise_count(xor, out=pop)
+            counts += pop
 
 
 def binary_complex_conv2d(
     x: BitplaneTensor,
     w: BitplaneTensor,
     geometry: ConvGeometry,
-    parallelism: tuple[int, int] | None = None,
     active: np.ndarray | None = None,
 ) -> ComplexTensor:
     """Exact bias-free binary complex 2D convolution on packed operands.
 
     ``w`` packs the weight tensor with shape (out_c, in_c, kh, kw); its
     batch axis is the output channel.  The result is the float form of
-    :func:`mismatch_counts` (same ``parallelism`` and ``active`` mask):
-    every output channel outside ``active`` is exactly +0.0, and the result
-    is bit-identical for every valid ``parallelism`` and every mask.
+    :func:`mismatch_counts` (same ``active`` mask): every output channel
+    outside ``active`` is exactly +0.0, and every other one is the same for
+    every mask.
     """
-    counts = mismatch_counts(x, w, geometry, parallelism, active)
+    counts = mismatch_counts(x, w, geometry, active)
     # each row is a real dot over row_bits bits: all matches minus 2 per mismatch
     dots = np.moveaxis(counts, 2, 1).astype(float, order="C")
     dots *= -2

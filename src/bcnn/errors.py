@@ -17,10 +17,6 @@ class NonBinaryEntry(BcnnError):
     """A value expected to be exactly +1 or -1 is not."""
 
 
-class InvalidParallelism(BcnnError):
-    """Requested (p_out, p_in) unroll factors are not valid for the layer."""
-
-
 class BudgetTooLarge(BcnnError):
     """Channel budget exceeds the number of channels in the layer."""
 

@@ -1,7 +1,8 @@
 """Full-precision complex layers and their gradients.
 
-Convolution, the two batch-normalization variants (CGBN and real), the
-three pooling variants, activations, and the fully connected head.
+Convolution, complex Gaussian batch normalization (CGBN), the three
+pooling variants, the ReLU of the input generator, the straight-through
+gradient of binarized activations, and the fully connected head.
 Everything here operates on dense planes; the packed kernels live in
 ``binary_ops``.
 There is one convolution routine, ``conv2d_real``: one strided window
@@ -18,8 +19,8 @@ straight-through estimators of binarized weights and activations.  A
 training forward returns ``(y, cache)``; only a training step keeps it for
 the backward.  Convolutions cache their input, not its columns or their
 weights: the backward rebuilds those, so a cached array is never larger
-than an activation.  CGBN and RealBn share one batch-norm core,
-``_bn_plane`` and ``_bn_plane_backward``, that runs in a ``Mode``.
+than an activation.  CGBN normalizes each plane with ``_bn_plane`` and
+``_bn_plane_backward``, in a ``Mode``.
 
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
@@ -262,7 +263,7 @@ def ste_backward(
 
 
 # ---------------------------------------------------------------------------
-# batch normalization variants
+# complex Gaussian batch normalization
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -309,10 +310,8 @@ def _per_channel(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(1, -1, 1, 1)
 
 
-# one batch-norm core: CGBN normalizes each plane by sqrt(2*var + eps), RealBn by sqrt(var + eps)
-
-def _bn_plane(x, running_mean, running_var, factor: float, layer, mode: Mode):
-    """One (n, c, h, w) plane normalized per channel, ``(x - mean) / sqrt(factor*var + eps)``,
+def _bn_plane(x, running_mean, running_var, layer, mode: Mode):
+    """One (n, c, h, w) plane normalized per channel, ``(x - mean) / sqrt(2*var + eps)``,
     and the inverse scales.  Inference reads the running statistics, the
     training modes the batch's over (n, h, w); ``TRAIN_STEP`` also moves the
     running statistics toward them by ``layer.momentum``."""
@@ -327,22 +326,22 @@ def _bn_plane(x, running_mean, running_var, factor: float, layer, mode: Mode):
     else:
         mean = np.asarray(running_mean, dtype=float)
         var = np.asarray(running_var, dtype=float)
-    inv = 1.0 / np.sqrt(factor * var + layer.eps)
+    inv = 1.0 / np.sqrt(2.0 * var + layer.eps)
     xh = np.subtract(x, mean.reshape(1, -1, 1, 1))  # fresh, scaled in place
     xh *= inv.reshape(1, -1, 1, 1)
     return xh, inv
 
 
-def _bn_plane_backward(gh, xh, inv, factor: float):
+def _bn_plane_backward(gh, xh, inv):
     """Input gradient of a ``_bn_plane`` on batch statistics, for the
-    gradient ``gh`` of its normalized plane ``xh``; ``factor`` scales the
-    variance-path term as it scales the variance.  The gradient is written
-    into ``gh``, which the caller owns, in the order of
-    ``inv * (gh - mean(gh) - factor * xh * mean(gh * xh))``."""
+    gradient ``gh`` of its normalized plane ``xh``; the variance-path term
+    carries the variance's factor 2.  The gradient is written into ``gh``,
+    which the caller owns, in the order of
+    ``inv * (gh - mean(gh) - 2 * xh * mean(gh * xh))``."""
     mean_gh = gh.mean(axis=(0, 2, 3), keepdims=True)
     tmp = np.multiply(gh, xh)
     mean_ghx = tmp.mean(axis=(0, 2, 3), keepdims=True)
-    np.multiply(factor, xh, out=tmp)
+    np.multiply(2.0, xh, out=tmp)
     tmp *= mean_ghx
     gh -= mean_gh
     gh -= tmp
@@ -367,8 +366,8 @@ def _fwd_cgbn(layer: CgbnLayer, x: ComplexTensor, mode: Mode):
     in that order."""
     if x.shape[1] != layer.channels:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, layer has {layer.channels}")
-    xh_r, inv_r = _bn_plane(x.re, layer.running_mean_re, layer.running_var_re, 2.0, layer, mode)
-    xh_i, inv_i = _bn_plane(x.im, layer.running_mean_im, layer.running_var_im, 2.0, layer, mode)
+    xh_r, inv_r = _bn_plane(x.re, layer.running_mean_re, layer.running_var_re, layer, mode)
+    xh_i, inv_i = _bn_plane(x.im, layer.running_mean_im, layer.running_var_im, layer, mode)
     g_r = _per_channel(layer.gamma_re)
     g_i = _per_channel(layer.gamma_im)
     y_r = np.multiply(g_r, xh_r)
@@ -406,49 +405,8 @@ def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
     gh_i *= gam_i
     np.multiply(g.im, gam_r, out=b)
     gh_i += b
-    return ComplexTensor(_bn_plane_backward(gh_r, xh_r, inv_r, 2.0),
-                         _bn_plane_backward(gh_i, xh_i, inv_i, 2.0))
-
-
-@dataclass
-class RealBnLayer:
-    """Standard per-channel batch normalization on a real tensor."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
-
-    @classmethod
-    def identity(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        return cls(
-            gamma=np.ones(channels, dtype=np.float32),
-            beta=np.zeros(channels, dtype=np.float32),
-            running_mean=np.zeros(channels, dtype=np.float32),
-            running_var=np.ones(channels, dtype=np.float32),
-            eps=eps,
-            momentum=momentum,
-        )
-
-
-def _fwd_real_bn(layer: RealBnLayer, x, mode: Mode):
-    """RealBn in ``mode``: the output and, in the training modes, the cache
-    ``_bwd_real_bn`` reads (None in inference)."""
-    if x.ndim != 4 or x.shape[1] != layer.gamma.shape[0]:
-        raise ShapeMismatch(f"input shape {x.shape} does not match {layer.gamma.shape[0]} channels")
-    xh, inv = _bn_plane(x, layer.running_mean, layer.running_var, 1.0, layer, mode)
-    y = _per_channel(layer.gamma) * xh + _per_channel(layer.beta)
-    return y, ((xh, inv) if mode.training else None)
-
-
-def _bwd_real_bn(layer: RealBnLayer, g, cache, grads):
-    xh, inv = cache
-    grads.append((layer.gamma, (g * xh).sum(axis=(0, 2, 3))))
-    grads.append((layer.beta, g.sum(axis=(0, 2, 3))))
-    gh = g * layer.gamma.reshape(1, -1, 1, 1).astype(float)
-    return _bn_plane_backward(gh, xh, inv, 1.0)
+    return ComplexTensor(_bn_plane_backward(gh_r, xh_r, inv_r),
+                         _bn_plane_backward(gh_i, xh_i, inv_i))
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +511,6 @@ def _planewise(f, x, *more):
 
 def relu(x):
     return _planewise(lambda p: np.maximum(np.asarray(p, dtype=float), 0.0), x)
-
-
-def relu_backward(g, x):
-    return _planewise(lambda gp, xp: gp * (xp > 0), g, x)
-
-
-def hardtanh(x):
-    return _planewise(lambda p: np.clip(np.asarray(p, dtype=float), -1.0, 1.0), x)
 
 
 def hardtanh_backward(g, x):

@@ -1,9 +1,9 @@
 """Model graphs: complex-input generator, binarized NIN, binarized ResNet-18.
 
 A model is an ordered list of layer nodes executed front to back, forming
-one pipeline: a real prefix of RealBn, activations and pools on the image,
-then the generator making it complex, then the complex and binarized body,
-then Flatten and the Dense head.  The hardware-path convention is:
+one pipeline: a real prefix of pools on the image, then the generator
+making it complex, then the complex and binarized body, then Flatten and
+the Dense head.  The hardware-path convention is:
 convolution, then pooling (where scheduled), then batch normalization, then
 binarization.  The first and last compute layers stay full precision; every
 binarized convolution consumes {+1,-1} activations produced by a preceding
@@ -19,7 +19,8 @@ over a node sequence, in one of four ``Mode`` values: packed or dense
 inference on running statistics (``forward``), the loss on batch statistics
 (``batch_loss``), or a training step that also moves the running statistics
 (``train_step``).  Only the training step keeps the caches its backward
-reads; a binary conv, like every conv, caches only its input.
+reads; a binary conv, like every conv, caches only its input.  Every kind
+but ``SpectralPool`` is one a model builder makes.
 
 The per-stage channel widths are the real-valued NIN / ResNet-18 baselines
 with every width halved, so the complex model matches the baseline's
@@ -52,11 +53,10 @@ import numpy as np
 from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d, out_size,
                          quadrant_binarize)
 from .errors import CorruptModelFile, NonFiniteInput, ShapeMismatch
-from .layers import (CgbnLayer, ComplexConvLayer, Mode, RealBnLayer, _bwd_cgbn, _bwd_pool,
-                     _bwd_real_bn, _bwd_spectral_pool, _complex_conv_bwd, _freeze, _fwd_cgbn,
-                     _fwd_real_bn, _real_conv_bwd, avg_pool, cgbn_forward, complex_conv2d_fp,
-                     conv2d_real, fully_connected, hardtanh as _hardtanh, hardtanh_backward,
-                     max_pool, relu as _relu, relu_backward, spectral_pool, ste_backward)
+from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _bwd_spectral_pool,
+                     _complex_conv_bwd, _freeze, _fwd_cgbn, _real_conv_bwd, avg_pool,
+                     cgbn_forward, complex_conv2d_fp, conv2d_real, fully_connected,
+                     hardtanh_backward, max_pool, relu as _relu, spectral_pool, ste_backward)
 from .tensors import (BitplaneTensor, ComplexTensor, _pack_bits, _unpack_plane, channel_mask,
                       pack_signs, unpack, words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
@@ -154,16 +154,6 @@ class MaxPool(_Pool):
 @dataclass
 class SpectralPool:
     out_hw: tuple[int, int]
-
-
-@dataclass
-class Relu:
-    pass
-
-
-@dataclass
-class Hardtanh:
-    pass
 
 
 @dataclass
@@ -399,11 +389,12 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
     """Packed, the packed kernel on a binarize step's words, pruned channels
-    +0.0, as a conv step with no CGBN (``_conv_bn_forward``).  Otherwise the
-    dense conv, the signed weights as a full-precision conv with -1 padding
-    and pruned channels masked to zero, and its input as the cache."""
+    +0.0, as a conv step with no CGBN, prepared here (``_prepare_step``).
+    Otherwise the dense conv, the signed weights as a full-precision conv
+    with -1 padding and pruned channels masked to zero, and its input as
+    the cache."""
     if mode is Mode.PACKED:
-        return _conv_bn_forward(layer, None, x, False), None
+        return _run_step(_prepare_step(layer), x), None
     y = complex_conv2d_fp(x, _sign_weights(layer))
     return mask_pruned_channels(y, active_output_channels(layer)), x
 
@@ -592,14 +583,6 @@ def _run_step(step: _ConvStep, x: BitplaneTensor):
     return ComplexTensor(re, im)
 
 
-def _conv_bn_forward(conv: BinaryConvLayer, bn: CgbnLayer | None, x, binarize: bool):
-    """Packed binary conv on a binarize step's words ``x`` (every engine entry
-    checks the graph), then eval CGBN (if any), then with ``binarize`` the
-    binarized output's words, by ``_prepare_step``'s rules, without a plan:
-    the step is prepared here, and reads every input channel."""
-    return _run_step(_prepare_step(conv, bn, binarize), x)
-
-
 def _plan(nodes, act: Activation | None = None, read: list | None = None) -> list:
     """A packed forward's steps for a node sequence: each binary conv, with
     the CGBN right after it and a Binarize after that, as one prepared
@@ -758,30 +741,30 @@ def _decode_binary_conv(desc, payload, variant) -> BinaryConvLayer:
     return BinaryConvLayer(w_re, w_im, g)
 
 
-# batch norms: every dataclass field but eps and momentum is a per-channel array
+# CGBN: every dataclass field but eps and momentum is a per-channel array
 
-def _bn_arrays(bn) -> list:
-    """A batch norm's per-channel arrays; none for no batch norm (None)."""
+def _bn_arrays(bn: CgbnLayer | None) -> list:
+    """A CGBN's per-channel arrays; none for no CGBN (None)."""
     return [] if bn is None else [getattr(bn, f.name) for f in fields(bn)[:-2]]
 
 
-def _encode_bn(layer, desc: bytearray, payload: bytearray):
+def _encode_bn(layer: CgbnLayer, desc: bytearray, payload: bytearray):
     arrays = _bn_arrays(layer)
     desc += struct.pack("<Idd", len(arrays[0]), layer.eps, layer.momentum)
     payload += _f32(*arrays)
 
 
-def _decode_bn(cls, arrays: int, desc, payload):
+def _decode_bn(desc, payload, variant) -> CgbnLayer:
     c, eps, momentum = desc.unpack("<Idd")
-    return cls(*(_read_array(payload, (c,)) for _ in range(arrays)), eps=eps, momentum=momentum)
+    return CgbnLayer(*(_read_array(payload, (c,)) for _ in range(8)), eps=eps, momentum=momentum)
 
 
-def _bn_shape(bn, act: Activation, domains) -> Activation:
-    """Every per-channel vector has as many entries as gamma, and as the input has channels."""
-    arrays = fields(bn)[:-2]
-    c = np.size(getattr(bn, arrays[0].name))
-    _image(act, c, domains)
-    _check_params(bn, {f.name: (c,) for f in arrays})
+def _bn_shape(bn: CgbnLayer, act: Activation, visit) -> Activation:
+    """Every per-channel vector has as many entries as gamma_re, and as the
+    complex or binarized input has channels."""
+    c = np.size(bn.gamma_re)
+    _image(act, c)
+    _check_params(bn, {f.name: (c,) for f in fields(bn)[:-2]})
     return _keep(act)
 
 
@@ -910,7 +893,7 @@ class NodeKind:
     decode: Callable  # (desc, payload, variant) -> node, reading what encode wrote
     forward: Callable  # (node, x, mode) -> (y, cache); the cache is what backward reads
     backward: Callable  # (node, g, cache, clip, grads) -> dx; appends (param, grad) pairs
-    out_shape: Callable = lambda node, act, visit: _keep(act)  # checks input, gives output
+    out_shape: Callable  # (node, act, visit) -> output act; checks the input
     encode: Callable = lambda node, desc, payload: None  # appends fields and arrays
     describe: Callable = lambda node: ""  # the `bcnn export` details
     variant: Callable = lambda node: 0
@@ -942,20 +925,9 @@ NODE_KINDS = {
         weight_layers=1,
     ),
     CgbnLayer: NodeKind(
-        tags=(4,), encode=_encode_bn,
-        decode=lambda desc, payload, variant: _decode_bn(CgbnLayer, 8, desc, payload),
-        forward=_cgbn_forward,
+        tags=(4,), encode=_encode_bn, decode=_decode_bn, forward=_cgbn_forward,
         backward=lambda n, g, cache, clip, grads: _bwd_cgbn(n, g, cache, grads),
-        out_shape=lambda n, act, visit: _bn_shape(n, act, ("complex", "binarized")),
-        describe=lambda n: f"{n.channels} complex channels",
-    ),
-    RealBnLayer: NodeKind(
-        tags=(5,), encode=_encode_bn,
-        decode=lambda desc, payload, variant: _decode_bn(RealBnLayer, 4, desc, payload),
-        forward=_fwd_real_bn,
-        backward=lambda n, g, cache, clip, grads: _bwd_real_bn(n, g, cache, grads),
-        out_shape=lambda n, act, visit: _bn_shape(n, act, ("real",)),
-        describe=lambda n: f"{n.gamma.shape[0]} channels",
+        out_shape=_bn_shape, describe=lambda n: f"{n.channels} complex channels",
     ),
     AvgPool: NodeKind(
         tags=(6,), encode=_encode_pool,
@@ -977,16 +949,6 @@ NODE_KINDS = {
         forward=lambda n, x, mode: (spectral_pool(x, n.out_hw), x),
         backward=lambda n, g, x, clip, grads: _bwd_spectral_pool(g, x.shape),
         out_shape=_spectral_pool_shape, describe=lambda n: f"crop to {n.out_hw}",
-    ),
-    Relu: NodeKind(
-        tags=(9,), decode=lambda desc, payload, variant: Relu(),
-        forward=lambda n, x, mode: (_relu(x), x),
-        backward=lambda n, g, x, clip, grads: relu_backward(g, x),
-    ),
-    Hardtanh: NodeKind(
-        tags=(10,), decode=lambda desc, payload, variant: Hardtanh(),
-        forward=lambda n, x, mode: (_hardtanh(x), x),
-        backward=lambda n, g, x, clip, grads: hardtanh_backward(g, x),
     ),
     Binarize: NodeKind(
         tags=(11,), decode=lambda desc, payload, variant: Binarize(),
@@ -1396,9 +1358,9 @@ def count_weight_layers(model: ModelGraph) -> int:
 def validate_graph(model: ModelGraph):
     """Check that a graph is one BCNN pipeline, by a shape walk.
 
-    The pipeline is a real prefix of RealBn, activations and pools, then the
-    generator (the only node making the real image complex), then the
-    complex and binarized body, then Flatten and the Dense head.  Every
+    The pipeline is a real prefix of pools, then the generator (the only
+    node making the real image complex), then the complex and binarized
+    body, then Flatten and the Dense head.  Every
     node's input, from ``input_shape`` to ``num_classes`` logits, must have
     the channels, size and domain it expects, and every parameter array the
     shape its node's geometry or channel count gives: a binarized

@@ -218,21 +218,18 @@ def batch_gemm_real_conv(x, w, g, stride, padding, pad_value):
 
 
 def every_node_kind_model(seed=0):
-    """One graph holding every node kind BCN1 stores, in a trainable order."""
-    from bcnn.layers import CgbnLayer, RealBnLayer
-    from bcnn.models import (AvgPool, Binarize, Flatten, Hardtanh, MaxPool, ModelGraph,
-                             Relu, SpectralPool, build_complex_input_generator, validate_graph,
-                             _block1, _block2, _init_binary_conv, _init_complex_conv,
-                             _init_dense)
+    """One graph holding every node kind BCN1 stores, in a trainable order:
+    the built models' kinds and the spectral pool."""
+    from bcnn.layers import CgbnLayer
+    from bcnn.models import (AvgPool, Binarize, Flatten, MaxPool, ModelGraph, SpectralPool,
+                             build_complex_input_generator, validate_graph, _block1, _block2,
+                             _init_binary_conv, _init_complex_conv, _init_dense)
 
     rng = np.random.default_rng(seed)
     layers = [
-        RealBnLayer.identity(3),
         build_complex_input_generator(3, seed=seed),
         _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
         CgbnLayer.identity(4),
-        Relu(),
-        Hardtanh(),
         SpectralPool((8, 8)),  # 16 -> 8
         MaxPool((2, 2)),  # 8 -> 4
         Binarize(),

@@ -83,33 +83,6 @@ def test_kernel_exactness_100_cases():
     _report(f"kernel exactness ({cases} cases, {elapsed:.1f} s)")
 
 
-def test_parallelism_neutrality():
-    """Identical outputs across every valid (p_out, p_in) on >=20 cases."""
-    rng = np.random.default_rng(77)
-    cases = 0
-    while cases < 20:
-        ic = int(rng.integers(1, 140))
-        oc = int(rng.choice([1, 2, 4, 6, 8]))
-        k = int(rng.choice([1, 3]))
-        h = int(rng.integers(k + 1, 7))
-        x = random_pm1_tensor(rng, (1, ic, h, h))
-        w = random_pm1_tensor(rng, (oc, ic, k, k))
-        g = ConvGeometry(ic, oc, (k, k), (1, 1), (k // 2, k // 2))
-        xb, wb = pack(x), pack(w)
-        nw = xb.words_per_pixel
-        base = None
-        for p_out in [d for d in range(1, oc + 1) if oc % d == 0]:
-            for p_in in range(1, nw + 1):
-                y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
-                if base is None:
-                    base = y
-                else:
-                    np.testing.assert_array_equal(y.re, base.re)
-                    np.testing.assert_array_equal(y.im, base.im)
-        cases += 1
-    _report(f"parallelism neutrality ({cases} cases)")
-
-
 # ---------------------------------------------------------------------------
 # performance model
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from bcnn.binary_ops import (
     mismatch_counts,
     quadrant_binarize,
 )
-from bcnn.errors import InvalidParallelism, ShapeMismatch
+from bcnn.errors import ShapeMismatch
 from bcnn.models import build_nin_bcnn, build_resnet18_bcnn, build_toy_bcnn, iter_binary_convs
 from bcnn.tensors import BitplaneTensor, ComplexTensor, channel_mask, pack, words_per_pixel
 from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2d
@@ -59,7 +59,7 @@ def _xnor_dot(a, b):
     count: the imaginary halves of both dense rows always agree."""
     n = len(a)
     x, w = _pixel(a, np.ones(n)), _pixel(b, -np.ones(n))  # [a | 1] against [b | ~(-1)]
-    m = mismatch_counts(pack(x), pack(w), ConvGeometry(n, 1, (1, 1)), None, None)
+    m = mismatch_counts(pack(x), pack(w), ConvGeometry(n, 1, (1, 1)), None)
     return n - 2 * int(m[0, 0, 0, 0, 0])
 
 
@@ -97,7 +97,7 @@ def test_xnor_dot_length_mismatch():
     # 128 input channels fill two words, 64 weight channels one
     x, w = _pixel(np.ones(128), np.ones(128)), _pixel(np.ones(64), np.ones(64))
     with pytest.raises(ShapeMismatch):
-        mismatch_counts(pack(x), pack(w), ConvGeometry(128, 1, (1, 1)), None, None)
+        mismatch_counts(pack(x), pack(w), ConvGeometry(128, 1, (1, 1)), None)
 
 
 def test_binary_complex_dot_unit_cases():
@@ -161,20 +161,6 @@ def test_conv_matches_reference_many_cases():
         np.testing.assert_array_equal(y.im, ref.im)
 
 
-def test_conv_parallelism_neutral():
-    rng = np.random.default_rng(33)
-    x = random_pm1_tensor(rng, (1, 130, 5, 5))
-    w = random_pm1_tensor(rng, (8, 130, 3, 3))
-    g = ConvGeometry(130, 8, (3, 3), (1, 1), (1, 1))
-    xb, wb = pack(x), pack(w)
-    base = binary_complex_conv2d(xb, wb, g, parallelism=(1, 1))
-    for p_out in (1, 2, 4, 8):
-        for p_in in (1, 2, 3):
-            y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
-            np.testing.assert_array_equal(y.re, base.re)
-            np.testing.assert_array_equal(y.im, base.im)
-
-
 @pytest.mark.parametrize("c", [31, 32, 33, 63, 64, 65, 127, 128, 129])
 def test_conv_matches_reference_at_word_boundaries(c):
     # 2c <= 64 shares one joint word; beyond that every plane word boundary
@@ -190,10 +176,9 @@ def test_conv_matches_reference_at_word_boundaries(c):
 
 
 @pytest.mark.parametrize("c", [96, 129, 200])
-def test_conv_parallelism_neutral_across_input_words(c):
-    # p_in blocks row words: a 3x3 row holds 27 words at 96 channels, 37 at
-    # 129 and 57 at 200, against 2, 3 and 4 words per plane, so most p_in end
-    # on a partial last block and the last one takes the whole row
+def test_conv_matches_reference_across_input_words(c):
+    # a 3x3 row holds 27 words at 96 channels, 37 at 129 and 57 at 200,
+    # against 2, 3 and 4 words per plane
     rng = np.random.default_rng(c)
     x = random_pm1_tensor(rng, (2, c, 5, 5))
     w = random_pm1_tensor(rng, (6, c, 3, 3))
@@ -202,13 +187,9 @@ def test_conv_parallelism_neutral_across_input_words(c):
     ref = reference_complex_conv2d(x, w, (2, 2), (1, 1))
     row_words = _row_words(c, 3, 3)
     assert row_words == {96: 27, 129: 37, 200: 57}[c]
-    for p_out in (1, 2, 3, 6):
-        for p_in in range(1, row_words + 1):
-            y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
-            np.testing.assert_array_equal(y.re, ref.re)
-            np.testing.assert_array_equal(y.im, ref.im)
-    with pytest.raises(InvalidParallelism, match=f"must be in \\[1, {row_words}\\]"):
-        binary_complex_conv2d(xb, wb, g, parallelism=(2, row_words + 1))
+    y = binary_complex_conv2d(xb, wb, g)
+    np.testing.assert_array_equal(y.re, ref.re)
+    np.testing.assert_array_equal(y.im, ref.im)
 
 
 def _set_pad_bits(b: BitplaneTensor) -> BitplaneTensor:
@@ -226,17 +207,6 @@ def test_conv_ignores_pad_bits(c):
     dirty = binary_complex_conv2d(_set_pad_bits(xb), _set_pad_bits(wb), g)
     np.testing.assert_array_equal(dirty.re, clean.re)
     np.testing.assert_array_equal(dirty.im, clean.im)
-
-
-def test_conv_invalid_parallelism():
-    rng = np.random.default_rng(4)
-    x = random_pm1_tensor(rng, (1, 64, 3, 3))
-    w = random_pm1_tensor(rng, (6, 64, 1, 1))
-    g = ConvGeometry(64, 6, (1, 1))
-    with pytest.raises(InvalidParallelism):
-        binary_complex_conv2d(pack(x), pack(w), g, parallelism=(4, 1))  # 4 !| 6
-    with pytest.raises(InvalidParallelism):
-        binary_complex_conv2d(pack(x), pack(w), g, parallelism=(2, 5))  # 5 > 2 row words
 
 
 def test_conv_shape_mismatch():
@@ -268,12 +238,10 @@ def test_conv_active_mask_skips_pruned_rows(c, mask):
     g = ConvGeometry(c, 6, (3, 3), (2, 2), (1, 1))
     full = binary_complex_conv2d(xb, wb, g)
     keep = active.reshape(1, -1, 1, 1)
-    for p_out in (1, 2, 3, 6):
-        for p_in in range(1, xb.words_per_pixel + 1):
-            y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in), active=active)
-            for plane, ref in ((y.re, full.re), (y.im, full.im)):
-                np.testing.assert_array_equal(plane, np.where(keep, ref, 0.0))
-                assert not np.signbit(plane[:, ~active]).any()  # pruned rows are +0.0
+    y = binary_complex_conv2d(xb, wb, g, active=active)
+    for plane, ref in ((y.re, full.re), (y.im, full.im)):
+        np.testing.assert_array_equal(plane, np.where(keep, ref, 0.0))
+        assert not np.signbit(plane[:, ~active]).any()  # pruned rows are +0.0
 
 
 def test_conv_active_mask_shape_checked():
@@ -313,7 +281,7 @@ def test_counts_widen_past_uint16_and_stay_exact(c, dtype):
     x = ComplexTensor(np.concatenate([w.re[:1], -w.re[:1], random_pm1_tensor(rng, (1, c, 1, 1)).re]),
                       np.concatenate([-w.im[:1], w.im[:1], random_pm1_tensor(rng, (1, c, 1, 1)).im]))
     g = ConvGeometry(c, 2, (1, 1))
-    counts = mismatch_counts(pack(x), pack(w), g, None, None)
+    counts = mismatch_counts(pack(x), pack(w), g, None)
     assert counts.dtype == dtype
     assert counts[0, 0, :2].ravel().tolist() == [0, g.row_bits]
     y = binary_complex_conv2d(pack(x), pack(w), g)
@@ -340,14 +308,12 @@ def test_dense_rows_match_reference(c, k):
         for pad in (0, 1, 2):
             g = ConvGeometry(c, 4, (k, k), (stride, stride), (pad, pad))
             ref = reference_complex_conv2d(x, w, (stride, stride), (pad, pad))
-            for p_out in (1, 2, 4):
-                for p_in in range(1, xb.words_per_pixel + 1):
-                    y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in))
-                    np.testing.assert_array_equal(y.re, ref.re)
-                    np.testing.assert_array_equal(y.im, ref.im)
-                    y = binary_complex_conv2d(xb, wb, g, parallelism=(p_out, p_in), active=active)
-                    np.testing.assert_array_equal(y.re, np.where(keep, ref.re, 0.0))
-                    np.testing.assert_array_equal(y.im, np.where(keep, ref.im, 0.0))
+            y = binary_complex_conv2d(xb, wb, g)
+            np.testing.assert_array_equal(y.re, ref.re)
+            np.testing.assert_array_equal(y.im, ref.im)
+            y = binary_complex_conv2d(xb, wb, g, active=active)
+            np.testing.assert_array_equal(y.re, np.where(keep, ref.re, 0.0))
+            np.testing.assert_array_equal(y.im, np.where(keep, ref.im, 0.0))
 
 
 def _row_words(c: int, kh: int, kw: int) -> int:
@@ -398,8 +364,7 @@ def test_building_rows_makes_no_call_per_tap(c):
     for k in (1, 3, 5):
         wb = pack(random_pm1_tensor(rng, (2, c, k, k)))
         g = ConvGeometry(c, 2, (k, k), (1, 1), (k // 2, k // 2))
-        # with one row block and p_in = 1 the kernel loop makes three calls
-        # per row word; every other call builds the columns and rows
-        words = _row_words(c, k, k)
-        calls.append(_calls_made(mismatch_counts, xb, wb, g, (2, 1), None) - 3 * words)
+        # the kernel loop's ufuncs make no profiled call per row word, so
+        # every call counted builds the columns and rows
+        calls.append(_calls_made(mismatch_counts, xb, wb, g, None))
     assert calls[0] == calls[1] == calls[2], calls

@@ -213,23 +213,20 @@ EXPORT_GOLDEN = {
     "every-kind": [
         'model every-kind: input (3, 16, 16), 2 classes',
         '  # layer                    details',
-        '  0 RealBnLayer              3 channels',
-        '  1 ComplexInputGenerator    3 channels',
-        '  2 ComplexConvLayer         3->4 kernel (3, 3) stride (1, 1) pad (1, 1) (full precision)',
-        '  3 CgbnLayer                4 complex channels',
-        '  4 Relu                     ',
-        '  5 Hardtanh                 ',
-        '  6 SpectralPool             crop to (8, 8)',
-        '  7 MaxPool                  window (2, 2) stride (2, 2)',
-        '  8 Binarize                 ',
-        '  9 BinaryConvLayer          4->4 kernel (3, 3) stride (1, 1) pad (1, 1) (binarized)',
-        ' 10 CgbnLayer                4 complex channels',
-        ' 11 ResidualBlock            4->4 stride (1, 1)',
-        ' 12 ResidualBlock            4->8 stride (2, 2)',
-        ' 13 AvgPool                  window (2, 2) stride (2, 2)',
-        ' 14 CgbnLayer                8 complex channels',
-        ' 15 Flatten                  ',
-        ' 16 DenseLayer               16->2',
+        '  0 ComplexInputGenerator    3 channels',
+        '  1 ComplexConvLayer         3->4 kernel (3, 3) stride (1, 1) pad (1, 1) (full precision)',
+        '  2 CgbnLayer                4 complex channels',
+        '  3 SpectralPool             crop to (8, 8)',
+        '  4 MaxPool                  window (2, 2) stride (2, 2)',
+        '  5 Binarize                 ',
+        '  6 BinaryConvLayer          4->4 kernel (3, 3) stride (1, 1) pad (1, 1) (binarized)',
+        '  7 CgbnLayer                4 complex channels',
+        '  8 ResidualBlock            4->4 stride (1, 1)',
+        '  9 ResidualBlock            4->8 stride (2, 2)',
+        ' 10 AvgPool                  window (2, 2) stride (2, 2)',
+        ' 11 CgbnLayer                8 complex channels',
+        ' 12 Flatten                  ',
+        ' 13 DenseLayer               16->2',
     ],
     "resnet18": [
         'model resnet18-bcnn: input (3, 32, 32), 10 classes',

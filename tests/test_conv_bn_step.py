@@ -1,8 +1,9 @@
 """The packed conv -> CGBN (-> Binarize) step against the node-by-node forward.
 
-``models._conv_bn_forward`` has two rules.  Fold: when a Binarize follows
-and the probe settles every channel of a real-gamma CGBN, each plane's bit
-is one integer threshold on the conv's dots, pruned channels included.
+The step, run by ``run_nodes`` in ``Mode.PACKED`` as ``forward`` runs it,
+has two rules.  Fold: when a Binarize follows and the probe settles every
+channel of a real-gamma CGBN, each plane's bit is one integer threshold on
+the conv's dots, pruned channels included.
 Float: otherwise the CGBN runs on the live channels only.  Every case must
 give float planes equal to ``cgbn_forward(binary_complex_conv2d(...))``
 with equal sign bits, and words byte-identical to ``pack_signs`` of those
@@ -16,7 +17,7 @@ import pytest
 
 from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d, mismatch_counts
 from bcnn.layers import CgbnLayer, cgbn_forward
-from bcnn.models import BinaryConvLayer, _conv_bn_forward, active_output_channels
+from bcnn.models import Binarize, BinaryConvLayer, Mode, active_output_channels, run_nodes
 from bcnn.tensors import ComplexTensor, pack, pack_signs, unpack
 from helpers import CGBN_KINDS, cut_convs, random_pm1_tensor
 
@@ -53,7 +54,13 @@ def cgbn_calls(monkeypatch):
 
 def _counts(conv, xb):
     w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
-    return mismatch_counts(xb, w, conv.geometry, None, active_output_channels(conv))
+    return mismatch_counts(xb, w, conv.geometry, active_output_channels(conv))
+
+
+def _step(conv, bn, xb, binarize):
+    """The packed conv -> CGBN step on ``xb``, with a Binarize after it if
+    ``binarize``: one prepared step of ``run_nodes``."""
+    return run_nodes([conv, bn] + [Binarize()] * binarize, xb, Mode.PACKED)[0]
 
 
 def _bn(rng, kind, conv, xb):
@@ -99,11 +106,11 @@ def _check(conv, bn, xb):
     w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
     ref = cgbn_forward(binary_complex_conv2d(xb, w, conv.geometry,
                                              active=active_output_channels(conv)), bn)
-    y = _conv_bn_forward(conv, bn, xb, binarize=False)
+    y = _step(conv, bn, xb, False)
     for plane, want in ((y.re, ref.re), (y.im, ref.im)):
         np.testing.assert_array_equal(plane, want)
         np.testing.assert_array_equal(np.signbit(plane), np.signbit(want))
-    words, want = _conv_bn_forward(conv, bn, xb, binarize=True), pack_signs(ref)
+    words, want = _step(conv, bn, xb, True), pack_signs(ref)
     assert words.shape == want.shape
     assert words.re_words.tobytes() == want.re_words.tobytes()
     assert words.im_words.tobytes() == want.im_words.tobytes()
@@ -174,7 +181,7 @@ def test_conv_bn_step_falls_back_to_float_cgbn_where_the_estimate_misses(stairca
     unsettled = np.flatnonzero(~models._sign_thresholds(bn, conv.geometry.row_bits)[2])
     np.testing.assert_array_equal(unsettled, np.arange(OUT_C)[staircase])
     cgbn_calls.clear()
-    _conv_bn_forward(conv, bn, xb, binarize=True)
+    _step(conv, bn, xb, True)
     assert cgbn_calls == [(1, OUT_C, 1, 4), (3, OUT_C, 6, 6)]  # the probe, one float pass
 
 
@@ -213,7 +220,7 @@ def test_conv_bn_step_probes_each_real_gamma_layer_once(kind, cgbn_calls):
     conv = _conv(rng, 33, MASKS["alternate_pruned"])
     xb = pack(random_pm1_tensor(rng, (2, 33, 5, 5)))
     bn = _bn(rng, kind, conv, xb)
-    _conv_bn_forward(conv, bn, xb, binarize=True)
+    _step(conv, bn, xb, True)
     assert cgbn_calls == [(1, OUT_C, 1, 4)]
 
 
@@ -225,7 +232,7 @@ def test_one_complex_gamma_channel_sends_the_whole_layer_to_float_cgbn(cgbn_call
     bn.gamma_im[3] = 0.25
     _check(conv, bn, xb)
     cgbn_calls.clear()
-    _conv_bn_forward(conv, bn, xb, binarize=True)
+    _step(conv, bn, xb, True)
     # no probe: the pruned channels' constants, then the live channels
     assert cgbn_calls == [(1, 3, 1, 1), (2, 3, 5, 5)]
 
@@ -244,7 +251,7 @@ def test_pruned_channel_folds_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
     bn.beta_re[:] = bn.beta_im[:] = 0.0
     _check(conv, bn, xb)
     cgbn_calls.clear()
-    bits = unpack(_conv_bn_forward(conv, bn, xb, binarize=True))
+    bits = unpack(_step(conv, bn, xb, True))
     assert cgbn_calls == [(1, OUT_C, 1, 4)]  # folded: the probe only
     zero = np.zeros((1, OUT_C, 1, 1))
     const = cgbn_forward(ComplexTensor(zero, zero), bn)

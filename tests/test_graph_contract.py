@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from bcnn.errors import CorruptModelFile, ShapeMismatch
-from bcnn.layers import CgbnLayer, RealBnLayer
+from bcnn.layers import CgbnLayer
 from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
 from bcnn.models import (NODE_KINDS, AvgPool, Binarize, BinaryConvLayer, ComplexInputGenerator,
-                         Flatten, Hardtanh, MaxPool, Mode, ModelGraph, Relu, SpectralPool,
+                         Flatten, MaxPool, Mode, ModelGraph, SpectralPool,
                          backprop_nodes, build_complex_input_generator, forward, graph_nodes,
                          kind_of, run_nodes, validate_graph, _block1, _block2, _init_binary_conv,
                          _init_complex_conv, _init_dense)
@@ -29,11 +29,11 @@ SPLIT_BATCH = 20  # more than one chunk of images: a split forward
 NUM_CLASSES = 2
 PRUNED = 0.4  # the share of a binary conv's output channels pruned at random
 
-REAL_PREFIX = ("realbn", "relu", "hardtanh", "avg", "max", "conv", "binarize", "cgbn")
-REAL_PREFIX_P = (0.25, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05, 0.05)
-BODY = ("conv", "bin+binconv", "binconv", "binarize", "cgbn", "realbn", "avg", "max",
-        "spectral", "relu", "hardtanh", "block1", "block2", "gen")
-BODY_P = (0.14, 0.16, 0.03, 0.05, 0.1, 0.04, 0.07, 0.07, 0.06, 0.05, 0.05, 0.08, 0.08, 0.02)
+REAL_PREFIX = ("avg", "max", "conv", "binarize", "cgbn")
+REAL_PREFIX_P = (0.35, 0.35, 0.1, 0.1, 0.1)
+BODY = ("conv", "bin+binconv", "binconv", "binarize", "cgbn", "avg", "max", "spectral",
+        "block1", "block2", "gen")
+BODY_P = (0.16, 0.2, 0.03, 0.05, 0.12, 0.08, 0.08, 0.06, 0.1, 0.1, 0.02)
 
 
 class _Draft:
@@ -85,10 +85,8 @@ class _Draft:
             self.layers.append(_block2(rng, c, self.c))
             self.h, self.w = (self.h - 1) // 2 + 1, (self.w - 1) // 2 + 1
         else:
-            self.layers.append({"realbn": lambda: RealBnLayer.identity(c),
-                                "cgbn": lambda: CgbnLayer.identity(c),
-                                "binarize": Binarize, "relu": Relu,
-                                "hardtanh": Hardtanh}[what]())
+            self.layers.append({"cgbn": lambda: CgbnLayer.identity(c),
+                                "binarize": Binarize}[what]())
 
     def head(self):
         flatten = self.rng.random() > 0.03
@@ -96,7 +94,7 @@ class _Draft:
             self.layers.append(Flatten())
         features = self.c * self.h * self.w * (2 if self.complex and flatten else 1)
         if self.rng.random() < 0.2:
-            self.layers += [_init_dense(self.rng, features, 3), Relu()]
+            self.layers.append(_init_dense(self.rng, features, 3))
             features = 3
         self.layers.append(_init_dense(self.rng, features, NUM_CLASSES))
 
@@ -228,5 +226,5 @@ def test_every_misshaped_parameter_array_is_rejected_naming_its_layer():
                 validate_graph(model)
             setattr(node, f.name, arr)
             cut += 1
-    assert cut == 90  # every parameter of every kind, block paths included
+    assert cut == 86  # every parameter of every kind, block paths included
     validate_graph(model)

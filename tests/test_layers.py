@@ -6,19 +6,16 @@ from bcnn.errors import ShapeMismatch
 from bcnn.layers import (
     CgbnLayer,
     ComplexConvLayer,
-    Mode,
-    RealBnLayer,
     avg_pool,
     cgbn_forward,
     complex_conv2d_fp,
     conv2d_real,
     fully_connected,
-    hardtanh,
+    hardtanh_backward,
     max_pool,
     relu,
     spectral_pool,
 )
-from bcnn.models import kind_of
 from bcnn.tensors import ComplexTensor, pack
 from helpers import (assert_close_relative, einsum_complex_conv2d, einsum_conv2d_real, im2col,
                      random_pm1_tensor, reference_cgbn_eval)
@@ -214,36 +211,6 @@ def test_cgbn_running_stat_update():
 
 
 # ---------------------------------------------------------------------------
-# real BN
-# ---------------------------------------------------------------------------
-
-def test_real_bn_constant_gives_zero():
-    layer = RealBnLayer.identity(2)
-    x = np.full((3, 2, 4, 4), 5.0)
-    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
-    np.testing.assert_allclose(y, 0.0, atol=1e-12)
-
-
-def test_real_bn_affine_example():
-    # batch stats mu=5, var=4; gamma=2, beta=1: value 7 maps to 3
-    layer = RealBnLayer.identity(1, eps=1e-12)
-    layer.gamma[:] = 2.0
-    layer.beta[:] = 1.0
-    x = np.array([3.0, 7.0] * 8).reshape(1, 1, 4, 4)
-    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
-    np.testing.assert_allclose(y.ravel()[1], 3.0, rtol=1e-6)
-
-
-def test_real_bn_normalizes():
-    rng = np.random.default_rng(7)
-    layer = RealBnLayer.identity(3, eps=1e-9)
-    x = rng.standard_normal((8, 3, 16, 16)) * 4 - 2
-    y, _ = kind_of(layer).forward(layer, x, Mode.TRAIN_STEP)
-    np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-4)
-    np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
-
-
-# ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
 
@@ -325,12 +292,13 @@ def test_spectral_pool_rejects_upsampling():
 # activations and fully connected
 # ---------------------------------------------------------------------------
 
-def test_relu_and_hardtanh_examples():
+def test_relu_and_hardtanh_backward_examples():
     assert relu(np.array([-2.0]))[0] == 0.0
-    assert hardtanh(np.array([3.0]))[0] == 1.0
-    assert hardtanh(np.array([-3.0]))[0] == -1.0
     x = np.linspace(-1, 1, 21)
-    np.testing.assert_array_equal(hardtanh(x), x)
+    np.testing.assert_array_equal(relu(x), np.maximum(x, 0.0))
+    # the straight-through gradient passes where |x| < 1 only
+    g = hardtanh_backward(np.ones(5), np.array([-3.0, -1.0, 0.5, 1.0, 3.0]))
+    np.testing.assert_array_equal(g, [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def test_activations_apply_per_plane():

@@ -109,21 +109,17 @@ def test_loaded_model_metadata():
 
 def test_roundtrip_covers_every_node_kind():
     from bcnn.binary_ops import ConvGeometry
-    from bcnn.layers import CgbnLayer, ComplexConvLayer, RealBnLayer
-    from bcnn.models import (AvgPool, Binarize, BinaryConvLayer, DenseLayer,
-                             Flatten, Hardtanh, MaxPool, ModelGraph, Relu,
-                             SpectralPool, build_complex_input_generator)
+    from bcnn.layers import CgbnLayer, ComplexConvLayer
+    from bcnn.models import (AvgPool, Binarize, BinaryConvLayer, DenseLayer, Flatten, MaxPool,
+                             ModelGraph, SpectralPool, build_complex_input_generator)
 
     rng = np.random.default_rng(0)
     g = ConvGeometry(3, 4, (3, 3), (1, 1), (1, 1))
     layers = [
-        RealBnLayer.identity(3),
         build_complex_input_generator(3, seed=0),
         ComplexConvLayer(rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
                          rng.standard_normal((4, 3, 3, 3)).astype(np.float32), g),
         CgbnLayer.identity(4),
-        Relu(),
-        Hardtanh(),
         SpectralPool((8, 8)),
         MaxPool((2, 2)),
         AvgPool((2, 2), (2, 2)),
@@ -140,6 +136,41 @@ def test_roundtrip_covers_every_node_kind():
     loaded = model_from_bytes(blob)
     assert model_to_bytes(loaded) == blob
     assert [type(l).__name__ for l in loaded.layers] == [type(l).__name__ for l in layers]
+
+
+# node entries of kinds no model is built with any more, as earlier writers
+# stored them: (descriptor bytes, payload bytes) of a real batch norm over
+# three channels (gamma, beta, running mean and variance), a ReLU, a Hardtanh
+RETIRED_NODES = {
+    5: (struct.pack("<BIdd", 5, 3, 1e-5, 0.1),
+        np.concatenate([np.ones(3), np.zeros(6), np.ones(3)]).astype("<f4").tobytes()),
+    9: (struct.pack("<B", 9), b""),
+    10: (struct.pack("<B", 10), b""),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(RETIRED_NODES))
+def test_a_retired_layer_tag_is_refused_as_unknown(tag, tmp_path, capsys):
+    from bcnn.cli import main
+    from bcnn.models import encode_node
+
+    # the toy model's file with the retired node first, on the real image
+    model = build_toy_bcnn(seed=0)
+    desc, payload = bytearray(), bytearray()
+    for layer in model.layers:
+        encode_node(layer, desc, payload)
+    head = model_to_bytes(model)[: -len(desc) - len(payload) - 4]
+    node_desc, node_payload = RETIRED_NODES[tag]
+    blob = (head + struct.pack("<I", len(node_desc) + len(desc)) + node_desc + desc
+            + node_payload + payload)
+    with pytest.raises(CorruptModelFile, match=f"^unknown layer tag {tag}$"):
+        model_from_bytes(blob)
+    path = tmp_path / "retired.bcn"
+    path.write_bytes(blob)
+    assert main(["export", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown layer tag {tag}\n"
 
 
 def test_resnet18_block_tags_mark_side_paths():
@@ -256,24 +287,14 @@ def _rejected_by_validation_and_loading(model, match):
         model_from_bytes(_encode_graph(model))
 
 
-def test_real_bn_after_the_generator_is_rejected():
-    from bcnn.layers import RealBnLayer
-
-    model = build_toy_bcnn(seed=0)  # generator, complex conv (4 channels), ...
-    model.layers.insert(2, RealBnLayer.identity(4))
-    _rejected_by_validation_and_loading(model, "expects a real input, got a complex one")
-
-
-@pytest.mark.parametrize("prefix", [[], ["bn", "pool"]])
+@pytest.mark.parametrize("prefix", [[], ["pool"]])
 def test_flatten_on_the_real_image_is_rejected(prefix):
-    from bcnn.layers import RealBnLayer
     from bcnn.models import AvgPool, DenseLayer, Flatten, ModelGraph
 
-    make = {"bn": lambda: RealBnLayer.identity(3), "pool": lambda: AvgPool((2, 2))}
     features = 3 * 4 * 4 if prefix else 3 * 8 * 8
     dense = DenseLayer(np.ones((2, features), np.float32), np.zeros(2, np.float32))
     model = ModelGraph("no-generator", (3, 8, 8), 2,
-                       [make[name]() for name in prefix] + [Flatten(), dense])
+                       [AvgPool((2, 2)) for _ in prefix] + [Flatten(), dense])
     _rejected_by_validation_and_loading(model, "expects a complex or binarized input")
 
 
@@ -289,9 +310,9 @@ def test_residual_block_as_last_compute_layer_is_rejected():
 
 
 def test_graph_without_compute_layer_is_corrupt():
-    from bcnn.models import ModelGraph, Relu
+    from bcnn.models import AvgPool, ModelGraph
 
-    model = ModelGraph("relu", (3, 8, 8), 2, [Relu()])
+    model = ModelGraph("pool", (3, 8, 8), 2, [AvgPool((2, 2))])
     with pytest.raises(ShapeMismatch):
         model_to_bytes(model)
     with pytest.raises(CorruptModelFile):

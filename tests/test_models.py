@@ -3,7 +3,7 @@ import pytest
 
 from bcnn.binary_ops import ConvGeometry
 from bcnn.errors import NonFiniteInput, ShapeMismatch
-from bcnn.layers import CgbnLayer, RealBnLayer
+from bcnn.layers import CgbnLayer
 from bcnn.models import (
     AvgPool,
     Binarize,
@@ -29,6 +29,7 @@ from bcnn.models import (
     _init_complex_conv,
     _init_dense,
     kind_of,
+    run_nodes,
 )
 from bcnn.tensors import ComplexTensor, pack
 from helpers import (CGBN_KINDS, cut_convs, hard_prune, perturb_cgbn, random_pm1_tensor,
@@ -148,7 +149,6 @@ def test_block1_adds_skip_to_cgbn_output():
     # added in the real domain before any further binarization
     from bcnn.binary_ops import quadrant_binarize
     from bcnn.layers import cgbn_forward
-    from bcnn.models import _binary_conv_forward
 
     rng = np.random.default_rng(4)
     g = ConvGeometry(4, 4, (3, 3), (1, 1), (1, 1))
@@ -164,9 +164,9 @@ def test_block1_adds_skip_to_cgbn_output():
     x = random_pm1_tensor(rng, (1, 4, 8, 8))
     out = kind_of(block).forward(block, x, Mode.PACKED)[0]
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, pack(b), Mode.PACKED)[0], block.bn1)
+    path = cgbn_forward(run_nodes([block.conv1], pack(b), Mode.PACKED)[0], block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, pack(path), Mode.PACKED)[0], block.bn2)
+    path = cgbn_forward(run_nodes([block.conv2], pack(path), Mode.PACKED)[0], block.bn2)
     np.testing.assert_array_equal(out.re, path.re + x.re)
     np.testing.assert_array_equal(out.im, path.im + x.im)
 
@@ -176,7 +176,6 @@ def test_block_with_side_path_adds_side_cgbn_output():
     # binarized input as the main path, in place of the untouched input
     from bcnn.binary_ops import quadrant_binarize
     from bcnn.layers import cgbn_forward
-    from bcnn.models import _binary_conv_forward
 
     rng = np.random.default_rng(4)
 
@@ -193,10 +192,10 @@ def test_block_with_side_path_adds_side_cgbn_output():
     x = ComplexTensor(rng.standard_normal((1, 4, 8, 8)), rng.standard_normal((1, 4, 8, 8)))
     out = kind_of(block).forward(block, x, Mode.PACKED)[0]
     b = quadrant_binarize(x)
-    path = cgbn_forward(_binary_conv_forward(block.conv1, pack(b), Mode.PACKED)[0], block.bn1)
+    path = cgbn_forward(run_nodes([block.conv1], pack(b), Mode.PACKED)[0], block.bn1)
     path = quadrant_binarize(path)
-    path = cgbn_forward(_binary_conv_forward(block.conv2, pack(path), Mode.PACKED)[0], block.bn2)
-    side = cgbn_forward(_binary_conv_forward(block.side_conv, pack(b), Mode.PACKED)[0],
+    path = cgbn_forward(run_nodes([block.conv2], pack(path), Mode.PACKED)[0], block.bn2)
+    side = cgbn_forward(run_nodes([block.side_conv], pack(b), Mode.PACKED)[0],
                         block.side_bn)
     np.testing.assert_array_equal(out.re, path.re + side.re)
     np.testing.assert_array_equal(out.im, path.im + side.im)
@@ -268,8 +267,9 @@ def _toy_cut(index, names, cut):
 # graphs the shape walk rejects, with the layer their ShapeMismatch names
 INVALID_GRAPHS = {
     "binarize_removed": (lambda: _toy_without(3), r"layer 3 \(BinaryConvLayer\)"),
-    "real_bn_after_generator": (
-        lambda: _toy_with(1, RealBnLayer.identity(3), insert=True), r"layer 1 \(RealBnLayer\)"),
+    "generator_after_generator": (
+        lambda: _toy_with(1, build_complex_input_generator(3), insert=True),
+        r"layer 1 \(ComplexInputGenerator\): expects a real input"),
     # misshaped parameters: unchecked, the one-element bias broadcasts into
     # both logits and saves a file that fails to reload, the narrow weights
     # fail naming no layer, the short beta with a bare numpy ValueError
@@ -420,7 +420,7 @@ def test_spectral_pool_node_in_graph():
 
 
 def test_pruned_channels_are_skipped_at_binarization():
-    from bcnn.models import _binary_conv_forward, active_output_channels
+    from bcnn.models import active_output_channels
     from bcnn.tensors import ComplexTensor
 
     rng = np.random.default_rng(10)
@@ -434,8 +434,8 @@ def test_pruned_channels_are_skipped_at_binarization():
     np.testing.assert_array_equal(active_output_channels(layer), [True, False, True, True])
     x = ComplexTensor(np.ones((1, 2, 3, 3)), -np.ones((1, 2, 3, 3)))
     for packed in (True, False):
-        y, _ = _binary_conv_forward(layer, pack(x) if packed else x,
-                                    Mode.PACKED if packed else Mode.DENSE)
+        y = run_nodes([layer], pack(x) if packed else x,
+                      Mode.PACKED if packed else Mode.DENSE)[0]
         np.testing.assert_array_equal(y.re[:, 1], 0.0)
         np.testing.assert_array_equal(y.im[:, 1], 0.0)
         assert np.any(y.re[:, 0] != 0.0) or np.any(y.im[:, 0] != 0.0)

@@ -1,4 +1,5 @@
-"""Checks on the package source itself, read with ``ast``."""
+"""Checks on the package source itself, read with ``ast``, and on the node
+kinds its model builders make."""
 
 import ast
 import re
@@ -112,3 +113,24 @@ def test_every_public_name_is_read_or_kept_with_a_reason():
               and not any(name in names for other, names in reads if other is not node)}
     assert unread - KEPT_UNREAD.keys() == set(), "public names nothing reads"
     assert KEPT_UNREAD.keys() - unread == set(), "kept names that are read or gone"
+
+
+# node kinds that no model builder makes, each kept on purpose; an entry
+# that a builder makes, or that is no node kind, fails
+KEPT_UNBUILT = {
+    "SpectralPool": "spectral pooling, which the acceptance suite checks against a DFT "
+                    "oracle; it goes once perfbench stops wrapping models.spectral_pool "
+                    "(ROADMAP item 2)",
+}
+
+
+def test_every_node_kind_is_built_or_kept_with_a_reason():
+    from bcnn.models import (NODE_KINDS, build_nin_bcnn, build_resnet18_bcnn, build_toy_bcnn,
+                             graph_nodes)
+
+    models = [build_nin_bcnn(), build_resnet18_bcnn(), build_toy_bcnn(pool="avg"),
+              build_toy_bcnn(pool="max")]
+    built = {type(node).__name__ for model in models for node, _ in graph_nodes(model)}
+    unbuilt = {kind.__name__ for kind in NODE_KINDS} - built
+    assert unbuilt - KEPT_UNBUILT.keys() == set(), "node kinds no builder makes"
+    assert KEPT_UNBUILT.keys() - unbuilt == set(), "kept kinds that are built or gone"
