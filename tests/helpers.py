@@ -34,6 +34,31 @@ def random_pm1_tensor(rng, shape) -> ComplexTensor:
     )
 
 
+def unrolled_binary_conv(x: ComplexTensor, w: ComplexTensor, stride, padding, p_out, p_in):
+    """The binary conv of {+1,-1} planes split into the trips that
+    ``accel.conv_cycles`` counts for unroll factors ``(p_out, p_in)``: each
+    trip takes ``p_out`` output channels and ``p_in`` 64-channel words of
+    each input plane, and is one packed ``binary_complex_conv2d``.  The
+    input blocks' dots are summed and the output groups concatenated."""
+    from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d
+    from bcnn.tensors import WORD_BITS, pack
+
+    oc, ic, kh, kw = w.shape
+    block = WORD_BITS * p_in
+    groups = []
+    for o in range(0, oc, p_out):
+        y_re = y_im = 0.0
+        for c in range(0, ic, block):
+            xs = ComplexTensor(x.re[:, c:c + block], x.im[:, c:c + block])
+            ws = ComplexTensor(w.re[o:o + p_out, c:c + block], w.im[o:o + p_out, c:c + block])
+            g = ConvGeometry(xs.shape[1], ws.shape[0], (kh, kw), stride, padding)
+            y = binary_complex_conv2d(pack(xs), pack(ws), g)
+            y_re, y_im = y_re + y.re, y_im + y.im
+        groups.append((y_re, y_im))
+    return ComplexTensor(np.concatenate([re for re, _ in groups], axis=1),
+                         np.concatenate([im for _, im in groups], axis=1))
+
+
 def reference_pack_plane(plane) -> np.ndarray:
     """Pack one {+1,-1} NCHW plane bit by bit: bit j of word k is channel
     64*k + j, set for +1.  Deliberately written as an explicit bit loop."""

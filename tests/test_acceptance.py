@@ -42,7 +42,7 @@ from bcnn.training import (
     ste_backward,
     train,
 )
-from helpers import random_pm1_tensor, reference_complex_conv2d
+from helpers import random_pm1_tensor, reference_complex_conv2d, unrolled_binary_conv
 
 
 def _report(name):
@@ -81,6 +81,30 @@ def test_kernel_exactness_100_cases():
     assert cases >= 100
     assert elapsed < 10.0, f"{cases} cases took {elapsed:.1f} s"
     _report(f"kernel exactness ({cases} cases, {elapsed:.1f} s)")
+
+
+def test_parallelism_neutrality():
+    """Identical outputs across every (p_out, p_in) unroll of the FPGA
+    kernel, each trip of the unroll run as its own conv, on >=20 cases."""
+    rng = np.random.default_rng(77)
+    cases = 0
+    while cases < 20:
+        ic = int(rng.integers(1, 140))
+        oc = int(rng.choice([1, 2, 4, 6, 8]))
+        k = int(rng.choice([1, 3]))
+        h = int(rng.integers(k + 1, 7))
+        x = random_pm1_tensor(rng, (1, ic, h, h))
+        w = random_pm1_tensor(rng, (oc, ic, k, k))
+        g = ConvGeometry(ic, oc, (k, k), (1, 1), (k // 2, k // 2))
+        xb = pack(x)
+        base = binary_complex_conv2d(xb, pack(w), g)
+        for p_out in range(1, oc + 1):
+            for p_in in range(1, xb.words_per_pixel + 1):
+                y = unrolled_binary_conv(x, w, (1, 1), (k // 2, k // 2), p_out, p_in)
+                np.testing.assert_array_equal(y.re, base.re)
+                np.testing.assert_array_equal(y.im, base.im)
+        cases += 1
+    _report(f"parallelism neutrality ({cases} cases)")
 
 
 # ---------------------------------------------------------------------------

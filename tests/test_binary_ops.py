@@ -14,7 +14,8 @@ from bcnn.binary_ops import (
 from bcnn.errors import ShapeMismatch
 from bcnn.models import build_nin_bcnn, build_resnet18_bcnn, build_toy_bcnn, iter_binary_convs
 from bcnn.tensors import BitplaneTensor, ComplexTensor, channel_mask, pack, words_per_pixel
-from helpers import random_conv_case, random_pm1_tensor, reference_complex_conv2d
+from helpers import (random_conv_case, random_pm1_tensor, reference_complex_conv2d,
+                     unrolled_binary_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,21 @@ def test_conv_matches_reference_many_cases():
         np.testing.assert_array_equal(y.im, ref.im)
 
 
+def test_conv_parallelism_neutral():
+    # out channels 8 = 8 trips of 1 ... 3 trips of 3 (the last one short), and
+    # 130 input channels = 3 words per plane in 3, 2 (one short) or 1 blocks
+    rng = np.random.default_rng(33)
+    x = random_pm1_tensor(rng, (1, 130, 5, 5))
+    w = random_pm1_tensor(rng, (8, 130, 3, 3))
+    g = ConvGeometry(130, 8, (3, 3), (1, 1), (1, 1))
+    base = binary_complex_conv2d(pack(x), pack(w), g)
+    for p_out in (1, 2, 3, 4, 8):
+        for p_in in (1, 2, 3):
+            y = unrolled_binary_conv(x, w, (1, 1), (1, 1), p_out, p_in)
+            np.testing.assert_array_equal(y.re, base.re)
+            np.testing.assert_array_equal(y.im, base.im)
+
+
 @pytest.mark.parametrize("c", [31, 32, 33, 63, 64, 65, 127, 128, 129])
 def test_conv_matches_reference_at_word_boundaries(c):
     # 2c <= 64 shares one joint word; beyond that every plane word boundary
@@ -176,20 +192,24 @@ def test_conv_matches_reference_at_word_boundaries(c):
 
 
 @pytest.mark.parametrize("c", [96, 129, 200])
-def test_conv_matches_reference_across_input_words(c):
-    # a 3x3 row holds 27 words at 96 channels, 37 at 129 and 57 at 200,
-    # against 2, 3 and 4 words per plane
+def test_conv_parallelism_neutral_across_input_words(c):
+    # 2, 3 and 4 words per plane, so most p_in end on a partial last block
+    # and the largest takes the whole input; a 3x3 row holds 27, 37 and 57
+    # joint words
     rng = np.random.default_rng(c)
     x = random_pm1_tensor(rng, (2, c, 5, 5))
     w = random_pm1_tensor(rng, (6, c, 3, 3))
     g = ConvGeometry(c, 6, (3, 3), (2, 2), (1, 1))
-    xb, wb = pack(x), pack(w)
     ref = reference_complex_conv2d(x, w, (2, 2), (1, 1))
-    row_words = _row_words(c, 3, 3)
-    assert row_words == {96: 27, 129: 37, 200: 57}[c]
-    y = binary_complex_conv2d(xb, wb, g)
+    assert _row_words(c, 3, 3) == {96: 27, 129: 37, 200: 57}[c]
+    y = binary_complex_conv2d(pack(x), pack(w), g)
     np.testing.assert_array_equal(y.re, ref.re)
     np.testing.assert_array_equal(y.im, ref.im)
+    for p_out in (1, 2, 3, 6):
+        for p_in in range(1, words_per_pixel(c) + 1):
+            y = unrolled_binary_conv(x, w, (2, 2), (1, 1), p_out, p_in)
+            np.testing.assert_array_equal(y.re, ref.re)
+            np.testing.assert_array_equal(y.im, ref.im)
 
 
 def _set_pad_bits(b: BitplaneTensor) -> BitplaneTensor:

@@ -292,7 +292,7 @@ def test_spectral_pool_rejects_upsampling():
 # activations and fully connected
 # ---------------------------------------------------------------------------
 
-def test_relu_and_hardtanh_backward_examples():
+def test_relu_and_hardtanh_examples():
     assert relu(np.array([-2.0]))[0] == 0.0
     x = np.linspace(-1, 1, 21)
     np.testing.assert_array_equal(relu(x), np.maximum(x, 0.0))

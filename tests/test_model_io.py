@@ -149,20 +149,30 @@ RETIRED_NODES = {
 }
 
 
-@pytest.mark.parametrize("tag", sorted(RETIRED_NODES))
-def test_a_retired_layer_tag_is_refused_as_unknown(tag, tmp_path, capsys):
-    from bcnn.cli import main
+def _toy_file_with_retired_node(tag, at):
+    """The toy model's BCN1 bytes with the retired node of ``tag`` stored
+    before its layer ``at``."""
     from bcnn.models import encode_node
 
-    # the toy model's file with the retired node first, on the real image
     model = build_toy_bcnn(seed=0)
     desc, payload = bytearray(), bytearray()
     for layer in model.layers:
         encode_node(layer, desc, payload)
     head = model_to_bytes(model)[: -len(desc) - len(payload) - 4]
-    node_desc, node_payload = RETIRED_NODES[tag]
-    blob = (head + struct.pack("<I", len(node_desc) + len(desc)) + node_desc + desc
-            + node_payload + payload)
+    desc, payload = bytearray(), bytearray()
+    for i, layer in enumerate(model.layers):
+        if i == at:
+            desc += RETIRED_NODES[tag][0]
+            payload += RETIRED_NODES[tag][1]
+        encode_node(layer, desc, payload)
+    return head + struct.pack("<I", len(desc)) + desc + payload
+
+
+@pytest.mark.parametrize("tag", sorted(RETIRED_NODES))
+def test_a_retired_layer_tag_is_refused_as_unknown(tag, tmp_path, capsys):
+    from bcnn.cli import main
+
+    blob = _toy_file_with_retired_node(tag, at=0)  # first, on the real image
     with pytest.raises(CorruptModelFile, match=f"^unknown layer tag {tag}$"):
         model_from_bytes(blob)
     path = tmp_path / "retired.bcn"
@@ -285,6 +295,14 @@ def _rejected_by_validation_and_loading(model, match):
         model_to_bytes(model)
     with pytest.raises(CorruptModelFile, match=match):
         model_from_bytes(_encode_graph(model))
+
+
+def test_real_bn_after_the_generator_is_rejected():
+    # the generator's output is complex; the shape walk refused a real batch
+    # norm there before its tag was retired, and the loader refuses the tag
+    blob = _toy_file_with_retired_node(5, at=1)
+    with pytest.raises(CorruptModelFile, match="^unknown layer tag 5$"):
+        model_from_bytes(blob)
 
 
 @pytest.mark.parametrize("prefix", [[], ["pool"]])

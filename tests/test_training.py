@@ -400,6 +400,55 @@ def test_cgbn_backward_matches_finite_differences():
         np.testing.assert_allclose(dx.re[idx], fd, rtol=1e-4, atol=1e-6)
 
 
+def test_cgbn_parameter_and_imaginary_gradients_match_finite_differences():
+    # float64 parameters, so a central difference resolves them
+    rng = np.random.default_rng(9)
+    layer = CgbnLayer(*(rng.standard_normal(3) for _ in range(4)),
+                      *(np.zeros(3), np.zeros(3), np.ones(3), np.ones(3)), eps=1e-5)
+    x = ComplexTensor(rng.standard_normal((2, 3, 4, 3)), rng.standard_normal((2, 3, 4, 3)))
+    up = ComplexTensor(rng.standard_normal(x.shape), rng.standard_normal(x.shape))
+
+    def loss():
+        y, _ = _fwd_cgbn(layer, x, Mode.BATCH_LOSS)
+        return (up.re * y.re).sum() + (up.im * y.im).sum()
+
+    grads = []
+    dx = _bwd_cgbn(layer, up, _fwd_cgbn(layer, x, Mode.BATCH_LOSS)[1], grads)
+    by_param = {id(arr): grad for arr, grad in grads}
+    assert len(by_param) == 4
+    for arr in (layer.gamma_re, layer.gamma_im, layer.beta_re, layer.beta_im):
+        for idx in np.ndindex(arr.shape):
+            np.testing.assert_allclose(by_param[id(arr)][idx],
+                                       _central_difference(loss, arr, idx),
+                                       rtol=1e-5, atol=1e-7)
+    for idx in [(0, 0, 0, 0), (1, 2, 3, 2), (0, 1, 2, 1)]:
+        np.testing.assert_allclose(dx.im[idx], _central_difference(loss, x.im, idx),
+                                   rtol=1e-5, atol=1e-7)
+
+
+def test_dense_backward_matches_finite_differences():
+    from bcnn.models import DenseLayer
+
+    rng = np.random.default_rng(10)
+    layer = DenseLayer(rng.standard_normal((3, 5)), rng.standard_normal(3))
+    x = rng.standard_normal((4, 5))
+    up = rng.standard_normal((4, 3))
+
+    def loss():
+        return (up * kind_of(layer).forward(layer, x, Mode.BATCH_LOSS)[0]).sum()
+
+    _, cache = kind_of(layer).forward(layer, x, Mode.BATCH_LOSS)
+    grads = []
+    dx = kind_of(layer).backward(layer, up, cache, 1.0, grads)
+    by_param = {id(arr): grad for arr, grad in grads}
+    for arr in (layer.weight, layer.bias, x):
+        grad = dx if arr is x else by_param[id(arr)]
+        assert grad.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            np.testing.assert_allclose(grad[idx], _central_difference(loss, arr, idx),
+                                       rtol=1e-6, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
