@@ -7,12 +7,14 @@ Everything here operates on dense planes; the packed kernels live in
 ``binary_ops``.
 There is one convolution routine, ``conv2d_real``: one strided window
 gather over the padded batch, then per image a copy of that image's
-(c*kh*kw, h_out*w_out) columns into one reused buffer and one BLAS GEMM.
+(c*kh*kw, h_out*w_out) columns into a reused buffer and one BLAS GEMM.
 The columns of the whole batch (k*k times an activation) never exist, and
 one image's columns stay in cache for their GEMM.  A complex convolution is
 two real ones, on ``[w_r; w_i]`` and on ``[w_i; w_r]`` stacked along output
 channels, and ``_real_conv_bwd`` is the one convolution backward, streaming
-the same way.
+the same way.  Both spread their images over the cores (``run_tasks``),
+each sum in one task, so float results do not depend on the core count;
+the batch norm's statistics stay on the calling thread.
 
 Each trainable op's backward sits beside its forward, including the
 straight-through estimators of binarized weights and activations.  A
@@ -31,6 +33,7 @@ engine calls ``_thaw`` first, which makes the model's next forward plan anew.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .binary_ops import ConvGeometry, out_size
 from .errors import ShapeMismatch
 from .tensors import ComplexTensor
+from .workers import run_tasks
 
 
 class Mode(Enum):
@@ -104,6 +108,16 @@ def _windows(x, kernel, stride, padding, pad_value):
     return win.transpose(0, 1, 4, 5, 2, 3), (h_out, w_out)
 
 
+# Images per task of a split convolution: a chunk scatters its input
+# gradient in one ``_col2im`` call, where each image took one of its own.
+CONV_CHUNK_IMAGES = 4
+
+
+def _chunks(n: int) -> list[slice]:
+    """An n-image batch as slices of at most ``CONV_CHUNK_IMAGES`` images."""
+    return [slice(i, i + CONV_CHUNK_IMAGES) for i in range(0, n, CONV_CHUNK_IMAGES)]
+
+
 def _image_columns(win):
     """Each image's (c*kh*kw, h_out*w_out) columns in turn, copied from the
     window view ``win`` into one buffer that the next image overwrites."""
@@ -139,36 +153,58 @@ def conv2d_real(
     pad_value: float = 0.0,
 ) -> np.ndarray:
     """Plain real 2D convolution (cross-correlation), NCHW in, NCHW out:
-    per image, one GEMM of the flattened weights with that image's columns."""
+    per image, one GEMM of the flattened weights with that image's columns,
+    on chunks of ``CONV_CHUNK_IMAGES`` images spread over the cores, each
+    chunk with a column buffer of its own."""
     if w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"weight expects {w.shape[1]} channels, input has {x.shape[1]}")
     win, (h_out, w_out) = _windows(x, w.shape[2:], stride, padding, pad_value)
     wm = w.reshape(w.shape[0], -1).astype(float, copy=False)
     y = np.empty((x.shape[0], w.shape[0], h_out * w_out))
-    for y_i, cols in zip(y, _image_columns(win)):
-        np.matmul(wm, cols, out=y_i)
+
+    def chunk(images):
+        for y_i, cols in zip(y[images], _image_columns(win[images])):
+            np.matmul(wm, cols, out=y_i)
+
+    run_tasks([functools.partial(chunk, images) for images in _chunks(len(x))])
     return y.reshape(x.shape[0], w.shape[0], h_out, w_out)
 
 
 def _real_conv_bwd(g, x, w, stride=(1, 1), padding=(0, 0), pad_value=0.0, input_grad=True):
     """(dw, dx) of ``conv2d_real(x, w, stride, padding, pad_value)`` for the
-    output gradient ``g``.  Per image, the columns are rebuilt from the
-    cached input, ``g_i @ cols_i^T`` is added to ``dw`` in image order, and
-    ``w^T @ g_i`` is scattered back into ``dx[i]``; with ``input_grad``
-    False, ``dx`` is None and never computed."""
+    output gradient ``g``; with ``input_grad`` False, ``dx`` is None and
+    never computed.  Two independent streams, spread over the cores: one
+    rebuilds each image's columns from the cached input and adds
+    ``g_i @ cols_i^T`` to ``dw`` in image order, and one task per chunk of
+    ``CONV_CHUNK_IMAGES`` images scatters ``w^T @ g`` of its images back
+    into ``dx``, each element adding its taps in the same order.  A batch
+    of one image runs inline."""
     n, out_c = g.shape[:2]
     gm = g.reshape(n, out_c, -1)
     wm = w.reshape(out_c, -1).astype(float, copy=False)
     win, _ = _windows(x, w.shape[2:], stride, padding, pad_value)
-    dx = np.empty(x.shape) if input_grad else None
-    for i, cols in enumerate(_image_columns(win)):
-        part = gm[i] @ cols.T
-        if i == 0:
-            dw = part
-        else:
-            dw += part
-        if input_grad:
-            dx[i] = _col2im(wm.T @ gm[i], x.shape[1:], w.shape[2:], stride, padding)
+    dw, dx = None, np.empty(x.shape) if input_grad else None
+
+    def weight_grad():
+        nonlocal dw
+        for i, cols in enumerate(_image_columns(win)):
+            part = gm[i] @ cols.T
+            if i == 0:
+                dw = part
+            else:
+                dw += part
+
+    def input_grad_chunk(images):
+        dx[images] = _col2im(wm.T @ gm[images], dx[images].shape, w.shape[2:], stride, padding)
+
+    tasks = [weight_grad]
+    if input_grad:
+        tasks += [functools.partial(input_grad_chunk, images) for images in _chunks(n)]
+    if n > 1:
+        run_tasks(tasks)
+    else:
+        for task in tasks:
+            task()
     return dw.reshape(w.shape), dx
 
 

@@ -39,10 +39,9 @@ again.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
-import os
 import struct
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -60,6 +59,7 @@ from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _b
 from .tensors import (BitplaneTensor, ComplexTensor, _pack_bits, _unpack_plane, channel_mask,
                       pack_signs, unpack, words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
+from .workers import cores, run_tasks
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -73,31 +73,6 @@ RESNET18_STAGES = (32, 64, 128, 256)
 # Images per chunk of a split forward (a batch of at most this many runs
 # inline): smaller chunks lose more to per-call costs than a core gains.
 CHUNK_IMAGES = 8
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int):
-    """The shared worker pool, started on first use.  Importing
-    ``concurrent.futures`` only here kept the batch-1 NIN loop about 4%
-    faster (2-core Xeon) than a module-level import."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="bcnn-forward")
-        return _pool
-
-
-def _forget_pool():
-    """A forked child has none of its parent's worker threads: start anew."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # platforms without fork have no hook
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +363,10 @@ def _sign_weights(layer: BinaryConvLayer) -> ComplexConvLayer:
 
 
 def _binary_conv_forward(layer: BinaryConvLayer, x, mode: Mode):
-    """Packed, the packed kernel on a binarize step's words, pruned channels
-    +0.0, as a conv step with no CGBN, prepared here (``_prepare_step``).
-    Otherwise the dense conv, the signed weights as a full-precision conv
-    with -1 padding and pruned channels masked to zero, and its input as
-    the cache."""
-    if mode is Mode.PACKED:
-        return _run_step(_prepare_step(layer), x), None
+    """The dense conv: the signed weights as a full-precision conv with -1
+    padding, pruned channels masked to zero, and its input as the cache.
+    Packed inference never calls it: ``run_nodes`` runs every packed binary
+    conv as a planned step (``_plan``)."""
     y = complex_conv2d_fp(x, _sign_weights(layer))
     return mask_pruned_channels(y, active_output_channels(layer)), x
 
@@ -1111,31 +1083,20 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
 
 def _run_chunks(nodes, x: np.ndarray, mode: Mode) -> np.ndarray:
     """``run_nodes(nodes, x, mode)[0]`` of per-image nodes, on chunks of at
-    most ``CHUNK_IMAGES`` images, each thread (the caller and up to
-    ``cores - 1`` pool tasks) taking the next chunk until none is left.
-    The caller then cancels the tasks not yet started and waits for the
-    rest, so nothing runs once this returns, and task exceptions propagate."""
-    chunks = -(-len(x) // CHUNK_IMAGES)
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    if min(cores, chunks) < 2:
-        return run_nodes(nodes, x, mode)[0]
-    parts, tickets = [None] * chunks, itertools.count()  # next(tickets): the shared counter
+    most ``CHUNK_IMAGES`` images spread over the cores (``run_tasks``).  On
+    one core, or for at most one chunk's images, the batch runs in one pass
+    on the calling thread, and its convolutions do not split it again."""
+    if cores() < 2 or len(x) <= CHUNK_IMAGES:
+        chunks = [x]
+    else:
+        chunks = [x[i : i + CHUNK_IMAGES] for i in range(0, len(x), CHUNK_IMAGES)]
+    parts = [None] * len(chunks)
 
-    def drain():
-        while (k := next(tickets)) < chunks:
-            parts[k] = run_nodes(nodes, x[k * CHUNK_IMAGES : (k + 1) * CHUNK_IMAGES], mode)[0]
+    def run(k):
+        parts[k] = run_nodes(nodes, chunks[k], mode)[0]
 
-    tasks = [_executor(cores - 1).submit(drain) for _ in range(min(cores, chunks) - 1)]
-    try:
-        drain()
-    finally:
-        started = [task for task in tasks if not task.cancel()]
-        for task in started:
-            task.exception()  # waits for the task
-    for task in started:
-        task.result()
-    return np.concatenate(parts)
+    run_tasks([functools.partial(run, k) for k in range(len(chunks))])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def check_batch(model: ModelGraph, batch, labels=None) -> np.ndarray:

@@ -71,10 +71,12 @@ class _Draft:
             self.layers.append(init(rng, c, out_c, *self._conv_geometry()))
             self.c = out_c
         elif what in ("avg", "max"):
-            k, s = (int(v) for v in rng.integers(1, 4, size=2))
+            # a window and stride in 1..3 that tile the size reached
+            tiling = [(k, s) for k in range(1, 4) for s in range(1, 4)
+                      if k <= min(self.h, self.w) and (self.h - k) % s == (self.w - k) % s == 0]
+            k, s = tiling[rng.integers(len(tiling))]
             self.layers.append({"avg": AvgPool, "max": MaxPool}[what]((k, k), (s, s)))
-            self.h = max(1, (self.h - k) // s + 1)
-            self.w = max(1, (self.w - k) // s + 1)
+            self.h, self.w = (self.h - k) // s + 1, (self.w - k) // s + 1
         elif what == "spectral":
             self.h, self.w = int(rng.integers(1, self.h + 1)), int(rng.integers(1, self.w + 1))
             self.layers.append(SpectralPool((self.h, self.w)))

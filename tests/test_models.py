@@ -737,22 +737,6 @@ def test_live_input_forward_equals_dense_with_staircase_statistics(name):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def cores(monkeypatch):
-    """Sets the core count ``forward`` sees; the test starts without a worker
-    pool and the pool it starts is shut down after it."""
-    import bcnn.models as models
-
-    monkeypatch.setattr(models, "_pool", None)
-
-    def set_cores(count):
-        monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-    yield set_cores
-    if models._pool is not None:
-        models._pool.shutdown()
-
-
-@pytest.fixture
 def chunks(monkeypatch):
     """(thread id, images, live thread count) of every chunk a forward's body
     runs on; block paths and the head are not chunks."""
@@ -813,41 +797,41 @@ def test_split_forward_equals_one_pass(cores, chunks, split_model, name, batch, 
 def test_fewer_chunks_than_cores_take_one_thread_each(cores, chunks, batch):
     import threading
 
-    import bcnn.models as models
+    import bcnn.workers as workers
 
     cores(4)
     model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=24)
     forward(model, np.random.default_rng(batch).random((batch, 3, 8, 8)))
     assert sorted(images for _, images, _ in chunks) == ([8] if batch == 8 else [4, 8, 8])
     if batch == 8:  # one chunk runs inline
-        assert chunks[0][0] == threading.get_ident() and models._pool is None
+        assert chunks[0][0] == threading.get_ident() and workers._pool is None
     else:  # three chunks start two tasks, never a third worker
-        assert models._pool._max_workers == 3 and len(models._pool._threads) <= 2
+        assert workers._pool._max_workers == 3 and len(workers._pool._threads) <= 2
 
 
 def test_one_core_runs_inline(cores, chunks):
     import threading
 
-    import bcnn.models as models
+    import bcnn.workers as workers
 
     cores(1)
     model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=25)
     forward(model, np.random.default_rng(25).random((20, 3, 8, 8)))
     assert [(thread, images) for thread, images, _ in chunks] == [(threading.get_ident(), 20)]
-    assert models._pool is None
+    assert workers._pool is None
 
 
 @pytest.mark.parametrize("batch", [1, 8])
 def test_small_batches_run_inline(cores, chunks, batch):
     import threading
 
-    import bcnn.models as models
+    import bcnn.workers as workers
 
     cores(2)
     model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=26)
     forward(model, np.random.default_rng(26).random((batch, 3, 8, 8)))
     assert [(thread, images) for thread, images, _ in chunks] == [(threading.get_ident(), batch)]
-    assert models._pool is None
+    assert workers._pool is None
 
 
 def test_forward_threads_never_outnumber_the_cores(cores, chunks):
@@ -859,9 +843,9 @@ def test_forward_threads_never_outnumber_the_cores(cores, chunks):
     cores(3)
     model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=27)
     x = np.random.default_rng(27).random((40, 3, 8, 8))
-    want = run_nodes(model.layers, x, Mode.PACKED)[0]
-    chunks.clear()
     before = set(threading.enumerate())
+    want = run_nodes(model.layers, x, Mode.PACKED)[0]  # its convolutions may start the pool
+    chunks.clear()
     results = []
     callers = [threading.Thread(target=lambda: results.extend(
         forward(model, x) for _ in range(3))) for _ in range(2)]
@@ -913,11 +897,18 @@ def test_worker_exceptions_reach_the_caller_and_nothing_runs_after(cores, monkey
     assert len(writes) == 1 and writes[0] < returned
 
 
-def _split_forward_in_child(model, x, want):
+def _train_and_split_forward_in_child(model, x, want, labels, want_step):
+    import copy
     import threading
 
     import bcnn.models as models
+    import bcnn.workers as workers
+    from bcnn.training import train_step
 
+    # the step's convolutions start the child's own pool
+    assert workers._pool is None
+    assert train_step(copy.deepcopy(model), x, labels, lr=0.1, clip=1.0) == want_step
+    assert workers._pool is not None
     caller, started, threads = threading.get_ident(), threading.Event(), set()
     run_nodes = models.run_nodes
 
@@ -935,17 +926,21 @@ def _split_forward_in_child(model, x, want):
 
 
 def test_a_forked_child_starts_its_own_workers(cores):
+    import copy
     import multiprocessing
 
-    import bcnn.models as models
+    import bcnn.workers as workers
+    from bcnn.training import train_step
 
     cores(2)
     model = build_toy_bcnn((3, 8, 8), 2, (4, 4), seed=29)
     x = np.random.default_rng(29).random((40, 3, 8, 8))
+    labels = np.arange(40) % 2
     want = forward(model, x)  # starts the parent's pool
-    assert models._pool is not None
+    assert workers._pool is not None
+    want_step = train_step(copy.deepcopy(model), x, labels, lr=0.1, clip=1.0)
     child = multiprocessing.get_context("fork").Process(
-        target=_split_forward_in_child, args=(model, x, want))
+        target=_train_and_split_forward_in_child, args=(model, x, want, labels, want_step))
     child.start()
     child.join(timeout=60)
     if child.is_alive():
@@ -1076,6 +1071,6 @@ def test_concurrent_forwards_of_two_models_each_get_their_own_logits(cores):
         assert len(results[k]) == 3
         for logits in results[k]:
             np.testing.assert_array_equal(logits, want[k])
-    # a forward leaves no plan behind: the module's only new state is its pool
+    # a forward leaves no plan behind: the module holds no new state
     changed = {name for name, value in vars(models).items() if before.get(name) is not value}
-    assert changed <= {"_pool"}
+    assert not changed

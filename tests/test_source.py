@@ -69,6 +69,29 @@ def test_every_imported_name_is_read_or_marked_with_a_reason():
     assert not unused, f"imported names the module never reads: {unused}"
 
 
+def _import_time_imports(tree: ast.Module):
+    """The modules a module's imports name, for every import that runs when
+    the module is imported: all but those inside a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_concurrent_futures_when_it_is_imported():
+    # the worker pool imports it on first use: a module-level import cost
+    # the batch-1 NIN loop about 4% (2-core Xeon)
+    eager = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _import_time_imports(ast.parse(path.read_text(), str(path)))
+             if name == "concurrent.futures" or name.startswith("concurrent.futures.")]
+    assert not eager, f"modules importing concurrent.futures at import time: {eager}"
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 # public names that no package code, ``bcnn/__init__.py`` or ``perfbench/``

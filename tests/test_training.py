@@ -329,7 +329,7 @@ def test_complex_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad
         assert db_re is None and db_im is None
 
 
-@pytest.mark.parametrize("batch", [1, 3, 4])
+@pytest.mark.parametrize("batch", [1, 3, 4, 9])
 @pytest.mark.parametrize("pad_value", [0.0, -1.0])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
@@ -357,9 +357,14 @@ def test_real_conv_gemm_matches_einsum_reference(kernel, stride, padding, pad_va
         np.testing.assert_array_equal(got, want)
 
 
-def test_real_conv_never_holds_the_whole_batch_columns():
+@pytest.mark.parametrize("count", [1, 2], ids=["one_core", "two_cores"])
+def test_real_conv_never_holds_the_whole_batch_columns(cores, count):
     """Forward and backward peak below one (n, c*kh*kw, h_out*w_out) float64
-    column matrix: the columns exist one image at a time."""
+    column matrix: the columns exist one image at a time, and on two cores
+    each thread holds its own."""
+    import bcnn.workers as workers
+
+    cores(count)
     rng = np.random.default_rng(0)
     n, c, out_c, hw, k = 16, 8, 8, 16, 3
     x = rng.standard_normal((n, c, hw, hw))
@@ -376,6 +381,7 @@ def test_real_conv_never_holds_the_whole_batch_columns():
         finally:
             tracemalloc.stop()
         assert peak < whole_cols
+    assert (workers._pool is not None) == (count > 1)
 
 
 def test_cgbn_backward_matches_finite_differences():
@@ -512,6 +518,81 @@ def test_seeded_train_and_slr_prune_are_golden():
         "slr_history": digest(history_to_jsonl(slr_history).encode()),
         "slr_bcn1": digest(model_to_bytes(model)),
     } == GOLDEN_TRAINING
+
+
+@pytest.mark.parametrize("name, batch, steps", [("toy", 12, 3), ("resnet18", 4, 2)])
+def test_two_cores_train_exactly_as_one(cores, monkeypatch, name, batch, steps):
+    # the split convolutions keep every sum in one order: the same losses,
+    # gradients, latent weights and running statistics, bit for bit
+    import bcnn.training as training
+    import bcnn.workers as workers
+    from bcnn.models import build_resnet18_bcnn
+
+    build = {"toy": lambda: build_toy_bcnn((3, 16, 16), 4, (8, 8), seed=40),
+             "resnet18": lambda: build_resnet18_bcnn(seed=41)}[name]
+    sgd_step, grads = training.sgd_step, []
+    monkeypatch.setattr(training, "sgd_step",
+                        lambda arr, grad, lr: grads.append(grad.copy()) or sgd_step(arr, grad, lr))
+    runs = []
+    for count in (1, 2):
+        cores(count)
+        model = build()
+        rng = np.random.default_rng(42)
+        losses = [training.train_step(model, rng.random((batch, *model.input_shape)),
+                                      rng.integers(0, model.num_classes, batch), lr=0.1, clip=1.0)
+                  for _ in range(steps)]
+        assert (workers._pool is not None) == (count > 1)  # one core starts no pool
+        runs.append((losses, grads[:], [arr for node, _ in graph_nodes(model)
+                                         for arr in vars(node).values()
+                                         if isinstance(arr, np.ndarray)]))
+        grads.clear()
+    (losses_1, *arrays_1), (losses_2, *arrays_2) = runs
+    assert losses_2 == losses_1
+    for one, two in zip(arrays_1, arrays_2):
+        assert len(two) == len(one) > 0
+        for a, b in zip(one, two):
+            np.testing.assert_array_equal(b, a)
+
+
+def test_concurrent_training_steps_share_the_pool_and_keep_their_results(cores):
+    # more callers than cores, each training its own model on the one pool
+    import copy
+    import sys
+    import threading
+
+    from bcnn.training import train_step
+
+    rng = np.random.default_rng(43)
+    model = build_toy_bcnn((3, 16, 16), 4, (8, 8), seed=43)
+    batches = [(rng.random((12, 3, 16, 16)), rng.integers(0, 4, 12)) for _ in range(2)]
+
+    def train(net):
+        losses = [train_step(net, x, y, lr=0.1, clip=1.0) for x, y in batches]
+        return losses, [arr.tobytes() for node, _ in graph_nodes(net)
+                        for arr in vars(node).values() if isinstance(arr, np.ndarray)]
+
+    cores(1)
+    want = train(copy.deepcopy(model))
+    cores(2)
+    start, results = threading.Barrier(3), [None] * 3
+
+    def caller(k):
+        net = copy.deepcopy(model)
+        start.wait(timeout=60)
+        results[k] = train(net)
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == [want] * 3
 
 
 def test_latent_weights_stay_full_precision():
@@ -850,9 +931,10 @@ def test_batch_loss_keeps_no_node_cache():
 
 
 def test_train_step_caches_one_copy_of_each_array():
-    """A ResNet-18 batch-4 training step peaks at 126.6 MiB.  Caching each
-    binary conv's float64 signed weights beside its input reached 169.2 MiB,
-    and copying float64 weights on every cast 135.6 MiB."""
+    """A ResNet-18 batch-4 training step peaks at 126.6 MiB on one core and
+    128.2 MiB on two, where a worker scatters the input gradients.  Caching
+    each binary conv's float64 signed weights beside its input reached
+    169.2 MiB, and copying float64 weights on every cast 135.6 MiB."""
     from bcnn.models import build_resnet18_bcnn
     from bcnn.training import train_step
 
