@@ -118,7 +118,8 @@ def _cmd_prune(args) -> int:
         max_iters=args.iters,
     )
     _, history = slr.slr_prune(model, dataset, cfg)
-    print(slr.history_to_jsonl(history))
+    if history:
+        print(slr.history_to_jsonl(history))
     model_io.save_model(model, args.out)
     print(f"saved pruned model to {args.out}")
     return 0

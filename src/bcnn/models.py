@@ -59,7 +59,7 @@ from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _b
 from .tensors import (BitplaneTensor, ComplexTensor, _pack_bits, _unpack_plane, channel_mask,
                       pack_signs, unpack, words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
-from .workers import cores, run_tasks
+from .workers import cores, keep_freed_heap, run_tasks
 
 # Halved widths of the public real-valued NIN baseline
 # (192/160/96 | 192/192/192 | 192/192).
@@ -1105,7 +1105,9 @@ def check_batch(model: ModelGraph, batch, labels=None) -> np.ndarray:
     (n, c, h, w) array; a single (c, h, w) image gets a batch axis.  A batch
     whose image shape is not the model's, or labels that are not one integer
     in [0, num_classes) per image, raise ``ShapeMismatch``; a NaN or infinite
-    pixel raises ``NonFiniteInput``."""
+    pixel raises ``NonFiniteInput``.  The first check in a process also has
+    the C library keep the heap the engine frees (``keep_freed_heap``)."""
+    keep_freed_heap()
     validate_graph(model)
     x = np.asarray(batch, dtype=float)
     if x.ndim == 3:

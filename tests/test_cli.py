@@ -198,6 +198,14 @@ def test_prune_command(tmp_path, capsys):
     assert count_nonzero_channels(np.stack([conv.w_re, conv.w_im]), 1) <= 4
 
 
+def test_prune_of_no_iterations_prints_no_history(tmp_path, capsys):
+    src, dst = tmp_path / "in.bcn", tmp_path / "pruned.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10,
+                              channels=(8, 8), seed=2), str(src))
+    assert run(["prune", "--in", str(src), "--iters", "0", "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == f"saved pruned model to {dst}\n"
+
+
 def test_export_text(tmp_path, capsys):
     model = build_toy_bcnn(seed=0)
     path = tmp_path / "m.bcn"

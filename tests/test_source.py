@@ -83,13 +83,18 @@ def _import_time_imports(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
+# modules the package imports only where it first uses them (2-core Xeon)
+LAZY_IMPORTS = (
+    "concurrent.futures",  # the worker pool: at import it cost the batch-1 NIN loop about 4%
+    "ctypes",  # ``keep_freed_heap``, which must never act at import time
+)
+
+
 def test_no_module_imports_concurrent_futures_when_it_is_imported():
-    # the worker pool imports it on first use: a module-level import cost
-    # the batch-1 NIN loop about 4% (2-core Xeon)
     eager = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
              for name in _import_time_imports(ast.parse(path.read_text(), str(path)))
-             if name == "concurrent.futures" or name.startswith("concurrent.futures.")]
-    assert not eager, f"modules importing concurrent.futures at import time: {eager}"
+             if any(name == lazy or name.startswith(f"{lazy}.") for lazy in LAZY_IMPORTS)]
+    assert not eager, f"modules importing {' or '.join(LAZY_IMPORTS)} at import time: {eager}"
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
