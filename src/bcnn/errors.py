@@ -57,3 +57,7 @@ class CorruptModelFile(BcnnError):
     """Model file has trailing bytes, an inconsistent descriptor, a
     non-finite parameter or a batch-norm eps <= 0; saving a model with such
     a parameter raises it too."""
+
+
+class NonFiniteParameter(CorruptModelFile):
+    """A parameter is NaN or infinite as a model file stores it; forward raises it too."""

@@ -520,20 +520,6 @@ def spectral_pool(x: ComplexTensor, out_hw: tuple[int, int]) -> ComplexTensor:
     return ComplexTensor(y.real, y.imag)
 
 
-def _bwd_spectral_pool(g: ComplexTensor, x_shape) -> ComplexTensor:
-    """Adjoint of ``spectral_pool``: FFT, centre, zero-pad the cropped block
-    back to the input size, uncentre, inverse FFT.  The forward's
-    (h'*w')/(h*w) rescale cancels the two transforms' normalizations."""
-    h, w = x_shape[2:]
-    h2, w2 = g.shape[2:]
-    spec = np.fft.fftshift(np.fft.fft2(g.re + 1j * g.im, axes=(2, 3)), axes=(2, 3))
-    full = np.zeros(x_shape, dtype=complex)
-    y0, x0 = h // 2 - h2 // 2, w // 2 - w2 // 2
-    full[:, :, y0 : y0 + h2, x0 : x0 + w2] = spec
-    dz = np.fft.ifft2(np.fft.ifftshift(full, axes=(2, 3)), axes=(2, 3))
-    return ComplexTensor(dz.real, dz.imag)
-
-
 # ---------------------------------------------------------------------------
 # activations and fully connected
 # ---------------------------------------------------------------------------

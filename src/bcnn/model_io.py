@@ -24,20 +24,18 @@ the descriptor; a well-formed file has no trailing bytes.  Loading never
 returns a partial model: a residual block must hold binarized convolutions
 and CGBN layers in the encoded order, and the loaded graph must pass
 ``validate_graph``, as a graph must before it is saved.  Every stored float
-must be finite and every batch-norm ``eps`` positive, on save and on load:
-a NaN batch norm would otherwise infer, its NaN binarizing to -1.
+must be finite (``check_parameters``, which ``forward`` runs too) and every
+batch-norm ``eps`` positive, on save and on load.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import fields
-
-import numpy as np
 
 from .errors import (BadMagic, CorruptModelFile, ShapeMismatch, TruncatedFile,
                      UnsupportedVersion)
-from .models import ModelGraph, decode_node, encode_node, graph_nodes, validate_graph
+from .models import (ModelGraph, _fields_of, check_parameters, decode_node, encode_node,
+                     validate_graph)
 
 MAGIC = b"BCN1"
 VERSION = 1
@@ -77,21 +75,13 @@ def model_to_bytes(model: ModelGraph) -> bytes:
 
 
 def _check_parameters(model: ModelGraph):
-    """Every float of a node must be finite as stored (arrays as 32-bit,
-    scalars as 64-bit reals) and a batch norm's ``eps`` must be > 0; this is
-    not part of ``validate_graph`` because it reads every parameter."""
-    for node, _ in graph_nodes(model):
-        where = type(node).__name__
-        for f in fields(node):
-            value = np.asarray(getattr(node, f.name))
-            if value.dtype.kind != "f":
-                continue
-            with np.errstate(over="ignore"):  # a float64 beyond the 32-bit range is stored as inf
-                stored = value.astype(np.float32, copy=False) if value.ndim else value
-            if not np.isfinite(stored).all():
-                raise CorruptModelFile(f"{where} {f.name} holds a non-finite value")
-        if not getattr(node, "eps", 1.0) > 0:
-            raise CorruptModelFile(f"{where} eps must be > 0, got {node.eps}")
+    """Every float of a node must be finite as stored (``check_parameters``)
+    and a batch norm's ``eps`` must be > 0; this is not part of
+    ``validate_graph`` because it reads every parameter."""
+    check_parameters(model.layers)
+    for node, name, value in _fields_of(model.layers):
+        if name == "eps" and not value > 0:
+            raise CorruptModelFile(f"{type(node).__name__} eps must be > 0, got {value}")
 
 
 def _encode_graph(model: ModelGraph) -> bytes:

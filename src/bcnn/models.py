@@ -20,7 +20,7 @@ inference on running statistics (``forward``), the loss on batch statistics
 (``batch_loss``), or a training step that also moves the running statistics
 (``train_step``).  Only the training step keeps the caches its backward
 reads; a binary conv, like every conv, caches only its input.  Every kind
-but ``SpectralPool`` is one a model builder makes.
+is one a model builder makes.
 
 The per-stage channel widths are the real-valued NIN / ResNet-18 baselines
 with every width halved, so the complex model matches the baseline's
@@ -49,13 +49,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d, out_size,
-                         quadrant_binarize)
-from .errors import CorruptModelFile, NonFiniteInput, ShapeMismatch
-from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _bwd_spectral_pool,
-                     _complex_conv_bwd, _freeze, _fwd_cgbn, _real_conv_bwd, avg_pool,
-                     cgbn_forward, complex_conv2d_fp, conv2d_real, fully_connected,
-                     hardtanh_backward, max_pool, relu as _relu, spectral_pool, ste_backward)
+from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d,
+                         mismatch_counts, out_size, quadrant_binarize)
+from .errors import CorruptModelFile, NonFiniteInput, NonFiniteParameter, ShapeMismatch
+from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _complex_conv_bwd,
+                     _freeze, _fwd_cgbn, _real_conv_bwd, avg_pool, cgbn_forward,
+                     complex_conv2d_fp, conv2d_real, fully_connected, hardtanh_backward, max_pool,
+                     relu as _relu, ste_backward)
+from .layers import spectral_pool  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
 from .tensors import (BitplaneTensor, ComplexTensor, _pack_bits, _unpack_plane, channel_mask,
                       pack_signs, unpack, words_per_pixel)
 from .tensors import pack  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
@@ -124,11 +125,6 @@ class AvgPool(_Pool):
 
 class MaxPool(_Pool):
     """Window-max pooling."""
-
-
-@dataclass
-class SpectralPool:
-    out_hw: tuple[int, int]
 
 
 @dataclass
@@ -414,36 +410,25 @@ def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarr
     return probe[..., 0] + edge.argmax(axis=-1), flip, edge.any(axis=-1).all(axis=0)
 
 
+def _input_channels(conv: BinaryConvLayer, keep=None):
+    """Geometry and sign-packed weights of the conv on its input channels ``keep`` alone."""
+    g, w = conv.geometry, (conv.w_re, conv.w_im)
+    if keep is not None:  # a mask; None keeps every channel
+        w = [np.compress(keep, plane, axis=1) for plane in w]
+    return (ConvGeometry(w[0].shape[1], g.out_channels, g.kernel, g.stride, g.padding),
+            pack_signs(ComplexTensor(*w)))
+
+
 def _constant_dots(conv: BinaryConvLayer, const: np.ndarray, signs: np.ndarray, hw, active):
-    """(2, live, h_out, w_out) dots of the input channels ``const`` alone,
-    each one sign per plane (``signs``, (2, channels) booleans) at every
+    """(2, live, h_out, w_out) exact dots of the input channels ``const``
+    alone, one sign per plane (``signs``, (2, channels) booleans) at every
     pixel of an ``hw`` input and -1 in the padding, for the ``active``
-    output channels: exact integers.  A tap's dot is one value inside the
-    image and another in the padding, so each output pixel sums the taps
-    it places inside."""
-    # per tap: the sums over those channels of s_re * w, s_im * w and w, for
-    # the signed weights w of each plane, (live, channels, kh, kw) +-1
-    s_re, s_im = np.where(signs, np.float32(1), np.float32(-1))
-    sums = np.stack([s_re, s_im, np.ones_like(s_re)])
-    (re_re, im_re, re), (re_im, im_im, im) = (
-        np.tensordot(sums, (np.compress(const, np.compress(active, w, axis=0), axis=1) >= 0)
-                     * np.float32(2) - 1, axes=(1, 1))
-        for w in (conv.w_re, conv.w_im))
-    # y_r = x_r w_r - x_i w_i and y_i = x_r w_i + x_i w_r, inside; x_r = x_i = -1 in the padding
-    inner = np.stack([re_re - im_im, re_im + im_re])
-    pad = np.stack([im - re, -im - re])
-    g = conv.geometry
-    out_hw = g.out_hw(*hw)
-    inside = []  # per axis, (taps, outputs): whether the tap reads the image, not the padding
-    for size, size_out, k, s, p in zip(hw, out_hw, g.kernel, g.stride, g.padding):
-        at = np.arange(k)[:, None] + np.arange(size_out) * s - p  # tap i of output r reads row at
-        inside.append((at >= 0) & (at < size))
-    rows, cols = inside
-    taps = (rows[:, None, :, None] & cols[None, :, None, :]).reshape(-1, math.prod(out_hw))
-    live = inner.shape[1]
-    dots = ((inner - pad).reshape(2 * live, len(taps)).astype(float) @ taps
-            + pad.sum(axis=(2, 3)).reshape(2 * live, 1))
-    return dots.reshape(2, live, *out_hw)
+    output channels: the packed kernel on one image of those signs."""
+    g, w = _input_channels(conv, const)
+    shape = (1, g.in_channels, *hw)
+    x = BitplaneTensor(shape, *(_pack_bits(np.broadcast_to(s[None, :, None, None], shape))
+                                for s in signs))
+    return g.row_bits - 2.0 * mismatch_counts(x, w, g, active)[:, :, 0]
 
 
 class _ConvStep(NamedTuple):
@@ -489,12 +474,9 @@ def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: 
     active = active_output_channels(conv)
     pruned = ~active
     live = None if active.all() else np.flatnonzero(active)
-    g, w_re, w_im, bias = conv.geometry, conv.w_re, conv.w_im, None
-    if cut is not None:
-        keep, cut_signs, hw = cut
-        bias = _constant_dots(conv, ~keep, cut_signs, hw, active)
-        g = ConvGeometry(int(keep.sum()), g.out_channels, g.kernel, g.stride, g.padding)
-        w_re, w_im = np.compress(keep, w_re, axis=1), np.compress(keep, w_im, axis=1)
+    keep = None if cut is None else cut[0]
+    g, weights = _input_channels(conv, keep)
+    bias = None if cut is None else _constant_dots(conv, ~keep, *cut[1:], active)
     fold = const = signs = None
     if bn is not None and binarize and not np.any(bn.gamma_im):
         k = conv.geometry.row_bits
@@ -514,11 +496,8 @@ def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: 
             bn = _bn_channels(bn, live) if live.size else None
     else:
         bn = None
-        if bias is not None and fold is None:  # a lone conv, widened after the bias
-            const = np.zeros((2, int(pruned.sum())))
     emit_live = feeds_conv and live is not None and live.size > 0
-    return _ConvStep(g, pack_signs(ComplexTensor(w_re, w_im)), active, live, bias, fold, bn,
-                     const, signs, binarize, emit_live)
+    return _ConvStep(g, weights, active, live, bias, fold, bn, const, signs, binarize, emit_live)
 
 
 def _run_step(step: _ConvStep, x: BitplaneTensor):
@@ -527,22 +506,22 @@ def _run_step(step: _ConvStep, x: BitplaneTensor):
     planes without a CGBN; bit-identical to the node-by-node forward."""
     y = binary_complex_conv2d(x, step.weights, step.geometry, active=step.active)  # fresh planes
     live = slice(None) if step.live is None else step.live
+    if step.bias is not None and step.bn is None:  # no float CGBN reads the live channels alone
+        y.re[:, live] += step.bias[0]
+        y.im[:, live] += step.bias[1]
     if step.fold is not None:  # every channel: a pruned one's +0.0 is the dot of count k / 2
-        if step.bias is not None:
-            y.re[:, live] += step.bias[0]
-            y.im[:, live] += step.bias[1]
         edge, flip = step.fold
         re, im = (y.re >= edge[0]) != flip, (y.im >= edge[1]) != flip
         if step.emit_live:
             re, im = re[:, live], im[:, live]
         return BitplaneTensor(re.shape, _pack_bits(re), _pack_bits(im))
-    if step.bias is None and step.bn is None and step.const is None:
-        return y  # a lone conv on every input channel
+    if step.bn is None and step.const is None:
+        return y  # a lone conv: a pruned channel keeps the kernel's +0.0
     re, im = y.re[:, live], y.im[:, live]  # a copy, or y itself when every channel is live
-    if step.bias is not None:
-        re += step.bias[0]
-        im += step.bias[1]
     if step.bn is not None:
+        if step.bias is not None:
+            re += step.bias[0]
+            im += step.bias[1]
         z = cgbn_forward(ComplexTensor(re, im), step.bn)
         re, im = z.re, z.im
     if step.live is not None and not step.emit_live:  # in y: live, then pruned channels
@@ -607,6 +586,18 @@ def _fields_of(nodes):
             yield from _fields_of(node.main + node.side)
 
 
+def check_parameters(nodes):
+    """Every float field of ``nodes`` must be finite as a BCN1 file stores
+    it (arrays as 32-bit, scalars as 64-bit reals); the first that is not
+    raises ``NonFiniteParameter``, naming the node kind and the field."""
+    with np.errstate(over="ignore"):  # a float64 beyond the 32-bit range is stored as inf
+        for node, name, value in _fields_of(nodes):
+            a = np.asarray(value)
+            stored = a.astype(np.float32, copy=False) if a.dtype.kind == "f" and a.ndim else a
+            if a.dtype.kind == "f" and not np.isfinite(stored).all():
+                raise NonFiniteParameter(f"{type(node).__name__} {name} holds a non-finite value")
+
+
 class _Plan(NamedTuple):
     """A model's packed body steps (``_plan``), kept with the model, and what
     they were planned from."""
@@ -657,6 +648,7 @@ def _model_plan(model: ModelGraph, body: list) -> list:
     kept = model.__dict__.get("_packed_plan")
     if kept is not None and kept.holds(model):
         return kept.steps
+    check_parameters(model.layers)
     fields_now = list(_fields_of(body))  # taken first: a node replaced while planning misses
     read = []
     steps = _plan(body, Activation(tuple(model.input_shape)), read)
@@ -758,14 +750,6 @@ def _encode_pool(pool: _Pool, desc: bytearray, payload: bytearray):
 def _decode_pool(cls, desc):
     kh, kw, sh, sw = desc.unpack("<4I")
     return cls((kh, kw), (sh, sw))
-
-
-def _spectral_pool_shape(pool: SpectralPool, act: Activation, visit) -> Activation:
-    c, h, w = _image(act)
-    h2, w2 = pool.out_hw
-    if not (1 <= h2 <= h and 1 <= w2 <= w):
-        raise ShapeMismatch(f"cannot crop {h}x{w} spectrum to {h2}x{w2}")
-    return Activation((c, h2, w2), "complex")
 
 
 def _dense_backward(layer: DenseLayer, g, x, clip, grads):
@@ -915,13 +899,6 @@ NODE_KINDS = {
         backward=lambda n, g, x, clip, grads: _bwd_pool(g, x, n.window, n.stride, average=False),
         out_shape=_pool_shape, describe=lambda n: f"window {n.window} stride {n.stride}",
     ),
-    SpectralPool: NodeKind(
-        tags=(8,), encode=lambda n, desc, payload: desc.extend(struct.pack("<2I", *n.out_hw)),
-        decode=lambda desc, payload, variant: SpectralPool(desc.unpack("<2I")),
-        forward=lambda n, x, mode: (spectral_pool(x, n.out_hw), x),
-        backward=lambda n, g, x, clip, grads: _bwd_spectral_pool(g, x.shape),
-        out_shape=_spectral_pool_shape, describe=lambda n: f"crop to {n.out_hw}",
-    ),
     Binarize: NodeKind(
         tags=(11,), decode=lambda desc, payload, variant: Binarize(),
         forward=lambda n, x, mode: (_binarize_forward(x, mode), x),
@@ -1067,7 +1044,8 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed
-    binary conv reads only binarize words.  The nodes before the first
+    binary conv reads only binarize words; ``check_parameters`` runs on each
+    dense forward and each packed one that plans.  The nodes before the first
     Dense layer run on chunks of the batch (``_run_chunks``), the rest once.
     """
     x = check_batch(model, batch)
@@ -1077,6 +1055,8 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     body = model.layers[:head]
     if packed:  # the chunks only read the plan
         body = _model_plan(model, body)
+    else:
+        check_parameters(model.layers)
     body = _run_chunks(body, x, mode)
     return run_nodes(model.layers[head:], body, mode)[0]
 

@@ -244,9 +244,9 @@ def batch_gemm_real_conv(x, w, g, stride, padding, pad_value):
 
 def every_node_kind_model(seed=0):
     """One graph holding every node kind BCN1 stores, in a trainable order:
-    the built models' kinds and the spectral pool."""
+    the kinds the model builders make."""
     from bcnn.layers import CgbnLayer
-    from bcnn.models import (AvgPool, Binarize, Flatten, MaxPool, ModelGraph, SpectralPool,
+    from bcnn.models import (AvgPool, Binarize, Flatten, MaxPool, ModelGraph,
                              build_complex_input_generator, validate_graph, _block1, _block2,
                              _init_binary_conv, _init_complex_conv, _init_dense)
 
@@ -255,7 +255,7 @@ def every_node_kind_model(seed=0):
         build_complex_input_generator(3, seed=seed),
         _init_complex_conv(rng, 3, 4, (3, 3), padding=(1, 1)),
         CgbnLayer.identity(4),
-        SpectralPool((8, 8)),  # 16 -> 8
+        AvgPool((2, 2)),  # 16 -> 8
         MaxPool((2, 2)),  # 8 -> 4
         Binarize(),
         _init_binary_conv(rng, 4, 4, (3, 3), padding=(1, 1)),

@@ -224,7 +224,7 @@ EXPORT_GOLDEN = {
         '  0 ComplexInputGenerator    3 channels',
         '  1 ComplexConvLayer         3->4 kernel (3, 3) stride (1, 1) pad (1, 1) (full precision)',
         '  2 CgbnLayer                4 complex channels',
-        '  3 SpectralPool             crop to (8, 8)',
+        '  3 AvgPool                  window (2, 2) stride (2, 2)',
         '  4 MaxPool                  window (2, 2) stride (2, 2)',
         '  5 Binarize                 ',
         '  6 BinaryConvLayer          4->4 kernel (3, 3) stride (1, 1) pad (1, 1) (binarized)',

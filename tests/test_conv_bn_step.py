@@ -349,30 +349,41 @@ def test_a_cut_conv_with_every_output_channel_pruned(kind, tail):
     np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
 
 
-def test_the_bias_map_is_the_constant_channels_dot_with_border_padding():
+CONST_SETS = {  # (conv input channels, the constant ones)
+    "random_of_11": (11, lambda rng: rng.random(11) < 0.5),
+    "70_of_80": (80, lambda rng: np.arange(80) % 8 != 0),  # across a word boundary, 2 words
+}
+
+
+@pytest.mark.parametrize("const_set", sorted(CONST_SETS))
+@pytest.mark.parametrize("geometry", sorted(B_GEOMETRIES))
+def test_the_bias_map_is_the_constant_channels_dot_with_border_padding(geometry, const_set):
     # on each output pixel the cut conv's dots plus the bias are the whole
     # conv's dots: the constant channels add one integer inside the image and
-    # others where a 3x3 window at stride 2 covers the -1 padding
+    # others where a window covers the -1 padding
     from bcnn.models import _constant_dots
 
+    (kernel, _), (stride, _), (pad, _) = B_GEOMETRIES[geometry]
+    in_c, const_of = CONST_SETS[const_set]
     rng = np.random.default_rng(8)
-    conv = _conv(rng, 11, MASKS["alternate_pruned"], kernel=3, stride=2, pad=1)
-    const = rng.random(11) < 0.5
-    signs = rng.random((2, 11)) < 0.5
+    conv = _conv(rng, in_c, MASKS["alternate_pruned"], kernel=kernel, stride=stride, pad=pad)
+    const = const_of(rng)
+    signs = rng.random((2, in_c)) < 0.5
     active = np.array(MASKS["alternate_pruned"])
-    x = random_pm1_tensor(rng, (1, 11, 7, 7))
+    x = random_pm1_tensor(rng, (1, in_c, 7, 7))
     x.re[:, const] = np.where(signs[0, const], 1.0, -1.0)[:, None, None]
     x.im[:, const] = np.where(signs[1, const], 1.0, -1.0)[:, None, None]
     whole = binary_complex_conv2d(pack(x), pack_signs(ComplexTensor(conv.w_re, conv.w_im)),
                                   conv.geometry, active=active)
     keep = ~const
     part = ComplexTensor(x.re[:, keep], x.im[:, keep])
-    g = ConvGeometry(int(keep.sum()), OUT_C, (3, 3), (2, 2), (1, 1))
+    g = ConvGeometry(int(keep.sum()), OUT_C, *B_GEOMETRIES[geometry])
     cut = binary_complex_conv2d(pack(part), pack_signs(ComplexTensor(conv.w_re[:, keep],
                                                                      conv.w_im[:, keep])),
                                 g, active=active)
     bias = _constant_dots(conv, const, signs[:, const], (7, 7), active)
-    assert bias.shape == (2, active.sum(), 4, 4)
+    assert bias.shape == (2, active.sum(), *g.out_hw(7, 7))
     np.testing.assert_array_equal(cut.re[:, active] + bias[0], whole.re[:, active])
     np.testing.assert_array_equal(cut.im[:, active] + bias[1], whole.im[:, active])
-    assert len(np.unique(bias[0, 0])) > 1  # the border rows and columns differ
+    # the border rows and columns differ where a window covers the padding
+    assert (len(np.unique(bias[0, 0])) > 1) == (pad > 0)

@@ -16,10 +16,10 @@ from bcnn.errors import CorruptModelFile, ShapeMismatch
 from bcnn.layers import CgbnLayer
 from bcnn.model_io import _encode_graph, model_from_bytes, model_to_bytes
 from bcnn.models import (NODE_KINDS, AvgPool, Binarize, BinaryConvLayer, ComplexInputGenerator,
-                         Flatten, MaxPool, Mode, ModelGraph, SpectralPool,
-                         backprop_nodes, build_complex_input_generator, forward, graph_nodes,
-                         kind_of, run_nodes, validate_graph, _block1, _block2, _init_binary_conv,
-                         _init_complex_conv, _init_dense)
+                         Flatten, MaxPool, Mode, ModelGraph, backprop_nodes,
+                         build_complex_input_generator, forward, graph_nodes, kind_of, run_nodes,
+                         validate_graph, _block1, _block2, _init_binary_conv, _init_complex_conv,
+                         _init_dense)
 from bcnn.training import batch_loss, softmax_cross_entropy, train_step
 from helpers import cut_convs, every_node_kind_model
 
@@ -31,9 +31,9 @@ PRUNED = 0.4  # the share of a binary conv's output channels pruned at random
 
 REAL_PREFIX = ("avg", "max", "conv", "binarize", "cgbn")
 REAL_PREFIX_P = (0.35, 0.35, 0.1, 0.1, 0.1)
-BODY = ("conv", "bin+binconv", "binconv", "binarize", "cgbn", "avg", "max", "spectral",
-        "block1", "block2", "gen")
-BODY_P = (0.16, 0.2, 0.03, 0.05, 0.12, 0.08, 0.08, 0.06, 0.1, 0.1, 0.02)
+BODY = ("conv", "bin+binconv", "binconv", "binarize", "cgbn", "avg", "max", "block1", "block2",
+        "gen")
+BODY_P = (0.16, 0.2, 0.03, 0.05, 0.12, 0.11, 0.11, 0.1, 0.1, 0.02)
 
 
 class _Draft:
@@ -77,9 +77,6 @@ class _Draft:
             k, s = tiling[rng.integers(len(tiling))]
             self.layers.append({"avg": AvgPool, "max": MaxPool}[what]((k, k), (s, s)))
             self.h, self.w = (self.h - k) // s + 1, (self.w - k) // s + 1
-        elif what == "spectral":
-            self.h, self.w = int(rng.integers(1, self.h + 1)), int(rng.integers(1, self.w + 1))
-            self.layers.append(SpectralPool((self.h, self.w)))
         elif what == "block1":
             self.layers.append(_block1(rng, c))
         elif what == "block2":

@@ -13,7 +13,6 @@ from bcnn.models import (
     Mode,
     ModelGraph,
     ResidualBlock,
-    SpectralPool,
     build_complex_input_generator,
     build_nin_bcnn,
     build_resnet18_bcnn,
@@ -96,6 +95,26 @@ def test_nin_rejects_a_non_finite_image(value, packed):
     x[1, 2, 17, 5] = value  # one pixel of the second image
     with pytest.raises(NonFiniteInput):
         forward(build_nin_bcnn(seed=0), x, packed=packed)
+
+
+# (toy model layer, field) of one parameter of each kind
+NON_FINITE_PARAMETERS = {"generator": (0, "w1"), "conv": (1, "w_re"), "cgbn": (2, "gamma_re"),
+                         "binary_conv": (4, "w_im"), "dense": (8, "weight")}
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "dense"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_PARAMETERS))
+def test_forward_rejects_a_non_finite_parameter(kind, packed):
+    # a NaN binary weight or a NaN before a binarize step would binarize to
+    # -1 and give finite logits
+    from bcnn.errors import NonFiniteParameter
+
+    model = build_toy_bcnn(seed=0)
+    at, name = NON_FINITE_PARAMETERS[kind]
+    node = model.layers[at]
+    getattr(node, name).flat[1] = np.nan
+    with pytest.raises(NonFiniteParameter, match=f"^{type(node).__name__} {name} holds a non-"):
+        forward(model, np.zeros((2, 3, 8, 8)), packed=packed)
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "dense"])
@@ -408,17 +427,6 @@ def test_iter_binary_convs_covers_blocks():
     assert len(convs) == 19
 
 
-def test_spectral_pool_node_in_graph():
-    from bcnn.models import SpectralPool
-    from bcnn.tensors import ComplexTensor
-
-    node = SpectralPool((4, 4))
-    x = ComplexTensor(np.random.default_rng(0).standard_normal((1, 2, 8, 8)),
-                      np.zeros((1, 2, 8, 8)))
-    out = kind_of(node).forward(node, x, Mode.PACKED)[0]
-    assert out.shape == (1, 2, 4, 4)
-
-
 def test_pruned_channels_are_skipped_at_binarization():
     from bcnn.models import active_output_channels
     from bcnn.tensors import ComplexTensor
@@ -564,7 +572,6 @@ BINARIZE_CONSUMERS = {
     "avg_pool": lambda: (AvgPool((2, 2)), CgbnLayer.identity(4), Binarize(), _binary_conv(1),
                          CgbnLayer.identity(4)),
     "max_pool": lambda: (MaxPool((2, 2)),),
-    "spectral_pool": lambda: (SpectralPool((4, 4)),),
     "cgbn": lambda: (CgbnLayer.identity(4), Binarize(), _binary_conv(2), CgbnLayer.identity(4)),
     "flatten": lambda: (),
     "binarize": lambda: (Binarize(), _binary_conv(3), CgbnLayer.identity(4)),
@@ -976,8 +983,9 @@ def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypat
     x = np.random.default_rng(34).random((32, 3, 32, 32))
     want = forward(model, x)
     assert [images for _, images, _ in chunks] == [8, 8, 8, 8]
-    # 19 binary convs, 8 of them (each block's conv1) followed by CGBN -> Binarize
-    once = {"steps": 19, "active": 19, "weights": 19, "thresholds": 8}
+    # 19 binary convs, 8 of them (each block's conv1) followed by CGBN -> Binarize,
+    # and 8 cut convs (each block's conv2) that also pack their constant channels
+    once = {"steps": 19, "active": 19, "weights": 27, "thresholds": 8}
     assert calls == once
     np.testing.assert_array_equal(forward(model, x), want)
     assert len(chunks) == 8 and calls == once

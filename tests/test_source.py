@@ -145,11 +145,7 @@ def test_every_public_name_is_read_or_kept_with_a_reason():
 
 # node kinds that no model builder makes, each kept on purpose; an entry
 # that a builder makes, or that is no node kind, fails
-KEPT_UNBUILT = {
-    "SpectralPool": "spectral pooling, which the acceptance suite checks against a DFT "
-                    "oracle; it goes once perfbench stops wrapping models.spectral_pool "
-                    "(ROADMAP item 2)",
-}
+KEPT_UNBUILT = {}
 
 
 def test_every_node_kind_is_built_or_kept_with_a_reason():
