@@ -38,7 +38,7 @@ class DataExhausted(BcnnError):
 
 
 class DivergedLoss(BcnnError):
-    """Training loss became non-finite."""
+    """Training loss or a trained weight became non-finite."""
 
 
 class BadMagic(BcnnError):

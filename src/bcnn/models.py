@@ -542,14 +542,15 @@ def _plan(nodes, act: Activation | None = None, read: list | None = None) -> lis
     steps only read what they hold, so one plan serves every chunk of every
     forward of the model it was made for (``_model_plan``).
 
-    Given the sequence's input ``act``, a binary conv -> CGBN -> Binarize
-    with some but not all output channels pruned, followed by a binary conv,
-    emits its live channels' words only, and that conv reads them with the
-    pruned channels' constant signs as its cut (``_prepare_step``).  Given
-    a list ``read``, each array a step is prepared from (the conv's weight
-    planes, its CGBN's arrays) is appended to it."""
+    Given the sequence's input ``act``, ``walk_shapes`` runs on each step's
+    nodes right after the step is planned, and a binary conv -> CGBN ->
+    Binarize with some but not all output channels pruned, followed by a
+    binary conv, emits its live channels' words only; that conv reads them
+    with the pruned channels' constant signs and the image size so found as
+    its cut (``_prepare_step``).  Given a list ``read``, each array a step
+    is prepared from (the conv's weight planes, its CGBN's arrays) is
+    appended to it."""
     steps, cut, i = [], None, 0
-    walked = 0  # act is the input of nodes[walked], walked up to where it is read
     while i < len(nodes):
         node, covers = nodes[i], 1
         if type(node) is BinaryConvLayer:
@@ -562,15 +563,13 @@ def _plan(nodes, act: Activation | None = None, read: list | None = None) -> lis
                 read += [node.w_re, node.w_im] + _bn_arrays(bn)
             node = _prepare_step(node, bn, binarize, cut, feeds_conv)
         elif type(node) is ResidualBlock:
-            b = None
-            if act is not None:
-                act, walked = walk_shapes(nodes[walked:i], act), i
-                b = Activation(act.dims, "binarized")
+            b = None if act is None else Activation(act.dims, "binarized")
             node = _PlannedBlock(_plan(node.main, b, read), _plan(node.side, b, read))
         cut = None
-        if act is not None and type(node) is _ConvStep and node.emit_live:
-            act, walked = walk_shapes(nodes[walked : i + covers], act), i + covers
-            cut = (node.active, node.signs, act.dims[1:])
+        if act is not None:  # now the input of nodes[i + covers]
+            act = walk_shapes(nodes[i : i + covers], act)
+            if type(node) is _ConvStep and node.emit_live:
+                cut = (node.active, node.signs, act.dims[1:])
         steps.append(node)
         i += covers
     return steps

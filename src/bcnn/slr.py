@@ -194,6 +194,8 @@ def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
     # Step 1: SGD on the W subproblem, Z and multipliers held.
     problem.run_inner_epoch(state.multipliers, z_prev, cfg.rho)
     w_new = problem.get_weights()
+    if not all(np.isfinite(w).all() for w in w_new):
+        raise DivergedLoss(f"weights became non-finite at SLR iteration {state.k}")
     f_new = problem.loss(batch)
     if not np.isfinite(f_new):
         raise DivergedLoss(f"loss became {f_new} at SLR iteration {state.k}")

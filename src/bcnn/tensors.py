@@ -126,17 +126,6 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
-def _pack_signs(plane: np.ndarray) -> np.ndarray:
-    return _pack_bits(plane >= 0)
-
-
-def _pack_plane(plane: np.ndarray) -> np.ndarray:
-    plane = np.asarray(plane)
-    if not np.all(np.abs(plane) == 1):
-        raise NonBinaryEntry("plane contains entries other than +1 and -1")
-    return _pack_signs(plane)
-
-
 def _unpack_plane(words: np.ndarray, channels: int) -> np.ndarray:
     n, h, w, nw = words.shape
     bits = (words[..., None] >> _BIT_SHIFTS) & np.uint64(1)
@@ -150,7 +139,9 @@ def pack(t: ComplexTensor) -> BitplaneTensor:
     Raises NonBinaryEntry if any entry of either plane is not exactly +-1.
     Packing is deterministic: equal tensors produce byte-identical buffers.
     """
-    return BitplaneTensor(t.shape, _pack_plane(t.re), _pack_plane(t.im))
+    if not (np.all(np.abs(t.re) == 1) and np.all(np.abs(t.im) == 1)):
+        raise NonBinaryEntry("plane contains entries other than +1 and -1")
+    return pack_signs(t)
 
 
 def pack_signs(t: ComplexTensor) -> BitplaneTensor:
@@ -159,7 +150,7 @@ def pack_signs(t: ComplexTensor) -> BitplaneTensor:
     Byte-identical to ``pack(quadrant_binarize(t))`` (so -0.0 and all-zero
     planes pack as +1) without building the {+1,-1} planes or checking them.
     """
-    return BitplaneTensor(t.shape, _pack_signs(t.re), _pack_signs(t.im))
+    return BitplaneTensor(t.shape, _pack_bits(t.re >= 0), _pack_bits(t.im >= 0))
 
 
 def unpack(b: BitplaneTensor) -> ComplexTensor:

@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfig,
     MissingFile,
     NonFiniteInput,
+    NonFiniteParameter,
     ShapeMismatch,
 )
 from .layers import _thaw
@@ -43,6 +44,7 @@ from .models import (
     backprop_nodes,
     build_toy_bcnn,
     check_batch,
+    check_parameters,
     forward as model_forward,
     run_nodes,
 )
@@ -251,7 +253,8 @@ def train(model: ModelGraph, dataset: Dataset, cfg: TrainConfig):
 
     Batch order is drawn once from ``cfg.seed`` and kept fixed across
     epochs, so runs are reproducible and a zero-step run leaves the loss
-    curve constant.  Returns (model, per-epoch history).
+    curve constant.  A non-finite loss or parameter raises ``DivergedLoss``.
+    Returns (model, per-epoch history).
     """
     n = len(dataset)
     if n == 0:
@@ -269,6 +272,10 @@ def train(model: ModelGraph, dataset: Dataset, cfg: TrainConfig):
             )
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss} at epoch {epoch}")
+            try:  # a NaN weight masks its channel, so the loss alone may stay finite
+                check_parameters(model.layers)
+            except NonFiniteParameter as exc:
+                raise DivergedLoss(f"{exc} at epoch {epoch}") from None
             total_loss += loss * len(idx)
             correct += ncorr
         history.append(

@@ -304,6 +304,38 @@ def test_infer_on_raw_pixel_file(tmp_path, capsys):
     assert "class " in capsys.readouterr().out
 
 
+def test_infer_on_a_raw_pixel_file_skips_a_leading_label_byte(tmp_path, capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8), seed=4),
+               str(model_path))
+    raw = bytes(range(256)) * 12  # 3072 pixel bytes
+    outputs = []
+    for name, data in [("img.bin", raw), ("record.bin", bytes([7]) + raw)]:
+        (tmp_path / name).write_bytes(data)
+        assert run(["infer", "--in", str(model_path), "--image", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("class ") and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("name, write, message", [
+    ("img.bin", lambda path: path.write_bytes(bytes(100)), "100 pixel bytes, expected 3072"),
+    ("img.npy", lambda path: np.save(path, np.zeros((3, 16, 16))),
+     "image shape (3, 16, 16) does not match model (3, 32, 32)"),
+], ids=["raw_100_bytes", "npy_3x16x16"])
+def test_infer_on_an_image_of_the_wrong_size_is_an_error_line(name, write, message, tmp_path,
+                                                              capsys):
+    model_path = tmp_path / "m.bcn"
+    save_model(build_toy_bcnn(input_shape=(3, 32, 32), num_classes=10, channels=(8, 8)),
+               str(model_path))
+    img_path = tmp_path / name
+    write(img_path)
+    assert run(["infer", "--in", str(model_path), "--image", str(img_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def _write_npz(path):
     with open(path, "wb") as fh:  # a file object keeps np.savez from renaming it
         np.savez(fh, np.zeros((3, 32, 32)))

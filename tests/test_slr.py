@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcnn.errors import BudgetTooLarge, InvalidConfig
+from bcnn.errors import BudgetTooLarge, DivergedLoss, InvalidConfig
 from bcnn.models import build_toy_bcnn, iter_binary_convs
 from bcnn.slr import (
     ModelPruningProblem,
@@ -272,6 +272,15 @@ def test_slr_prune_toy_model_satisfies_budgets():
     assert any(rec["fired1"] for rec in history)
     _, accuracy = evaluate(model, data)
     assert accuracy >= 0.9
+
+
+def test_slr_prune_raises_on_a_nan_binary_conv_weight():
+    data = make_separable_dataset(samples_per_class=4, seed=4)
+    model = build_toy_bcnn(seed=4)
+    next(iter_binary_convs(model)).w_re[1, 0, 0, 0] = np.nan
+    cfg = SlrConfig(budgets=budgets_from_ratio(model, 0.5), max_iters=2)
+    with pytest.raises(DivergedLoss, match="^weights became non-finite at SLR iteration 1$"):
+        slr_prune(model, data, cfg)
 
 
 def test_slr_prune_full_budget_changes_nothing_beyond_sgd():

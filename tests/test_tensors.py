@@ -103,10 +103,13 @@ def test_pack_signs_matches_pack_of_binarized(c):
     assert b.im_words.tobytes() == expected.im_words.tobytes()
 
 
-def test_pack_rejects_non_binary():
-    t = ComplexTensor(np.full((1, 1, 1, 1), 0.5), np.ones((1, 1, 1, 1)))
+@pytest.mark.parametrize("value", [0.5, 0.0, -2.0, np.nan])
+@pytest.mark.parametrize("plane", ["re", "im"])
+def test_pack_rejects_non_binary(plane, value):
+    planes = {"re": np.ones((1, 2, 1, 1)), "im": -np.ones((1, 2, 1, 1))}
+    planes[plane][0, 1, 0, 0] = value
     with pytest.raises(NonBinaryEntry):
-        pack(t)
+        pack(ComplexTensor(planes["re"], planes["im"]))
 
 
 @settings(max_examples=30, deadline=None)

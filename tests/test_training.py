@@ -11,7 +11,8 @@ from bcnn.errors import (
 )
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
-from bcnn.models import AvgPool, ComplexInputGenerator, MaxPool, build_toy_bcnn
+from bcnn.models import (AvgPool, ComplexInputGenerator, MaxPool, build_toy_bcnn,
+                         iter_binary_convs)
 from bcnn.tensors import ComplexTensor
 from bcnn.layers import (
     _bwd_cgbn,
@@ -627,6 +628,16 @@ def test_train_raises_on_non_finite_loss():
     model.layers[-1].bias[:] = np.nan
     with pytest.raises(DivergedLoss):
         train(model, data, TrainConfig(lr=0.05, epochs=1, batch_size=4))
+
+
+def test_train_raises_on_a_nan_binary_conv_weight():
+    # the NaN channel counts as pruned, so only the parameter check sees it
+    data = make_separable_dataset(samples_per_class=4, seed=4)
+    model = build_toy_bcnn(seed=4)
+    next(iter_binary_convs(model)).w_re[1, 0, 0, 0] = np.nan
+    with pytest.raises(DivergedLoss, match="^BinaryConvLayer w_re holds a non-finite value "
+                                           "at epoch 0$"):
+        train(model, data, TrainConfig(lr=0.05, epochs=2, batch_size=4))
 
 
 def test_softmax_cross_entropy_gradient():
