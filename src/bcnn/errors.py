@@ -61,3 +61,8 @@ class CorruptModelFile(BcnnError):
 
 class NonFiniteParameter(CorruptModelFile):
     """A parameter is NaN or infinite as a model file stores it; forward raises it too."""
+
+
+class ReadOnlyParameter(BcnnError, ValueError):
+    """A parameter the engine writes in place is read-only, and no kept plan
+    made it so; the engine raises this before it writes anything."""

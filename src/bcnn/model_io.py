@@ -24,8 +24,8 @@ the descriptor; a well-formed file has no trailing bytes.  Loading never
 returns a partial model: a residual block must hold binarized convolutions
 and CGBN layers in the encoded order, and the loaded graph must pass
 ``validate_graph``, as a graph must before it is saved.  Every stored float
-must be finite (``check_parameters``, which ``forward`` runs too) and every
-batch-norm ``eps`` positive, on save and on load.
+must be finite and every batch-norm ``eps`` positive, on save and on load
+(``check_parameters``, which ``forward`` runs too).
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import struct
 
 from .errors import (BadMagic, CorruptModelFile, ShapeMismatch, TruncatedFile,
                      UnsupportedVersion)
-from .models import (ModelGraph, _fields_of, check_parameters, decode_node, encode_node,
-                     validate_graph)
+from .models import ModelGraph, check_parameters, decode_node, encode_node, validate_graph
 
 MAGIC = b"BCN1"
 VERSION = 1
@@ -70,18 +69,8 @@ def model_to_bytes(model: ModelGraph) -> bytes:
     ShapeMismatch, and a non-finite parameter or a batch-norm eps <= 0
     CorruptModelFile, rather than being written as a file no loader accepts."""
     validate_graph(model)
-    _check_parameters(model)
-    return _encode_graph(model)
-
-
-def _check_parameters(model: ModelGraph):
-    """Every float of a node must be finite as stored (``check_parameters``)
-    and a batch norm's ``eps`` must be > 0; this is not part of
-    ``validate_graph`` because it reads every parameter."""
     check_parameters(model.layers)
-    for node, name, value in _fields_of(model.layers):
-        if name == "eps" and not value > 0:
-            raise CorruptModelFile(f"{type(node).__name__} eps must be > 0, got {value}")
+    return _encode_graph(model)
 
 
 def _encode_graph(model: ModelGraph) -> bytes:
@@ -128,7 +117,7 @@ def model_from_bytes(data: bytes) -> ModelGraph:
         validate_graph(model)
     except ShapeMismatch as exc:
         raise CorruptModelFile(f"invalid model graph: {exc}") from exc
-    _check_parameters(model)
+    check_parameters(model.layers)
     return model
 
 

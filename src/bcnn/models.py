@@ -30,7 +30,10 @@ schedule is auditable in one place.
 Inference is pure and may run on many images concurrently; ``forward``
 itself spreads a batch's images over the cores, with the logits of one
 unsplit pass.  A model's first packed forward plans its body once and keeps
-the plan with the model; the arrays the plan read become read-only, so an
+the plan with the model.  The plan runs each binary conv, with the CGBN and
+Binarize after it, as one step with one of two rules: a CGBN that keeps
+every dot's sign is skipped, and any other runs in float on the live
+channels.  The arrays the plan read become read-only, so an
 in-place edit of them raises instead of serving stale logits.  To edit a
 forwarded model, make the array writeable first and leave it so until the
 next forward (the engine's training and pruning do), or load the model
@@ -51,9 +54,10 @@ import numpy as np
 
 from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d,
                          mismatch_counts, out_size, quadrant_binarize)
-from .errors import CorruptModelFile, NonFiniteInput, NonFiniteParameter, ShapeMismatch
+from .errors import (CorruptModelFile, NonFiniteInput, NonFiniteParameter, ReadOnlyParameter,
+                     ShapeMismatch)
 from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _complex_conv_bwd,
-                     _freeze, _fwd_cgbn, _real_conv_bwd, avg_pool, cgbn_forward,
+                     _freeze, _frozen, _fwd_cgbn, _real_conv_bwd, avg_pool, cgbn_forward,
                      complex_conv2d_fp, conv2d_real, fully_connected, hardtanh_backward, max_pool,
                      relu as _relu, ste_backward)
 from .layers import spectral_pool  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
@@ -375,39 +379,19 @@ def _bn_channels(bn: CgbnLayer, idx: np.ndarray) -> CgbnLayer:
     return CgbnLayer(*(a[idx] for a in _bn_arrays(bn)), eps=bn.eps, momentum=bn.momentum)
 
 
-def _sign_thresholds(bn: CgbnLayer, row_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a real-gamma CGBN (``gamma_im == 0``) fed by mismatch counts
-    ``m`` in [0, row_bits]: per plane and channel an integer ``t`` in
-    [-1, row_bits], and per channel ``flip``, such that the binarized
-    output is ``(m <= t) != flip``; and per channel whether both planes'
-    ``t`` were found.
-
-    With a real gamma each plane's output depends on its own dot
-    ``row_bits - 2m`` only (the cross term is +-0, or NaN for every input),
-    and it is monotone in that dot because correctly rounded float ops are
-    monotone, so each bit is one step in ``m``.  One ``cgbn_forward`` call
-    evaluates the exact output at a closed-form estimate of the step and
-    its neighbours.  A channel whose step lies elsewhere (statistics so
-    large that the float output is a staircase in ``m``) is not found.
-    """
-    k = row_bits
-    flip = np.asarray(bn.gamma_re) < 0  # then the output rises with m
-    mean, var, beta = np.array([[bn.running_mean_re, bn.running_mean_im],
-                                [bn.running_var_re, bn.running_var_im],
-                                [bn.beta_re, bn.beta_im]], dtype=float)
-    with np.errstate(all="ignore"):
-        slope = np.asarray(bn.gamma_re, dtype=float) / np.sqrt(2.0 * var + bn.eps)
-        # the last count whose dot is on the high side of the output's zero
-        step = np.floor((k - mean + beta / slope) / 2)
-    step = np.fmax(np.fmin(step, k), -1).astype(np.int64)  # NaN (0 / 0): the output is +-0
-    probe = step[..., None] + np.arange(-1, 3)  # (2, channels, 4) counts
-    dots = (k - 2 * np.fmin(np.fmax(probe, 0), k)).astype(float)
-    y = cgbn_forward(ComplexTensor(dots[0, None, :, None], dots[1, None, :, None]), bn)
-    # whether the bit is the unflipped one; counts below 0 keep it, above k do not
-    up = (np.stack([y.re[0, :, 0], y.im[0, :, 0]]) >= 0) != flip[:, None]
-    up = (up | (probe < 0)) & (probe <= k)
-    edge = up[..., :-1] & ~up[..., 1:]  # at most one per row: the bit is monotone
-    return probe[..., 0] + edge.argmax(axis=-1), flip, edge.any(axis=-1).all(axis=0)
+def _keeps_signs(bn: CgbnLayer) -> bool:
+    """Whether a Binarize after ``bn`` gives every integer dot ``x`` the
+    sign of ``x >= 0``, on both planes of every channel, so that the CGBN
+    can be skipped.  It does when every ``gamma_im`` is 0 and one
+    ``cgbn_forward`` call gives, at the dots -1 and 0, an output below 0 and
+    one at least 0: with a real gamma the cross term is +-0, so each plane's
+    output depends on its own dot only, and it is monotone in that dot
+    because correctly rounded float ops are monotone."""
+    if np.any(bn.gamma_im):
+        return False
+    dots = np.broadcast_to(np.array([-1.0, 0.0]), (1, bn.channels, 1, 2))
+    y = cgbn_forward(ComplexTensor(dots, dots), bn)
+    return all(np.all(p[..., 0] < 0) and np.all(p[..., 1] >= 0) for p in (y.re, y.im))
 
 
 def _input_channels(conv: BinaryConvLayer, keep=None):
@@ -440,7 +424,6 @@ class _ConvStep(NamedTuple):
     active: np.ndarray  # the live output channels
     live: np.ndarray | None  # their indices; None when every channel is live
     bias: np.ndarray | None  # (2, live, h_out, w_out): the cut input channels' dots
-    fold: tuple | None  # the fold rule's edge per plane and channel, and flip per channel
     bn: CgbnLayer | None  # the float rule's CGBN on the live channels
     const: np.ndarray | None  # (2, pruned) outputs; None where y's +0.0 stands
     signs: np.ndarray | None  # (2, pruned) bits, with a Binarize
@@ -458,12 +441,11 @@ class _PlannedBlock(NamedTuple):
 def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: bool = False,
                   cut=None, feeds_conv: bool = False) -> _ConvStep:
     """The per-forward work of a packed conv step: the live-output mask, the
-    sign-packed weights and the CGBN's rule.  Fold: with a Binarize after a
-    CGBN whose every ``gamma_im`` is 0 and whose every channel
-    ``_sign_thresholds`` settles, each plane's bit is one compare of the
-    conv's integer dot with an edge; a pruned channel's +0.0 is the dot of
-    count ``row_bits / 2``.  Float: otherwise the CGBN runs on the live
-    channels and each pruned one is the constant CGBN gives for +0.0.
+    sign-packed weights and the CGBN's rule.  Skip: with a Binarize after a
+    CGBN that keeps every dot's sign (``_keeps_signs``), the step binarizes
+    the conv's integer dots and runs no CGBN; a pruned channel's +0.0 gives
+    the sign +1.  Float: otherwise the CGBN runs on the live channels and
+    each pruned one is the constant CGBN gives for +0.0.
 
     ``cut = (live, signs, hw)`` says that the conv's input channels outside
     ``live`` are constant, one sign per plane, on an ``hw`` image: the
@@ -477,16 +459,10 @@ def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: 
     keep = None if cut is None else cut[0]
     g, weights = _input_channels(conv, keep)
     bias = None if cut is None else _constant_dots(conv, ~keep, *cut[1:], active)
-    fold = const = signs = None
-    if bn is not None and binarize and not np.any(bn.gamma_im):
-        k = conv.geometry.row_bits
-        t, flip, found = _sign_thresholds(bn, k)
-        if found.all():
-            # (m <= t) != flip for the count m = (k - dot) / 2 is (dot >= k - 2t) != flip
-            edge = k - 2 * t
-            fold = (edge[..., None, None], flip[:, None, None])
-            signs = (0 >= edge[:, pruned]) != flip[pruned]
-    if bn is not None and fold is None:  # the float rule
+    const = signs = None
+    if bn is not None and binarize and _keeps_signs(bn):
+        bn, signs = None, np.ones((2, int(pruned.sum())), dtype=bool)
+    if bn is not None:  # the float rule
         if pruned.any():
             zero = np.zeros((1, int(pruned.sum()), 1, 1))
             c = cgbn_forward(ComplexTensor(zero, zero), _bn_channels(bn, np.flatnonzero(pruned)))
@@ -494,10 +470,8 @@ def _prepare_step(conv: BinaryConvLayer, bn: CgbnLayer | None = None, binarize: 
             signs = const >= 0
         if live is not None:  # with no live channel, no CGBN runs
             bn = _bn_channels(bn, live) if live.size else None
-    else:
-        bn = None
     emit_live = feeds_conv and live is not None and live.size > 0
-    return _ConvStep(g, weights, active, live, bias, fold, bn, const, signs, binarize, emit_live)
+    return _ConvStep(g, weights, active, live, bias, bn, const, signs, binarize, emit_live)
 
 
 def _run_step(step: _ConvStep, x: BitplaneTensor):
@@ -509,22 +483,16 @@ def _run_step(step: _ConvStep, x: BitplaneTensor):
     if step.bias is not None and step.bn is None:  # no float CGBN reads the live channels alone
         y.re[:, live] += step.bias[0]
         y.im[:, live] += step.bias[1]
-    if step.fold is not None:  # every channel: a pruned one's +0.0 is the dot of count k / 2
-        edge, flip = step.fold
-        re, im = (y.re >= edge[0]) != flip, (y.im >= edge[1]) != flip
-        if step.emit_live:
-            re, im = re[:, live], im[:, live]
-        return BitplaneTensor(re.shape, _pack_bits(re), _pack_bits(im))
-    if step.bn is None and step.const is None:
-        return y  # a lone conv: a pruned channel keeps the kernel's +0.0
-    re, im = y.re[:, live], y.im[:, live]  # a copy, or y itself when every channel is live
+    re, im = y.re, y.im  # with no CGBN, a pruned channel keeps the kernel's +0.0
+    if step.emit_live or step.bn is not None or step.const is not None:
+        re, im = y.re[:, live], y.im[:, live]  # a copy, or y itself when every channel is live
     if step.bn is not None:
         if step.bias is not None:
             re += step.bias[0]
             im += step.bias[1]
         z = cgbn_forward(ComplexTensor(re, im), step.bn)
         re, im = z.re, z.im
-    if step.live is not None and not step.emit_live:  # in y: live, then pruned channels
+    if step.const is not None and not step.emit_live:  # in y: live, then pruned channels
         y.re[:, step.live], y.im[:, step.live] = re, im
         pruned = ~step.active
         y.re[:, pruned], y.im[:, pruned] = (c[:, None, None] for c in step.const)
@@ -587,14 +555,30 @@ def _fields_of(nodes):
 
 def check_parameters(nodes):
     """Every float field of ``nodes`` must be finite as a BCN1 file stores
-    it (arrays as 32-bit, scalars as 64-bit reals); the first that is not
-    raises ``NonFiniteParameter``, naming the node kind and the field."""
+    it (arrays as 32-bit, scalars as 64-bit reals), and every batch norm's
+    ``eps`` > 0.  The first field that is not raises, naming the node kind
+    and the field: ``NonFiniteParameter``, or ``CorruptModelFile`` for an
+    eps <= 0."""
     with np.errstate(over="ignore"):  # a float64 beyond the 32-bit range is stored as inf
         for node, name, value in _fields_of(nodes):
             a = np.asarray(value)
             stored = a.astype(np.float32, copy=False) if a.dtype.kind == "f" and a.ndim else a
             if a.dtype.kind == "f" and not np.isfinite(stored).all():
                 raise NonFiniteParameter(f"{type(node).__name__} {name} holds a non-finite value")
+            if name == "eps" and not value > 0:
+                raise CorruptModelFile(f"{type(node).__name__} eps must be > 0, got {value}")
+
+
+def check_writeable(nodes):
+    """Every array field of ``nodes`` must be one the engine may write in
+    place: writeable, or made read-only by a kept plan (``layers._freeze``,
+    which ``layers._thaw`` undoes).  The first that is not raises
+    ``ReadOnlyParameter``, naming the node kind and the field, so a caller
+    checks before its first write and a refused write changes nothing."""
+    for node, name, value in _fields_of(nodes):
+        if (isinstance(value, np.ndarray) and not value.flags.writeable
+                and _frozen.get(id(value)) is not value):
+            raise ReadOnlyParameter(f"{type(node).__name__} {name} is read-only")
 
 
 class _Plan(NamedTuple):
@@ -1029,12 +1013,12 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     body is planned once per model, on the calling thread of its first
     packed forward, and the plan is kept with the model for every later one
     (``_model_plan``): each binary conv's live-output mask, sign-packed
-    weights and CGBN rule (a real-gamma CGBN with thresholds for every
-    channel folds into one integer compare per plane; otherwise the CGBN
-    runs on the live channels only).  A binary conv fed by a partly pruned
-    conv -> CGBN -> Binarize reads only the live input channels and adds
-    the constant ones' dots as an integer bias map.  The arrays the plan
-    read are left read-only, so an in-place edit of them raises; to edit a
+    weights and CGBN rule (before a Binarize, a CGBN that keeps every
+    dot's sign is skipped; otherwise the CGBN runs on the live channels
+    only).  A binary conv fed by a partly pruned conv -> CGBN -> Binarize
+    reads only the live input channels and adds the constant ones' dots
+    as an integer bias map.  The arrays the plan read are left read-only,
+    so an in-place edit of them raises; to edit a
     forwarded model, make the array writeable first and leave it so until
     the next forward, or load the model again.  A replaced node or array,
     or a training step or SLR write (they make what they write writeable),

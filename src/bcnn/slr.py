@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetTooLarge, DivergedLoss, InvalidConfig
 from .layers import _thaw
-from .models import ModelGraph, iter_binary_convs
+from .models import ModelGraph, check_writeable, iter_binary_convs
 from .training import Dataset, batch_loss, train_step
 
 
@@ -333,6 +333,7 @@ class ModelPruningProblem:
         return [np.stack([l.w_re, l.w_im], dtype=float) for l in self.layers]
 
     def write_weights(self, ws):
+        check_writeable(self.layers)  # both planes of every layer, before the first write
         for layer, w in zip(self.layers, ws):
             _thaw(layer.w_re, layer.w_im)  # a packed forward may have left them read-only
             layer.w_re[...] = w[0]

@@ -45,6 +45,7 @@ from .models import (
     build_toy_bcnn,
     check_batch,
     check_parameters,
+    check_writeable,
     forward as model_forward,
     run_nodes,
 )
@@ -234,9 +235,13 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
     The graph, the batch and its labels are checked first (``check_batch``),
-    so a rejected graph or batch changes no parameter.
+    and then that every array is writeable (``check_writeable``: a step
+    writes them all), so a rejected graph, batch or array changes no
+    parameter.
     """
-    logits, caches = run_nodes(model.layers, check_batch(model, xb, yb), Mode.TRAIN_STEP)
+    x = check_batch(model, xb, yb)
+    check_writeable(model.layers)
+    logits, caches = run_nodes(model.layers, x, Mode.TRAIN_STEP)
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []
     backprop_nodes(model.layers, caches, dlogits, clip, grads)

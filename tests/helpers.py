@@ -294,7 +294,8 @@ def perturb_cgbn(model, rng):
 
 
 def real_gamma_cgbn(model, rng):
-    """``perturb_cgbn`` with every gamma real, so each layer can fold."""
+    """``perturb_cgbn`` with every gamma real: a real gamma alone does not
+    keep every dot's sign, so each layer still takes the float CGBN."""
     from bcnn.layers import CgbnLayer
     from bcnn.models import graph_nodes
 

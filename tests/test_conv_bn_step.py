@@ -1,9 +1,9 @@
 """The packed conv -> CGBN (-> Binarize) step against the node-by-node forward.
 
 The step, run by ``run_nodes`` in ``Mode.PACKED`` as ``forward`` runs it,
-has two rules.  Fold: when a Binarize follows and the probe settles every
-channel of a real-gamma CGBN, each plane's bit is one integer threshold on
-the conv's dots, pruned channels included.
+has two rules.  Skip: when a Binarize follows a CGBN that keeps every
+dot's sign (``models._keeps_signs``), the step binarizes the conv's
+integer dots and runs no CGBN, pruned channels included.
 Float: otherwise the CGBN runs on the live channels only.  Every case must
 give float planes equal to ``cgbn_forward(binary_complex_conv2d(...))``
 with equal sign bits, and words byte-identical to ``pack_signs`` of those
@@ -17,7 +17,8 @@ import pytest
 
 from bcnn.binary_ops import ConvGeometry, binary_complex_conv2d, mismatch_counts
 from bcnn.layers import CgbnLayer, cgbn_forward
-from bcnn.models import Binarize, BinaryConvLayer, Mode, active_output_channels, run_nodes
+from bcnn.models import (Binarize, BinaryConvLayer, Mode, active_output_channels, run_nodes,
+                         _keeps_signs)
 from bcnn.tensors import ComplexTensor, pack, pack_signs, unpack
 from helpers import CGBN_KINDS, cut_convs, random_pm1_tensor
 
@@ -90,6 +91,14 @@ def _bn(rng, kind, conv, xb):
         bn.gamma_re[:] = rng.standard_normal(c)
         bn.beta_re[:] = [1e6, -1e6, 3e4, -3e4, 1e9, -1e9]
         bn.beta_im[:] = [-1e6, 1e6, -3e4, 3e4, -1e9, 1e9]
+    elif kind == "identity":
+        bn = CgbnLayer.identity(c)
+    elif kind == "keeps_signs":
+        # a positive gamma on any scale, and every shift +-0.0: the CGBN keeps each dot's sign
+        bn.gamma_re[:] = rng.uniform(0.1, 3.0, c)
+        bn.eps = float(rng.uniform(1e-6, 10.0))
+        for a in (bn.running_mean_re, bn.running_mean_im, bn.beta_re, bn.beta_im, bn.gamma_im):
+            a[:] = rng.choice([0.0, -0.0], c)
     elif kind == "mean_on_a_count":
         # beta 0 and the mean on a count the conv produces: the output there is +-0
         bn.gamma_re[:] = rng.choice([-1.0, 1.0], c)
@@ -116,8 +125,11 @@ def _check(conv, bn, xb):
     assert words.im_words.tobytes() == want.im_words.tobytes()
 
 
-BN_KINDS = ("gamma_positive", "gamma_negative", "gamma_zero", "gamma_mixed_signs",
-            "complex_gamma_on_some", "large_beta", "mean_on_a_count")
+# the kinds whose CGBN moves the sign of some dot, then those that keep every sign
+SIGN_MOVING_KINDS = ("gamma_positive", "gamma_negative", "gamma_zero", "gamma_mixed_signs",
+                     "complex_gamma_on_some", "large_beta", "mean_on_a_count")
+SIGN_KEEPING_KINDS = ("identity", "keeps_signs")
+BN_KINDS = SIGN_MOVING_KINDS + SIGN_KEEPING_KINDS
 
 
 @pytest.mark.parametrize("in_c", [1, 31, 32, 33, 65])  # 2*in_c crosses a 64-bit word
@@ -127,7 +139,9 @@ def test_conv_bn_step_matches_node_by_node(kind, mask, in_c):
     rng = np.random.default_rng(in_c * 7 + len(mask))
     conv = _conv(rng, in_c, MASKS[mask])
     xb = pack(random_pm1_tensor(rng, (2, in_c, 5, 4)))
-    _check(conv, _bn(rng, kind, conv, xb), xb)
+    bn = _bn(rng, kind, conv, xb)
+    assert _keeps_signs(bn) == (kind in SIGN_KEEPING_KINDS)
+    _check(conv, bn, xb)
 
 
 @pytest.mark.parametrize("in_c", [3, 33])
@@ -149,7 +163,7 @@ def test_conv_bn_step_at_counts_zero_and_all(kind, mask, in_c):
     assert counts[0, 0, :2].ravel().tolist() == [0, k]  # [x_r | x_i] vs [w_r | ~w_i]
     assert counts[1, 0, 2:4].ravel().tolist() == [0, k]  # vs [w_i | w_r]
     _check(conv, _bn(rng, kind, conv, xb), xb)
-    # a threshold sitting exactly on either end of the count range
+    # the output's zero sitting exactly on either end of the count range
     bn = _bn(rng, "gamma_positive", conv, xb)
     for mean in (k, -k, k - 2, 2 - k):
         bn.running_mean_re[:] = mean
@@ -160,29 +174,24 @@ def test_conv_bn_step_at_counts_zero_and_all(kind, mask, in_c):
 
 @pytest.mark.parametrize("staircase", [slice(None), slice(None, None, 2)],
                          ids=["all_channels", "alternate_channels"])
-def test_conv_bn_step_falls_back_to_float_cgbn_where_the_estimate_misses(staircase,
-                                                                        cgbn_calls):
+def test_staircase_statistics_take_the_float_cgbn(staircase, cgbn_calls):
     # x - mean rounds to multiples of 256 when |mean| = 2**60: the float
-    # output is a staircase whose zero lies tens of counts from the estimate,
-    # so the probe does not settle those channels and the whole layer takes
-    # the float CGBN
-    import bcnn.models as models
-
+    # output is a staircase in the dots whose zero lies far from dot 0, so
+    # the two-point check fails and the whole layer takes the float CGBN
     rng = np.random.default_rng(3)
     conv = _conv(rng, 40, MASKS["none_pruned"])
     xb = pack(random_pm1_tensor(rng, (3, 40, 6, 6)))
-    bn = CgbnLayer.identity(OUT_C, eps=0.0)
-    bn.running_var_re[:] = bn.running_var_im[:] = 0.5  # 1 / sqrt(2 var + eps) == 1
+    bn = CgbnLayer.identity(OUT_C, eps=1e-5)
+    bn.running_var_re[:] = bn.running_var_im[:] = 0.5
     bn.running_mean_re[staircase] = -(2.0**60)
     bn.beta_re[staircase] = -(2.0**60)
     bn.running_mean_im[staircase] = 2.0**60
     bn.beta_im[staircase] = 2.0**60
     _check(conv, bn, xb)
-    unsettled = np.flatnonzero(~models._sign_thresholds(bn, conv.geometry.row_bits)[2])
-    np.testing.assert_array_equal(unsettled, np.arange(OUT_C)[staircase])
+    assert not _keeps_signs(bn)
     cgbn_calls.clear()
     _step(conv, bn, xb, True)
-    assert cgbn_calls == [(1, OUT_C, 1, 4), (3, OUT_C, 6, 6)]  # the probe, one float pass
+    assert cgbn_calls == [(1, OUT_C, 1, 2), (3, OUT_C, 6, 6)]  # the check, one float pass
 
 
 NON_FINITE = {
@@ -212,16 +221,53 @@ def test_conv_bn_step_with_non_finite_statistics(case):
             _check(conv, bn, xb)
 
 
-@pytest.mark.parametrize("kind", [k for k in BN_KINDS if k != "complex_gamma_on_some"])
-def test_conv_bn_step_probes_each_real_gamma_layer_once(kind, cgbn_calls):
-    # the closed-form estimate lands on the step of every channel, pruned
-    # ones included: the layer folds, and its one CGBN evaluation is the probe
+@pytest.mark.parametrize("kind", [k for k in SIGN_MOVING_KINDS if k != "complex_gamma_on_some"])
+def test_conv_bn_step_checks_each_real_gamma_layer_once(kind, cgbn_calls):
+    # a real-gamma CGBN that moves a sign: one two-point check on every
+    # channel, pruned ones included, then the float rule
     rng = np.random.default_rng(5)
     conv = _conv(rng, 33, MASKS["alternate_pruned"])
     xb = pack(random_pm1_tensor(rng, (2, 33, 5, 5)))
     bn = _bn(rng, kind, conv, xb)
     _step(conv, bn, xb, True)
-    assert cgbn_calls == [(1, OUT_C, 1, 4)]
+    # the check, the pruned channels' constants, then the live channels
+    assert cgbn_calls == [(1, OUT_C, 1, 2), (1, 3, 1, 1), (2, 3, 5, 5)]
+
+
+@pytest.mark.parametrize("kind", SIGN_KEEPING_KINDS)
+@pytest.mark.parametrize("mask", sorted(MASKS))
+def test_a_sign_keeping_cgbn_runs_only_its_check(kind, mask, cgbn_calls):
+    # the step binarizes the dots, and a pruned channel's +0.0 gives +1
+    rng = np.random.default_rng(10)
+    active = np.array(MASKS[mask])
+    conv = _conv(rng, 9, active)
+    xb = pack(random_pm1_tensor(rng, (2, 9, 4, 4)))
+    bn = _bn(rng, kind, conv, xb)
+    bits = unpack(_step(conv, bn, xb, True))
+    assert cgbn_calls == [(1, OUT_C, 1, 2)]
+    assert np.all(bits.re[:, ~active] == 1.0) and np.all(bits.im[:, ~active] == 1.0)
+    _check(conv, bn, xb)
+
+
+NEAR_MISSES = {  # one channel off a sign-keeping CGBN: (field, value)
+    "beta_below_zero": ("beta_re", -1e-30),  # the dot 0 binarizes to -1
+    "mean_one_half": ("running_mean_im", 0.5),  # so does the dot 0
+    "gamma_zero": ("gamma_re", 0.0),  # every dot binarizes to +1
+    "complex_gamma": ("gamma_im", 0.5),  # the two-point check alone passes this
+}
+
+
+@pytest.mark.parametrize("channel", [0, 1], ids=["live", "pruned"])
+@pytest.mark.parametrize("case", sorted(NEAR_MISSES))
+def test_a_near_miss_of_a_sign_keeping_cgbn_takes_the_float_rule(case, channel):
+    rng = np.random.default_rng(11)
+    conv = _conv(rng, 9, MASKS["alternate_pruned"])  # channel 0 is live, channel 1 pruned
+    xb = pack(random_pm1_tensor(rng, (2, 9, 4, 4)))
+    bn = CgbnLayer.identity(OUT_C)
+    field, value = NEAR_MISSES[case]
+    getattr(bn, field)[channel] = value
+    assert not _keeps_signs(bn)
+    _check(conv, bn, xb)
 
 
 def test_one_complex_gamma_channel_sends_the_whole_layer_to_float_cgbn(cgbn_calls):
@@ -233,14 +279,14 @@ def test_one_complex_gamma_channel_sends_the_whole_layer_to_float_cgbn(cgbn_call
     _check(conv, bn, xb)
     cgbn_calls.clear()
     _step(conv, bn, xb, True)
-    # no probe: the pruned channels' constants, then the live channels
+    # no sign check: the pruned channels' constants, then the live channels
     assert cgbn_calls == [(1, 3, 1, 1), (2, 3, 5, 5)]
 
 
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-def test_pruned_channel_folds_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
-    # a pruned channel's conv output is +0.0, the dot of count k / 2, so the
-    # fold gives it the sign CGBN gives +0.0 on each plane, at every pixel
+def test_pruned_channel_binarizes_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
+    # a pruned channel's conv output is +0.0, so the step gives it the sign
+    # CGBN gives +0.0 on each plane, at every pixel
     rng = np.random.default_rng(7)
     mask = np.array(MASKS["alternate_pruned"])
     conv = _conv(rng, 9, mask)
@@ -252,12 +298,63 @@ def test_pruned_channel_folds_to_the_sign_of_cgbn_of_zero(signs, cgbn_calls):
     _check(conv, bn, xb)
     cgbn_calls.clear()
     bits = unpack(_step(conv, bn, xb, True))
-    assert cgbn_calls == [(1, OUT_C, 1, 4)]  # folded: the probe only
+    # the check, the pruned channels' constants, then the live channels
+    assert cgbn_calls == [(1, OUT_C, 1, 2), (1, 3, 1, 1), (2, 3, 4, 4)]
     zero = np.zeros((1, OUT_C, 1, 1))
     const = cgbn_forward(ComplexTensor(zero, zero), bn)
     for plane, want, sign in ((bits.re, const.re, signs[0]), (bits.im, const.im, signs[1])):
         assert np.all(np.where(want[0, ~mask] >= 0, 1.0, -1.0) == sign)
         assert np.all(plane[:, ~mask] == sign)
+
+
+SCALES = {"gamma_re": [5e-324, 1e-30, 1e30], "running_var_re": [0.0, 3e38, 1e-300, -0.25],
+          "running_var_im": [0.0, 3e38, 1e-300, -0.25]}
+SHIFTS = [("gamma_re", [0.0, -1.0, -5e-324]), ("gamma_im", [0.5, -1e-30]),
+          ("beta_re", [-1e-30, 1e-30, -2.0]), ("beta_im", [-1e-30, 3.0]),
+          ("running_mean_re", [0.5, -1.0, 1e-300]), ("running_mean_im", [-0.5, 2.0])]
+
+
+def _near_sign_keeping_cgbn(rng):
+    """A CGBN drawn on and next to the sign-keeping ones: float32 or float64
+    fields, signed zeros, eps of 0, 1e-300, 1e-5 or 1e10, in some draws one
+    channel with a subnormal or huge scale or a zero or negative variance
+    (``SCALES``), and in half the draws one field of one channel moved by a
+    near miss (``SHIFTS``)."""
+    fields = {name: rng.choice([0.0, -0.0], OUT_C) for name in
+              ("gamma_im", "beta_re", "beta_im", "running_mean_re", "running_mean_im")}
+    fields["gamma_re"] = rng.uniform(0.1, 3.0, OUT_C)
+    fields["running_var_re"] = rng.uniform(0.1, 10.0, OUT_C)
+    fields["running_var_im"] = rng.uniform(0.1, 10.0, OUT_C)
+    edits = [edit for edit in SCALES.items() if rng.random() < 0.3]
+    if rng.random() < 0.5:
+        edits.append(SHIFTS[rng.integers(len(SHIFTS))])
+    for name, values in edits:
+        fields[name][rng.integers(OUT_C)] = rng.choice(values)
+    dtype = rng.choice([np.float32, np.float64])
+    return CgbnLayer(**{name: a.astype(dtype) for name, a in fields.items()},
+                     eps=float(rng.choice([0.0, 1e-300, 1e-5, 1e10])), momentum=0.1)
+
+
+def test_a_seeded_sweep_of_near_sign_keeping_cgbns_gives_the_node_by_node_words():
+    # each draw: a conv with random pruning and geometry, a CGBN from
+    # ``_near_sign_keeping_cgbn``, and the step's words against pack_signs
+    # of the node-by-node planes; both rules must run
+    rng = np.random.default_rng(12)
+    skipped = 0
+    for _ in range(400):
+        in_c, kernel = int(rng.integers(1, 5)), int(rng.choice([1, 3]))
+        conv = _conv(rng, in_c, rng.random(OUT_C) < 0.7, kernel=kernel, pad=kernel // 2)
+        xb = pack(random_pm1_tensor(rng, (2, in_c, 3, 3)))
+        bn = _near_sign_keeping_cgbn(rng)
+        with np.errstate(all="ignore"):
+            skipped += _keeps_signs(bn)
+            w = pack_signs(ComplexTensor(conv.w_re, conv.w_im))
+            want = pack_signs(cgbn_forward(binary_complex_conv2d(
+                xb, w, conv.geometry, active=active_output_channels(conv)), bn))
+            words = _step(conv, bn, xb, True)
+        assert words.re_words.tobytes() == want.re_words.tobytes()
+        assert words.im_words.tobytes() == want.im_words.tobytes()
+    assert 100 < skipped < 300, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from bcnn.errors import ReadOnlyParameter
 from bcnn.layers import CgbnLayer
 from bcnn.model_io import model_to_bytes
 from bcnn.models import (Mode, ModelGraph, build_nin_bcnn, build_toy_bcnn, check_batch, forward,
@@ -23,7 +24,8 @@ def _toy():
 
 
 def _nin():
-    # real-gamma CGBNs fold, and half-pruned convs cut the conv they feed
+    # real-gamma CGBNs with moved statistics take the float rule, and
+    # half-pruned convs cut the conv they feed
     return hard_prune(real_gamma_cgbn(build_nin_bcnn(4, seed=42), np.random.default_rng(42)), 0.5)
 
 
@@ -192,3 +194,35 @@ def test_arrays_the_caller_made_read_only_stay_so_through_training():
     assert not any(a.flags.writeable for a in _arrays(model))
     assert model_to_bytes(model) == blob
     np.testing.assert_array_equal(forward(model, x), want)
+
+
+def _snapshot(model):
+    return [a.copy() for a in _arrays(model)], model_to_bytes(model)
+
+
+def _assert_unchanged(model, snapshot):
+    arrays, blob = snapshot
+    for a, was in zip(_arrays(model), arrays, strict=True):
+        np.testing.assert_array_equal(a, was)
+    assert model_to_bytes(model) == blob
+
+
+def test_a_training_step_on_one_read_only_array_writes_nothing():
+    # the step wrote the 27 other arrays, running statistics included, then raised
+    model = _toy()
+    model.layers[0].w1.flags.writeable = False
+    snapshot = _snapshot(model)
+    with pytest.raises(ReadOnlyParameter, match="^ComplexInputGenerator w1 is read-only"):
+        _train(model, _data(model))
+    _assert_unchanged(model, snapshot)
+
+
+def test_an_slr_write_on_one_read_only_plane_writes_nothing():
+    # the write zeroed channels of w_re, then raised on w_im: a half-pruned conv
+    model = _toy()
+    _first_conv(model).w_im.flags.writeable = False
+    snapshot = _snapshot(model)
+    budgets = budgets_from_ratio(model, 0.5)
+    with pytest.raises(ReadOnlyParameter, match="^BinaryConvLayer w_im is read-only"):
+        slr_prune(model, _data(model), SlrConfig(budgets=budgets, max_iters=0))
+    _assert_unchanged(model, snapshot)

@@ -118,6 +118,19 @@ def test_forward_rejects_a_non_finite_parameter(kind, packed):
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "dense"])
+@pytest.mark.parametrize("eps", [0.0, -3.0])
+def test_forward_rejects_a_batch_norm_eps_the_file_writer_refuses(eps, packed):
+    # eps -3 gave finite logits, with a RuntimeWarning from sqrt
+    from bcnn.errors import CorruptModelFile
+
+    model = build_toy_bcnn(seed=0)
+    model.layers[2].eps = eps
+    with pytest.raises(CorruptModelFile, match=r"^CgbnLayer eps must be > 0") as raised:
+        forward(model, np.zeros((2, 3, 8, 8)), packed=packed)
+    assert type(raised.value) is CorruptModelFile
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "dense"])
 @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 9, 8), (3, 8, 7)],
                          ids=["channels", "height", "width"])
 def test_forward_rejects_an_image_shape_that_is_not_the_models(shape, packed):
@@ -631,50 +644,65 @@ def test_fused_forward_equals_dense_and_golden_logits(name, ratio, batch):
 
 
 def _staircase_statistics(model, rng):
-    """Every CGBN gets a real gamma; on every other one, about a third of the
-    channels have means at +-2**60 that beta cancels, so the output is a
-    staircase in the dots whose zero the closed-form estimate misses: those
-    layers take the float CGBN, the others fold."""
+    """Every CGBN gets a real gamma.  On every other one, about a third of
+    the channels have means at +-2**60 that beta cancels, so the output is
+    a staircase in the dots: those layers move signs and take the float
+    CGBN.  The others get identity statistics, and a Binarize after them
+    skips them."""
     from bcnn.models import graph_nodes
 
     bns = [node for node, _ in graph_nodes(model) if isinstance(node, CgbnLayer)]
     for i, node in enumerate(bns):
         node.gamma_im[:] = 0.0
-        sel = (rng.random(node.channels) < 0.3) & (i % 2 == 0)
-        node.eps = 0.0
+        if i % 2:
+            for name, value in vars(CgbnLayer.identity(node.channels)).items():
+                if isinstance(value, np.ndarray):
+                    getattr(node, name)[:] = value
+            continue
+        sel = rng.random(node.channels) < 0.3
         node.gamma_re[sel] = rng.choice([-1.0, 1.0], sel.sum())
         for mean, var, beta in ((node.running_mean_re, node.running_var_re, node.beta_re),
                                 (node.running_mean_im, node.running_var_im, node.beta_im)):
-            var[sel] = 0.5  # 1 / sqrt(2 var + eps) == 1
+            var[sel] = 0.5
             mean[sel] = rng.choice([-1.0, 1.0], sel.sum()) * 2.0**60
             beta[sel] = node.gamma_re[sel] * mean[sel]
     return model
 
 
-def test_fused_forward_equals_dense_where_the_threshold_probe_misses(monkeypatch):
+def test_fused_forward_equals_dense_with_staircase_and_identity_statistics(monkeypatch):
     import bcnn.models as models
 
     model = perturb_cgbn(build_nin_bcnn(seed=23), np.random.default_rng(23))
     _staircase_statistics(model, np.random.default_rng(24))
-    settled = []
-    thresholds = models._sign_thresholds
-
-    def probe(bn, row_bits):
-        t, flip, found = thresholds(bn, row_bits)
-        settled.append(bool(found.all()))
-        return t, flip, found
-
-    monkeypatch.setattr(models, "_sign_thresholds", probe)
+    kept = []
+    keeps_signs = models._keeps_signs
+    monkeypatch.setattr(models, "_keeps_signs", lambda bn: kept.append(keeps_signs(bn)) or kept[-1])
     x = np.random.default_rng(25).random((2, 3, 32, 32))
     packed, dense = forward(model, x), forward(model, x, packed=False)
-    assert True in settled and False in settled  # layers of both rules ran
+    assert True in kept and False in kept  # layers of both rules ran
     np.testing.assert_array_equal(packed, dense)
     np.testing.assert_array_equal(np.signbit(packed), np.signbit(dense))
 
 
+@pytest.mark.parametrize("build, calls", [(build_nin_bcnn, 4), (build_resnet18_bcnn, 12)])
+def test_a_fresh_model_skips_every_cgbn_before_a_binarize(build, calls, monkeypatch):
+    # a fresh model's CGBNs are identities: each conv -> CGBN -> Binarize
+    # step skips its CGBN, and only the CGBNs no Binarize follows run
+    import bcnn.models as models
+
+    model = build(seed=26)
+    x = np.random.default_rng(26).random((1, 3, 32, 32))
+    forward(model, x)  # plans
+    counted = []
+    cgbn = models.cgbn_forward
+    monkeypatch.setattr(models, "cgbn_forward", lambda t, bn: counted.append(1) or cgbn(t, bn))
+    forward(model, x)
+    assert len(counted) == calls
+
+
 def test_cgbn_after_a_binary_conv_sees_only_live_channels(monkeypatch):
     # as in a trained model, every CGBN has a complex gamma on every channel,
-    # so none folds and each runs as a float CGBN on the conv's live channels
+    # so none is skipped and each runs as a float CGBN on the conv's live channels
     import bcnn.models as models
     from bcnn.models import graph_nodes
 
@@ -960,12 +988,12 @@ def test_a_forked_child_starts_its_own_workers(cores):
 def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypatch):
     # the plan is built once per model, before the first forward's chunks
     # run: however many chunks and forwards, each layer's step, mask, weight
-    # packing and threshold probe run once
+    # packing and sign check run once
     import bcnn.models as models
 
     cores(2)
     model = hard_prune(build_resnet18_bcnn(seed=34), 0.5)
-    calls = {"steps": 0, "active": 0, "weights": 0, "thresholds": 0}
+    calls = {"steps": 0, "active": 0, "weights": 0, "keeps_signs": 0}
 
     def counting(name, fn, counts=lambda *args: True):
         def count(*args):
@@ -977,15 +1005,14 @@ def test_a_split_forward_prepares_each_binary_conv_once(cores, chunks, monkeypat
                         counting("active", models.active_output_channels))
     monkeypatch.setattr(models, "pack_signs", counting(
         "weights", models.pack_signs, lambda t: t.shape[2:] in ((3, 3), (1, 1))))
-    monkeypatch.setattr(models, "_sign_thresholds",
-                        counting("thresholds", models._sign_thresholds))
+    monkeypatch.setattr(models, "_keeps_signs", counting("keeps_signs", models._keeps_signs))
     monkeypatch.setattr(models, "_prepare_step", counting("steps", models._prepare_step))
     x = np.random.default_rng(34).random((32, 3, 32, 32))
     want = forward(model, x)
     assert [images for _, images, _ in chunks] == [8, 8, 8, 8]
     # 19 binary convs, 8 of them (each block's conv1) followed by CGBN -> Binarize,
     # and 8 cut convs (each block's conv2) that also pack their constant channels
-    once = {"steps": 19, "active": 19, "weights": 27, "thresholds": 8}
+    once = {"steps": 19, "active": 19, "weights": 27, "keeps_signs": 8}
     assert calls == once
     np.testing.assert_array_equal(forward(model, x), want)
     assert len(chunks) == 8 and calls == once

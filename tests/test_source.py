@@ -69,6 +69,29 @@ def test_every_imported_name_is_read_or_marked_with_a_reason():
     assert not unused, f"imported names the module never reads: {unused}"
 
 
+def _wrap_points():
+    """(module, name) of each ``WRAP_POINTS`` entry of ``perfbench/spans.py``."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "WRAP_POINTS" for t in node.targets))
+    return {(entry.elts[0].value, entry.elts[1].value) for entry in table.elts}
+
+
+def test_an_import_kept_for_perfbench_is_one_perfbench_wraps():
+    # once perfbench stops wrapping a name, the import kept only for it goes
+    wrapped = _wrap_points()
+    assert ("models", "forward") in wrapped  # the walk found the table
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        stale += [f"{path.name}:{line} {name}" for name, line in
+                  _imported_names(ast.parse(source, str(path)))
+                  if re.search(r"#\s*noqa:\s*F401\b.*perfbench/spans\.py", lines[line - 1])
+                  and (path.stem, name) not in wrapped]
+    assert not stale, f"imports kept for perfbench/spans.py, which does not wrap them: {stale}"
+
+
 def _import_time_imports(tree: ast.Module):
     """The modules a module's imports name, for every import that runs when
     the module is imported: all but those inside a function."""
