@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .binary_ops import ConvGeometry
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_integer
 from .models import BinaryConvLayer, ComplexConvLayer, ModelGraph, graph_nodes
 from .tensors import words_per_pixel
 
@@ -36,6 +36,8 @@ class KernelConfig:
 
     def __post_init__(self):
         # every check fails on NaN and on +-inf
+        for name in ("p_out", "p_in", "ii", "kernel_count"):
+            check_integer(name, getattr(self, name))
         if not all(1 <= v < math.inf for v in (self.p_out, self.p_in, self.ii, self.kernel_count)):
             raise InvalidConfig("unroll factors, ii and kernel_count must be finite and >= 1")
         if not (0 < self.clock_hz < math.inf and 0 <= self.pipeline_fill < math.inf):

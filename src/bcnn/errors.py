@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of settings."""
+
+import numbers
 
 
 class BcnnError(Exception):
@@ -13,6 +15,10 @@ class NonFiniteInput(BcnnError):
     """An input image holds a NaN or an infinite value."""
 
 
+class NonRealInput(BcnnError):
+    """An input image holds complex or non-numeric pixels."""
+
+
 class NonBinaryEntry(BcnnError):
     """A value expected to be exactly +1 or -1 is not."""
 
@@ -23,6 +29,13 @@ class BudgetTooLarge(BcnnError):
 
 class InvalidConfig(BcnnError):
     """Configuration value outside its documented range."""
+
+
+def check_integer(name: str, value):
+    """Raise ``InvalidConfig`` naming the setting ``name`` unless ``value`` is
+    an integer (a Python or numpy one; a float such as 2.0 is not)."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
 class MissingFile(BcnnError):

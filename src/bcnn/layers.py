@@ -26,16 +26,15 @@ than an activation.  CGBN normalizes each plane with ``_bn_plane`` and
 
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
-requires a single writer per layer per step.  A packed forward makes the
-arrays its plan reads read-only (``_freeze``); every in-place writer of the
-engine calls ``_thaw`` first, which makes the model's next forward plan anew.
+requires a single writer per layer per step.  A packed forward freezes the
+model's body (``models._model_plan``), and engine writes go through one
+gate, ``models.make_writeable``, before any write here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,31 +60,6 @@ class Mode(Enum):
     @property
     def training(self) -> bool:
         return self is Mode.BATCH_LOSS or self is Mode.TRAIN_STEP
-
-
-# the arrays a kept packed plan made read-only, by id: the only ones ``_thaw``
-# makes writeable again
-_frozen = weakref.WeakValueDictionary()
-
-
-def _freeze(a: np.ndarray) -> bool:
-    """Make a parameter array read-only for a kept plan (``models._model_plan``);
-    False, and the array left as it is, if it was read-only already."""
-    if not a.flags.writeable:
-        return False
-    a.flags.writeable = False
-    _frozen[id(a)] = a
-    return True
-
-
-def _thaw(*arrays):
-    """Make parameter arrays writeable before the engine writes them in
-    place, where a kept plan made them read-only (``_freeze``); a writeable
-    array makes the next forward plan anew.  An array the caller made
-    read-only stays so, and the write raises."""
-    for a in arrays:
-        if _frozen.pop(id(a), None) is a:
-            a.flags.writeable = True
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +329,6 @@ def _bn_plane(x, running_mean, running_var, layer, mode: Mode):
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         if mode is Mode.TRAIN_STEP:
-            _thaw(running_mean, running_var)
             m = layer.momentum
             running_mean[:] = (1 - m) * running_mean + m * mean
             running_var[:] = (1 - m) * running_var + m * var

@@ -33,11 +33,11 @@ unsplit pass.  A model's first packed forward plans its body once and keeps
 the plan with the model.  The plan runs each binary conv, with the CGBN and
 Binarize after it, as one step with one of two rules: a CGBN that keeps
 every dot's sign is skipped, and any other runs in float on the live
-channels.  The arrays the plan read become read-only, so an
-in-place edit of them raises instead of serving stale logits.  To edit a
-forwarded model, make the array writeable first and leave it so until the
-next forward (the engine's training and pruning do), or load the model
-again.
+channels.  A packed forward freezes the body (every array before the Dense
+head), so an in-place edit raises instead of serving stale logits; the
+engine writes through ``make_writeable``.  To edit a forwarded model, make
+the array writeable first and leave it so until the next forward, or load
+the model again.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import math
 import operator
 import struct
 import threading
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
@@ -54,10 +55,10 @@ import numpy as np
 
 from .binary_ops import (ConvGeometry, binarize_deterministic, binary_complex_conv2d,
                          mismatch_counts, out_size, quadrant_binarize)
-from .errors import (CorruptModelFile, NonFiniteInput, NonFiniteParameter, ReadOnlyParameter,
-                     ShapeMismatch)
+from .errors import (CorruptModelFile, InvalidConfig, NonFiniteInput, NonFiniteParameter,
+                     NonRealInput, ReadOnlyParameter, ShapeMismatch)
 from .layers import (CgbnLayer, ComplexConvLayer, Mode, _bwd_cgbn, _bwd_pool, _complex_conv_bwd,
-                     _freeze, _frozen, _fwd_cgbn, _real_conv_bwd, avg_pool, cgbn_forward,
+                     _fwd_cgbn, _real_conv_bwd, avg_pool, cgbn_forward,
                      complex_conv2d_fp, conv2d_real, fully_connected, hardtanh_backward, max_pool,
                      relu as _relu, ste_backward)
 from .layers import spectral_pool  # noqa: F401  (perfbench/spans.py patches it; see ROADMAP item 2)
@@ -502,7 +503,7 @@ def _run_step(step: _ConvStep, x: BitplaneTensor):
     return ComplexTensor(re, im)
 
 
-def _plan(nodes, act: Activation | None = None, read: list | None = None) -> list:
+def _plan(nodes, act: Activation | None = None) -> list:
     """A packed forward's steps for a node sequence: each binary conv, with
     the CGBN right after it and a Binarize after that, as one prepared
     ``_ConvStep``; each residual block as a ``_PlannedBlock`` of its paths'
@@ -515,9 +516,7 @@ def _plan(nodes, act: Activation | None = None, read: list | None = None) -> lis
     Binarize with some but not all output channels pruned, followed by a
     binary conv, emits its live channels' words only; that conv reads them
     with the pruned channels' constant signs and the image size so found as
-    its cut (``_prepare_step``).  Given a list ``read``, each array a step
-    is prepared from (the conv's weight planes, its CGBN's arrays) is
-    appended to it."""
+    its cut (``_prepare_step``)."""
     steps, cut, i = [], None, 0
     while i < len(nodes):
         node, covers = nodes[i], 1
@@ -527,12 +526,10 @@ def _plan(nodes, act: Activation | None = None, read: list | None = None) -> lis
             binarize = follow[:2] == [CgbnLayer, Binarize]
             feeds_conv = act is not None and follow == [CgbnLayer, Binarize, BinaryConvLayer]
             covers = 1 + (bn is not None) + binarize
-            if read is not None:
-                read += [node.w_re, node.w_im] + _bn_arrays(bn)
             node = _prepare_step(node, bn, binarize, cut, feeds_conv)
         elif type(node) is ResidualBlock:
             b = None if act is None else Activation(act.dims, "binarized")
-            node = _PlannedBlock(_plan(node.main, b, read), _plan(node.side, b, read))
+            node = _PlannedBlock(_plan(node.main, b), _plan(node.side, b))
         cut = None
         if act is not None:  # now the input of nodes[i + covers]
             act = walk_shapes(nodes[i : i + covers], act)
@@ -569,16 +566,34 @@ def check_parameters(nodes):
                 raise CorruptModelFile(f"{type(node).__name__} eps must be > 0, got {value}")
 
 
-def check_writeable(nodes):
-    """Every array field of ``nodes`` must be one the engine may write in
-    place: writeable, or made read-only by a kept plan (``layers._freeze``,
-    which ``layers._thaw`` undoes).  The first that is not raises
-    ``ReadOnlyParameter``, naming the node kind and the field, so a caller
-    checks before its first write and a refused write changes nothing."""
-    for node, name, value in _fields_of(nodes):
-        if (isinstance(value, np.ndarray) and not value.flags.writeable
-                and _frozen.get(id(value)) is not value):
+# the arrays a kept plan made read-only, by id: the only ones ``make_writeable``
+# makes writeable again
+_frozen = weakref.WeakValueDictionary()
+
+
+def _freeze(a: np.ndarray) -> bool:
+    """Make a body array read-only for a kept plan (``_model_plan``); False,
+    and the array left as it is, if it was read-only already."""
+    if not a.flags.writeable:
+        return False
+    a.flags.writeable = False
+    _frozen[id(a)] = a
+    return True
+
+
+def make_writeable(nodes):
+    """The one gate of the engine's in-place writes: every array field of
+    ``nodes`` must be writeable or frozen by a kept plan (``_freeze``).  The
+    first that is neither raises ``ReadOnlyParameter``, naming the node kind
+    and the field, before anything has changed; then every frozen array is
+    made writeable, so the model's next packed forward plans anew."""
+    arrays = [(node, name, v) for node, name, v in _fields_of(nodes) if isinstance(v, np.ndarray)]
+    for node, name, a in arrays:
+        if not a.flags.writeable and _frozen.get(id(a)) is not a:
             raise ReadOnlyParameter(f"{type(node).__name__} {name} is read-only")
+    for _, _, a in arrays:
+        if _frozen.pop(id(a), None) is a:
+            a.flags.writeable = True
 
 
 class _Plan(NamedTuple):
@@ -588,7 +603,7 @@ class _Plan(NamedTuple):
     layers: tuple  # the model's nodes
     input_shape: tuple
     fields: list  # (node, name, value) of every body node, block paths' nodes included
-    read: list  # the arrays the steps were prepared from, all read-only
+    read: list  # the arrays of ``fields``, all read-only
     generation: int  # ``_generation`` once they were
     steps: list
 
@@ -614,27 +629,27 @@ def _model_plan(model: ModelGraph, body: list) -> list:
 
     They are planned on the model's first packed forward and kept with it
     while the plan holds: the model has the same nodes and input shape,
-    every field of every body node is the same object, every array the
-    steps were prepared from is still read-only, and no planning has frozen
-    a writeable array since (``_generation``).  Planning makes those arrays
-    read-only (``layers._freeze``; one the caller made read-only stays the
-    caller's), and the engine's in-place writers make them writeable again
-    (``layers._thaw``), so the forward after a training step or an SLR
-    write, of this model or of one sharing its nodes, plans anew, and an
-    outside in-place write raises.  Two edits go unseen: one through a view
-    taken before planning (numpy cannot freeze it), and one made while the
-    caller had the array writeable if the caller makes it read-only again
-    before the next forward.  A plan that read an array not owning its
-    memory (a view, whose base stays writeable) is used for this forward
-    only."""
+    every field of every body node is the same object, every array of the
+    body is still read-only, and no planning has frozen a writeable array
+    since (``_generation``).  Planning freezes the body: every array field
+    of every body node becomes read-only (``_freeze``; one the caller made
+    read-only stays the caller's).  The engine's in-place writes go through
+    ``make_writeable``, which makes them writeable again, so the forward
+    after a training step or an SLR write, of this model or of one sharing
+    its nodes, plans anew, and an outside in-place write raises.  Two edits
+    go unseen: one through a view taken before planning (numpy cannot
+    freeze it), and one made while the caller had the array writeable if
+    the caller makes it read-only again before the next forward.  A body
+    holding an array that does not own its memory (a view, whose base stays
+    writeable) is planned for this forward only."""
     global _generation
     kept = model.__dict__.get("_packed_plan")
     if kept is not None and kept.holds(model):
         return kept.steps
     check_parameters(model.layers)
     fields_now = list(_fields_of(body))  # taken first: a node replaced while planning misses
-    read = []
-    steps = _plan(body, Activation(tuple(model.input_shape)), read)
+    read = [v for _, _, v in fields_now if isinstance(v, np.ndarray)]
+    steps = _plan(body, Activation(tuple(model.input_shape)))
     if all(type(a) is np.ndarray and a.flags.owndata for a in read):
         with _generation_lock:
             if any([_freeze(a) for a in read]):  # every array frozen, not the first only
@@ -955,12 +970,14 @@ def run_nodes(nodes, x, mode: Mode):
     after that, is one ``_run_step``.  A binarize step emits a
     BitplaneTensor, the only input a binary conv reads; every other node
     sees it unpacked to the same +-1 planes.  ``Mode.TRAIN_STEP`` writes
-    the batch norms' running statistics in place, first making writeable
-    those a kept plan made read-only, so the model's next packed forward
-    plans anew.
+    the running statistics, and its training step every weight, so it first
+    passes the write gate (``make_writeable``): the model's next packed
+    forward plans anew.
     """
     if mode is Mode.PACKED:
         nodes = _plan(nodes)
+    elif mode is Mode.TRAIN_STEP:
+        make_writeable(nodes)
     caches = []
     for node in nodes:
         if isinstance(x, BitplaneTensor) and type(node) is not _ConvStep:
@@ -1017,13 +1034,13 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     dot's sign is skipped; otherwise the CGBN runs on the live channels
     only).  A binary conv fed by a partly pruned conv -> CGBN -> Binarize
     reads only the live input channels and adds the constant ones' dots
-    as an integer bias map.  The arrays the plan read are left read-only,
-    so an in-place edit of them raises; to edit a
-    forwarded model, make the array writeable first and leave it so until
-    the next forward, or load the model again.  A replaced node or array,
-    or a training step or SLR write (they make what they write writeable),
-    makes the next forward plan anew, of this model and of any model
-    sharing the node.
+    as an integer bias map.  A packed forward freezes the body: every array
+    of the nodes before the Dense head is left read-only, so an in-place
+    edit of one raises; to edit a forwarded model, make the array writeable
+    first and leave it so until the next forward, or load the model again.
+    Engine writes go through ``make_writeable``, so a replaced node or
+    array, a training step or an SLR write makes the next forward plan
+    anew, of this model and of any model sharing the node.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
     first (``check_batch``; a ShapeMismatch names the layer), so a packed
@@ -1062,17 +1079,28 @@ def _run_chunks(nodes, x: np.ndarray, mode: Mode) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def real_pixels(images) -> np.ndarray:
+    """``images`` as a float array.  Pixels must be booleans, integers or
+    reals: any other dtype, complex or non-numeric, raises ``NonRealInput``
+    naming it, where a cast would drop an imaginary part or fail."""
+    a = np.asarray(images)
+    if a.dtype.kind not in "biuf":
+        raise NonRealInput(f"{a.dtype} pixels, expected real numbers")
+    return a.astype(float, copy=False)
+
+
 def check_batch(model: ModelGraph, batch, labels=None) -> np.ndarray:
     """The check every engine entry makes before it runs or changes anything:
     the graph (``validate_graph``), then the batch, returned as a float
     (n, c, h, w) array; a single (c, h, w) image gets a batch axis.  A batch
     whose image shape is not the model's, or labels that are not one integer
     in [0, num_classes) per image, raise ``ShapeMismatch``; a NaN or infinite
-    pixel raises ``NonFiniteInput``.  The first check in a process also has
-    the C library keep the heap the engine frees (``keep_freed_heap``)."""
+    pixel raises ``NonFiniteInput``, and a complex or non-numeric one
+    ``NonRealInput`` (``real_pixels``).  The first check in a process also
+    has the C library keep the heap the engine frees (``keep_freed_heap``)."""
     keep_freed_heap()
     validate_graph(model)
-    x = np.asarray(batch, dtype=float)
+    x = real_pixels(batch)
     if x.ndim == 3:
         x = x[None]
     if x.shape[1:] != tuple(model.input_shape):
@@ -1240,7 +1268,9 @@ def build_toy_bcnn(
     rng = np.random.default_rng(seed)
     c_in, h, w = input_shape
     c1, c2 = channels
-    pool_layer = {"avg": AvgPool((2, 2)), "max": MaxPool((2, 2))}[pool]
+    if pool not in ("avg", "max"):
+        raise InvalidConfig(f"pool must be 'avg' or 'max', got {pool!r}")
+    pool_layer = AvgPool((2, 2)) if pool == "avg" else MaxPool((2, 2))
     layers = [
         build_complex_input_generator(c_in, seed=rng.integers(2**32)),
         _init_complex_conv(rng, c_in, c1, (3, 3), padding=(1, 1)),

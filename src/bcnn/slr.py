@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooLarge, DivergedLoss, InvalidConfig
-from .layers import _thaw
-from .models import ModelGraph, check_writeable, iter_binary_convs
+from .errors import BudgetTooLarge, DivergedLoss, InvalidConfig, check_integer
+from .models import ModelGraph, iter_binary_convs, make_writeable
 from .training import Dataset, batch_loss, train_step
 
 
@@ -56,6 +55,10 @@ class SlrConfig:
 
     def __post_init__(self):
         # every check fails on NaN
+        for b in self.budgets:
+            check_integer("budget", b)
+        for name in ("max_iters", "batch_size"):
+            check_integer(name, getattr(self, name))
         if not self.rho > 0:
             raise InvalidConfig(f"rho must be > 0, got {self.rho}")
         if not self.big_m > 1:
@@ -113,6 +116,7 @@ def project_channels(w: np.ndarray, budget: int, channel_axis: int = 0) -> np.nd
     This is the global minimizer of ||W - Z||_F over tensors with at most
     ``budget`` nonzero channels.  Ties keep the lower channel index.
     """
+    check_integer("budget", budget)
     w = np.asarray(w, dtype=float)
     n_channels = w.shape[channel_axis]
     if budget > n_channels:
@@ -333,9 +337,8 @@ class ModelPruningProblem:
         return [np.stack([l.w_re, l.w_im], dtype=float) for l in self.layers]
 
     def write_weights(self, ws):
-        check_writeable(self.layers)  # both planes of every layer, before the first write
+        make_writeable(self.layers)  # both planes of every layer, before the first write
         for layer, w in zip(self.layers, ws):
-            _thaw(layer.w_re, layer.w_im)  # a packed forward may have left them read-only
             layer.w_re[...] = w[0]
             layer.w_im[...] = w[1]
 

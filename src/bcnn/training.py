@@ -35,8 +35,8 @@ from .errors import (
     NonFiniteInput,
     NonFiniteParameter,
     ShapeMismatch,
+    check_integer,
 )
-from .layers import _thaw
 from .layers import ste_backward  # noqa: F401  (public as bcnn.training.ste_backward)
 from .models import (
     Mode,
@@ -45,8 +45,8 @@ from .models import (
     build_toy_bcnn,
     check_batch,
     check_parameters,
-    check_writeable,
     forward as model_forward,
+    real_pixels,
     run_nodes,
 )
 
@@ -69,6 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         # every check fails on NaN; lr == 0 is allowed so a vacuous run
         # leaves the model untouched
+        for name in ("epochs", "batch_size", "seed"):
+            check_integer(name, getattr(self, name))
         if not 0 <= self.lr < math.inf:
             raise InvalidConfig(f"lr must be finite and >= 0, got {self.lr}")
         if not self.clip > 0:
@@ -88,7 +90,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=float)
+        self.images = real_pixels(self.images)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4 or len(self.labels) != len(self.images):
             raise ShapeMismatch("images must be (N, c, h, w) with one label each")
@@ -196,10 +198,8 @@ def make_separable_dataset(
 # ---------------------------------------------------------------------------
 
 def sgd_step(weight: np.ndarray, grad, lr: float) -> np.ndarray:
-    """In-place w <- w - lr*g.  A weight a packed forward's kept plan made
-    read-only is made writeable first, and the write makes the model's next
-    forward plan anew; a weight the caller made read-only raises."""
-    _thaw(weight)
+    """In-place w <- w - lr*g.  A read-only weight raises: a training step
+    makes a model's weights writeable first (``models.make_writeable``)."""
     weight -= (lr * np.asarray(grad)).astype(weight.dtype)
     return weight
 
@@ -235,12 +235,11 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
     The graph, the batch and its labels are checked first (``check_batch``),
-    and then that every array is writeable (``check_writeable``: a step
-    writes them all), so a rejected graph, batch or array changes no
+    and then every array passes the write gate (``models.make_writeable``,
+    run by ``run_nodes``), so a rejected graph, batch or array changes no
     parameter.
     """
     x = check_batch(model, xb, yb)
-    check_writeable(model.layers)
     logits, caches = run_nodes(model.layers, x, Mode.TRAIN_STEP)
     loss, dlogits = softmax_cross_entropy(logits, yb)
     grads = []

@@ -226,3 +226,36 @@ def test_an_slr_write_on_one_read_only_plane_writes_nothing():
     with pytest.raises(ReadOnlyParameter, match="^BinaryConvLayer w_im is read-only"):
         slr_prune(model, _data(model), SlrConfig(budgets=budgets, max_iters=0))
     _assert_unchanged(model, snapshot)
+
+
+@pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
+def test_a_refused_training_step_leaves_the_kept_plan_in_place(build):
+    # the gate checks every array before it makes any writeable, so a read-only array late in
+    # field order leaves the arrays before it frozen and the plan holding
+    model = build()
+    last_bn = [node for node in model.layers if type(node) is CgbnLayer][-1]
+    last_bn.running_var_im.flags.writeable = False
+    x = np.random.default_rng(50).random((2, *model.input_shape))
+    want = forward(model, x)
+    plan = model._packed_plan
+    frozen = [a for a in _arrays(model)
+              if not a.flags.writeable and a is not last_bn.running_var_im]
+    assert frozen
+    with pytest.raises(ReadOnlyParameter, match="^CgbnLayer running_var_im is read-only"):
+        _train(model, _data(model))
+    assert not any(a.flags.writeable for a in frozen)
+    np.testing.assert_array_equal(forward(model, x), want)
+    assert model._packed_plan is plan
+
+
+def test_a_packed_forward_freezes_the_generator_until_a_training_step():
+    model = _toy()
+    generator = model.layers[0]
+    x = np.random.default_rng(51).random((2, *model.input_shape))
+    forward(model, x)
+    assert not generator.w1.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        generator.w1[0] = 0.0
+    _train(model, _data(model))
+    assert generator.w1.flags.writeable
+    _assert_serves(model, x)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcnn.accel import KernelConfig
 from bcnn.errors import BudgetTooLarge, DivergedLoss, InvalidConfig
 from bcnn.models import build_toy_bcnn, iter_binary_convs
 from bcnn.slr import (
@@ -346,3 +347,32 @@ def test_model_problem_roundtrips_weights():
     prob.write_weights(ws)
     conv = next(iter(iter_binary_convs(model)))
     np.testing.assert_array_equal(conv.w_re, 7.0)
+
+
+# each raised a stray TypeError deep inside the run, or was accepted with fractional arithmetic
+FRACTIONAL_INTEGER_SETTINGS = {
+    "slr_budget": lambda: SlrConfig(budgets=(2.5,)),
+    "slr_nan_budget": lambda: SlrConfig(budgets=(math.nan,)),
+    "project_budget": lambda: project_channels(np.ones((4, 3)), 2.0),
+    "slr_max_iters": lambda: SlrConfig(budgets=(2,), max_iters=1.5),
+    "slr_batch_size": lambda: SlrConfig(budgets=(2,), batch_size=2.5),
+    "train_epochs": lambda: TrainConfig(epochs=1.5),
+    "train_batch_size": lambda: TrainConfig(batch_size=2.5),
+    "train_seed": lambda: TrainConfig(seed=1.5),
+    "kernel_p_out": lambda: KernelConfig(p_out=1.5),
+    "kernel_count": lambda: KernelConfig(kernel_count=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_INTEGER_SETTINGS))
+def test_an_integer_setting_that_is_not_an_integer_raises_invalid_config(case):
+    with pytest.raises(InvalidConfig, match="must be an integer, got"):
+        FRACTIONAL_INTEGER_SETTINGS[case]()
+
+
+def test_integer_settings_take_numpy_integers():
+    two = np.int64(2)
+    SlrConfig(budgets=(two,), max_iters=two, batch_size=two)
+    TrainConfig(epochs=two, batch_size=two, seed=two)
+    KernelConfig(p_out=two, kernel_count=two)
+    assert count_nonzero_channels(project_channels(np.ones((4, 3)), two)) == 2

@@ -7,11 +7,11 @@ import pytest
 
 from bcnn.errors import (
     CorruptRecord, DataExhausted, DivergedLoss, InvalidConfig, MissingFile, NonFiniteInput,
-    ShapeMismatch,
+    NonRealInput, ShapeMismatch,
 )
 from bcnn.layers import CgbnLayer, ComplexConvLayer
 from bcnn.binary_ops import ConvGeometry
-from bcnn.models import (AvgPool, ComplexInputGenerator, MaxPool, build_toy_bcnn,
+from bcnn.models import (AvgPool, ComplexInputGenerator, MaxPool, build_toy_bcnn, forward,
                          iter_binary_convs)
 from bcnn.tensors import ComplexTensor
 from bcnn.layers import (
@@ -36,6 +36,7 @@ from bcnn.training import (
     sgd_step,
     ste_backward,
     train,
+    train_step,
 )
 from helpers import (
     assert_close_relative,
@@ -1012,3 +1013,31 @@ def test_backward_computes_no_gradient_of_the_images():
     assert [id(arr) for arr, _ in grads] == [id(arr) for arr, _ in full]
     for (_, got), (_, want) in zip(grads, full):
         np.testing.assert_array_equal(got, want)
+
+
+NON_REAL_PIXELS = {
+    # a cast to float dropped the imaginary part with only a ComplexWarning
+    "complex128": lambda shape: np.full(shape, 0.5 + 0.5j),
+    # a cast to float raised a stray ValueError
+    "<U3": lambda shape: np.full(shape, "0.5"),
+}
+ENTRIES = {
+    "forward": lambda model, xs: forward(model, xs),
+    "train_step": lambda model, xs: train_step(model, xs, np.zeros(len(xs), dtype=np.int64),
+                                               lr=0.1, clip=1.0),
+    "dataset": lambda model, xs: Dataset(xs, np.zeros(len(xs), dtype=np.int64), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("dtype", sorted(NON_REAL_PIXELS))
+def test_complex_or_non_numeric_pixels_raise_non_real_input(dtype, entry):
+    model = build_toy_bcnn(seed=0)
+    xs = NON_REAL_PIXELS[dtype]((2, *model.input_shape))
+    with pytest.raises(NonRealInput, match=f"^{dtype} pixels, expected real numbers"):
+        ENTRIES[entry](model, xs)
+
+
+def test_an_unknown_pool_raises_invalid_config_naming_the_pools():
+    with pytest.raises(InvalidConfig, match="'avg' or 'max', got 'sum'"):
+        build_toy_bcnn(pool="sum")
