@@ -36,7 +36,7 @@ class KernelConfig:
 
     def __post_init__(self):
         # every check fails on NaN and on +-inf
-        for name in ("p_out", "p_in", "ii", "kernel_count"):
+        for name in ("p_out", "p_in", "ii", "kernel_count", "pipeline_fill"):
             check_integer(name, getattr(self, name))
         if not all(1 <= v < math.inf for v in (self.p_out, self.p_in, self.ii, self.kernel_count)):
             raise InvalidConfig("unroll factors, ii and kernel_count must be finite and >= 1")

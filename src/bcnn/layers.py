@@ -6,7 +6,7 @@ gradient of binarized activations, and the fully connected head.
 Everything here operates on dense planes; the packed kernels live in
 ``binary_ops``.
 There is one convolution routine, ``conv2d_real``: one strided window
-gather over the padded batch, then per image a copy of that image's
+view over one padded copy of the batch, then per image a copy of that image's
 (c*kh*kw, h_out*w_out) columns into a reused buffer and one BLAS GEMM.
 The columns of the whole batch (k*k times an activation) never exist, and
 one image's columns stay in cache for their GEMM.  A complex convolution is
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .binary_ops import ConvGeometry, out_size
 from .errors import ShapeMismatch
@@ -77,9 +77,13 @@ def _windows(x, kernel, stride, padding, pad_value):
     h_out, w_out = out_size(h, kh, sh, ph), out_size(w, kw, sw, pw)
     if h_out < 1 or w_out < 1:
         raise ShapeMismatch(f"kernel {kernel} does not fit a {h}x{w} input")
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
-    win = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
-    return win.transpose(0, 1, 4, 5, 2, 3), (h_out, w_out)
+    n, c = x.shape[:2]
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), pad_value, dtype=x.dtype)
+    xp[..., ph : ph + h, pw : pw + w] = x
+    s0, s1, s2, s3 = xp.strides
+    win = as_strided(xp, (n, c, kh, kw, h_out, w_out), (s0, s1, s2, s3, sh * s2, sw * s3),
+                     writeable=False)
+    return win, (h_out, w_out)
 
 
 # Images per task of a split convolution: a chunk scatters its input
@@ -422,27 +426,57 @@ def _bwd_cgbn(layer: CgbnLayer, g: ComplexTensor, cache, grads):
 # pooling
 # ---------------------------------------------------------------------------
 
-def _pool_patches(x: np.ndarray, window, stride) -> np.ndarray:
-    n, c, h, w = x.shape
+def _pool_taps(x, window, stride) -> list[np.ndarray]:
+    """The kh*kw strided (n, c, h_out, w_out) views of the float64 plane
+    ``x`` that the windows' taps read, in (ky, kx) order."""
+    x = np.asarray(x, dtype=float)
+    h, w = x.shape[2:]
     kh, kw = window
     sh, sw = stride
-    if (h - kh) % sh != 0 or (w - kw) % sw != 0:
+    if min(kh, kw, sh, sw) < 1 or h < kh or w < kw or (h - kh) % sh or (w - kw) % sw:
         raise ShapeMismatch(
             f"{h}x{w} input is not covered exactly by {window} windows at stride {stride}"
         )
     h_out, w_out = out_size(h, kh, sh, 0), out_size(w, kw, sw, 0)
-    patches = np.empty((n, c, h_out, w_out, kh * kw), dtype=float)
-    for ky in range(kh):
-        for kx in range(kw):
-            patches[..., ky * kw + kx] = x[:, :, ky : ky + sh * h_out : sh,
-                                           kx : kx + sw * w_out : sw]
-    return patches
+    return [x[:, :, ky : ky + sh * h_out : sh, kx : kx + sw * w_out : sw]
+            for ky in range(kh) for kx in range(kw)]
+
+
+def _pool_patches(x: np.ndarray, window, stride) -> np.ndarray:
+    """The (n, c, h_out, w_out, kh*kw) windows of max pooling and its argmax."""
+    return np.stack(_pool_taps(x, window, stride), axis=-1)
+
+
+def _tap_sum(taps: list[np.ndarray]) -> np.ndarray:
+    """The elementwise sum of ``taps`` in the order ``np.add.reduce`` sums a
+    contiguous float axis of that length (numpy's pairwise summation: eight
+    accumulators per block of at most 128, halves above), so the result is
+    bit for bit that of stacking the taps and summing the stack."""
+    n = len(taps)
+    if n > 128:
+        h = n // 2 - (n // 2) % 8
+        return _tap_sum(taps[:h]) + _tap_sum(taps[h:])
+    if n < 8:
+        s, full = taps[0] + 0.0, 1
+    else:
+        full = n - n % 8
+        r = [t + 0.0 for t in taps[:8]]
+        for j, t in enumerate(taps[8:full]):  # block by block, accumulator j % 8
+            r[j % 8] += t
+        s = (r[0] + r[1]) + (r[2] + r[3])
+        s += (r[4] + r[5]) + (r[6] + r[7])
+    for t in taps[full:]:  # then the taps left over, one at a time
+        s += t
+    return s
 
 
 def avg_pool(x, window: tuple[int, int], stride: tuple[int, int] | None = None):
-    """Window-mean pooling; complex inputs are pooled per plane."""
+    """Window-mean pooling; complex inputs are pooled per plane.  The taps
+    are summed as strided views (``_tap_sum``), never copied into windows,
+    and divided by their count as ``mean`` divides its sum."""
     stride = stride or window
-    return _planewise(lambda p: _pool_patches(p, window, stride).mean(axis=-1), x)
+    taps = window[0] * window[1]
+    return _planewise(lambda p: _tap_sum(_pool_taps(p, window, stride)) / taps, x)
 
 
 def max_pool(x, window: tuple[int, int], stride: tuple[int, int] | None = None):
@@ -462,11 +496,12 @@ def _bwd_pool(g: ComplexTensor, x: ComplexTensor, window, stride, average: bool)
 
     def plane(gp, xp):
         if average:
-            per_tap = np.broadcast_to((gp / taps)[..., None], gp.shape + (taps,))
+            n, c, h_out, w_out = gp.shape
+            per_tap = np.broadcast_to((gp / taps)[:, :, None, None], (n, c, *window, h_out, w_out))
         else:
             idx = _pool_patches(xp, window, stride).argmax(axis=-1)
-            per_tap = gp[..., None] * (idx[..., None] == np.arange(taps))
-        return _col2im(np.moveaxis(per_tap, -1, 2), xp.shape, window, stride, (0, 0))
+            per_tap = np.moveaxis(gp[..., None] * (idx[..., None] == np.arange(taps)), -1, 2)
+        return _col2im(per_tap, xp.shape, window, stride, (0, 0))
 
     return _planewise(plane, g, x)
 

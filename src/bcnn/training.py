@@ -91,7 +91,10 @@ class Dataset:
 
     def __post_init__(self):
         self.images = real_pixels(self.images)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if not np.issubdtype(labels.dtype, np.integer):  # the rule of ``check_batch``
+            raise ShapeMismatch(f"{labels.dtype} labels: expected one integer label per image")
+        self.labels = labels.astype(np.int64)
         if self.images.ndim != 4 or len(self.labels) != len(self.images):
             raise ShapeMismatch("images must be (N, c, h, w) with one label each")
         if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:

@@ -20,6 +20,44 @@ def im2col(x, kernel, stride, padding, pad_value=0.0):
     return cols.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out)
 
 
+def copied_windows(x, kernel, stride, padding, pad_value):
+    """The convolution window view as ``np.pad`` and ``sliding_window_view``
+    gather it: (n, c, kh, kw, h_out, w_out), and (h_out, w_out)."""
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
+    win = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    return win.transpose(0, 1, 4, 5, 2, 3), win.shape[2:4]
+
+
+def copied_patches(x, window, stride):
+    """Each (n, c, h_out, w_out) window of a plane copied into a float64
+    patch array on its last axis, in (ky, kx) order, tap by tap."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw) = window, stride
+    h_out, w_out = (h - kh) // sh + 1, (w - kw) // sw + 1
+    patches = np.empty((n, c, h_out, w_out, kh * kw))
+    for ky in range(kh):
+        for kx in range(kw):
+            patches[..., ky * kw + kx] = x[:, :, ky:ky + sh * h_out:sh, kx:kx + sw * w_out:sw]
+    return patches
+
+
+def patch_mean_avg_pool(x, window, stride):
+    """Average pooling as the mean of each window's copied patch."""
+    def plane(p):
+        return copied_patches(p, window, stride).mean(axis=-1)
+
+    return ComplexTensor(plane(x.re), plane(x.im)) if isinstance(x, ComplexTensor) else plane(x)
+
+
+def copied_avg_pool_backward(g, x_shape, window, stride):
+    """The average pool's input gradient from a taps-sized copy of ``g``
+    divided by the tap count, scattered by ``_col2im``."""
+    taps = window[0] * window[1]
+    per_tap = np.broadcast_to((g / taps)[..., None], g.shape + (taps,))
+    return _col2im(np.moveaxis(per_tap, -1, 2), x_shape, window, stride, (0, 0))
+
+
 def assert_close_relative(y, ref, rel=1e-12):
     """Shapes equal and every entry within ``rel`` of the reference's largest
     magnitude: the check for a reordered floating-point sum."""

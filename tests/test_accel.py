@@ -185,6 +185,12 @@ def test_speedup_rejects_non_finite_and_negative_throughputs(fpga_fps, baseline_
         speedup_report(fpga_fps, baseline_fps)
 
 
+def test_a_fractional_pipeline_fill_raises_invalid_config_naming_it():
+    # it was accepted, and conv_cycles then counted fractional cycles
+    with pytest.raises(InvalidConfig, match="pipeline_fill must be an integer, got 2.5"):
+        KernelConfig(pipeline_fill=2.5)
+
+
 # ---------------------------------------------------------------------------
 # resource reports
 # ---------------------------------------------------------------------------

@@ -12,12 +12,16 @@ from bcnn.layers import (
     conv2d_real,
     fully_connected,
     hardtanh_backward,
+    _bwd_pool,
+    _tap_sum,
+    _windows,
     max_pool,
     relu,
     spectral_pool,
 )
 from bcnn.tensors import ComplexTensor, pack
-from helpers import (assert_close_relative, einsum_complex_conv2d, einsum_conv2d_real, im2col,
+from helpers import (assert_close_relative, copied_avg_pool_backward, copied_windows,
+                     einsum_complex_conv2d, einsum_conv2d_real, im2col, patch_mean_avg_pool,
                      random_pm1_tensor, reference_cgbn_eval)
 
 
@@ -244,6 +248,92 @@ def test_avg_pool_preserves_global_mean():
 def test_pool_rejects_non_tiling_window():
     with pytest.raises(ShapeMismatch):
         avg_pool(np.zeros((1, 1, 5, 5)), (2, 2))
+
+
+@pytest.mark.parametrize("pool", [avg_pool, max_pool])
+@pytest.mark.parametrize("hw, window, stride", [
+    ((2, 2), (3, 3), (1, 1)), ((1, 4), (3, 3), (1, 1)),
+    ((4, 4), (2, 2), (0, 0)), ((4, 4), (2, 2), (-1, -1)),
+])
+def test_pool_rejects_a_window_it_cannot_place(pool, hw, window, stride):
+    # the exact-cover test alone gave an empty result or a numpy error here
+    with pytest.raises(ShapeMismatch, match="not covered exactly"):
+        pool(np.zeros((1, 1, *hw)), window, stride)
+
+
+def _bits(a):
+    """The bytes of ``a`` as unsigned integers: equal bits, -0.0 kept apart."""
+    return np.ascontiguousarray(a).view(f"u{a.itemsize}")
+
+
+def _signed_zeros_and_magnitudes(rng, shape):
+    """Normal draws scaled by 1e-8 to 1e8, about a tenth of them -0.0 and a
+    tenth +0.0, and one image's first channel all -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    u = rng.random(shape)
+    x[u < 0.1] = -0.0
+    x[(0.1 <= u) & (u < 0.2)] = 0.0
+    x[0, 0] = -0.0
+    return x
+
+
+# window, stride (None: the window) and an input height and width it covers exactly
+AVG_POOL_CASES = [
+    ((1, 1), None, (5, 6)), ((2, 2), None, (8, 6)), ((2, 2), (1, 1), (5, 5)),
+    ((3, 3), (1, 1), (6, 7)), ((3, 3), (2, 2), (9, 7)), ((3, 4), None, (9, 8)),
+    ((4, 4), None, (8, 12)), ((5, 5), None, (10, 10)), ((12, 12), None, (12, 12)),
+]
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("window, stride, hw", AVG_POOL_CASES)
+def test_avg_pool_equals_the_patch_mean_bit_for_bit(window, stride, hw, complex_input):
+    rng = np.random.default_rng(sum(window) + sum(hw))
+    shape = (2, 3, *hw)
+    x = _signed_zeros_and_magnitudes(rng, shape)
+    if complex_input:
+        x = ComplexTensor(x, _signed_zeros_and_magnitudes(rng, shape))
+    y, ref = avg_pool(x, window, stride), patch_mean_avg_pool(x, window, stride or window)
+    planes = zip((y.re, y.im), (ref.re, ref.im)) if complex_input else [(y, ref)]
+    for got, want in planes:
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_tap_sum_is_the_stacked_sum_for_every_tap_count():
+    # n < 8, one block of up to 128, and two levels of halving above 128
+    rng = np.random.default_rng(3)
+    for n in range(1, 300):
+        taps = list(_signed_zeros_and_magnitudes(rng, (1, 1, 4, 4, n)).transpose(4, 0, 1, 2, 3))
+        np.testing.assert_array_equal(_bits(_tap_sum(taps)), _bits(np.stack(taps, -1).sum(-1)))
+
+
+@pytest.mark.parametrize("window, stride, hw", AVG_POOL_CASES)
+def test_avg_pool_backward_equals_the_copied_gradient_bit_for_bit(window, stride, hw):
+    rng = np.random.default_rng(sum(window) + sum(hw))
+    stride = stride or window
+    x = _signed_zeros_and_magnitudes(rng, (2, 3, *hw))
+    ref_shape = patch_mean_avg_pool(x, window, stride).shape
+    g = ComplexTensor(*(_signed_zeros_and_magnitudes(rng, ref_shape) for _ in range(2)))
+    dx = _bwd_pool(g, ComplexTensor(x, x), window, stride, average=True)
+    for got, gp in ((dx.re, g.re), (dx.im, g.im)):
+        np.testing.assert_array_equal(_bits(got), _bits(copied_avg_pool_backward(gp, x.shape,
+                                                                                 window, stride)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad_value", [0.0, -1.0])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_windows_equal_the_padded_sliding_view(stride, padding, pad_value, dtype):
+    rng = np.random.default_rng(stride + padding)
+    x = _signed_zeros_and_magnitudes(rng, (2, 3, 9, 8)).astype(dtype)
+    args = ((3, 2), (stride, stride), (padding, padding), pad_value)
+    win, hw = _windows(x, *args)
+    ref, ref_hw = copied_windows(x, *args)
+    assert hw == ref_hw and win.shape == ref.shape and win.dtype == dtype
+    assert not win.flags.writeable
+    np.testing.assert_array_equal(_bits(win), _bits(ref))
 
 
 # ---------------------------------------------------------------------------

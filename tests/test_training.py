@@ -672,6 +672,25 @@ def test_dataset_rejects_labels_out_of_range(labels):
         Dataset(np.zeros((2, 3, 4, 4)), labels, 2)
 
 
+def test_dataset_rejects_fractional_labels_naming_the_dtype():
+    # they were truncated to [0, 1] without a word
+    from bcnn.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch, match="float64 labels: expected one integer label"):
+        Dataset(np.zeros((2, 3, 4, 4)), np.array([0.7, 1.9]), 2)
+
+
+def test_dataset_builders_pass_integer_labels(tmp_path):
+    from bcnn.training import make_separable_dataset, make_synthetic_dataset
+
+    _write_records(tmp_path / "data_batch_1.bin", [(7, bytes(3072)), (2, bytes(3072))])
+    _, cifar_labels = read_cifar10_batch(str(tmp_path / "data_batch_1.bin"))
+    for labels in (make_synthetic_dataset(samples_per_class=2).labels,
+                   make_separable_dataset(samples_per_class=2).labels, cifar_labels):
+        assert labels.dtype == np.int64
+    assert Dataset(np.zeros((2, 3, 4, 4)), np.array([1, 0], dtype=np.uint8), 2).labels.dtype == np.int64
+
+
 def test_dataset_rejects_a_non_finite_pixel():
     from bcnn.errors import NonFiniteInput
 
