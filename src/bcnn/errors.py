@@ -77,5 +77,5 @@ class NonFiniteParameter(CorruptModelFile):
 
 
 class ReadOnlyParameter(BcnnError, ValueError):
-    """A parameter the engine writes in place is read-only, and no kept plan
-    made it so; the engine raises this before it writes anything."""
+    """A parameter the engine writes in place is read-only; the engine raises
+    this before it writes anything."""

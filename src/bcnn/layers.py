@@ -26,9 +26,9 @@ than an activation.  CGBN normalizes each plane with ``_bn_plane`` and
 
 Layers are safe to share between readers in the inference modes.  A
 ``TRAIN_STEP`` batch norm mutates the layer's running statistics and
-requires a single writer per layer per step.  A packed forward freezes the
-model's body (``models._model_plan``), and engine writes go through one
-gate, ``models.make_writeable``, before any write here.
+requires a single writer per layer per step; ``models.check_writeable``
+refuses a read-only array before any write here.  A packed forward's kept
+plan (``models._model_plan``) sees every write at the next forward.
 """
 
 from __future__ import annotations

@@ -33,11 +33,9 @@ unsplit pass.  A model's first packed forward plans its body once and keeps
 the plan with the model.  The plan runs each binary conv, with the CGBN and
 Binarize after it, as one step with one of two rules: a CGBN that keeps
 every dot's sign is skipped, and any other runs in float on the live
-channels.  A packed forward freezes the body (every array before the Dense
-head), so an in-place edit raises instead of serving stale logits; the
-engine writes through ``make_writeable``.  To edit a forwarded model, make
-the array writeable first and leave it so until the next forward, or load
-the model again.
+channels.  The plan keeps a copy of every array of the body (every node
+before the Dense head), and each packed forward compares the body with it,
+so an edit, in place or through a view, reaches the next forward.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ import functools
 import math
 import operator
 import struct
-import threading
-import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
@@ -187,16 +183,6 @@ class ModelGraph:
         """A copy or a pickle leaves the packed plan behind (``_model_plan``)."""
         return {k: v for k, v in self.__dict__.items() if k != "_packed_plan"}
 
-    def __setstate__(self, state):
-        """Every array comes back writeable and owning its memory, as a
-        plan kept with the model needs (``_model_plan``): a pickle of
-        protocol 5 restores arrays as views of its buffers, read-only where
-        the plan had made them so, and those are copied."""
-        self.__dict__.update(state)
-        for node, name, value in _fields_of(self.layers):
-            if isinstance(value, np.ndarray) and not value.flags.owndata:
-                setattr(node, name, value.copy())
-
 
 # ---------------------------------------------------------------------------
 # per-kind operations
@@ -275,7 +261,11 @@ def _geometry_bytes(g: ConvGeometry) -> bytes:
 
 def _read_geometry(cur) -> ConvGeometry:
     oc, ic, kh, kw, sh, sw, ph, pw = cur.unpack("<8I")
-    return ConvGeometry(ic, oc, (kh, kw), (sh, sw), (ph, pw))
+    try:
+        return ConvGeometry(ic, oc, (kh, kw), (sh, sw), (ph, pw))
+    except InvalidConfig:
+        raise CorruptModelFile(f"invalid conv geometry {ic}->{oc} kernel {(kh, kw)} "
+                               f"stride {(sh, sw)} pad {(ph, pw)}") from None
 
 
 def _generator_forward(gen: ComplexInputGenerator, x: np.ndarray):
@@ -566,34 +556,34 @@ def check_parameters(nodes):
                 raise CorruptModelFile(f"{type(node).__name__} eps must be > 0, got {value}")
 
 
-# the arrays a kept plan made read-only, by id: the only ones ``make_writeable``
-# makes writeable again
-_frozen = weakref.WeakValueDictionary()
-
-
-def _freeze(a: np.ndarray) -> bool:
-    """Make a body array read-only for a kept plan (``_model_plan``); False,
-    and the array left as it is, if it was read-only already."""
-    if not a.flags.writeable:
-        return False
-    a.flags.writeable = False
-    _frozen[id(a)] = a
-    return True
-
-
-def make_writeable(nodes):
-    """The one gate of the engine's in-place writes: every array field of
-    ``nodes`` must be writeable or frozen by a kept plan (``_freeze``).  The
-    first that is neither raises ``ReadOnlyParameter``, naming the node kind
-    and the field, before anything has changed; then every frozen array is
-    made writeable, so the model's next packed forward plans anew."""
-    arrays = [(node, name, v) for node, name, v in _fields_of(nodes) if isinstance(v, np.ndarray)]
-    for node, name, a in arrays:
-        if not a.flags.writeable and _frozen.get(id(a)) is not a:
+def check_writeable(nodes):
+    """The check before the engine's in-place writes: the first array field
+    of ``nodes`` that is read-only, which only a caller makes so, raises
+    ``ReadOnlyParameter`` naming the node kind and the field, before
+    anything has changed."""
+    for node, name, value in _fields_of(nodes):
+        if isinstance(value, np.ndarray) and not value.flags.writeable:
             raise ReadOnlyParameter(f"{type(node).__name__} {name} is read-only")
-    for _, _, a in arrays:
-        if _frozen.pop(id(a), None) is a:
-            a.flags.writeable = True
+
+
+class _Copy(NamedTuple):
+    """What a kept plan holds of an array field: its dtype, shape and bytes."""
+
+    dtype: np.dtype
+    shape: tuple
+    data: bytes
+
+
+def _same(value, kept) -> bool:
+    """Whether a field's ``value`` is what a plan kept of it: an array of the
+    ``_Copy``'s dtype, shape and bytes (so +0.0 and -0.0 differ), or the
+    very object of any other field.  An array of Python objects, whose bytes
+    are addresses, never matches."""
+    if type(kept) is not _Copy:
+        return value is kept
+    return (isinstance(value, np.ndarray) and not value.dtype.hasobject
+            and value.dtype == kept.dtype and value.shape == kept.shape
+            and value.tobytes() == kept.data)
 
 
 class _Plan(NamedTuple):
@@ -602,63 +592,38 @@ class _Plan(NamedTuple):
 
     layers: tuple  # the model's nodes
     input_shape: tuple
-    fields: list  # (node, name, value) of every body node, block paths' nodes included
-    read: list  # the arrays of ``fields``, all read-only
-    generation: int  # ``_generation`` once they were
+    fields: list  # (node, name, kept) of every body node field, block paths' nodes included
     steps: list
 
     def holds(self, model: ModelGraph) -> bool:
-        return (self.generation == _generation
-                and len(model.layers) == len(self.layers)
+        return (len(model.layers) == len(self.layers)
                 and all(map(operator.is_, model.layers, self.layers))
                 and tuple(model.input_shape) == self.input_shape
-                and all(getattr(node, name) is value for node, name, value in self.fields)
-                and not any(a.flags.writeable for a in self.read))
-
-
-# bumped by each planning that freezes a writeable array: the array may have
-# been written since another kept plan read it (that plan's model shares the
-# node, or a caller made the array writeable), so every kept plan made before
-# is dropped
-_generation = 0
-_generation_lock = threading.Lock()
+                and all(_same(getattr(node, name), kept) for node, name, kept in self.fields))
 
 
 def _model_plan(model: ModelGraph, body: list) -> list:
     """The packed steps of ``body``, the model's nodes before its Dense head.
 
     They are planned on the model's first packed forward and kept with it
-    while the plan holds: the model has the same nodes and input shape,
-    every field of every body node is the same object, every array of the
-    body is still read-only, and no planning has frozen a writeable array
-    since (``_generation``).  Planning freezes the body: every array field
-    of every body node becomes read-only (``_freeze``; one the caller made
-    read-only stays the caller's).  The engine's in-place writes go through
-    ``make_writeable``, which makes them writeable again, so the forward
-    after a training step or an SLR write, of this model or of one sharing
-    its nodes, plans anew, and an outside in-place write raises.  Two edits
-    go unseen: one through a view taken before planning (numpy cannot
-    freeze it), and one made while the caller had the array writeable if
-    the caller makes it read-only again before the next forward.  A body
-    holding an array that does not own its memory (a view, whose base stays
-    writeable) is planned for this forward only."""
-    global _generation
+    while the plan holds: the model has the same nodes and input shape, and
+    every field of every body node is what it was planned from.  Planning
+    first copies every array field of the body; each later packed forward
+    compares those arrays with their copies byte for byte (a +-0.0 flip
+    counts) and every other field by identity, and plans anew on any
+    difference.  So an edit reaches the next forward, in place or through
+    any view, by the engine or a caller, of this model or of one sharing
+    its nodes.  Planning leaves every array as it was, writeable or not."""
     kept = model.__dict__.get("_packed_plan")
     if kept is not None and kept.holds(model):
         return kept.steps
     check_parameters(model.layers)
-    fields_now = list(_fields_of(body))  # taken first: a node replaced while planning misses
-    read = [v for _, _, v in fields_now if isinstance(v, np.ndarray)]
+    # copied first: an edit made while planning differs from the copy
+    fields_now = [(node, name, _Copy(value.dtype, value.shape, value.tobytes())
+                   if isinstance(value, np.ndarray) else value)
+                  for node, name, value in _fields_of(body)]
     steps = _plan(body, Activation(tuple(model.input_shape)))
-    if all(type(a) is np.ndarray and a.flags.owndata for a in read):
-        with _generation_lock:
-            if any([_freeze(a) for a in read]):  # every array frozen, not the first only
-                _generation += 1
-            generation = _generation
-        model._packed_plan = _Plan(tuple(model.layers), tuple(model.input_shape), fields_now,
-                                   read, generation, steps)
-    else:
-        model.__dict__.pop("_packed_plan", None)
+    model._packed_plan = _Plan(tuple(model.layers), tuple(model.input_shape), fields_now, steps)
     return steps
 
 
@@ -971,13 +936,12 @@ def run_nodes(nodes, x, mode: Mode):
     BitplaneTensor, the only input a binary conv reads; every other node
     sees it unpacked to the same +-1 planes.  ``Mode.TRAIN_STEP`` writes
     the running statistics, and its training step every weight, so it first
-    passes the write gate (``make_writeable``): the model's next packed
-    forward plans anew.
+    checks that every array is writeable (``check_writeable``).
     """
     if mode is Mode.PACKED:
         nodes = _plan(nodes)
     elif mode is Mode.TRAIN_STEP:
-        make_writeable(nodes)
+        check_writeable(nodes)
     caches = []
     for node in nodes:
         if isinstance(x, BitplaneTensor) and type(node) is not _ConvStep:
@@ -1034,12 +998,10 @@ def forward(model: ModelGraph, batch: np.ndarray, packed: bool = True) -> np.nda
     dot's sign is skipped; otherwise the CGBN runs on the live channels
     only).  A binary conv fed by a partly pruned conv -> CGBN -> Binarize
     reads only the live input channels and adds the constant ones' dots
-    as an integer bias map.  A packed forward freezes the body: every array
-    of the nodes before the Dense head is left read-only, so an in-place
-    edit of one raises; to edit a forwarded model, make the array writeable
-    first and leave it so until the next forward, or load the model again.
-    Engine writes go through ``make_writeable``, so a replaced node or
-    array, a training step or an SLR write makes the next forward plan
+    as an integer bias map.  The plan holds while the body is what it was
+    planned from, byte for byte, so any edit of a node before the Dense
+    head (a replaced node or array, a training step, an SLR write, or a
+    caller's in-place edit through any view) makes the next forward plan
     anew, of this model and of any model sharing the node.
     Batch-norm layers use running statistics, so per-image outputs do not
     depend on batch composition.  The graph and then the batch are checked
@@ -1317,7 +1279,7 @@ def validate_graph(model: ModelGraph):
     The pipeline is a real prefix of pools, then the generator (the only
     node making the real image complex), then the complex and binarized
     body, then Flatten and the Dense head.  Every
-    node's input, from ``input_shape`` to ``num_classes`` logits, must have
+    node's input, from ``input_shape`` to ``num_classes`` >= 1 logits, must have
     the channels, size and domain it expects, and every parameter array the
     shape its node's geometry or channel count gives: a binarized
     convolution needs a binarize step right before it (blocks binarize
@@ -1327,6 +1289,8 @@ def validate_graph(model: ModelGraph):
     """
     if min(model.input_shape) < 1:
         raise ShapeMismatch(f"input shape {tuple(model.input_shape)} has an empty dimension")
+    if model.num_classes < 1:
+        raise ShapeMismatch(f"{model.num_classes} classes, expected at least 1")
     out = walk_shapes(model.layers, Activation(tuple(model.input_shape)))
     weighted = [layer for layer in model.layers if kind_of(layer).weight_layers]
     if not weighted:

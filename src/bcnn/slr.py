@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetTooLarge, DivergedLoss, InvalidConfig, check_integer
-from .models import ModelGraph, iter_binary_convs, make_writeable
+from .models import ModelGraph, check_writeable, iter_binary_convs
 from .training import Dataset, batch_loss, train_step
 
 
@@ -79,7 +79,9 @@ class SlrConfig:
 
 @dataclass
 class SlrState:
-    """Per-layer weights W, duplicates Z, multipliers Lambda, stepsize, k."""
+    """Per-layer weights W, duplicates Z, multipliers Lambda, stepsize, k,
+    and the loss on the condition batch at W (None: the next ``slr_step``
+    computes it)."""
 
     weights: list
     duplicates: list
@@ -87,6 +89,7 @@ class SlrState:
     stepsize: float
     k: int = 1
     channel_axis: int = 0
+    loss: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,8 @@ def init_slr_state(problem, cfg: SlrConfig) -> SlrState:
         project_channels(w, b, axis) for w, b in zip(weights, cfg.budgets)
     ]
     multipliers = [np.zeros_like(w) for w in weights]
-    return SlrState(weights, duplicates, multipliers, cfg.s0, k=1, channel_axis=axis)
+    return SlrState(weights, duplicates, multipliers, cfg.s0, k=1, channel_axis=axis,
+                    loss=problem.loss(problem.condition_batch()))
 
 
 def _surrogate_update(decreased, a, s, norm_prev, norm, multipliers, weights, duplicates):
@@ -189,11 +193,13 @@ def _surrogate_update(decreased, a, s, norm_prev, norm, multipliers, weights, du
 def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
     """One SLR iteration; mutates the state and returns a history record.
     It copies no state array: a problem's ``get_weights`` returns fresh
-    arrays, and its methods never mutate the arrays they are given."""
+    arrays, and its methods never mutate the arrays they are given.  It
+    runs one loss: the loss before the step is the state's, which the last
+    step left, as nothing moves the weights in between."""
     axis = state.channel_axis
     batch = problem.condition_batch()
     w_prev, z_prev = state.weights, state.duplicates
-    f_prev = problem.loss(batch)
+    f_prev = problem.loss(batch) if state.loss is None else state.loss
 
     # Step 1: SGD on the W subproblem, Z and multipliers held.
     problem.run_inner_epoch(state.multipliers, z_prev, cfg.rho)
@@ -227,6 +233,7 @@ def slr_step(state: SlrState, problem, cfg: SlrConfig) -> dict:
     state.duplicates = z_new
     state.multipliers = multipliers
     state.stepsize = s_new
+    state.loss = f_new
     record = {
         "k": state.k,
         "loss": f_new,
@@ -250,7 +257,7 @@ def slr_run(problem, cfg: SlrConfig):
     state = init_slr_state(problem, cfg)
     history = [slr_step(state, problem, cfg) for _ in range(cfg.max_iters)]
     problem.write_weights(state.duplicates)
-    state.weights = problem.get_weights()
+    state.weights, state.loss = problem.get_weights(), None
     return state, history
 
 
@@ -337,7 +344,10 @@ class ModelPruningProblem:
         return [np.stack([l.w_re, l.w_im], dtype=float) for l in self.layers]
 
     def write_weights(self, ws):
-        make_writeable(self.layers)  # both planes of every layer, before the first write
+        """Write each layer's planes in place.  Every plane is checked first
+        (``check_writeable``): a read-only one raises before any write, and
+        the model's next packed forward sees the writes."""
+        check_writeable(self.layers)
         for layer, w in zip(self.layers, ws):
             layer.w_re[...] = w[0]
             layer.w_im[...] = w[1]

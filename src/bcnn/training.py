@@ -162,7 +162,13 @@ def make_synthetic_dataset(
     ``seed`` draws the patterns and the noise.  ``held_out`` keeps the
     seed's patterns and draws the noise from a second stream of the seed,
     so the set is a test split of the same classes with no training image.
+    ``num_classes`` < 1 or ``samples_per_class`` < 0 raises ``InvalidConfig``.
     """
+    for name, value, least in (("num_classes", num_classes, 1),
+                               ("samples_per_class", samples_per_class, 0)):
+        check_integer(name, value)
+        if value < least:
+            raise InvalidConfig(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     patterns = np.sign(rng.standard_normal((num_classes,) + shape)) * 0.5
     if held_out:
@@ -202,7 +208,7 @@ def make_separable_dataset(
 
 def sgd_step(weight: np.ndarray, grad, lr: float) -> np.ndarray:
     """In-place w <- w - lr*g.  A read-only weight raises: a training step
-    makes a model's weights writeable first (``models.make_writeable``)."""
+    checks every weight first (``models.check_writeable``)."""
     weight -= (lr * np.asarray(grad)).astype(weight.dtype)
     return weight
 
@@ -238,9 +244,10 @@ def train_step(model: ModelGraph, xb, yb, lr: float, clip: float,
     ``extra_grads`` is a list of (parameter, gradient) pairs added on top of
     the loss gradients, e.g. multiplier and penalty terms during pruning.
     The graph, the batch and its labels are checked first (``check_batch``),
-    and then every array passes the write gate (``models.make_writeable``,
+    and then that every array is writeable (``models.check_writeable``,
     run by ``run_nodes``), so a rejected graph, batch or array changes no
-    parameter.
+    parameter.  The model's next packed forward sees the step's writes and
+    plans anew (``models._model_plan``).
     """
     x = check_batch(model, xb, yb)
     logits, caches = run_nodes(model.layers, x, Mode.TRAIN_STEP)

@@ -473,3 +473,26 @@ def test_prune_then_quantize_keeps_budgets(tmp_path, capsys):
     final = load_model(str(quant))
     conv = next(iter(iter_binary_convs(final)))
     assert count_nonzero_channels(np.stack([conv.w_re, conv.w_im]), 1) <= 4
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--data", "synthetic"], ["infer", "--image", "img.npy"],
+    ["prune", "--iters", "1", "--out", "pruned.bcn"], ["quantize", "--epochs", "1", "--out", "q.bcn"],
+    ["export"],
+], ids=["infer_synthetic", "infer_image", "prune", "quantize", "export"])
+def test_a_model_file_with_no_classes_is_one_error_line(command, tmp_path, capsys, monkeypatch):
+    from bcnn.model_io import _encode_graph
+    from bcnn.models import DenseLayer
+
+    model = build_toy_bcnn(seed=8)
+    head = model.layers[-1]
+    model.layers[-1] = DenseLayer(head.weight[:0], head.bias[:0])
+    model.num_classes = 0
+    (tmp_path / "none.bcn").write_bytes(_encode_graph(model))
+    np.save(tmp_path / "img.npy", np.zeros(model.input_shape))
+    monkeypatch.chdir(tmp_path)
+    assert run([command[0], "--in", "none.bcn", *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid model graph: 0 classes, expected at least 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.npy", "none.bcn"]

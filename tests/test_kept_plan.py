@@ -1,6 +1,8 @@
 """A model keeps its packed plan (``models._model_plan``) only while the plan
 still describes it: every action that changes the model, from the engine or
-from a caller, must leave the next packed forward equal to the dense path."""
+from a caller, must leave the next packed forward equal to the dense path.
+The plan compares the body with copies of its arrays, so no edit needs a
+gate, and a packed forward leaves every array as writeable as it was."""
 
 import copy
 import dataclasses
@@ -12,8 +14,9 @@ import pytest
 from bcnn.errors import ReadOnlyParameter
 from bcnn.layers import CgbnLayer
 from bcnn.model_io import model_to_bytes
-from bcnn.models import (Mode, ModelGraph, build_nin_bcnn, build_toy_bcnn, check_batch, forward,
-                         iter_binary_convs, run_nodes, _fields_of, _init_binary_conv)
+from bcnn.models import (ComplexInputGenerator, Mode, ModelGraph, build_nin_bcnn, build_toy_bcnn,
+                         check_batch, forward, iter_binary_convs, run_nodes, _fields_of,
+                         _init_binary_conv)
 from bcnn.slr import SlrConfig, budgets_from_ratio, slr_prune
 from bcnn.training import Dataset, train_step
 from helpers import hard_prune, real_gamma_cgbn
@@ -40,9 +43,8 @@ def _arrays(model):
 
 
 def _assert_serves(model, x):
-    """Packed logits equal the dense path's and a fresh copy's, sign bits included.  The
-    copy's planning drops the model's plan, so the last forward plans the model again: its
-    plan is then the newest, and only its own checks can find the next action's change."""
+    """Packed logits equal the dense path's, a fresh copy's and the kept plan's on a second
+    forward, sign bits included."""
     packed = forward(model, x)
     for other in (forward(model, x, packed=False), forward(copy.deepcopy(model), x),
                   forward(model, x)):
@@ -55,10 +57,20 @@ def _first_conv(model):
     return next(iter_binary_convs(model))
 
 
+def _first_conv_index(model):
+    return next(i for i, node in enumerate(model.layers) if node is _first_conv(model))
+
+
 def _step_cgbn(model):
     """The CGBN right after the first binary conv, read by its step; None if a pool is between."""
-    i = next(i for i, node in enumerate(model.layers) if node is _first_conv(model))
-    return model.layers[i + 1] if type(model.layers[i + 1]) is CgbnLayer else None
+    nxt = model.layers[_first_conv_index(model) + 1]
+    return nxt if type(nxt) is CgbnLayer else None
+
+
+def _cgbn_after_conv(model):
+    """The first CGBN after the first binary conv: its step's on NIN, after a pool on the toy."""
+    return next(node for node in model.layers[_first_conv_index(model):]
+                if type(node) is CgbnLayer)
 
 
 def _train(model, data):
@@ -75,18 +87,14 @@ def _slr_iteration(model, data):
 
 
 def _outside_edit(model, data):
+    # a caller edits the forwarded model in place: prune channel 0, flip channel 1, move a mean
     conv = _first_conv(model)
-    with pytest.raises(ValueError, match="read-only"):
-        conv.w_re[0] = 1.0
-    bn = _step_cgbn(model)
-    if bn is not None:
-        with pytest.raises(ValueError, match="read-only"):
-            bn.running_mean_re[:] += 1.0
-    # a caller who makes the arrays writeable may edit them: prune channel 0, flip channel 1
     for a in (conv.w_re, conv.w_im):
-        a.flags.writeable = True
         a[0] = 0.0
         a[1] *= -1
+    bn = _step_cgbn(model)
+    if bn is not None:
+        bn.running_mean_re[:] += 1.0
 
 
 def _replace_array(model, data):
@@ -133,7 +141,7 @@ def test_a_planned_model_copies_and_pickles_to_a_writeable_model(build):
     model.note = "kept by copies"
     x = np.random.default_rng(46).random((3, *model.input_shape))
     want, blob = forward(model, x), model_to_bytes(model)
-    assert any(not a.flags.writeable for a in _arrays(model))
+    assert all(a.flags.writeable for a in _arrays(model))
     copies = [copy.deepcopy(model)] + [pickle.loads(pickle.dumps(model, protocol))
                                        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
     for clone in copies:
@@ -141,35 +149,126 @@ def test_a_planned_model_copies_and_pickles_to_a_writeable_model(build):
         assert all(a.flags.writeable for a in _arrays(clone))
         assert model_to_bytes(clone) == blob
         np.testing.assert_array_equal(forward(clone, x), want)
-        assert "_packed_plan" in vars(clone)  # its arrays own their memory: the plan is kept
+        assert "_packed_plan" in vars(clone)  # kept, on arrays that view a pickle's buffers too
         _train(clone, _data(clone))  # its arrays are its own: the original is untouched
     assert model_to_bytes(model) == blob
     np.testing.assert_array_equal(forward(model, x), want)
 
 
-def test_a_plan_that_read_a_view_is_not_kept():
+def test_a_plan_that_read_views_sees_an_edit_of_their_base():
     model = _toy()
     conv = _first_conv(model)
     stacked = np.stack([conv.w_re, conv.w_im])
-    conv.w_re, conv.w_im = stacked[0], stacked[1]  # views: stacked stays writeable
+    conv.w_re, conv.w_im = stacked[0], stacked[1]
     x = np.random.default_rng(47).random((2, *model.input_shape))
-    forward(model, x)
-    assert "_packed_plan" not in vars(model) and conv.w_re.flags.writeable
+    before = forward(model, x)
+    plan = model._packed_plan
     stacked[:, 0] *= -1
+    assert not np.array_equal(_assert_serves(model, x), before)
+    assert model._packed_plan is not plan
+
+
+def test_an_edit_through_a_view_taken_before_the_first_forward_reaches_the_next():
+    model = _toy()
+    v = _first_conv(model).w_re[0]
+    x = np.random.default_rng(52).random((3, *model.input_shape))
+    before = forward(model, x)
+    v[...] = -v
+    assert not np.array_equal(_assert_serves(model, x), before)
+
+
+def _flip_conv_plane(model):
+    _first_conv(model).w_re[1] *= -1
+
+
+def _scale_running_var(model):
+    _cgbn_after_conv(model).running_var_re[:] *= 4.0
+
+
+def _flip_generator_w1(model):
+    generator = model.layers[0]
+    assert type(generator) is ComplexInputGenerator
+    generator.w1[...] *= -1
+
+
+@pytest.mark.parametrize("edit", [_flip_conv_plane, _scale_running_var, _flip_generator_w1],
+                         ids=["conv_w_re", "cgbn_running_var", "generator_w1"])
+@pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
+def test_an_in_place_edit_after_a_packed_forward_reaches_the_next(build, edit):
+    model = build()
+    x = np.random.default_rng(53).random((3, *model.input_shape))
+    before = _assert_serves(model, x)
+    edit(model)
+    assert not np.array_equal(_assert_serves(model, x), before)
+
+
+def test_a_signed_zero_flip_in_a_step_cgbn_plans_anew():
+    model = build_nin_bcnn(4, seed=42)
+    bn = _step_cgbn(model)
+    assert bn is not None and not np.signbit(bn.beta_re[0]) and bn.beta_re[0] == 0.0
+    x = np.random.default_rng(54).random((2, *model.input_shape))
     _assert_serves(model, x)
+    plan = model._packed_plan
+    bn.beta_re[0] = -0.0
+    _assert_serves(model, x)
+    assert model._packed_plan is not plan
 
 
-def _thaw_and_edit(model, data):
-    conv = _first_conv(model)
-    conv.w_re.flags.writeable = True
-    conv.w_re[:] *= -1
+@pytest.mark.parametrize("dtype", [np.float16, np.float64, np.longdouble, object])
+def test_an_edit_of_an_array_of_any_dtype_reaches_the_next_packed_forward(dtype):
+    # every dtype compares by its bytes, but an array of Python objects, whose bytes
+    # are addresses, plans anew on every forward
+    model = _toy()
+    generator = model.layers[0]
+    generator.b1 = generator.b1.astype(dtype)
+    x = np.random.default_rng(57).random((2, *model.input_shape))
+    before = _assert_serves(model, x)
+    plan = model._packed_plan
+    forward(model, x)
+    assert (model._packed_plan is plan) == (dtype is not object)
+    generator.b1[0] = 0.5
+    assert not np.array_equal(_assert_serves(model, x), before)
+
+
+@pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
+def test_a_packed_forward_never_changes_which_arrays_are_writeable(build):
+    model = build()
+    arrays = _arrays(model)
+    for a in arrays[1::2]:  # every other array, the caller's to keep read-only
+        a.flags.writeable = False
+    flags = [a.flags.writeable for a in arrays]
+    x = np.random.default_rng(55).random((2, *model.input_shape))
+    forward(model, x)
+    assert [a.flags.writeable for a in arrays] == flags
+    writeable = next(a for a in arrays if a.flags.writeable and a.size)
+    writeable.flat[0] += 1.0  # the next forward plans anew
+    _assert_serves(model, x)
+    assert [a.flags.writeable for a in arrays] == flags
+
+
+@pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
+def test_an_unchanged_model_keeps_its_plan(build):
+    model = build()
+    rng = np.random.default_rng(56)
+    forward(model, rng.random((1, *model.input_shape)))
+    plan = model._packed_plan
+    for batch in (3, 20):  # 20 images run as chunks on every core
+        x = rng.random((batch, *model.input_shape))
+        forward(model, x, packed=False)
+        model_to_bytes(model)
+        forward(model, x)
+        assert model._packed_plan is plan
+
+
+def _edit_in_place(model, data):
+    _first_conv(model).w_re[:] *= -1
 
 
 SHARERS = [copy.copy, lambda m: dataclasses.replace(m, name="sharer"),
            lambda m: ModelGraph("sharer", m.input_shape, m.num_classes, m.layers)]
 
 
-@pytest.mark.parametrize("edit", [_train, _thaw_and_edit], ids=["train_step", "thaw_and_edit"])
+@pytest.mark.parametrize("edit", [_train, _edit_in_place], ids=["train_step", "edit_in_place"])
 @pytest.mark.parametrize("share", SHARERS, ids=["copy", "replace", "same_layers"])
 def test_a_model_sharing_the_nodes_of_a_planned_model_leaves_no_stale_plan(share, edit):
     model = _toy()
@@ -177,7 +276,7 @@ def test_a_model_sharing_the_nodes_of_a_planned_model_leaves_no_stale_plan(share
     before = forward(model, x)
     sharer = share(model)
     edit(sharer, _data(sharer))
-    forward(sharer, x)  # plans the sharer, freezing the written arrays again
+    forward(sharer, x)  # plans the sharer anew; the model's own plan still holds the old copies
     after = _assert_serves(model, x)
     assert not np.array_equal(after, before)
     np.testing.assert_array_equal(forward(sharer, x), after)
@@ -230,32 +329,18 @@ def test_an_slr_write_on_one_read_only_plane_writes_nothing():
 
 @pytest.mark.parametrize("build", [_toy, _nin], ids=["toy", "nin"])
 def test_a_refused_training_step_leaves_the_kept_plan_in_place(build):
-    # the gate checks every array before it makes any writeable, so a read-only array late in
-    # field order leaves the arrays before it frozen and the plan holding
+    # the check covers every array before any write, so a read-only array late in field
+    # order leaves every array as the plan copied it, and the plan holding
     model = build()
     last_bn = [node for node in model.layers if type(node) is CgbnLayer][-1]
     last_bn.running_var_im.flags.writeable = False
     x = np.random.default_rng(50).random((2, *model.input_shape))
     want = forward(model, x)
     plan = model._packed_plan
-    frozen = [a for a in _arrays(model)
-              if not a.flags.writeable and a is not last_bn.running_var_im]
-    assert frozen
+    flags = [a.flags.writeable for a in _arrays(model)]
+    assert flags.count(False) == 1
     with pytest.raises(ReadOnlyParameter, match="^CgbnLayer running_var_im is read-only"):
         _train(model, _data(model))
-    assert not any(a.flags.writeable for a in frozen)
+    assert [a.flags.writeable for a in _arrays(model)] == flags
     np.testing.assert_array_equal(forward(model, x), want)
     assert model._packed_plan is plan
-
-
-def test_a_packed_forward_freezes_the_generator_until_a_training_step():
-    model = _toy()
-    generator = model.layers[0]
-    x = np.random.default_rng(51).random((2, *model.input_shape))
-    forward(model, x)
-    assert not generator.w1.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        generator.w1[0] = 0.0
-    _train(model, _data(model))
-    assert generator.w1.flags.writeable
-    _assert_serves(model, x)

@@ -431,3 +431,38 @@ def test_corrupted_blob_raises_bcnn_error_or_loads_valid_graph(build, count,
         validate_graph(model)
         logits = forward(model, np.zeros((1, *model.input_shape)))
         assert logits.shape == (1, model.num_classes)
+
+
+def test_a_graph_with_no_classes_is_rejected():
+    from bcnn.models import DenseLayer
+
+    with pytest.raises(ShapeMismatch, match="0 classes"):
+        build_toy_bcnn(num_classes=0)
+    model = build_toy_bcnn(seed=0)
+    head = model.layers[-1]
+    model.layers[-1] = DenseLayer(head.weight[:0], head.bias[:0])
+    model.num_classes = 0
+    _rejected_by_validation_and_loading(model, "0 classes")
+
+
+# a conv's u32 geometry fields: out, in, kernel (h, w), stride (h, w), padding (h, w)
+GEOMETRY_FIELDS = {"out_channels": 0, "in_channels": 1, "kernel_h": 2, "kernel_w": 3,
+                   "stride_h": 4, "stride_w": 5}
+
+
+@pytest.mark.parametrize("field", sorted(GEOMETRY_FIELDS))
+@pytest.mark.parametrize("at, in_block", [(1, False), (6, False), (8, True)],
+                         ids=["complex_conv", "binary_conv", "block_conv1"])
+def test_a_zero_in_a_stored_conv_geometry_is_corrupt(at, in_block, field):
+    from bcnn.models import encode_node
+
+    model = every_node_kind_model(seed=0)
+    data = bytearray(model_to_bytes(model))
+    desc = bytearray()
+    for layer in model.layers[:at]:
+        encode_node(layer, desc, bytearray())
+    # the node's tag byte, and a block's first sub-node tag, come before the geometry
+    geometry = _descriptor_bounds(data)[0] + len(desc) + 1 + in_block
+    struct.pack_into("<I", data, geometry + 4 * GEOMETRY_FIELDS[field], 0)
+    with pytest.raises(CorruptModelFile, match="^invalid conv geometry "):
+        model_from_bytes(bytes(data))

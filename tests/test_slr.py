@@ -275,6 +275,41 @@ def test_slr_prune_toy_model_satisfies_budgets():
     assert accuracy >= 0.9
 
 
+def _counted(problem):
+    """``problem`` with its loss calls recorded, value by value."""
+    calls, loss = [], problem.loss
+    problem.loss = lambda batch: calls.append(loss(batch)) or calls[-1]
+    return problem, calls
+
+
+def test_an_slr_iteration_runs_one_loss_equal_to_a_fresh_one():
+    data = make_separable_dataset(samples_per_class=8, seed=7)
+    model = build_toy_bcnn(seed=7)
+    problem, calls = _counted(ModelPruningProblem(model, data, inner_lr=0.05, batch_size=8))
+    cfg = SlrConfig(budgets=budgets_from_ratio(model, 0.5), max_iters=4)
+    state = init_slr_state(problem, cfg)
+    assert len(calls) == 1 and state.loss == calls[0]
+    for k in range(1, 5):
+        rec = slr_step(state, problem, cfg)
+        assert len(calls) == 1 + k and rec["loss"] == state.loss == calls[-1]
+        # the kept loss is the one a second call gives, bit for bit
+        assert problem.loss(problem.condition_batch()).hex() == state.loss.hex()
+        calls.pop()
+
+
+def test_a_hand_built_slr_state_computes_its_loss_once():
+    rng = np.random.default_rng(8)
+    target = rng.standard_normal((4, 6))
+    problem, calls = _counted(QuadraticChannelProblem(target, rng.standard_normal((4, 6))))
+    cfg = SlrConfig(budgets=(2,), max_iters=3)
+    w = problem.get_weights()
+    state = SlrState(w, [project_channels(w[0], 2)], [np.zeros_like(w[0])], cfg.s0)
+    assert state.loss is None
+    slr_step(state, problem, cfg)
+    slr_step(state, problem, cfg)
+    assert len(calls) == 3 and state.loss == calls[-1]
+
+
 def test_slr_prune_raises_on_a_nan_binary_conv_weight():
     data = make_separable_dataset(samples_per_class=4, seed=4)
     model = build_toy_bcnn(seed=4)

@@ -181,3 +181,19 @@ def test_every_node_kind_is_built_or_kept_with_a_reason():
     unbuilt = {kind.__name__ for kind in NODE_KINDS} - built
     assert unbuilt - KEPT_UNBUILT.keys() == set(), "node kinds no builder makes"
     assert KEPT_UNBUILT.keys() - unbuilt == set(), "kept kinds that are built or gone"
+
+
+def test_every_mutant_of_the_catalogue_applies_exactly_once():
+    # a refactor that moves a mutant's code fails here, and the catalogue is
+    # updated with it (``python tests/mutants.py`` runs the mutants themselves)
+    from mutants import MUTANTS, ROOT
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 8
+    stale = []
+    for m in MUTANTS:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1 or m.old == m.new or not m.tests:
+            stale.append(f"{m.name}: old text occurs {count} times in {m.file}")
+        stale += [f"{m.name}: no test file {test}" for test in m.tests
+                  if not (ROOT / test.split("::")[0]).is_file()]
+    assert not stale, stale

@@ -691,6 +691,20 @@ def test_dataset_builders_pass_integer_labels(tmp_path):
     assert Dataset(np.zeros((2, 3, 4, 4)), np.array([1, 0], dtype=np.uint8), 2).labels.dtype == np.int64
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+    ({"num_classes": -3}, "num_classes must be >= 1, got -3"),
+    ({"num_classes": 2.0}, "num_classes must be an integer"),
+    ({"samples_per_class": -1}, "samples_per_class must be >= 0, got -1"),
+], ids=["no-classes", "negative-classes", "float-classes", "negative-samples"])
+def test_the_synthetic_set_refuses_a_bad_size(kwargs, match):
+    from bcnn.training import make_synthetic_dataset
+
+    with pytest.raises(InvalidConfig, match=match):
+        make_synthetic_dataset(shape=(1, 2, 2), **kwargs)
+    assert len(make_synthetic_dataset(num_classes=3, samples_per_class=0, shape=(1, 2, 2))) == 0
+
+
 def test_dataset_rejects_a_non_finite_pixel():
     from bcnn.errors import NonFiniteInput
 
